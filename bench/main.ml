@@ -1,19 +1,20 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (E1-E9 of DESIGN.md) plus the ablations (A1-A4), and can
-   additionally run Bechamel wall-time measurements of the simulator
-   itself.
+   evaluation (E1-E10 of DESIGN.md) plus the ablations (A1-A6) and the
+   simulator's own host-throughput experiments.
 
    Usage:
      main.exe            run every experiment
      main.exe e2 e3      run selected experiments
      main.exe e9         SMP syscall-throughput scaling (simulated cores)
      main.exe parallel   Domain-parallel wall-clock scaling
-     main.exe bechamel   run the Bechamel wall-time suite
 
-   Any invocation additionally accepts [--json FILE] (alias
-   [--metrics-json FILE]): every deterministic number the selected
-   experiments print is also written to FILE as an array of
-   {"experiment", "metric", "value", "unit"} rows. *)
+   Any invocation additionally accepts [--json FILE]: the selected
+   experiments' metrics are also written to FILE as an array of
+   {"experiment", "metric", "value", "unit"} rows. Seeded simulation
+   quantities repeat exactly; the host-throughput rows (sim's guest
+   MIPS and speedups, the snapshot, fleet, lint and parallel rates,
+   e10's fork speedup) are wall-clock measurements and vary between
+   runs. *)
 
 open Aarch64
 module C = Camouflage
@@ -24,10 +25,9 @@ let header title =
 
 let row fmt = Printf.printf fmt
 
-(* --- machine-readable metrics (--json): every deterministic number a
-   table prints is also collected as an {experiment, metric, value,
-   unit} row, so CI can archive and diff runs. Wall-clock numbers are
-   deliberately excluded — only simulated, seeded quantities. *)
+(* --- machine-readable metrics (--json): the numbers a table prints
+   are also collected as {experiment, metric, value, unit} rows, so CI
+   can archive and diff runs. *)
 
 let metrics : (string * string * float * string) list ref = ref []
 
@@ -49,39 +49,20 @@ let slug s =
     s;
   Buffer.contents b
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let json_number v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.10g" v
 
 let write_metrics path =
   let oc = open_out path in
+  let str = Camo_util.Json.escape in
   output_string oc "[\n";
   List.iteri
     (fun i (experiment, name, value, unit_) ->
-      let b = Buffer.create 96 in
-      Buffer.add_string b "  {\"experiment\": \"";
-      json_escape b experiment;
-      Buffer.add_string b "\", \"metric\": \"";
-      json_escape b name;
-      Buffer.add_string b "\", \"value\": ";
-      Buffer.add_string b (json_number value);
-      Buffer.add_string b ", \"unit\": \"";
-      json_escape b unit_;
-      Buffer.add_string b "\"}";
       if i > 0 then output_string oc ",\n";
-      output_string oc (Buffer.contents b))
+      Printf.fprintf oc
+        "  {\"experiment\": \"%s\", \"metric\": \"%s\", \"value\": %s, \"unit\": \"%s\"}"
+        (str experiment) (str name) (json_number value) (str unit_))
     (List.rev !metrics);
   output_string oc "\n]\n";
   close_out oc;
@@ -1041,46 +1022,8 @@ let lint_bench () =
     [ 1; 2; 4 ];
   row "\nwall-clock speedup is host-hardware-limited, like the fleet experiment.\n"
 
-(* Bechamel wall-time suite: how fast the simulator itself is. *)
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  header "Bechamel: simulator wall-time per experiment unit";
-  let cipher = Qarma.Block.create () in
-  let key = Qarma.Block.key_of_pair (3L, 4L) in
-  let sys = K.System.boot ~config:C.Config.full ~seed:31L () in
-  let tests =
-    [
-      Test.make ~name:"qarma64-encrypt"
-        (Staged.stage (fun () -> Qarma.Block.encrypt cipher ~key ~tweak:5L 42L));
-      Test.make ~name:"pac-compute"
-        (Staged.stage (fun () ->
-             Pac.compute ~cipher ~key:Pac.{ hi = 3L; lo = 4L } ~cfg:Vaddr.linux_kernel
-               ~modifier:7L 0xffff000000234000L));
-      Test.make ~name:"syscall-getpid-full-cfi"
-        (Staged.stage (fun () ->
-             match K.System.syscall sys ~nr:K.Kbuild.sys_getpid ~args:[] with
-             | K.System.Ok v -> v
-             | K.System.Killed _ | K.System.Panicked _ -> -1L));
-      Test.make ~name:"call-overhead-probe"
-        (Staged.stage (fun () -> Workloads.Calls.measure_one C.Config.none ~calls:10));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"camouflage" ~fmt:"%s/%s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> row "%-40s %12.1f ns/run\n" name est
-      | Some [] | None -> row "%-40s %12s\n" name "n/a")
-    results
-
-(* SIM: host throughput of the interpreter itself — the one experiment
-   whose headline numbers are wall-clock (guest-MIPS), measuring the
+(* SIM: host throughput of the interpreter itself — its headline
+   numbers are wall-clock (guest-MIPS), measuring the
    execution tiers (interp / decoded-instruction cache / superblock
    traces) rather than anything the guest can observe. The run is the
    exact E2 call-heavy workload; simulated state must be bit-identical
@@ -1189,13 +1132,6 @@ let sim () =
           ~name:("guest-mips-" ^ Cpu.tier_name tier ^ "-" ^ label)
           ~value:(mips_of tier) ~unit_:"mips")
       Cpu.all_tiers;
-    (* legacy spellings, kept so older metric consumers keep working *)
-    metric ~experiment:"sim"
-      ~name:("guest-mips-uncached-" ^ label)
-      ~value:(mips_of Cpu.Interp) ~unit_:"mips";
-    metric ~experiment:"sim"
-      ~name:("guest-mips-cached-" ^ label)
-      ~value:(mips_of Cpu.Icache) ~unit_:"mips";
     metric ~experiment:"sim" ~name:("icache-speedup-" ^ label)
       ~value:icache_speedup ~unit_:"ratio";
     metric ~experiment:"sim"
@@ -1259,13 +1195,13 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* peel off --json FILE (alias --metrics-json FILE) anywhere in the
-     argument list; the remaining words select experiments as before *)
+  (* peel off --json FILE anywhere in the argument list; the remaining
+     words select experiments *)
   let rec split_json names = function
-    | ("--json" | "--metrics-json") :: path :: rest ->
+    | "--json" :: path :: rest ->
         let names', _ = split_json names rest in
         (names', Some path)
-    | ("--json" | "--metrics-json") :: [] ->
+    | "--json" :: [] ->
         Printf.eprintf "--json needs a file argument\n";
         exit 2
     | arg :: rest -> split_json (arg :: names) rest
@@ -1273,16 +1209,12 @@ let () =
   in
   let names, json_path = split_json [] args in
   (match names with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) experiments;
-      bechamel_suite ()
-  | [ "bechamel" ] -> bechamel_suite ()
+  | [] -> List.iter (fun (_, f) -> f ()) experiments
   | names ->
       List.iter
         (fun name ->
           match List.assoc_opt (String.lowercase_ascii name) experiments with
           | Some f -> f ()
-          | None when name = "bechamel" -> bechamel_suite ()
           | None -> Printf.eprintf "unknown experiment %s\n" name)
         names);
   match json_path with None -> () | Some path -> write_metrics path

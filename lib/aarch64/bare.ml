@@ -35,13 +35,8 @@ let setup ?(seed = 0xBA2EL) cpu =
     Sysreg.[ IA; IB; DA; DB; GA ];
   cpu
 
-let machine ?seed ?cost ?trace_depth ?(icache = true) ?tier () =
-  let tier =
-    match tier with
-    | Some tr -> tr
-    | None -> if icache then Cpu.Icache else Cpu.Interp
-  in
-  setup ?seed (Cpu.create ?cost ?trace_depth ~tier ())
+let machine ?seed ?cost ?trace_depth ?tier () =
+  setup ?seed (Cpu.create ?cost ?trace_depth ?tier ())
 
 (* Machine-based variant, for harnesses that need whole-machine
    snapshots or Snapshot.Fingerprint.of_machine — notably the

@@ -83,8 +83,6 @@ type t = {
   (* telemetry endpoint; None (the default) must leave execution
      bit-identical to a build without telemetry *)
   mutable sink : Telemetry.Sink.t option;
-  (* whether the last [run] took the hook-free fast loop *)
-  mutable last_run_fast : bool;
   (* which tier the last [run] actually executed under: a hooked or
      telemetry-observed run on a traces-tier core drops to the icache
      path, and tests want to assert that *)
@@ -109,13 +107,8 @@ let[@inline] is_zero64 v = Int64.to_int v = 0 && Int64.equal v 0L
 
 let create ?(cost = Cost.cortex_a53) ?(has_pauth = true) ?(user_cfg = Vaddr.linux_user)
     ?(kernel_cfg = Vaddr.linux_kernel) ?(cipher = Qarma.Block.create ()) ?mem ?mmu
-    ?icache ?(icache_enabled = true) ?tier ?(trace_depth = 32) ?(id = 0) () =
+    ?icache ?(tier = Icache) ?(trace_depth = 32) ?(id = 0) () =
   if trace_depth <= 0 then invalid_arg "Cpu.create: trace_depth";
-  let tier =
-    match tier with
-    | Some tr -> tr
-    | None -> if icache_enabled then Icache else Interp
-  in
   let mem = match mem with Some m -> m | None -> Mem.create () in
   let mmu = match mmu with Some m -> m | None -> Mmu.create () in
   let icache =
@@ -157,7 +150,6 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true) ?(user_cfg = Vaddr.linu
     id;
     step_hook = None;
     sink = None;
-    last_run_fast = false;
     last_run_tier = tier;
   }
 
@@ -1320,14 +1312,12 @@ let run_stepped ~max_insns t fast =
 
 let run ?(max_insns = 10_000_000) t =
   let fast = Option.is_none t.step_hook && Option.is_none t.sink in
-  t.last_run_fast <- fast;
   t.last_run_tier <-
     (match t.tier with Traces -> if fast then Traces else Icache | tr -> tr);
   match t.traces with
   | Some tr when fast -> run_traces t tr max_insns
   | _ -> run_stepped ~max_insns t fast
 
-let last_run_fast t = t.last_run_fast
 let last_run_tier t = t.last_run_tier
 
 let call ?max_insns t addr =
@@ -1379,7 +1369,6 @@ type captured = {
   c_trace_insn : Insn.t array;
   c_trace_pos : int;
   c_step_hook : (t -> pc:int64 -> Insn.t -> hook_action) option;
-  c_last_run_fast : bool;
   c_last_run_tier : tier;
 }
 
@@ -1404,7 +1393,6 @@ let capture t =
     c_trace_insn = Array.copy t.trace_insn;
     c_trace_pos = t.trace_pos;
     c_step_hook = t.step_hook;
-    c_last_run_fast = t.last_run_fast;
     c_last_run_tier = t.last_run_tier;
   }
 
@@ -1428,7 +1416,6 @@ let restore t c =
   Array.blit c.c_trace_insn 0 t.trace_insn 0 (Array.length t.trace_insn);
   t.trace_pos <- c.c_trace_pos;
   t.step_hook <- c.c_step_hook;
-  t.last_run_fast <- c.c_last_run_fast;
   t.last_run_tier <- c.c_last_run_tier;
   (* compiled blocks may shadow state the restore just rewrote; the
      Mem-hook and generation channels catch most of it, but a flush

@@ -37,9 +37,9 @@ type hook_action = Exec | Skip
     this); the selector only trades host-side speed:
 
     - [Interp]: plain fetch/decode/execute, the decoded-instruction
-      cache disabled (the old [--no-icache] behavior);
-    - [Icache]: the PR 5 decoded-instruction cache + micro-TLB
-      (the default);
+      cache disabled;
+    - [Icache]: the decoded-instruction cache + micro-TLB (the
+      default);
     - [Traces]: hot straight-line regions additionally compile into
       superblocks of pre-linked closures with block-to-block chaining;
       cold and cut code still executes through the icache path. *)
@@ -67,15 +67,14 @@ val all_tiers : tier list
     {!Machine} passes one instance to every core — entries depend only
     on (EL, VA page) and the shared tables, never on per-core state);
     without it a private cache is created over this core's memory and
-    MMU, enabled per [icache_enabled] (default [true]). The cache is a
-    host-speed optimization only: execution with it on or off is
-    bit-identical, including cycles and telemetry.
+    MMU, disabled on an [Interp] core. The cache is a host-speed
+    optimization only: execution with it on or off is bit-identical,
+    including cycles and telemetry.
 
-    [tier] selects the execution tier; when omitted it is derived from
-    the legacy [icache_enabled] flag ([true] → [Icache], [false] →
-    [Interp]). A [Traces] core creates a private superblock trace cache
-    over its memory/MMU pair — traces are per-core (compiled blocks
-    capture this core's register file), unlike the shared icache.
+    [tier] selects the execution tier (default [Icache]). A [Traces]
+    core creates a private superblock trace cache over its memory/MMU
+    pair — traces are per-core (compiled blocks capture this core's
+    register file), unlike the shared icache.
 
     [trace_depth] sizes the retired-instruction ring buffer behind
     {!recent_trace} (default 32); deep call chains in oops dumps may
@@ -89,7 +88,6 @@ val create :
   ?mem:Mem.t ->
   ?mmu:Mmu.t ->
   ?icache:Icache.t ->
-  ?icache_enabled:bool ->
   ?tier:tier ->
   ?trace_depth:int ->
   ?id:int ->
@@ -194,10 +192,6 @@ val step : t -> stop option
     selection is made once per call, not per step. *)
 val run : ?max_insns:int -> t -> stop
 
-(** [last_run_fast t] — whether the most recent {!run} took the
-    hook-free fast loop (observability for the fast-path tests). *)
-val last_run_fast : t -> bool
-
 (** [last_run_tier t] — the tier the most recent {!run} actually
     executed under: a [Traces] core with a step hook or telemetry sink
     attached drops to the icache path and reports [Icache]. Before any
@@ -240,7 +234,7 @@ val fold_sysregs : t -> ('a -> Sysreg.t -> int64 -> 'a) -> 'a -> 'a
 (** Full per-core mutable state capture for {!Machine} snapshots:
     registers, banked SPs, PC, EL, flags, system registers (PAuth keys
     included), cycle/retirement counters, the trace ring, and host-side
-    attachments (step hook, hypervisor lock predicate, fast-path flag).
+    attachments (step hook, hypervisor lock predicate, last run tier).
     [restore] writes the sysreg table back directly without the
     per-write icache flush of {!set_sysreg} — callers restoring a whole
     machine must flush the shared icache once afterwards, which is what

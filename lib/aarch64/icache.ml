@@ -67,7 +67,7 @@ type counters = {
 }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   slots : entry option array;  (* direct-mapped on (EL, VA page) *)
   (* frame index -> entries whose decoded lines shadow that frame;
      only entries with allocated lines are registered here *)
@@ -158,12 +158,6 @@ let create ?(enabled = true) ~mem ~mmu () =
   t
 
 let enabled t = t.enabled
-
-let set_enabled t on =
-  if t.enabled <> on then begin
-    t.enabled <- on;
-    flush t
-  end
 
 let stats t =
   {

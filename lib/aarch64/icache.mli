@@ -32,9 +32,6 @@ val create : ?enabled:bool -> mem:Mem.t -> mmu:Mmu.t -> unit -> t
 
 val enabled : t -> bool
 
-(** [set_enabled t on] — toggling in either direction flushes. *)
-val set_enabled : t -> bool -> unit
-
 (** [flush t] drops every entry (the TTBR/SCTLR/ASID-write path). *)
 val flush : t -> unit
 

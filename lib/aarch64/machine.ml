@@ -29,13 +29,8 @@ type t = {
 }
 
 let create ?cost ?has_pauth ?user_cfg ?kernel_cfg ?cipher ?trace_depth
-    ?(telemetry = false) ?(icache = true) ?tier ~cpus () =
+    ?(telemetry = false) ?(tier = Cpu.Icache) ~cpus () =
   if cpus < 1 then invalid_arg "Machine.create: cpus";
-  let tier =
-    match tier with
-    | Some tr -> tr
-    | None -> if icache then Cpu.Icache else Cpu.Interp
-  in
   let cipher = match cipher with Some c -> c | None -> Qarma.Block.create () in
   let mem = Mem.create () in
   let mmu = Mmu.create () in

@@ -26,15 +26,13 @@ type t
     [~telemetry:true] a {!Telemetry.Hub} is created and sink [i]
     attached to core [i]; IPI sends/acks then also emit trace
     events. All cores fetch through one shared decoded-instruction
-    cache ({!Icache}); [~icache:false] creates it disabled (the
-    [--no-icache] escape hatch — execution is bit-identical either
-    way, only host speed changes).
+    cache ({!Icache}).
 
-    [tier] selects the execution tier for every core and overrides the
-    legacy [icache] flag (omitted: [icache=true] → [Cpu.Icache],
-    [icache=false] → [Cpu.Interp]). [Cpu.Traces] keeps the shared
-    icache enabled and gives each core a private superblock trace
-    cache. *)
+    [tier] selects the execution tier for every core (default
+    [Cpu.Icache]). [Cpu.Interp] creates the shared cache disabled;
+    [Cpu.Traces] keeps it enabled and gives each core a private
+    superblock trace cache. Execution is bit-identical under every
+    tier, only host speed changes. *)
 val create :
   ?cost:Cost.profile ->
   ?has_pauth:bool ->
@@ -43,7 +41,6 @@ val create :
   ?cipher:Qarma.Block.t ->
   ?trace_depth:int ->
   ?telemetry:bool ->
-  ?icache:bool ->
   ?tier:Cpu.tier ->
   cpus:int ->
   unit ->

@@ -2,6 +2,7 @@ open Aarch64
 module C = Camouflage
 module K = Kernel
 module Rng = Camo_util.Rng
+module Json = Camo_util.Json
 
 type outcome =
   | Detected_by_pac
@@ -503,21 +504,8 @@ let run ?(config = C.Config.full) ?(config_name = "full") ?(cpus = 2) ?(tasks = 
   report_of_trials ~config_name ~cpus ~tasks ~rounds ~quantum ?quarantine_after
     ~seed ~golden trial_list
 
-(* JSON rendering: fixed field order, %.6f floats, minimal escaping —
+(* JSON rendering: fixed field order, %.6f floats, shared escaping —
    the same report must always serialize to the same bytes. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_to_json ?(trial_detail = true) r =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -525,7 +513,7 @@ let report_to_json ?(trial_detail = true) r =
   add "  \"campaign\": \"camouflage-faultinj\",\n";
   add "  \"seed\": %Ld,\n" r.seed;
   add "  \"trials\": %d,\n" r.trials;
-  add "  \"config\": \"%s\",\n" (json_escape r.config_name);
+  add "  \"config\": \"%s\",\n" (Json.escape r.config_name);
   add "  \"cpus\": %d,\n" r.cpus;
   add "  \"tasks\": %d,\n" r.tasks;
   add "  \"rounds\": %d,\n" r.rounds;
@@ -551,8 +539,8 @@ let report_to_json ?(trial_detail = true) r =
         add
           "    {\"index\": %d, \"spec\": \"%s\", \"fired\": %b, \"outcome\": \
            \"%s\", \"detail\": \"%s\", \"makespan\": %Ld, \"offlined\": [%s]}%s\n"
-          t.index (json_escape t.spec_desc) t.fired (outcome_name t.outcome)
-          (json_escape t.detail) t.makespan
+          t.index (Json.escape t.spec_desc) t.fired (outcome_name t.outcome)
+          (Json.escape t.detail) t.makespan
           (String.concat "," (List.map string_of_int t.offlined))
           (if i = r.trials - 1 then "" else ","))
       r.trial_list;

@@ -555,11 +555,13 @@ let symbol_ranges t =
         ]
       ~limit:(Int64.add t.xom.Xom.base (Int64.of_int t.xom.Xom.bytes))
 
-(* Host-side console drain: what the virtual UART has received. *)
+(* Host-side console drain: what the virtual UART has received. The
+   head counter is guest memory, so a fault can leave any value there;
+   the read is clamped to the ring. *)
 let console_output t =
   let ring = kernel_symbol t "console_ring" in
   let head = Int64.to_int (Kmem.read64 t.cpu (kernel_symbol t "console_state")) in
-  let len = min head 8192 in
+  let len = max 0 (min head 8192) in
   Kmem.read_string t.cpu ring len
 
 (* Module loading. *)
@@ -1229,8 +1231,7 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
 (* Boot. *)
 
 let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
-    ?(cost = Cost.cortex_a53) ?(cpus = 1) ?(telemetry = false) ?(icache = true)
-    ?tier () =
+    ?(cost = Cost.cortex_a53) ?(cpus = 1) ?(telemetry = false) ?tier () =
   (match config.C.Config.scheme with
   | C.Modifier.Chained ->
       failwith
@@ -1242,7 +1243,7 @@ let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
   if cpus < 1 || cpus > 16 then invalid_arg "System.boot: cpus must be in 1..16";
   let cipher = Qarma.Block.create () in
   let machine =
-    Machine.create ~cost ~has_pauth ~cipher ~cpus ~telemetry ~icache ?tier ()
+    Machine.create ~cost ~has_pauth ~cipher ~cpus ~telemetry ?tier ()
   in
   let cpu = Machine.boot_core machine in
   (* Bootloader: map the kernel's working memory (shared by all cores). *)

@@ -58,12 +58,11 @@ type t
     (published via their TPIDR_EL1) and an idle task; with [cpus = 1]
     nothing observable changes.
 
-    [icache] (default [true]) enables the machine-wide
-    decoded-instruction cache. Disabling it ([--no-icache] at the CLI)
-    changes host speed only: execution is bit-identical either way.
-    [tier] selects the execution tier explicitly ([--exec-tier] at the
-    CLI) and overrides [icache]; [Cpu.Traces] adds per-core superblock
-    trace compilation on top of the shared icache. *)
+    [tier] (default [Cpu.Icache], [--exec-tier] at the CLI) selects
+    the execution tier: [Cpu.Interp] disables the machine-wide
+    decoded-instruction cache, [Cpu.Traces] adds per-core superblock
+    trace compilation on top of it. The tier changes host speed only:
+    execution is bit-identical under every tier. *)
 val boot :
   ?config:Camouflage.Config.t ->
   ?seed:int64 ->
@@ -71,7 +70,6 @@ val boot :
   ?cost:Cost.profile ->
   ?cpus:int ->
   ?telemetry:bool ->
-  ?icache:bool ->
   ?tier:Aarch64.Cpu.tier ->
   unit ->
   t

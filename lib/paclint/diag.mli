@@ -110,9 +110,6 @@ val compare : t -> t -> int
     reporting. *)
 val normalize : t list -> t list
 
-(** JSON string escaping helper (shared with the census serializer). *)
-val json_escape : string -> string
-
 (** One finding as a JSON object (hand-rolled, no dependencies). *)
 val to_json : t -> string
 

@@ -7,6 +7,8 @@
    makespan, state fingerprint), never scheduling accidents of the
    recording host. *)
 
+module Json = Camo_util.Json
+
 type header = {
   h_kind : string;
   h_seed : int64;
@@ -36,30 +38,14 @@ type t = { header : header; entries : entry list }
 
 let version = 1
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let header_to_json h =
   Printf.sprintf
     "{\"camouflage_replay_log\": %d, \"kind\": \"%s\", \"seed\": %Ld, \
      \"trials\": %d, \"config\": \"%s\", \"cpus\": %d, \"tasks\": %d, \
      \"rounds\": %d, \"quantum\": %d, \"quarantine_after\": %s, \
      \"golden_makespan\": %Ld, \"golden_fingerprint\": \"%s\"}"
-    version (escape h.h_kind) h.h_seed h.h_trials (escape h.h_config) h.h_cpus
-    h.h_tasks h.h_rounds h.h_quantum
+    version (Json.escape h.h_kind) h.h_seed h.h_trials (Json.escape h.h_config)
+    h.h_cpus h.h_tasks h.h_rounds h.h_quantum
     (match h.h_quarantine_after with None -> "null" | Some n -> string_of_int n)
     h.h_golden_makespan h.h_golden_fingerprint
 
@@ -68,8 +54,8 @@ let entry_to_json e =
     "{\"index\": %d, \"spec\": \"%s\", \"fired\": %b, \"outcome\": \"%s\", \
      \"detail\": \"%s\", \"makespan\": %Ld, \"offlined\": [%s], \
      \"fingerprint\": \"%s\"}"
-    e.e_index (escape e.e_spec) e.e_fired (escape e.e_outcome)
-    (escape e.e_detail) e.e_makespan
+    e.e_index (Json.escape e.e_spec) e.e_fired (Json.escape e.e_outcome)
+    (Json.escape e.e_detail) e.e_makespan
     (String.concat ", " (List.map string_of_int e.e_offlined))
     e.e_fingerprint
 

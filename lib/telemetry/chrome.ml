@@ -82,7 +82,7 @@ let obj fields =
   "{" ^ String.concat ", " (List.map (fun (k, v) -> "\"" ^ k ^ "\": " ^ v) fields)
   ^ "}"
 
-let str s = "\"" ^ Json.escape s ^ "\""
+let str s = "\"" ^ Camo_util.Json.escape s ^ "\""
 
 let instant_json ~pid ~tid (ev : Event.t) =
   obj
@@ -259,6 +259,7 @@ let text ?limit hub =
   Buffer.contents b
 
 let validate text =
+  let module Json = Camo_util.Json in
   let ( let* ) = Result.bind in
   let* doc = Json.parse_located text in
   let* events =
@@ -301,7 +302,8 @@ let validate text =
     let num name =
       let* v = field name in
       match v.Json.v with
-      | Json.LNum f -> Ok (f, v.Json.pos)
+      | Json.LInt n -> Ok (Int64.to_float n, v.Json.pos)
+      | Json.LFloat f -> Ok (f, v.Json.pos)
       | _ ->
           Error
             (Printf.sprintf "event %d: %s is not a number at %s" i name

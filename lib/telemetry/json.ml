@@ -1,3 +1,5 @@
+module J = Camo_util.Json
+
 type value =
   | Null
   | Bool of bool
@@ -6,219 +8,19 @@ type value =
   | List of value list
   | Obj of (string * value) list
 
-(* Position-annotated tree: [pos] is the byte offset of the value's
-   first character, so validators can blame the exact source location
-   of a semantic error (same idiom as [Snapshot.Json]). *)
-type located = { v : lvalue; pos : int }
+let rec of_json : J.t -> value = function
+  | J.Null -> Null
+  | J.Bool b -> Bool b
+  | J.Int i -> Num (Int64.to_float i)
+  | J.Float f -> Num f
+  | J.Str s -> Str s
+  | J.List l -> List (List.map of_json l)
+  | J.Obj kvs -> Obj (List.map (fun (k, v) -> (k, of_json v)) kvs)
 
-and lvalue =
-  | LNull
-  | LBool of bool
-  | LNum of float
-  | LStr of string
-  | LList of located list
-  | LObj of (string * located) list
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* 1-based line and column of a byte offset — the Snapshot.Json
-   convention, so every tool reports positions the same way. *)
-let line_col s pos =
-  let pos = max 0 (min pos (String.length s)) in
-  let line = ref 1 and col = ref 1 in
-  for i = 0 to pos - 1 do
-    if s.[i] = '\n' then begin
-      incr line;
-      col := 1
-    end
-    else incr col
-  done;
-  (!line, !col)
-
-let position s pos =
-  let line, col = line_col s pos in
-  Printf.sprintf "line %d, column %d (offset %d)" line col pos
-
-exception Bad of string
-
-let parse_located text =
-  let pos = ref 0 in
-  let len = String.length text in
-  let peek () = if !pos < len then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at %s" msg (position text !pos))) in
-  let skip_ws () =
-    while
-      !pos < len
-      && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= len
-       && String.sub text !pos (String.length word) = word
-    then (
-      pos := !pos + String.length word;
-      v)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'n' -> Buffer.add_char b '\n'
-              | 't' -> Buffer.add_char b '\t'
-              | 'r' -> Buffer.add_char b '\r'
-              | 'b' -> Buffer.add_char b '\b'
-              | 'f' -> Buffer.add_char b '\012'
-              | 'u' ->
-                  if !pos + 4 > len then fail "bad \\u escape";
-                  let hex = String.sub text !pos 4 in
-                  pos := !pos + 4;
-                  let code =
-                    try int_of_string ("0x" ^ hex)
-                    with _ -> fail "bad \\u escape"
-                  in
-                  (* good enough for the validator: keep BMP code points
-                     as a single byte when they fit, '?' otherwise *)
-                  Buffer.add_char b
-                    (if code < 0x80 then Char.chr code else '?')
-              | _ -> fail "bad escape");
-              go ())
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let numchar c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < len && numchar text.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    let start = !pos in
-    let at v = { v; pos = start } in
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> at (LStr (parse_string ()))
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (
-          advance ();
-          at (LObj []))
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          at (LObj (members []))
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (
-          advance ();
-          at (LList []))
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          at (LList (elements []))
-    | Some 't' -> at (literal "true" (LBool true))
-    | Some 'f' -> at (literal "false" (LBool false))
-    | Some 'n' -> at (literal "null" LNull)
-    | Some _ -> at (LNum (parse_number ()))
-  in
-  try
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> len then
-      Error (Printf.sprintf "trailing garbage at %s" (position text !pos))
-    else Ok v
-  with Bad msg -> Error msg
-
-let rec strip { v; _ } =
-  match v with
-  | LNull -> Null
-  | LBool b -> Bool b
-  | LNum f -> Num f
-  | LStr s -> Str s
-  | LList l -> List (List.map strip l)
-  | LObj kvs -> Obj (List.map (fun (k, v) -> (k, strip v)) kvs)
-
-let parse text = Result.map strip (parse_located text)
+let parse text = Result.map of_json (J.parse text)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let lmember key { v; _ } =
-  match v with LObj fields -> List.assoc_opt key fields | _ -> None
+include (J : sig val escape : string -> string end)

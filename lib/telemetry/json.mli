@@ -1,8 +1,7 @@
-(** Minimal JSON support for the Chrome serializer and its validator.
-    Hand-rolled on purpose: the container image must not grow a JSON
-    dependency, and the validator only needs well-formedness plus
-    field access — now with source positions so semantic errors can
-    blame an exact location (the [Snapshot.Json] line/col idiom). *)
+(** A float-number view of {!Camo_util.Json}, the repository's one
+    reader: every number, integral or not, reads back as [Num]. Kept
+    for callers written against that shape — the host benchmark reads
+    [ci/lint-baseline.json] and escapes its result file through it. *)
 
 type value =
   | Null
@@ -12,37 +11,8 @@ type value =
   | List of value list
   | Obj of (string * value) list
 
-(** Position-annotated tree: [pos] is the byte offset of the value's
-    first character in the parsed text. *)
-type located = { v : lvalue; pos : int }
-
-and lvalue =
-  | LNull
-  | LBool of bool
-  | LNum of float
-  | LStr of string
-  | LList of located list
-  | LObj of (string * located) list
-
-(** Escape a string for embedding inside JSON quotes. *)
-val escape : string -> string
-
-(** 1-based (line, column) of a byte offset. *)
-val line_col : string -> int -> int * int
-
-(** ["line %d, column %d (offset %d)"] for a byte offset. *)
-val position : string -> int -> string
-
-(** Strict-enough recursive-descent parse of a complete document;
-    trailing garbage is an error. Error messages carry
-    {!position}-formatted locations. *)
 val parse : string -> (value, string) result
-
-(** Like {!parse}, but keeps the byte offset of every value. *)
-val parse_located : string -> (located, string) result
-
-(** Drop the positions. *)
-val strip : located -> value
-
 val member : string -> value -> value option
-val lmember : string -> located -> located option
+
+(** {!Camo_util.Json.escape}. *)
+val escape : string -> string

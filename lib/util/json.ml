@@ -7,6 +7,21 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+type located = { v : lvalue; pos : int }
+
+and lvalue =
+  | LNull
+  | LBool of bool
+  | LInt of int64
+  | LFloat of float
+  | LStr of string
+  | LList of located list
+  | LObj of (string * located) list
+
+(* Recursion depth is the nesting depth, so a line of a million '['
+   would otherwise grow the stack for as long as the input lasts. *)
+let max_depth = 512
+
 exception Error of string * int
 
 let fail pos msg = raise (Error (msg, pos))
@@ -157,27 +172,33 @@ let parse_number st =
   if text = "" || text = "-" then fail start "expected a number";
   if !is_float then
     match float_of_string_opt text with
-    | Some f -> Float f
+    | Some f -> LFloat f
     | None -> fail start "bad number"
   else
     match Int64.of_string_opt text with
-    | Some i -> Int i
+    | Some i -> LInt i
     | None -> (
         (* out of int64 range: fall back to float *)
         match float_of_string_opt text with
-        | Some f -> Float f
+        | Some f -> LFloat f
         | None -> fail start "bad number")
 
-let rec parse_value st =
+let rec parse_value st depth =
   skip_ws st;
+  let pos = st.pos in
+  let at v = { v; pos } in
+  let nest () =
+    if depth >= max_depth then fail pos "nesting too deep";
+    advance st;
+    skip_ws st
+  in
   match peek st with
-  | None -> fail st.pos "unexpected end of input"
+  | None -> fail pos "unexpected end of input"
   | Some '{' ->
-      advance st;
-      skip_ws st;
+      nest ();
       if peek st = Some '}' then begin
         advance st;
-        Obj []
+        at (LObj [])
       end
       else begin
         let fields = ref [] in
@@ -186,7 +207,7 @@ let rec parse_value st =
           let key = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           fields := (key, v) :: !fields;
           skip_ws st;
           match peek st with
@@ -197,19 +218,18 @@ let rec parse_value st =
           | _ -> fail st.pos "expected ',' or '}'"
         in
         members ();
-        Obj (List.rev !fields)
+        at (LObj (List.rev !fields))
       end
   | Some '[' ->
-      advance st;
-      skip_ws st;
+      nest ();
       if peek st = Some ']' then begin
         advance st;
-        List []
+        at (LList [])
       end
       else begin
         let items = ref [] in
         let rec elements () =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           items := v :: !items;
           skip_ws st;
           match peek st with
@@ -220,20 +240,20 @@ let rec parse_value st =
           | _ -> fail st.pos "expected ',' or ']'"
         in
         elements ();
-        List (List.rev !items)
+        at (LList (List.rev !items))
       end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st.pos (Printf.sprintf "unexpected character %C" c)
+  | Some '"' -> at (LStr (parse_string st))
+  | Some 't' -> at (literal st "true" (LBool true))
+  | Some 'f' -> at (literal st "false" (LBool false))
+  | Some 'n' -> at (literal st "null" LNull)
+  | Some ('-' | '0' .. '9') -> at (parse_number st)
+  | Some c -> fail pos (Printf.sprintf "unexpected character %C" c)
 
 (* Translate a byte offset into 1-based line/column for error messages:
    multi-line request bodies and log files get a usable position, not
    just a flat byte count. *)
 let line_col s pos =
-  let pos = min pos (String.length s) in
+  let pos = max 0 (min pos (String.length s)) in
   let line = ref 1 and bol = ref 0 in
   for i = 0 to pos - 1 do
     if s.[i] = '\n' then begin
@@ -247,9 +267,9 @@ let position s pos =
   let line, col = line_col s pos in
   Printf.sprintf "line %d, column %d (offset %d)" line col pos
 
-let parse s =
+let parse_located s =
   let st = { s; pos = 0 } in
-  match parse_value st with
+  match parse_value st 0 with
   | v ->
       skip_ws st;
       if st.pos <> String.length s then
@@ -259,9 +279,40 @@ let parse s =
   | exception Error (msg, pos) ->
       Result.Error (Printf.sprintf "%s at %s" msg (position s pos))
 
+let rec strip { v; _ } =
+  match v with
+  | LNull -> Null
+  | LBool b -> Bool b
+  | LInt i -> Int i
+  | LFloat f -> Float f
+  | LStr s -> Str s
+  | LList l -> List (List.map strip l)
+  | LObj kvs -> Obj (List.map (fun (k, v) -> (k, strip v)) kvs)
+
+let parse s = Result.map strip (parse_located s)
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
+
+let lmember name { v; _ } =
+  match v with LObj fields -> List.assoc_opt name fields | _ -> None
 
 let to_int64 = function
   | Int i -> Some i

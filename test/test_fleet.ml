@@ -1,9 +1,10 @@
 (* PR 6: the fleet engine. Deque semantics, pool determinism and
    cancellation, campaign/sweep byte-stability across worker counts
    (including against the legacy sequential path), telemetry merging,
-   the serve control-plane protocol, and the JSON reader. *)
+   and the serve control-plane protocol. *)
 
 module F = Fleet
+module J = Camo_util.Json
 
 (* --- deque -------------------------------------------------------- *)
 
@@ -181,16 +182,12 @@ let test_campaign_hists_and_lanes_byte_identical () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "fleet lane trace rejected: %s" e);
   (* the campaign actually observed latency: syscall spans exist *)
-  match Telemetry.Json.parse h1 with
+  match J.parse h1 with
   | Error e -> Alcotest.failf "hist JSON unparsable: %s" e
   | Ok v -> (
-      match
-        Option.bind
-          (Telemetry.Json.member "syscall" v)
-          (Telemetry.Json.member "count")
-      with
-      | Some (Telemetry.Json.Num n) ->
-          Alcotest.(check bool) "merged syscall spans non-empty" true (n > 0.0)
+      match Option.bind (J.member "syscall" v) (J.member "count") with
+      | Some (J.Int n) ->
+          Alcotest.(check bool) "merged syscall spans non-empty" true (n > 0L)
       | _ -> Alcotest.fail "hist JSON lacks a syscall count")
 
 (* --- brute-force sweep -------------------------------------------- *)
@@ -224,43 +221,10 @@ let test_sweep_audits_and_threshold () =
   Alcotest.(check bool) "panic stops the guessing loop early" true
     (tight.F.Sweep.sw_total_attempts < 6 * 8)
 
-(* --- jsonin ------------------------------------------------------- *)
-
 let parse_ok s =
-  match F.Jsonin.parse s with
+  match J.parse s with
   | Ok v -> v
-  | Error e -> Alcotest.fail ("jsonin rejected " ^ s ^ ": " ^ e)
-
-let test_jsonin_basics () =
-  let v = parse_ok {|{"a": 1, "b": [true, null, "xA\n"], "c": -2.5}|} in
-  Alcotest.(check (option int)) "int member" (Some 1)
-    (Option.bind (F.Jsonin.member "a" v) F.Jsonin.to_int);
-  (match F.Jsonin.member "b" v with
-  | Some (F.Jsonin.List [ F.Jsonin.Bool true; F.Jsonin.Null; F.Jsonin.Str s ]) ->
-      Alcotest.(check string) "escapes decoded" "xA\n" s
-  | _ -> Alcotest.fail "list member shape");
-  Alcotest.(check (option (float 1e-9))) "float member" (Some (-2.5))
-    (Option.bind (F.Jsonin.member "c" v) F.Jsonin.to_float);
-  (match F.Jsonin.parse "{\"a\": 1} junk" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing garbage accepted");
-  match F.Jsonin.parse "{nope" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed object accepted"
-
-let test_jsonin_reads_campaign_report () =
-  let report =
-    Faultinj.Campaign.report_to_json (Faultinj.Campaign.run ~seed:3L ~trials:4 ())
-  in
-  let v = parse_ok report in
-  Alcotest.(check (option string)) "campaign tag" (Some "camouflage-faultinj")
-    (Option.bind (F.Jsonin.member "campaign" v) F.Jsonin.to_string);
-  Alcotest.(check (option int)) "trials round-trips" (Some 4)
-    (Option.bind (F.Jsonin.member "trials" v) F.Jsonin.to_int);
-  match F.Jsonin.member "trial_list" v with
-  | Some (F.Jsonin.List l) ->
-      Alcotest.(check int) "one row per trial" 4 (List.length l)
-  | _ -> Alcotest.fail "trial_list missing"
+  | Error e -> Alcotest.fail ("json rejected " ^ s ^ ": " ^ e)
 
 (* --- serve: the control-plane protocol ----------------------------- *)
 
@@ -271,9 +235,9 @@ let request srv fmt =
       parse_ok response)
     fmt
 
-let str_of v name = Option.bind (F.Jsonin.member name v) F.Jsonin.to_string
-let int_of v name = Option.bind (F.Jsonin.member name v) F.Jsonin.to_int
-let is_ok v = Option.bind (F.Jsonin.member "ok" v) F.Jsonin.to_bool = Some true
+let str_of v name = Option.bind (J.member name v) J.to_string
+let int_of v name = Option.bind (J.member name v) J.to_int
+let is_ok v = Option.bind (J.member "ok" v) J.to_bool = Some true
 
 let poll srv id ~until =
   let deadline = Unix.gettimeofday () +. 30.0 in
@@ -306,7 +270,7 @@ let test_serve_round_trip () =
     (int_of status "completed");
   let rep = request srv {|{"req": "report", "id": %d}|} id in
   Alcotest.(check bool) "report fetch ok" true (is_ok rep);
-  let report = Option.get (F.Jsonin.member "report" rep) in
+  let report = Option.get (J.member "report" rep) in
   Alcotest.(check (option string)) "embedded campaign report"
     (Some "camouflage-faultinj")
     (str_of report "campaign");
@@ -323,9 +287,9 @@ let test_serve_metrics () =
     (str_of m0 "reply");
   Alcotest.(check bool) "uptime is reported" true
     (match int_of m0 "uptime_ms" with Some n -> n >= 0 | None -> false);
-  let jobs0 = Option.get (F.Jsonin.member "jobs" m0) in
+  let jobs0 = Option.get (J.member "jobs" m0) in
   Alcotest.(check (option int)) "no jobs submitted yet" (Some 0)
-    (Option.bind (F.Jsonin.member "submitted" jobs0) F.Jsonin.to_int);
+    (Option.bind (J.member "submitted" jobs0) J.to_int);
   (* run a campaign to completion, then sample again *)
   let sub =
     request srv
@@ -335,25 +299,25 @@ let test_serve_metrics () =
   let state, _ = poll srv id ~until:[ "done"; "failed" ] in
   Alcotest.(check string) "campaign completes" "done" state;
   let m = request srv {|{"req": "metrics"}|} in
-  let jobs = Option.get (F.Jsonin.member "jobs" m) in
+  let jobs = Option.get (J.member "jobs" m) in
   Alcotest.(check (option int)) "one job submitted" (Some 1)
-    (Option.bind (F.Jsonin.member "submitted" jobs) F.Jsonin.to_int);
+    (Option.bind (J.member "submitted" jobs) J.to_int);
   Alcotest.(check (option int)) "one job done" (Some 1)
-    (Option.bind (F.Jsonin.member "done" jobs) F.Jsonin.to_int);
-  let trials = Option.get (F.Jsonin.member "trials" m) in
+    (Option.bind (J.member "done" jobs) J.to_int);
+  let trials = Option.get (J.member "trials" m) in
   Alcotest.(check (option int)) "all trials counted" (Some 4)
-    (Option.bind (F.Jsonin.member "completed" trials) F.Jsonin.to_int);
+    (Option.bind (J.member "completed" trials) J.to_int);
   Alcotest.(check (option int)) "nothing quarantined" (Some 0)
     (int_of m "quarantined");
   (* the finished campaign contributed span histograms *)
   (match
      Option.bind
-       (Option.bind (F.Jsonin.member "span_hists" m) (F.Jsonin.member "syscall"))
-       (F.Jsonin.member "count")
+       (Option.bind (J.member "span_hists" m) (J.member "syscall"))
+       (J.member "count")
    with
   | Some n ->
       Alcotest.(check bool) "syscall spans surfaced in metrics" true
-        (match F.Jsonin.to_int n with Some c -> c > 0 | None -> false)
+        (match J.to_int n with Some c -> c > 0 | None -> false)
   | None -> Alcotest.fail "metrics carry no span_hists.syscall.count");
   F.Serve.drain srv
 
@@ -429,10 +393,6 @@ let suite =
       test_sweep_workers_byte_identical;
     Alcotest.test_case "sweep audits pass; tight threshold panics" `Quick
       test_sweep_audits_and_threshold;
-    Alcotest.test_case "jsonin: values, escapes, rejects garbage" `Quick
-      test_jsonin_basics;
-    Alcotest.test_case "jsonin reads a campaign report" `Quick
-      test_jsonin_reads_campaign_report;
     Alcotest.test_case "serve: submit, poll, fetch report" `Quick
       test_serve_round_trip;
     Alcotest.test_case "serve: metrics sample the live plane" `Quick

@@ -39,8 +39,8 @@ let check_cache_was_used cpu =
 
 (* ---------- differential: call-heavy bare workload (E2 probe) ---------- *)
 
-let run_calls config ~icache =
-  let cpu = Bare.machine ~seed:9L ~icache () in
+let run_calls config ~tier =
+  let cpu = Bare.machine ~seed:9L ~tier () in
   let obj = Workloads.Calls.calls_object config ~calls:400 in
   let prog = Asm.create () in
   List.iter
@@ -55,8 +55,8 @@ let run_calls config ~icache =
 let test_diff_call_workload () =
   List.iter
     (fun config ->
-      let on = run_calls config ~icache:true in
-      let off = run_calls config ~icache:false in
+      let on = run_calls config ~tier:Cpu.Icache in
+      let off = run_calls config ~tier:Cpu.Interp in
       check_cache_was_used on;
       Alcotest.(check string)
         (C.Config.name config ^ ": cached state = uncached state")
@@ -86,8 +86,8 @@ let memory_prog () =
       ]);
   prog
 
-let run_memloop ~icache =
-  let cpu = Bare.machine ~seed:9L ~icache () in
+let run_memloop ~tier =
+  let cpu = Bare.machine ~seed:9L ~tier () in
   let layout = Bare.load cpu (memory_prog ()) in
   (match Bare.call cpu layout "memloop" with
   | Cpu.Sentinel_return -> ()
@@ -96,7 +96,7 @@ let run_memloop ~icache =
 
 let test_diff_memory_workload () =
   Alcotest.(check string) "cached state = uncached state"
-    (run_memloop ~icache:false) (run_memloop ~icache:true)
+    (run_memloop ~tier:Cpu.Interp) (run_memloop ~tier:Cpu.Icache)
 
 (* ---------- differential: SMP schedule + telemetry fingerprint ---------- *)
 
@@ -124,9 +124,9 @@ let smp_fingerprint sys (stats : K.System.smp_stats) =
   | None -> ());
   Buffer.contents b
 
-let run_smp_workload ~icache =
+let run_smp_workload ~tier =
   let sys =
-    K.System.boot ~config:C.Config.full ~seed:23L ~cpus:3 ~icache
+    K.System.boot ~config:C.Config.full ~seed:23L ~cpus:3 ~tier
       ~telemetry:true ()
   in
   let layout =
@@ -140,8 +140,8 @@ let run_smp_workload ~icache =
 let test_diff_smp_schedule () =
   Alcotest.(check string)
     "SMP schedule, exits, per-core cycles and counters match"
-    (run_smp_workload ~icache:false)
-    (run_smp_workload ~icache:true)
+    (run_smp_workload ~tier:Cpu.Interp)
+    (run_smp_workload ~tier:Cpu.Icache)
 
 (* ---------- self-modifying code: store-hook invalidation ---------- *)
 
@@ -180,7 +180,7 @@ let selfmod_prog case ~word =
       ]);
   prog
 
-let run_selfmod case ~icache =
+let run_selfmod case ~tier =
   (* The victim address is known before assembly: the function sits at
      [code_base] and the prefix ahead of the "victim" label is always
      mov_addr (4) + mov_abs (4) + one Movz + the filler. *)
@@ -196,7 +196,7 @@ let run_selfmod case ~icache =
       (enc victim (fst case.replacements))
       (Int64.shift_left (enc (Int64.add victim 4L) (snd case.replacements)) 32)
   in
-  let cpu = Bare.machine ~seed:3L ~icache () in
+  let cpu = Bare.machine ~seed:3L ~tier () in
   (* the program patches itself, so its code pages must be writable *)
   Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
   let layout = Bare.load cpu (selfmod_prog case ~word) in
@@ -213,14 +213,14 @@ let test_selfmod_patch_takes_effect () =
       after = [];
     }
   in
-  let stop, cpu = run_selfmod case ~icache:true in
+  let stop, cpu = run_selfmod case ~tier:Cpu.Icache in
   Alcotest.(check string) "returned" "sentinel return" stop;
   let s = Icache.stats (Cpu.icache cpu) in
   Alcotest.(check bool) "the store dropped cached decodes" true
     (s.Icache.invalidations > 0);
   Alcotest.(check int64) "pass 2 executed the patched instruction" 2L
     (Cpu.reg cpu (Insn.R 0));
-  let _, cpu_off = run_selfmod case ~icache:false in
+  let _, cpu_off = run_selfmod case ~tier:Cpu.Interp in
   Alcotest.(check string) "cached = uncached" (fingerprint cpu_off)
     (fingerprint cpu)
 
@@ -264,8 +264,8 @@ let prop_selfmod =
   QCheck2.Test.make ~count:40
     ~name:"random self-patching programs: cached = uncached"
     ~print:print_selfmod gen_selfmod (fun case ->
-      let stop_on, cpu_on = run_selfmod case ~icache:true in
-      let stop_off, cpu_off = run_selfmod case ~icache:false in
+      let stop_on, cpu_on = run_selfmod case ~tier:Cpu.Icache in
+      let stop_off, cpu_off = run_selfmod case ~tier:Cpu.Interp in
       stop_on = stop_off && fingerprint cpu_on = fingerprint cpu_off)
 
 (* ---------- module unload/reload at the same address ---------- *)
@@ -299,8 +299,8 @@ let dispatch sys placed =
   | K.System.Ok v -> v
   | K.System.Killed m | K.System.Panicked m -> Alcotest.failf "dispatch: %s" m
 
-let run_reload ~icache =
-  let sys = K.System.boot ~config:C.Config.full ~seed:3L ~icache () in
+let run_reload ~tier =
+  let sys = K.System.boot ~config:C.Config.full ~seed:3L ~tier () in
   let a = load_work_module sys "mod_a" 1 in
   let va = dispatch sys a in
   K.System.unload_module sys a;
@@ -310,16 +310,16 @@ let run_reload ~icache =
   (va, dispatch sys b)
 
 let test_unload_reload_invalidates () =
-  let on = run_reload ~icache:true in
-  let off = run_reload ~icache:false in
+  let on = run_reload ~tier:Cpu.Icache in
+  let off = run_reload ~tier:Cpu.Interp in
   Alcotest.(check (pair int64 int64))
     "second handler's code executes, not a stale decode" (1L, 2L) on;
   Alcotest.(check (pair int64 int64)) "cached = uncached" off on
 
 (* ---------- stage-2 (XOM-style) permission flip ---------- *)
 
-let run_stage2_flip ~icache =
-  let cpu = Bare.machine ~seed:5L ~icache () in
+let run_stage2_flip ~tier =
+  let cpu = Bare.machine ~seed:5L ~tier () in
   let prog = Asm.create () in
   Asm.add_function prog ~name:"f"
     [ Asm.ins (Insn.Movz (Insn.R 0, 7, 0)); Asm.ins Insn.Ret ];
@@ -334,8 +334,8 @@ let run_stage2_flip ~icache =
   (List.map Cpu.stop_to_string [ s1; s2; s3 ], Cpu.reg cpu (Insn.R 0))
 
 let test_stage2_flip_invalidates () =
-  let (stops_on, r_on) = run_stage2_flip ~icache:true in
-  let (stops_off, r_off) = run_stage2_flip ~icache:false in
+  let (stops_on, r_on) = run_stage2_flip ~tier:Cpu.Icache in
+  let (stops_off, r_off) = run_stage2_flip ~tier:Cpu.Interp in
   (match stops_on with
   | [ first; revoked; restored ] ->
       Alcotest.(check string) "first call returns" first restored;
@@ -416,8 +416,8 @@ let faultinj_prog () =
     ];
   prog
 
-let run_stuck_fault ~icache =
-  let cpu = Bare.machine ~seed:8L ~icache () in
+let run_stuck_fault ~tier =
+  let cpu = Bare.machine ~seed:8L ~tier () in
   let layout = Bare.load cpu (faultinj_prog ()) in
   let victim = Asm.symbol layout "victim" in
   let inj =
@@ -435,65 +435,64 @@ let run_stuck_fault ~icache =
   (Cpu.stop_to_string stop, fingerprint cpu)
 
 let test_stuck_fault_on_cached_code () =
-  let on = run_stuck_fault ~icache:true in
-  let off = run_stuck_fault ~icache:false in
+  let on = run_stuck_fault ~tier:Cpu.Icache in
+  let off = run_stuck_fault ~tier:Cpu.Interp in
   Alcotest.(check string) "cached = uncached stop" (fst off) (fst on);
   Alcotest.(check string) "cached = uncached state" (snd off) (snd on)
 
 (* ---------- fast path engagement ---------- *)
 
 let test_fast_path_without_hooks () =
-  let cpu = Bare.machine () in
+  let cpu = Bare.machine ~tier:Cpu.Traces () in
   let prog = Asm.create () in
   Asm.add_function prog ~name:"f"
     [ Asm.ins (Insn.Movz (Insn.R 0, 1, 0)); Asm.ins Insn.Ret ];
   let layout = Bare.load cpu prog in
-  (match Bare.call cpu layout "f" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "f stopped: %s" (Cpu.stop_to_string s));
-  Alcotest.(check bool) "hook-free run takes the fast loop" true
-    (Cpu.last_run_fast cpu);
+  let call what =
+    match Bare.call cpu layout "f" with
+    | Cpu.Sentinel_return -> ()
+    | s -> Alcotest.failf "%s f stopped: %s" what (Cpu.stop_to_string s)
+  in
+  let tier =
+    Alcotest.testable (fun fmt t -> Format.pp_print_string fmt (Cpu.tier_name t)) ( = )
+  in
+  call "unhooked";
+  Alcotest.(check tier) "hook-free run takes the traces loop" Cpu.Traces
+    (Cpu.last_run_tier cpu);
   Cpu.set_step_hook cpu (Some (fun _ ~pc:_ _ -> Cpu.Exec));
-  (match Bare.call cpu layout "f" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "hooked f stopped: %s" (Cpu.stop_to_string s));
-  Alcotest.(check bool) "a step hook forces the slow loop" false
-    (Cpu.last_run_fast cpu);
+  call "hooked";
+  Alcotest.(check tier) "a step hook forces the icache loop" Cpu.Icache
+    (Cpu.last_run_tier cpu);
   Cpu.set_step_hook cpu None;
-  (match Bare.call cpu layout "f" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "unhooked f stopped: %s" (Cpu.stop_to_string s));
-  Alcotest.(check bool) "removing the hook restores the fast loop" true
-    (Cpu.last_run_fast cpu)
+  call "unhooked";
+  Alcotest.(check tier) "removing the hook restores the traces loop"
+    Cpu.Traces (Cpu.last_run_tier cpu)
 
-(* ---------- stats, toggling, sharing ---------- *)
+(* ---------- stats, flushing, sharing ---------- *)
 
-let test_stats_and_toggle () =
+let test_stats_and_flush () =
   let cpu = Bare.machine ~seed:2L () in
   let layout = Bare.load cpu (memory_prog ()) in
-  (match Bare.call cpu layout "memloop" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "memloop stopped: %s" (Cpu.stop_to_string s));
+  let run what =
+    match Bare.call cpu layout "memloop" with
+    | Cpu.Sentinel_return -> ()
+    | s -> Alcotest.failf "%s memloop stopped: %s" what (Cpu.stop_to_string s)
+  in
+  run "first";
   let ic = Cpu.icache cpu in
   let s = Icache.stats ic in
   Alcotest.(check bool) "hits observed" true (s.Icache.fetch_hits > 0);
   Alcotest.(check bool) "fills observed" true (s.Icache.fills > 0);
   Alcotest.(check bool) "enabled" true (Icache.enabled ic);
-  Icache.set_enabled ic false;
+  Icache.flush ic;
   let s2 = Icache.stats ic in
-  Alcotest.(check int) "disabling flushes" (s.Icache.flushes + 1) s2.Icache.flushes;
-  (match Bare.call cpu layout "memloop" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "disabled memloop stopped: %s" (Cpu.stop_to_string s));
-  let s3 = Icache.stats ic in
-  Alcotest.(check int) "disabled runs bypass the counters"
-    s2.Icache.fetch_hits s3.Icache.fetch_hits;
-  Icache.set_enabled ic true;
-  Alcotest.(check int) "re-enabling flushes again" (s3.Icache.flushes + 1)
-    (Icache.stats ic).Icache.flushes
+  Alcotest.(check int) "flush is counted" (s.Icache.flushes + 1) s2.Icache.flushes;
+  run "flushed";
+  Alcotest.(check bool) "a flushed cache refills" true
+    ((Icache.stats ic).Icache.fills > s2.Icache.fills)
 
 let test_disabled_machine_never_counts () =
-  let cpu = Bare.machine ~icache:false () in
+  let cpu = Bare.machine ~tier:Cpu.Interp () in
   let layout = Bare.load cpu (memory_prog ()) in
   (match Bare.call cpu layout "memloop" with
   | Cpu.Sentinel_return -> ()
@@ -528,8 +527,8 @@ let suite =
       test_stuck_fault_on_cached_code;
     Alcotest.test_case "hook-free runs take the fast path" `Quick
       test_fast_path_without_hooks;
-    Alcotest.test_case "stats and enable/disable toggling" `Quick
-      test_stats_and_toggle;
+    Alcotest.test_case "stats and explicit flush" `Quick
+      test_stats_and_flush;
     Alcotest.test_case "disabled machine bypasses entirely" `Quick
       test_disabled_machine_never_counts;
     Alcotest.test_case "SMP machine shares one cache" `Quick

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "camouflage"
     [
       ("util", Test_util.suite);
+      ("json", Test_json.suite);
       ("qarma", Test_qarma.suite);
       ("mem-mmu", Test_mem_mmu.suite);
       ("asm", Test_asm.suite);

@@ -97,6 +97,20 @@ let test_fingerprint_distinguishes_seeds () =
   Alcotest.(check bool) "different seeds, different states" true
     (fp 7L <> fp 8L)
 
+(* A fault can leave any value in the console head counter; the host
+   drain and the fingerprint over it must still return. *)
+let test_corrupt_console_head () =
+  let sys = K.System.boot ~seed:5L () in
+  let head = K.System.kernel_symbol sys "console_state" in
+  K.Kmem.write64 (K.System.cpu sys) head (-5L);
+  Alcotest.(check string) "negative head drains nothing" ""
+    (K.System.console_output sys);
+  ignore (Snapshot.Fingerprint.of_system sys);
+  K.Kmem.write64 (K.System.cpu sys) head 1_000_000L;
+  Alcotest.(check int) "oversized head drains the whole ring" 8192
+    (String.length (K.System.console_output sys));
+  ignore (Snapshot.Fingerprint.of_system sys)
+
 (* --- session trials = fresh-boot trials --------------------------- *)
 
 let test_session_trial_matches_fresh_boot () =
@@ -266,37 +280,6 @@ let test_campaign_failed_job_isolated () =
           (List.assoc i pois))
     base
 
-(* --- jsonin error positions ---------------------------------------- *)
-
-let fail_of = function
-  | Error e -> e
-  | Ok _ -> Alcotest.fail "malformed input accepted"
-
-let contains sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let test_jsonin_error_positions () =
-  let e = fail_of (Snapshot.Json.parse "{\n  \"a\": 1,\n  oops}") in
-  Alcotest.(check bool)
-    (Printf.sprintf "parse error names line 3 (%s)" e)
-    true
-    (contains "line 3" e);
-  let e = fail_of (Snapshot.Json.parse "{\"a\": 1} junk") in
-  Alcotest.(check bool)
-    (Printf.sprintf "trailing garbage names its position (%s)" e)
-    true
-    (contains "trailing garbage" e && contains "line 1, column 10" e);
-  let e = fail_of (Fleet.Jsonin.parse "[1, 2\n 3]") in
-  Alcotest.(check bool)
-    (Printf.sprintf "fleet alias reports positions too (%s)" e)
-    true (contains "line 2" e);
-  Alcotest.(check (pair int int)) "line_col is 1-based" (1, 1)
-    (Snapshot.Json.line_col "x" 0);
-  Alcotest.(check (pair int int)) "line_col crosses newlines" (2, 2)
-    (Snapshot.Json.line_col "ab\ncd" 4)
-
 let suite =
   [
     Alcotest.test_case "mem snapshot: dirty tracking and rollback" `Quick
@@ -319,6 +302,6 @@ let suite =
       test_replay_config_names;
     Alcotest.test_case "campaign quarantine leaves other trials' bytes" `Quick
       test_campaign_failed_job_isolated;
-    Alcotest.test_case "jsonin errors carry line and column" `Quick
-      test_jsonin_error_positions;
+    Alcotest.test_case "corrupt console head: drain and fingerprint return" `Quick
+      test_corrupt_console_head;
   ]

@@ -478,12 +478,9 @@ let test_last_run_tier () =
         (Cpu.tier_name tier ^ ": unhooking restores the tier") tier
         (Cpu.last_run_tier cpu))
     all_tiers;
-  (* legacy spellings still resolve *)
   Alcotest.(check tier_testable) "default machine runs the icache tier"
     Cpu.Icache
-    (Cpu.tier (Bare.machine ()));
-  Alcotest.(check tier_testable) "icache:false still means interp" Cpu.Interp
-    (Cpu.tier (Bare.machine ~icache:false ()))
+    (Cpu.tier (Bare.machine ()))
 
 let test_tier_of_string () =
   List.iter
