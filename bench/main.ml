@@ -935,17 +935,7 @@ let fleet () =
    them. *)
 let lint_bench () =
   header "LINT whole-image analyzer: determinism + worker scaling";
-  let configs =
-    [
-      C.Config.full;
-      C.Config.backward_only;
-      C.Config.compat;
-      C.Config.none;
-      { C.Config.backward_only with scheme = C.Modifier.Sp_only };
-      { C.Config.backward_only with scheme = C.Modifier.Parts 0x7357L };
-      { C.Config.backward_only with scheme = C.Modifier.Chained };
-    ]
-  in
+  let configs = List.map snd C.Config.named in
   let par workers =
     if workers <= 1 then Paclint.Lint.seq_par
     else

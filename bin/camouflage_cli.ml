@@ -6,24 +6,33 @@ open Aarch64
 module C = Camouflage
 module K = Kernel
 
-let config_of_string = function
-  | "full" -> Ok C.Config.full
-  | "backward" -> Ok C.Config.backward_only
-  | "compat" -> Ok C.Config.compat
-  | "none" -> Ok C.Config.none
-  | "sp-only" -> Ok { C.Config.backward_only with scheme = C.Modifier.Sp_only }
-  | "parts" -> Ok { C.Config.backward_only with scheme = C.Modifier.Parts 0x7357L }
-  | "chained" -> Ok { C.Config.backward_only with scheme = C.Modifier.Chained }
-  | s -> Error (`Msg (Printf.sprintf "unknown config %S" s))
-
-let config_conv =
-  Arg.conv
-    ( config_of_string,
-      fun fmt config -> Format.pp_print_string fmt (C.Config.name config) )
-
-let config_arg =
-  let doc = "Protection configuration: full, backward, compat, none, sp-only, parts, chained." in
+(* [-c]: any named configuration, or on a command that boots the
+   kernel only one the kernel can boot — refused while parsing, like an
+   unknown name, rather than by an exception out of [System.boot]. *)
+let config_arg_of ~boots =
+  let check c = if boots then K.System.check_config c else Ok () in
+  let parse s =
+    match C.Config.of_name s with
+    | None -> Error (`Msg (Printf.sprintf "unknown config %S" s))
+    | Some c -> (
+        match check c with
+        | Ok () -> Ok c
+        | Error m -> Error (`Msg (Printf.sprintf "config %S: %s" s m)))
+  in
+  let config_conv =
+    Arg.conv
+      (parse, fun fmt config -> Format.pp_print_string fmt (C.Config.name config))
+  in
+  let names =
+    List.filter_map
+      (fun (name, c) -> if Result.is_ok (check c) then Some name else None)
+      C.Config.named
+  in
+  let doc = "Protection configuration: " ^ String.concat ", " names ^ "." in
   Arg.(value & opt config_conv C.Config.full & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
+
+let config_arg = config_arg_of ~boots:true
+let image_config_arg = config_arg_of ~boots:false
 
 let seed_arg =
   let doc = "PRNG seed driving key generation and synthetic inputs." in
@@ -173,7 +182,7 @@ let disasm_cmd =
       (C.Config.name config) (Asm.disassemble layout)
   in
   let doc = "Show the instrumented function shape for a configuration." in
-  Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ config_arg)
+  Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ image_config_arg)
 
 let integrity_cmd =
   let run config seed tier =
@@ -493,7 +502,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
-      const run $ config_arg $ json_arg $ calls_arg $ gadgets_arg $ scheme_arg
+      const run $ image_config_arg $ json_arg $ calls_arg $ gadgets_arg $ scheme_arg
       $ workers_arg $ module_arg)
 
 let modgen_cmd =
@@ -517,7 +526,7 @@ let modgen_cmd =
      $(b,lint --module) workflow. A .kelf file is readable only by the \
      binary that wrote it."
   in
-  Cmd.v (Cmd.info "modgen" ~doc) Term.(const run $ config_arg $ dir_arg)
+  Cmd.v (Cmd.info "modgen" ~doc) Term.(const run $ image_config_arg $ dir_arg)
 
 let faults_cmd =
   let trials_arg =

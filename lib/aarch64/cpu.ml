@@ -84,8 +84,8 @@ type t = {
      bit-identical to a build without telemetry *)
   mutable sink : Telemetry.Sink.t option;
   (* which tier the last [run] actually executed under: a hooked or
-     telemetry-observed run on a traces-tier core drops to the icache
-     path, and tests want to assert that *)
+     telemetry-observed run on a traces-tier core runs no compiled
+     blocks, and tests want to assert that *)
   mutable last_run_tier : tier;
 }
 
@@ -382,7 +382,7 @@ exception Stop of stop
    which the micro-TLB does not change: it bumps once per translation
    request whether the result comes from the cache or the tables,
    keeping telemetry bit-identical across cache configurations.
-   [Icache.Translate_fault] propagates to the step loops, which convert
+   [Icache.Translate_fault] propagates to the run loop, which converts
    it to a [Stop] with the current PC (unchanged until retirement
    bookkeeping is done, so the faulting PC is exact). *)
 let[@inline] count_walk t =
@@ -567,23 +567,10 @@ let execute t insn ~next =
       t.pc <- next;
       raise (Stop (Hlt imm))
 
-(* Fetch one instruction through the decoded-instruction cache,
-   mapping cache-level errors to machine stops. The instruction-side
-   walk counter bumps once per fetch regardless of a hit or miss. *)
-let fetch t =
-  (match t.sink with
-  | Some s -> Telemetry.Counters.count_mmu_walk (Telemetry.Sink.counters s)
-  | None -> ());
-  match Icache.fetch t.icache ~el:t.el t.pc with
-  | Ok insn -> Ok insn
-  | Error (Icache.Fetch_fault f) -> Error (Fault { fault = Mmu_fault f; pc = t.pc })
-  | Error (Icache.Fetch_undefined word) ->
-      Error (Fault { fault = Undefined_instruction word; pc = t.pc })
-
-(* Retirement bookkeeping common to both step paths. Allocation-free:
-   the trace ring keeps pc and insn in parallel arrays, and the number
-   of valid entries is [min insns_retired depth] since every retire
-   writes one. *)
+(* Retirement bookkeeping common to the single-step path and compiled
+   ops. Allocation-free: the trace ring keeps pc and insn in parallel
+   arrays, and the number of valid entries is [min insns_retired depth]
+   since every retire writes one. *)
 let retire t insn cost =
   t.cycles <- t.cycles + cost;
   t.insns_retired <- t.insns_retired + 1;
@@ -595,40 +582,33 @@ let retire t insn cost =
   let p = t.trace_pos + 1 in
   t.trace_pos <- (if p = Array.length t.trace_insn then 0 else p)
 
-let step t =
-  if is_sentinel t.pc then Some Sentinel_return
-  else begin
-    match fetch t with
-    | Error s -> Some s
-    | Ok insn -> (
-        let action =
-          match t.step_hook with
-          | None -> Exec
-          | Some h -> h t ~pc:t.pc insn
-        in
-        let cost = cost_of t insn in
-        retire t insn cost;
-        (match t.sink with
-        | None -> ()
-        | Some s ->
-            Telemetry.Sink.retire s ~pc:t.pc ~cls:(class_of_insn insn)
-              ~origin:(origin_of_insn insn) ~cycles:cost);
-        let next = Int64.add t.pc 4L in
-        match action with
-        | Skip ->
-            (* the instruction issues (is fetched, charged and traced)
-               but its effects are suppressed: the PC just advances *)
-            t.pc <- next;
-            None
-        | Exec -> (
-            try
-              execute t insn ~next;
-              None
-            with
-            | Stop s -> Some s
-            | Icache.Translate_fault f ->
-                Some (Fault { fault = Mmu_fault f; pc = t.pc })))
-  end
+(* The single-step path: the one place an instruction is fetched,
+   hooked, costed, retired, shown to a sink and executed outside a
+   compiled block. The walk is counted before the fetch (a faulting
+   fetch still walked) and the hook runs before the charge, so state
+   it changes prices the instruction as it executes it. A skipped
+   instruction still issues; only the PC advances. [observed] (a hook
+   or sink may be attached) is a constant at every call site, so the
+   unobserved inlined copy tests neither. *)
+let[@inline] step_insn t ~observed =
+  if observed then count_walk t;
+  let insn = Icache.fetch_exn t.icache ~el:t.el t.pc in
+  let action =
+    if observed then
+      match t.step_hook with None -> Exec | Some h -> h t ~pc:t.pc insn
+    else Exec
+  in
+  let cost = cost_of t insn in
+  retire t insn cost;
+  (if observed then
+     match t.sink with
+     | None -> ()
+     | Some s ->
+         Telemetry.Sink.retire s ~pc:t.pc ~cls:(class_of_insn insn)
+           ~origin:(origin_of_insn insn) ~cycles:cost);
+  let next = Int64.add t.pc 4L in
+  (match action with Skip -> t.pc <- next | Exec -> execute t insn ~next);
+  insn
 
 (* --- The traces tier: superblock compilation and dispatch. ---
 
@@ -644,12 +624,12 @@ let step t =
      previous op's epilogue set it, and the dispatcher only enters a
      block when [t.pc] equals its entry), so [retire]'s ring write and
      a faulting access both see the exact PC;
-   - every op retires first and executes second, like [step], so a
+   - every op retires first and executes second, like [step_insn], so a
      faulting instruction is still retired and charged;
    - blocks are cut at branches (compiled as terminators), PAC/AUT
      boundaries and exception-raising instructions, so every compiled
      instruction has a statically known cost and can never change EL;
-   - the driver re-checks [Traces.live] between ops: a store that lands
+   - the driver re-checks [bk_live] between ops: a store that lands
      in the block's own code pages (the Bloom-screened [Mem] hook) kills
      the block mid-flight and the remaining ops are abandoned, exactly
      as the interpreter would re-fetch the patched word. *)
@@ -1197,15 +1177,26 @@ let find_block t tr =
   | Some _ as found -> found
   | None -> if Traces.bump tr ~el:t.el t.pc then compile_block t tr else None
 
-(* The traces-tier driver. Guard checks at block entry are the
-   conjunction the ISSUE names: liveness (store hooks + MSR flush
-   matrix), the MMU generation (via [find_block]'s sync), EL and exact
-   entry PC. [prev] carries the last completed block so the next lookup
-   result can be linked as its chained successor; a valid chain skips
-   both the sync and the slot probe, which is sound because every
-   in-run invalidation source (stores, executed MSRs) kills blocks in
-   place and the liveness check still runs. *)
-let run_traces t tr max_insns =
+(* Without a trace cache: one test of [observed] per step picks an
+   inlined copy of [step_insn]. *)
+let rec step_loop t ~observed budget =
+  if budget <= 0 then Insn_limit
+  else if is_sentinel t.pc then Sentinel_return
+  else begin
+    if observed then ignore (step_insn t ~observed:true : Insn.t)
+    else ignore (step_insn t ~observed:false : Insn.t);
+    step_loop t ~observed (budget - 1)
+  end
+
+(* With a trace cache: hot code runs as compiled blocks, cold and cut
+   code through [step_insn]. Guard checks at block entry are liveness
+   (store hooks + MSR flush matrix), the MMU generation (via
+   [find_block]'s sync), EL and exact entry PC. A completed block is
+   linked to the next lookup result as its chained successor; a valid
+   chain skips both the sync and the slot probe, which is sound because
+   every in-run invalidation source (stores, executed MSRs) kills blocks
+   in place and the liveness check still runs. *)
+let block_loop t tr max_insns =
   let tc = Traces.counters tr in
   (* Three mutually tail-recursive states instead of one [prev] option:
      no [Some] allocation per dispatch, and the chain-follow guard and
@@ -1258,65 +1249,38 @@ let run_traces t tr max_insns =
     if ran = b.Traces.bk_len then go_chained (budget - ran) b
     else go_boundary (budget - ran) true
   and step_once budget =
-    (* cold or cut code: one icache-tier step. The next PC is a
+    (* cold or cut code: one [step_insn]. The next PC is a
        compilation candidate when control transferred or when we
        just crossed a cut instruction (so the region after a PAC/
-       AUT boundary still becomes a block). *)
-    let insn = Icache.fetch_exn t.icache ~el:t.el t.pc in
-    let cost = cost_of t insn in
-    retire t insn cost;
-    let fall = Int64.add t.pc 4L in
-    execute t insn ~next:fall;
-    go_boundary (budget - 1) (is_cut insn || not (Int64.equal t.pc fall))
+       AUT boundary still becomes a block). The 63-bit compare is
+       exact enough: the flag only decides where blocks are looked
+       up, never what executes. *)
+    let pc = Int64.to_int t.pc in
+    let insn = step_insn t ~observed:false in
+    go_boundary (budget - 1) (is_cut insn || Int64.to_int t.pc <> pc + 4)
   in
-  try go_boundary max_insns true with
+  go_boundary max_insns true
+
+(* The run loop, and the only one: every tier, hooked, observed or
+   neither, runs here under one exception frame. Compiled blocks call
+   no hook and report to no sink, so only an unobserved [Traces] core
+   runs them. *)
+let run ?(max_insns = 10_000_000) t =
+  let observed = Option.is_some t.step_hook || Option.is_some t.sink in
+  let tr = if observed then None else t.traces in
+  t.last_run_tier <-
+    (match (t.tier, tr) with Traces, None -> Icache | tier, _ -> tier);
+  try
+    match tr with
+    | Some tr -> block_loop t tr max_insns
+    | None -> step_loop t ~observed max_insns
+  with
   | Stop s -> s
   | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = t.pc }
   | Icache.Fetch_stop (Icache.Fetch_fault f) ->
       Fault { fault = Mmu_fault f; pc = t.pc }
   | Icache.Fetch_stop (Icache.Fetch_undefined word) ->
       Fault { fault = Undefined_instruction word; pc = t.pc }
-
-let run_stepped ~max_insns t fast =
-  if fast then begin
-    (* one exception frame for the whole run, not one per step *)
-    let rec go budget =
-      if budget <= 0 then Insn_limit
-      else if is_sentinel t.pc then Sentinel_return
-      else begin
-        let insn = Icache.fetch_exn t.icache ~el:t.el t.pc in
-        let cost = cost_of t insn in
-        retire t insn cost;
-        execute t insn ~next:(Int64.add t.pc 4L);
-        go (budget - 1)
-      end
-    in
-    try go max_insns with
-    | Stop s -> s
-    | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = t.pc }
-    | Icache.Fetch_stop (Icache.Fetch_fault f) ->
-        Fault { fault = Mmu_fault f; pc = t.pc }
-    | Icache.Fetch_stop (Icache.Fetch_undefined word) ->
-        Fault { fault = Undefined_instruction word; pc = t.pc }
-  end
-  else begin
-    let rec go budget =
-      if budget <= 0 then Insn_limit
-      else
-        match step t with
-        | Some s -> s
-        | None -> go (budget - 1)
-    in
-    go max_insns
-  end
-
-let run ?(max_insns = 10_000_000) t =
-  let fast = Option.is_none t.step_hook && Option.is_none t.sink in
-  t.last_run_tier <-
-    (match t.tier with Traces -> if fast then Traces else Icache | tr -> tr);
-  match t.traces with
-  | Some tr when fast -> run_traces t tr max_insns
-  | _ -> run_stepped ~max_insns t fast
 
 let last_run_tier t = t.last_run_tier
 
@@ -1454,32 +1418,6 @@ let dump_state ?trace_limit t =
   Buffer.add_string b
     (Printf.sprintf "  flags: n=%b z=%b c=%b v=%b\n" t.flags.n t.flags.z
        t.flags.c t.flags.v);
-  (match t.sink with
-  | None -> ()
-  | Some s ->
-      let snap = Telemetry.Counters.snapshot (Telemetry.Sink.counters s) in
-      Buffer.add_string b
-        (Printf.sprintf "  counters: %s\n" (Telemetry.Counters.to_string snap));
-      (* span latency over whatever the event ring still holds — one
-         summary line next to the counter file, empty kinds elided *)
-      let hists =
-        Telemetry.Span.histograms
-          (Telemetry.Ring.to_list (Telemetry.Sink.ring s))
-      in
-      let cells =
-        List.filter_map
-          (fun (kind, h) ->
-            if Telemetry.Hist.is_empty h then None
-            else
-              Some
-                (Printf.sprintf "%s n=%Ld p50=%Ld p99=%Ld"
-                   (Telemetry.Span.kind_name kind) (Telemetry.Hist.count h)
-                   (Telemetry.Hist.p50 h) (Telemetry.Hist.p99 h)))
-          hists
-      in
-      if cells <> [] then
-        Buffer.add_string b
-          (Printf.sprintf "  latency: %s\n" (String.concat " | " cells)));
   (match recent_trace ~limit:trace_limit t with
   | [] -> Buffer.add_string b "  trace: (empty)\n"
   | entries ->

@@ -42,7 +42,8 @@ type hook_action = Exec | Skip
       default);
     - [Traces]: hot straight-line regions additionally compile into
       superblocks of pre-linked closures with block-to-block chaining;
-      cold and cut code still executes through the icache path. *)
+      cold and cut code still takes the single-step path through the
+      icache. *)
 type tier = Interp | Icache | Traces
 
 val tier_name : tier -> string
@@ -154,7 +155,7 @@ val set_sysreg_lock : t -> (Sysreg.t -> bool) -> unit
     decoded instruction. The hook may mutate machine state (registers,
     key registers, memory) — this is the fault-injection attachment
     point — and its verdict decides whether the instruction executes or
-    is skipped. The hook must not call {!step} reentrantly. *)
+    is skipped. The hook must not call {!run} reentrantly. *)
 val set_step_hook : t -> (t -> pc:int64 -> Insn.t -> hook_action) option -> unit
 
 (** [attach_telemetry t sink] connects a per-core telemetry endpoint:
@@ -183,18 +184,16 @@ val origin_of_insn : Insn.t -> Telemetry.Profile.origin
     trips in instrumented prologues) but never mapped. *)
 val sentinel : int64
 
-(** [step t] executes one instruction; [None] means normal retirement. *)
-val step : t -> stop option
-
-(** [run ?max_insns t] steps until a stop (default limit 10 million).
-    When neither a step hook nor a telemetry sink is attached, the loop
-    commits to a fast path that skips both disabled-path checks — the
-    selection is made once per call, not per step. *)
+(** [run ?max_insns t] executes until a stop (default limit 10 million
+    instructions) in the one run loop every tier shares. Hot code on a
+    [Traces] core with neither a step hook nor a telemetry sink runs as
+    compiled blocks; every other instruction takes the single-step path
+    (fetch, hook, charge, retire, sink, execute). *)
 val run : ?max_insns:int -> t -> stop
 
 (** [last_run_tier t] — the tier the most recent {!run} actually
     executed under: a [Traces] core with a step hook or telemetry sink
-    attached drops to the icache path and reports [Icache]. Before any
+    attached runs no compiled blocks and reports [Icache]. Before any
     run it reports the configured tier. *)
 val last_run_tier : t -> tier
 
@@ -214,12 +213,13 @@ val pauth_enabled : t -> Sysreg.pauth_key -> bool
     kernel's oops dumps. *)
 val recent_trace : ?limit:int -> t -> (int64 * Insn.t) list
 
-(** [dump_state t] — multi-line pretty-printed machine state: core id,
-    PC, EL, cycle and retirement counters, the general registers, banked
-    stack pointers, flags, the telemetry counter snapshot (when a sink
-    is attached), and the last [trace_limit] retired instructions
-    disassembled (default: the full configured trace depth). Used by
-    the kernel's oops and panic paths. *)
+(** [dump_state t] — multi-line pretty-printed architectural state:
+    core id, PC, EL, cycle and retirement counters, the general
+    registers, banked stack pointers, flags, and the last [trace_limit]
+    retired instructions disassembled (default: the full configured
+    trace depth). An attached telemetry sink adds nothing, so a dump is
+    the same whether or not the run was observed. Used by the kernel's
+    oops and panic paths. *)
 val dump_state : ?trace_limit:int -> t -> string
 
 val fault_to_string : fault -> string

@@ -85,7 +85,7 @@ type t = {
 
 type fetch_error = Fetch_fault of Mmu.fault | Fetch_undefined of int32
 
-(* The raising fetch API exists for the interpreter's fast loop: a
+(* The raising fetch API exists for the CPU's run loop: a
    [result] return would allocate an [Ok] block per retired
    instruction. Faults are rare, so they pay the exception instead. *)
 exception Fetch_stop of fetch_error
@@ -311,11 +311,6 @@ let translate_exn t ~el ~access va =
             | Ok pa -> pa
             | Error f -> raise (Translate_fault f)))
   end
-
-let translate t ~el ~access va =
-  match translate_exn t ~el ~access va with
-  | pa -> Ok pa
-  | exception Translate_fault f -> Error f
 
 (* Whole-access fast paths: a micro-TLB hit resolves a 64-bit load or
    store directly against the memoized frame bytes, skipping the PA

@@ -45,22 +45,18 @@ val fetch : t -> el:El.t -> int64 -> (Insn.t, fetch_error) result
 exception Fetch_stop of fetch_error
 
 (** [fetch_exn] — same as {!fetch} but raises {!Fetch_stop} on failure;
-    the interpreter's fast loop uses it to keep the hit path free of
+    the CPU's run loop uses it to keep the hit path free of
     [result] allocations. *)
 val fetch_exn : t -> el:El.t -> int64 -> Insn.t
 
-(** [translate t ~el ~access va] — micro-TLB front end for
-    [Mmu.translate]: hits resolve from the memoized permission triple,
-    misses and denials take the real walk. Bit-identical results,
-    including fault kinds. *)
-val translate : t -> el:El.t -> access:Mmu.access -> int64 -> (int64, Mmu.fault) result
-
-(** Raised by {!translate_exn} instead of returning [Error]. *)
+(** Raised by {!translate_exn} on a translation or permission fault. *)
 exception Translate_fault of Mmu.fault
 
-(** [translate_exn] — same as {!translate} but raises {!Translate_fault}
-    on a fault; the interpreter's load/store path uses it to avoid a
-    [result] allocation per memory access. *)
+(** [translate_exn t ~el ~access va] — micro-TLB front end for
+    [Mmu.translate]: hits resolve from the memoized permission triple,
+    misses and denials take the real walk. Bit-identical results,
+    including fault kinds; a fault raises {!Translate_fault} instead of
+    allocating a [result] per memory access. *)
 val translate_exn : t -> el:El.t -> access:Mmu.access -> int64 -> int64
 
 (** [read64_exn] / [write64_exn] — whole-access fast paths: on a

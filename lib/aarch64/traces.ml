@@ -64,7 +64,6 @@ type 'code t = {
   (* per-entry execution counters, keyed by EL-tagged entry PC; the
      blacklist shares the table as a sentinel value *)
   counts : (int64, int) Hashtbl.t;
-  hot_threshold : int;
   mutable gen : int;  (* Mmu generation observed at the last sync *)
   mmu : Mmu.t;
   c : counters;
@@ -89,15 +88,16 @@ let[@inline] key ~el pc = Int64.logor pc (Int64.of_int (el_index el))
 (* Counter value marking an entry as uncompilable. *)
 let black = min_int
 
-let create ?(hot_threshold = 16) ~mem ~mmu () =
-  if hot_threshold < 1 then invalid_arg "Traces.create: hot_threshold";
+(* Boundary executions of an entry PC before it counts as hot. *)
+let hot_threshold = 16
+
+let create ~mem ~mmu () =
   let t =
     {
       slots = Array.make slot_count None;
       by_frame = Hashtbl.create 64;
       reg_mask = 0;
       counts = Hashtbl.create 256;
-      hot_threshold;
       gen = Mmu.generation mmu;
       mmu;
       c =
@@ -162,7 +162,7 @@ let bump t ~el pc =
   match Hashtbl.find_opt t.counts k with
   | Some n when n = black -> false
   | Some n ->
-      if n + 1 >= t.hot_threshold then begin
+      if n + 1 >= hot_threshold then begin
         Hashtbl.remove t.counts k;
         true
       end
@@ -176,7 +176,7 @@ let bump t ~el pc =
          warm counts only delays compilation, never breaks it *)
       if Hashtbl.length t.counts >= 16384 then Hashtbl.reset t.counts;
       Hashtbl.add t.counts k 1;
-      t.hot_threshold <= 1
+      false
 
 let blacklist t ~el pc =
   Hashtbl.replace t.counts (key ~el pc) black;
@@ -231,18 +231,6 @@ let link t b succ =
   b.bk_next <- Some succ;
   t.c.c_chain_links <- t.c.c_chain_links + 1
 
-let entry_pc b = b.bk_entry
-let block_el b = b.bk_el
-let block_len b = b.bk_len
-let code b = b.bk_code
-let live b = b.bk_live
-let next b = b.bk_next
-
-let note_exec t ~insns =
-  t.c.c_executed <- t.c.c_executed + 1;
-  t.c.c_block_insns <- t.c.c_block_insns + insns
-
-let note_chain t = t.c.c_chain_follows <- t.c.c_chain_follows + 1
 let counters t = t.c
 
 let stats t =

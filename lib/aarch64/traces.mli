@@ -53,10 +53,9 @@ type 'code block = {
 (** [create ~mem ~mmu ()] registers the store-invalidation hook on
     [mem]. Blocks compiled by one CPU capture that CPU's register file,
     so unlike the icache a trace cache is per-core; cross-core stores
-    still invalidate because all cores share one {!Mem}.
-    [hot_threshold] is the number of boundary executions of an entry PC
-    before it is considered hot (default 16). *)
-val create : ?hot_threshold:int -> mem:Mem.t -> mmu:Mmu.t -> unit -> 'code t
+    still invalidate because all cores share one {!Mem}. An entry PC
+    is hot after 16 boundary executions. *)
+val create : mem:Mem.t -> mmu:Mmu.t -> unit -> 'code t
 
 (** [flush t] kills every block, resets the hotness counters and the
     frame registrations (the TTBR/SCTLR/ASID-write path, and the
@@ -95,32 +94,9 @@ val install :
 
 (** [link t b succ] — record [succ] as [b]'s chained successor, so the
     driver skips the slot lookup when the same block-to-block edge
-    repeats. Chains are hints: the driver must still check {!live},
+    repeats. Chains are hints: the driver must still check [bk_live],
     the EL and the entry PC before following one. *)
 val link : 'code t -> 'code block -> 'code block -> unit
-
-val entry_pc : 'code block -> int64
-val block_el : 'code block -> El.t
-
-(** Guest instructions the block retires when it runs to completion. *)
-val block_len : 'code block -> int
-
-val code : 'code block -> 'code
-
-(** [live b] — false once any invalidation channel killed the block.
-    Drivers check this between instructions. *)
-val live : 'code block -> bool
-
-(** The chained successor installed by {!link}, unvalidated. *)
-val next : 'code block -> 'code block option
-
-(** [note_exec t ~insns] — account one block dispatch that retired
-    [insns] guest instructions (less than {!block_len} if the block was
-    invalidated under its own feet). *)
-val note_exec : 'code t -> insns:int -> unit
-
-(** [note_chain t] — account one successful chain-follow. *)
-val note_chain : 'code t -> unit
 
 (** The live counters behind {!stats}, exposed as mutable fields so the
     dispatch loop accounts block executions and chain follows with a

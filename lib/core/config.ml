@@ -28,6 +28,19 @@ let none =
 
 let compat = { full with mode = Keys.Compat }
 
+let named =
+  [
+    ("full", full);
+    ("backward", backward_only);
+    ("compat", compat);
+    ("none", none);
+    ("sp-only", { backward_only with scheme = Modifier.Sp_only });
+    ("parts", { backward_only with scheme = Modifier.Parts 0x7357L });
+    ("chained", { backward_only with scheme = Modifier.Chained });
+  ]
+
+let of_name s = List.assoc_opt s named
+
 let name t =
   let base =
     match (t.scheme, t.protect_pointers) with

@@ -26,4 +26,13 @@ val none : t
 (** Full protection constrained to backwards-compatible encodings. *)
 val compat : t
 
+(** The seven configurations the front ends name, by the token the
+    CLI's [-c] and serve's ["config"] field take: [full], [backward],
+    [compat], [none], and [backward] with the [sp-only], [parts]
+    (modifier 0x7357) or [chained] return scheme. *)
+val named : (string * t) list
+
+(** [of_name s] — the configuration {!named} [s]. *)
+val of_name : string -> t option
+
 val name : t -> string

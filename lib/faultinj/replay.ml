@@ -1,26 +1,15 @@
 module C = Camouflage
 module L = Snapshot.Log
 
-(* Every configuration the front ends can name. The CLI hands reports
-   the display name ([Config.name]); serve hands them the request
-   token — a recorded log may carry either, so resolve both. *)
-let known_configs =
-  [
-    ("full", C.Config.full);
-    ("backward", C.Config.backward_only);
-    ("compat", C.Config.compat);
-    ("none", C.Config.none);
-    ("sp-only", { C.Config.backward_only with C.Config.scheme = C.Modifier.Sp_only });
-    ("parts", { C.Config.backward_only with C.Config.scheme = C.Modifier.Parts 0x7357L });
-    ("chained", { C.Config.backward_only with C.Config.scheme = C.Modifier.Chained });
-  ]
-
+(* The CLI hands reports the display name ([Config.name]); serve hands
+   them the request token — a recorded log may carry either, so resolve
+   both. *)
 let config_of_name name =
-  match List.assoc_opt name known_configs with
+  match C.Config.of_name name with
   | Some c -> Some c
   | None ->
       Option.map snd
-        (List.find_opt (fun (_, c) -> C.Config.name c = name) known_configs)
+        (List.find_opt (fun (_, c) -> C.Config.name c = name) C.Config.named)
 
 let entry_of_trial ~fingerprint (t : Campaign.trial) =
   {

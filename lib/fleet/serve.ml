@@ -60,13 +60,6 @@ let int_field obj name = Option.bind (Json.member name obj) Json.to_int
 let int64_field obj name = Option.bind (Json.member name obj) Json.to_int64
 let dflt d = Option.value ~default:d
 
-let config_of_name = function
-  | "full" -> Some C.Config.full
-  | "backward" -> Some C.Config.backward_only
-  | "compat" -> Some C.Config.compat
-  | "none" -> Some C.Config.none
-  | _ -> None
-
 let failures_json fs =
   "["
   ^ String.concat ", "
@@ -85,13 +78,18 @@ let bounded name lo hi v =
   if v < lo || v > hi then bad "%s %d out of range (%d-%d)" name v lo hi;
   v
 
+(* Both job kinds boot the kernel, so a configuration it cannot boot is
+   refused here rather than failing every trial. *)
 let parse_config obj =
   match str_field obj "config" with
   | None -> (C.Config.full, "full")
   | Some name -> (
-      match config_of_name name with
-      | Some c -> (c, name)
-      | None -> bad "unknown config %S" name)
+      match C.Config.of_name name with
+      | None -> bad "unknown config %S" name
+      | Some c -> (
+          match Kernel.System.check_config c with
+          | Ok () -> (c, name)
+          | Error m -> bad "config %S: %s" name m))
 
 (* --- job bookkeeping *)
 

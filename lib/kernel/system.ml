@@ -306,29 +306,12 @@ let mark_dead t task =
 
 (* Capture a structured oops record (cause, registers, recent-trace
    disassembly) for the current task on the active core; returns the
-   state dump so callers can also log it. *)
+   state dump so callers can also log it. The dump is architectural
+   only: the state fingerprint hashes it and the log it is copied
+   into, so telemetry must not reach it. *)
 let record_oops t ~cause ~pc =
   emit_event t (Telemetry.Event.Oops { pid = t.current.pid; cause });
   let dump = Cpu.dump_state t.cpu in
-  (* fold the structured event timeline into the dump: this replaces
-     the old ad-hoc recent_trace-only plumbing *)
-  let dump =
-    match sink t with
-    | Some s ->
-        let evs = Telemetry.Ring.to_list (Telemetry.Sink.ring s) in
-        let n = List.length evs in
-        let tail =
-          if n > 8 then List.filteri (fun i _ -> i >= n - 8) evs else evs
-        in
-        if tail = [] then dump
-        else
-          dump ^ "  events (newest last):\n"
-          ^ String.concat ""
-              (List.map
-                 (fun e -> "    " ^ Telemetry.Event.to_string e ^ "\n")
-                 tail)
-    | None -> dump
-  in
   t.oopses <-
     {
       oops_cpu = t.active;
@@ -1230,16 +1213,19 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
 
 (* Boot. *)
 
-let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
-    ?(cost = Cost.cortex_a53) ?(cpus = 1) ?(telemetry = false) ?tier () =
-  (match config.C.Config.scheme with
+let check_config (config : C.Config.t) =
+  match config.C.Config.scheme with
   | C.Modifier.Chained ->
-      failwith
-        "System.boot: the chained scheme cannot prefabricate switch frames and is \
+      Error
+        "the chained scheme cannot prefabricate switch frames and is \
          evaluated as a microbenchmark ablation only (see bench a5)"
   | C.Modifier.No_cfi | C.Modifier.Sp_only | C.Modifier.Parts _ | C.Modifier.Camouflage
     ->
-      ());
+      Ok ()
+
+let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
+    ?(cost = Cost.cortex_a53) ?(cpus = 1) ?(telemetry = false) ?tier () =
+  Result.iter_error (fun m -> failwith ("System.boot: " ^ m)) (check_config config);
   if cpus < 1 || cpus > 16 then invalid_arg "System.boot: cpus must be in 1..16";
   let cipher = Qarma.Block.create () in
   let machine =

@@ -44,11 +44,17 @@ type oops = {
 
 type t
 
+(** [check_config c] — [Error reason] when the kernel cannot boot
+    under [c]: the chained scheme cannot prefabricate switch frames, so
+    it is evaluated on bare machines only. Front ends check a requested
+    configuration with this before booting. *)
+val check_config : Camouflage.Config.t -> (unit, string) result
+
 (** [boot ()] brings the system up: hypervisor lockdown, bootloader key
     generation into XOM, kernel image load (with static verification and
     static-pointer signing), and creation of the init task. [seed]
     drives every PRNG (kernel keys, user keys). Raises [Failure] if the
-    kernel image fails verification.
+    kernel image fails verification or {!check_config} refuses [config].
 
     [cpus] (default 1, max 16) boots an SMP machine: all cores share
     memory, the two-stage MMU and the cipher, but keep private register

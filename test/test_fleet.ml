@@ -367,6 +367,47 @@ let test_serve_cancel_and_shutdown () =
     (str_of (parse_ok bye) "reply");
   F.Serve.drain srv
 
+(* serve names configurations with the CLI's vocabulary: a campaign
+   under a scheme beyond the original four runs to a report. *)
+let test_serve_sp_only_campaign () =
+  let srv = F.Serve.create () in
+  let sub =
+    request srv
+      {|{"req": "submit", "kind": "faults", "config": "sp-only", "seed": 5, "trials": 2, "workers": 1}|}
+  in
+  Alcotest.(check bool) "sp-only submit accepted" true (is_ok sub);
+  let id = Option.get (int_of sub "id") in
+  let state, _ = poll srv id ~until:[ "done"; "failed" ] in
+  Alcotest.(check string) "sp-only campaign completes" "done" state;
+  let report = Option.get (J.member "report" (request srv {|{"req": "report", "id": %d}|} id)) in
+  Alcotest.(check (option string)) "report names the config" (Some "sp-only")
+    (str_of report "config");
+  Alcotest.(check (option int)) "served trials" (Some 2) (int_of report "trials");
+  F.Serve.drain srv
+
+(* ... and a configuration the kernel cannot boot is refused with a
+   structured error at submit time, for both job kinds, instead of
+   failing every trial. *)
+let test_serve_refuses_chained () =
+  let srv = F.Serve.create () in
+  List.iter
+    (fun kind ->
+      let v =
+        request srv {|{"req": "submit", "kind": "%s", "config": "chained"}|} kind
+      in
+      Alcotest.(check bool) (kind ^ ": chained refused") false (is_ok v);
+      Alcotest.(check bool)
+        (kind ^ ": error names the scheme")
+        true
+        (match str_of v "error" with
+        | Some e -> String.starts_with ~prefix:{|config "chained"|} e
+        | None -> false))
+    [ "faults"; "bruteforce" ];
+  let metrics = request srv {|{"req": "metrics"}|} in
+  Alcotest.(check (option int)) "no job registered" (Some 0)
+    (Option.bind (J.member "submitted" (Option.get (J.member "jobs" metrics))) J.to_int);
+  F.Serve.drain srv
+
 let suite =
   [
     Alcotest.test_case "deque: owner LIFO, thief FIFO" `Quick
@@ -401,4 +442,8 @@ let suite =
       test_serve_rejects_malformed;
     Alcotest.test_case "serve: cancel and shutdown" `Quick
       test_serve_cancel_and_shutdown;
+    Alcotest.test_case "serve: sp-only campaign runs" `Quick
+      test_serve_sp_only_campaign;
+    Alcotest.test_case "serve: chained config refused" `Quick
+      test_serve_refuses_chained;
   ]

@@ -366,12 +366,15 @@ let emit_fprog p =
       ]);
   prog
 
-let run_fprog ~tier p =
+(* [attach] runs on the boot core once the program is loaded, just
+   before the call: it arms an injector or attaches a sink. *)
+let run_fprog ?(attach = ignore) ~tier p =
   let m = Bare.smp ~seed:11L ~tier () in
   let cpu = Machine.boot_core m in
   if p.selfmod then
     Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
   let layout = Bare.load cpu (emit_fprog p) in
+  attach cpu;
   let stop = Bare.call ~max_insns:200_000 cpu layout "fuzz" in
   (Cpu.stop_to_string stop, Snapshot.Fingerprint.of_machine m)
 
@@ -383,6 +386,51 @@ let prop_three_tier =
       let stop_c, fp_c = run_fprog ~tier:Cpu.Icache p in
       let stop_t, fp_t = run_fprog ~tier:Cpu.Traces p in
       stop_i = stop_c && stop_c = stop_t && fp_i = fp_c && fp_c = fp_t)
+
+(* The tier x observed x armed matrix. Every run enters the one run
+   loop, but a hooked or observed run takes its single-step path on
+   every tier while a plain traces run executes compiled blocks, so the
+   matrix pins what each way in must preserve:
+
+   - an armed injector that never fires and an attached sink are pure
+     observation: each gives the plain interp run's stop and
+     fingerprint, on every tier;
+   - an injector that does fire (an instruction skip after a random
+     number of steps) changes the run identically on every tier;
+   - observed runs count the same counter file on every tier. *)
+let arm spec cpu = Faultinj.Injector.arm (Faultinj.Injector.create spec) cpu
+
+let observed ~tier p =
+  let sink = Telemetry.Sink.create ~cpu:0 () in
+  let result = run_fprog ~attach:(fun cpu -> Cpu.attach_telemetry cpu sink) ~tier p in
+  ( result,
+    Telemetry.Counters.to_json
+      (Telemetry.Counters.snapshot (Telemetry.Sink.counters sink)) )
+
+let prop_observed_armed =
+  let never =
+    Faultinj.Injector.
+      { trigger = After_steps max_int; model = Skip_insn; persistence = Transient }
+  in
+  QCheck2.Test.make
+    ~name:"random programs: armed and observed runs agree on every tier"
+    ~count:150
+    ~print:(fun (p, n) -> Printf.sprintf "%s skip-after=%d" (print_fprog p) n)
+    QCheck2.Gen.(pair gen_fprog (int_range 0 2000))
+    (fun (p, n) ->
+      let plain = run_fprog ~tier:Cpu.Interp p in
+      let skip =
+        Faultinj.Injector.
+          { trigger = After_steps n; model = Skip_insn; persistence = Transient }
+      in
+      let skipped = run_fprog ~attach:(arm skip) ~tier:Cpu.Interp p in
+      let _, counters = observed ~tier:Cpu.Interp p in
+      List.for_all
+        (fun tier ->
+          run_fprog ~attach:(arm never) ~tier p = plain
+          && observed ~tier p = (plain, counters)
+          && run_fprog ~attach:(arm skip) ~tier p = skipped)
+        Cpu.all_tiers)
 
 (* Telemetry is pure observation in every tier: booting the kernel with
    counters on and running a random syscall sequence must produce the
@@ -415,4 +463,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_no_benign_panic;
     QCheck_alcotest.to_alcotest prop_three_tier;
     QCheck_alcotest.to_alcotest prop_tier_telemetry;
+    QCheck_alcotest.to_alcotest prop_observed_armed;
   ]

@@ -172,17 +172,6 @@ let prop_escape_round_trip =
 
 (* --- the float-number view, read exactly as the host benchmark does -- *)
 
-let lint_configs =
-  [
-    ("full", C.Config.full);
-    ("backward", C.Config.backward_only);
-    ("compat", C.Config.compat);
-    ("none", C.Config.none);
-    ("sp-only", { C.Config.backward_only with scheme = C.Modifier.Sp_only });
-    ("parts", { C.Config.backward_only with scheme = C.Modifier.Parts 0x7357L });
-    ("chained", { C.Config.backward_only with scheme = C.Modifier.Chained });
-  ]
-
 (* dune runs the suite from _build/default/test, a direct run starts at
    the repository root: take the nearest enclosing copy of the file *)
 let rec find_up dir rel =
@@ -222,7 +211,7 @@ let test_view_reads_lint_baseline () =
       Alcotest.(check int) (name ^ " gadget pairs")
         (List.fold_left (fun acc cl -> acc + cl.Paclint.Census.pairs) 0 classes)
         (field "gadget_pairs"))
-    lint_configs
+    C.Config.named
 
 let suite =
   [

@@ -226,6 +226,39 @@ let test_replay_detects_divergence () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown trial index accepted"
 
+(* A campaign recorded under telemetry logs the bytes of a plain
+   recording and replays clean. Seed 7's first 16 trials include
+   kernel oopses and PAC-failure kills (trials 6, 9 and 15), whose oops
+   dumps are fingerprinted and copied into the kernel log: any
+   telemetry that leaked into a dump would make those trials diverge
+   from the telemetry-off replay. *)
+let test_replay_telemetry_recording () =
+  let record ~telemetry ~sub =
+    let dir = Filename.concat tmpdir sub in
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    let result =
+      Option.get
+        (Fleet.Campaign.run ~config_name:(C.Config.name C.Config.full)
+           ~workers:1 ~telemetry ~record_dir:dir ~seed:7L ~trials:16 ())
+    in
+    Option.get result.Fleet.Campaign.record_path
+  in
+  let observed = record ~telemetry:true ~sub:"observed" in
+  Alcotest.(check string) "log bytes: telemetry on = off"
+    (read_file (record ~telemetry:false ~sub:"plain"))
+    (read_file observed);
+  match Faultinj.Replay.replay (Result.get_ok (L.read ~path:observed)) with
+  | Error e -> Alcotest.fail ("replay refused: " ^ e)
+  | Ok verdicts ->
+      Alcotest.(check int) "every trial replayed" 16 (List.length verdicts);
+      List.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "trial %d byte-identical" v.Faultinj.Replay.v_index)
+            true
+            (Faultinj.Replay.verdict_ok v))
+        verdicts
+
 let test_replay_config_names () =
   List.iter
     (fun name ->
@@ -304,4 +337,6 @@ let suite =
       test_campaign_failed_job_isolated;
     Alcotest.test_case "corrupt console head: drain and fingerprint return" `Quick
       test_corrupt_console_head;
+    Alcotest.test_case "telemetry-on recording replays clean" `Quick
+      test_replay_telemetry_recording;
   ]

@@ -476,6 +476,17 @@ let test_last_run_tier () =
       call_f cpu layout;
       Alcotest.(check tier_testable)
         (Cpu.tier_name tier ^ ": unhooking restores the tier") tier
+        (Cpu.last_run_tier cpu);
+      (* a sink observes every retirement, which blocks do not report *)
+      Cpu.attach_telemetry cpu (Telemetry.Sink.create ~cpu:0 ());
+      call_f cpu layout;
+      Alcotest.(check tier_testable)
+        (Cpu.tier_name tier ^ ": observed run reports the stepping tier")
+        expected (Cpu.last_run_tier cpu);
+      Cpu.detach_telemetry cpu;
+      call_f cpu layout;
+      Alcotest.(check tier_testable)
+        (Cpu.tier_name tier ^ ": detaching restores the tier") tier
         (Cpu.last_run_tier cpu))
     all_tiers;
   Alcotest.(check tier_testable) "default machine runs the icache tier"
