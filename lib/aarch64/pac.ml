@@ -20,8 +20,3 @@ let auth ~cipher ~key ~cfg ~modifier ptr =
 let generic ~cipher ~key ~value ~modifier =
   let mac = raw_mac ~cipher ~key ~modifier value in
   Int64.shift_left (Val64.extract ~lo:32 ~width:32 mac) 32
-
-let pac_mask cfg =
-  List.fold_left
-    (fun acc (lo, width) -> Int64.logor acc (Int64.shift_left (Val64.mask width) lo))
-    0L (Vaddr.pac_field cfg)

@@ -32,6 +32,3 @@ val auth :
     32-bit MAC over an arbitrary 64-bit value, returned in the upper
     half of the result with the lower half zero. *)
 val generic : cipher:Qarma.Block.t -> key:key -> value:int64 -> modifier:int64 -> int64
-
-(** [pac_mask cfg] — a word with 1s in every PAC bit position. *)
-val pac_mask : Vaddr.config -> int64

@@ -23,10 +23,107 @@ let default_retries = 2
 let backoff attempt =
   Unix.sleepf (min 0.05 (0.001 *. float_of_int (1 lsl min attempt 6)))
 
+(* ---- kept helper domains ----
+
+   Worker 0 of a run is the calling domain; workers 1 .. n-1 run on
+   helper domains. A helper that has finished its worker parks on its
+   own condition variable instead of exiting, and a later run hands it
+   the next worker, so repeated runs reuse the same domains and whatever
+   their jobs keep in domain-local storage. On OCaml 5.1 a fresh domain
+   per run grows the heap with the number of runs. A parked domain is
+   not free either: every stop-the-world minor collection must reach it.
+   So one helper parks, the only count measured (on a 2-core host), and
+   any other helper exits after its worker. A run takes the idle helper
+   and spawns the rest, never waiting for a busy one, so nested and
+   concurrent runs cannot deadlock. *)
+
+type helper = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  mutable task : ((unit -> unit) * (unit -> unit)) option;
+      (* the worker to run (it never raises), then its completion signal *)
+}
+
+let idle_lock = Mutex.create ()
+let idle : helper option ref = ref None
+
+let take_idle () =
+  Mutex.protect idle_lock (fun () ->
+      let h = !idle in
+      idle := None;
+      h)
+
+let park h =
+  Mutex.protect idle_lock (fun () ->
+      Option.is_none !idle
+      && begin
+           idle := Some h;
+           true
+         end)
+
+(* A helper parks before it signals completion, so the run after this
+   one finds it idle. *)
+let rec serve h =
+  let work, finish =
+    Mutex.protect h.lock (fun () ->
+        while Option.is_none h.task do
+          Condition.wait h.wake h.lock
+        done;
+        let t = Option.get h.task in
+        h.task <- None;
+        t)
+  in
+  work ();
+  let parked = park h in
+  finish ();
+  if parked then serve h
+
+let start task =
+  match take_idle () with
+  | Some h ->
+      Mutex.protect h.lock (fun () ->
+          h.task <- Some task;
+          Condition.signal h.wake)
+  | None ->
+      let h = { lock = Mutex.create (); wake = Condition.create (); task = Some task } in
+      ignore (Domain.spawn (fun () -> serve h) : unit Domain.t)
+
+(* [run_workers n worker] runs [worker 0] here and [worker 1 .. n-1] on
+   helpers, waits for all of them, then re-raises the exception that
+   escaped the lowest-numbered worker, as [Domain.join] would. *)
+let run_workers n worker =
+  let lock = Mutex.create () and all_done = Condition.create () in
+  let pending = ref (n - 1) and failed = ref None in
+  let guarded w () =
+    match worker w with
+    | () -> ()
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Mutex.protect lock (fun () ->
+            match !failed with
+            | Some (v, _, _) when v < w -> ()
+            | _ -> failed := Some (w, e, bt))
+  in
+  let finish () =
+    Mutex.protect lock (fun () ->
+        decr pending;
+        if !pending = 0 then Condition.signal all_done)
+  in
+  for w = 1 to n - 1 do
+    start (guarded w, finish)
+  done;
+  guarded 0 ();
+  Mutex.protect lock (fun () ->
+      while !pending > 0 do
+        Condition.wait all_done lock
+      done);
+  Option.iter (fun (_, e, bt) -> Printexc.raise_with_backtrace e bt) !failed
+
 (* Each results slot is written by exactly one worker (each index is
    handed out once by the deques) and read only after every worker has
-   joined, so the plain array needs no synchronisation of its own. The
-   same argument covers the per-worker failure lists. *)
+   finished (the completion lock orders the writes before the read), so
+   the plain array needs no synchronisation of its own. The same argument
+   covers the per-worker failure lists. *)
 let run ?workers ?(retries = default_retries) ?progress ?should_stop ~jobs f =
   if jobs < 0 then invalid_arg "Pool.run: negative job count";
   if retries < 0 then invalid_arg "Pool.run: negative retry count";
@@ -100,12 +197,8 @@ let run ?workers ?(retries = default_retries) ?progress ?should_stop ~jobs f =
               worker w
           | None -> ())
   in
-  (* worker 0 is the calling domain: workers = 1 spawns nothing *)
-  let spawned =
-    List.init (workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-  in
-  worker 0;
-  List.iter Domain.join spawned;
+  (* worker 0 is the calling domain: workers = 1 starts no helper *)
+  run_workers workers worker;
   let failures =
     List.sort
       (fun a b -> compare a.job b.job)

@@ -20,7 +20,11 @@
 
     [workers = 1] degenerates to a plain sequential loop on the calling
     domain — no domain is spawned; the single-run paths of the CLI are
-    exactly this special case. *)
+    exactly this special case. Workers 1 .. n-1 run on helper domains:
+    one of them is kept between runs, parked idle to serve the next run,
+    so jobs may find the domain-local state an earlier run left; the
+    others exit after their worker. A run never waits for a busy helper;
+    it spawns a domain instead. *)
 
 type stats = {
   workers : int;
@@ -54,7 +58,9 @@ val default_retries : int
 (** [run ?workers ?retries ?progress ?should_stop ~jobs f] — execute
     the job stream. [progress] is invoked once per completed job — also
     for quarantined ones — {e from worker domains} (it must be
-    thread-safe; an [Atomic] counter is the intended use). [should_stop]
+    thread-safe; an [Atomic] counter is the intended use). An exception
+    raised by [progress] or [should_stop] reaches the caller once every
+    worker has finished. [should_stop]
     is polled by every worker between jobs; once it returns [true] no
     further job starts, in-flight jobs finish, and unreached slots stay
     [None]. [retries] is the number of re-attempts after a first

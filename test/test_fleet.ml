@@ -124,6 +124,58 @@ let test_pool_retry_recovers_transient_failure () =
         (String.length m > 0)
   | _ -> Alcotest.fail "map ignored a quarantined job"
 
+(* Kept helpers: jobs sleep ~1 ms so that both the caller and the
+   helper run some of them. *)
+let slow_job i =
+  Unix.sleepf 0.001;
+  i
+
+let domain_id () = (Domain.self () :> int)
+
+(* the domains other than the caller's that ran a two-worker run *)
+let helper_domains () =
+  let caller = domain_id () in
+  let seen = Array.make 40 caller in
+  let outcome =
+    F.Pool.run ~workers:2 ~jobs:40 (fun i ->
+        seen.(i) <- domain_id ();
+        slow_job i)
+  in
+  Alcotest.(check int) "every job ran" 40
+    (Array.fold_left ( + ) 0 outcome.F.Pool.stats.F.Pool.jobs_run);
+  List.sort_uniq compare (List.filter (( <> ) caller) (Array.to_list seen))
+
+let test_pool_keeps_helper () =
+  ignore (helper_domains ());
+  let first = helper_domains () in
+  let second = helper_domains () in
+  Alcotest.(check int) "one helper ran jobs" 1 (List.length first);
+  Alcotest.(check (list int)) "the next run reuses the parked helper" first second
+
+let test_pool_helper_exception_reaches_caller () =
+  let caller = domain_id () in
+  (match
+     F.Pool.run ~workers:2 ~jobs:40
+       ~progress:(fun () -> if domain_id () <> caller then failwith "helper progress")
+       slow_job
+   with
+  | _ -> Alcotest.fail "an exception raised on the helper was swallowed"
+  | exception Failure m -> Alcotest.(check string) "the helper's exception" "helper progress" m);
+  let outcome = F.Pool.run ~workers:2 ~jobs:40 slow_job in
+  Array.iteri
+    (fun i slot ->
+      Alcotest.(check (option int)) (Printf.sprintf "slot %d filled" i) (Some i) slot)
+    outcome.F.Pool.results
+
+let test_pool_nested_runs () =
+  (* every job of the outer run starts an inner two-worker run while the
+     outer run's helper is busy: inner runs must spawn, not wait *)
+  let sums =
+    F.Pool.map ~workers:2 ~jobs:4 (fun i ->
+        Array.fold_left ( + ) i (F.Pool.map ~workers:2 ~jobs:8 slow_job))
+  in
+  Alcotest.(check (array int)) "nested runs complete" [| 28; 29; 30; 31 |] sums
+
 (* --- fleet campaign: byte-stable across worker counts -------------- *)
 
 let campaign_json ?telemetry workers =
@@ -446,4 +498,10 @@ let suite =
       test_serve_sp_only_campaign;
     Alcotest.test_case "serve: chained config refused" `Quick
       test_serve_refuses_chained;
+    Alcotest.test_case "pool: consecutive runs reuse the helper" `Quick
+      test_pool_keeps_helper;
+    Alcotest.test_case "pool: helper exception reaches the caller" `Quick
+      test_pool_helper_exception_reaches_caller;
+    Alcotest.test_case "pool: nested runs do not deadlock" `Quick
+      test_pool_nested_runs;
   ]

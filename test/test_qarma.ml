@@ -13,9 +13,9 @@ let vector_tweak = v64 "477d469dec0b8762"
 
 let published_vectors =
   [
-    (Qarma.Cells.Sigma0, 5, "a609a4821e902102");
-    (Qarma.Cells.Sigma1, 6, "a0cfa4213abda05f");
-    (Qarma.Cells.Sigma2, 7, "81d29dc0f62a76e1");
+    (Qarma.Block.Sigma0, 5, "a609a4821e902102");
+    (Qarma.Block.Sigma1, 6, "a0cfa4213abda05f");
+    (Qarma.Block.Sigma2, 7, "81d29dc0f62a76e1");
   ]
 
 let check_vector (sbox, rounds, expected) () =
@@ -29,9 +29,9 @@ let check_vector (sbox, rounds, expected) () =
     (Camo_util.Val64.to_hex got)
 
 let sbox_name = function
-  | Qarma.Cells.Sigma0 -> "sigma0"
-  | Qarma.Cells.Sigma1 -> "sigma1"
-  | Qarma.Cells.Sigma2 -> "sigma2"
+  | Qarma.Block.Sigma0 -> "sigma0"
+  | Qarma.Block.Sigma1 -> "sigma1"
+  | Qarma.Block.Sigma2 -> "sigma2"
 
 let vector_cases =
   let case ((sbox, rounds, _) as v) =
@@ -41,10 +41,10 @@ let vector_cases =
   in
   List.map case published_vectors
 
-(* Structural sanity checks on the cell primitives. *)
+(* Structural sanity checks on the reference cell primitives. *)
 
 let test_sbox_bijective () =
-  let open Qarma.Cells in
+  let open Qarma_ref in
   let check sigma name =
     for v = 0 to 15 do
       let x = Int64.of_int (v * 0x1111) in
@@ -58,19 +58,39 @@ let test_sbox_bijective () =
 
 let test_shuffle_roundtrip () =
   let x = 0x0123456789abcdefL in
-  Alcotest.(check int64) "tau" x Qarma.Cells.(shuffle_inv (shuffle x))
+  Alcotest.(check int64) "tau" x Qarma_ref.(shuffle_inv (shuffle x))
 
 let test_mix_columns_involutory () =
   let x = 0xdeadbeefcafef00dL in
-  Alcotest.(check int64) "M*M = id" x Qarma.Cells.(mix_columns (mix_columns x))
+  Alcotest.(check int64) "M*M = id" x Qarma_ref.(mix_columns (mix_columns x))
 
 let test_tweak_update_roundtrip () =
   let x = 0x477d469dec0b8762L in
-  Alcotest.(check int64) "tweak schedule" x Qarma.Cells.(tweak_update_inv (tweak_update x))
+  Alcotest.(check int64) "tweak schedule" x Qarma_ref.(tweak_update_inv (tweak_update x))
 
 (* Property tests. *)
 
 let gen_word = QCheck2.Gen.(map Int64.of_int int)
+
+let sboxes = Qarma.Block.[ Sigma0; Sigma1; Sigma2 ]
+
+(* The byte-sliced cipher against the nibble-wise reference, on every
+   S-box and round count the constructor accepts. *)
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"byte-sliced encrypt = reference, every sbox x rounds 1-8"
+    ~count:2000
+    QCheck2.Gen.(quad gen_word gen_word gen_word gen_word)
+    (fun (w0, k0, tweak, pt) ->
+      let key = Qarma.Block.{ w0; k0 } in
+      List.for_all
+        (fun sbox ->
+          List.for_all
+            (fun rounds ->
+              let cipher = Qarma.Block.create ~sbox ~rounds () in
+              Qarma.Block.encrypt cipher ~key ~tweak pt
+              = Qarma_ref.encrypt ~sbox ~rounds ~key ~tweak pt)
+            [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+        sboxes)
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"decrypt (encrypt x) = x"
@@ -79,7 +99,9 @@ let prop_roundtrip =
     (fun (w0, k0, tweak, pt) ->
       let cipher = Qarma.Block.create () in
       let key = Qarma.Block.{ w0; k0 } in
-      Qarma.Block.decrypt cipher ~key ~tweak (Qarma.Block.encrypt cipher ~key ~tweak pt) = pt)
+      Qarma_ref.decrypt ~sbox:Sigma1 ~rounds:6 ~key ~tweak
+        (Qarma.Block.encrypt cipher ~key ~tweak pt)
+      = pt)
 
 let prop_tweak_sensitivity =
   QCheck2.Test.make ~name:"distinct tweaks give distinct ciphertexts (w.h.p.)"
@@ -114,4 +136,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_tweak_sensitivity;
       QCheck_alcotest.to_alcotest prop_key_sensitivity;
+      QCheck_alcotest.to_alcotest prop_matches_reference;
     ]

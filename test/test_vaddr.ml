@@ -75,6 +75,64 @@ let prop_pac_roundtrip =
       let pac = Int64.logand pac (Camo_util.Val64.mask (Vaddr.pac_bits cfg)) in
       Vaddr.extract_pac cfg (Vaddr.insert_pac cfg ~pac va) = pac)
 
+(* The per-range fold the straight-line masks replaced. The extension
+   ranges, least-significant first, are written here from the
+   architecture rather than read back from [Vaddr.pac_field]: [va_bits,
+   55) and, without TBI, the top byte [56, 64). *)
+module Fold = struct
+  module Val64 = Camo_util.Val64
+
+  let ranges { Vaddr.va_bits; tbi } =
+    (va_bits, 55 - va_bits) :: (if tbi then [] else [ (56, 8) ])
+
+  let canonical cfg va =
+    let sign = if Val64.bit 55 va then Val64.all_ones else Val64.zero in
+    List.fold_left
+      (fun acc (lo, width) -> Val64.insert ~lo ~width ~field:(Val64.extract ~lo ~width sign) acc)
+      va (ranges cfg)
+
+  let insert_pac cfg ~pac va =
+    let acc, _ =
+      List.fold_left
+        (fun (acc, consumed) (lo, width) ->
+          (Val64.insert ~lo ~width ~field:(Val64.extract ~lo:consumed ~width pac) acc, consumed + width))
+        (va, 0) (ranges cfg)
+    in
+    acc
+
+  let extract_pac cfg va =
+    let acc, _ =
+      List.fold_left
+        (fun (acc, consumed) (lo, width) ->
+          (Val64.insert ~lo:consumed ~width ~field:(Val64.extract ~lo ~width va) acc, consumed + width))
+        (0L, 0) (ranges cfg)
+    in
+    acc
+
+  let poison cfg va =
+    match ranges cfg with
+    | (lo, _) :: _ -> Int64.logxor (canonical cfg va) (Int64.shift_left 3L lo)
+    | [] -> assert false
+end
+
+let gen_word64 =
+  QCheck2.Gen.(
+    map2 (fun a b -> Int64.logxor (Int64.of_int a) (Int64.shift_left (Int64.of_int b) 32)) int int)
+
+let prop_masks_match_fold =
+  QCheck2.Test.make ~name:"straight-line masks = fold over pac_field, va_bits 32-52 x tbi"
+    ~count:2000
+    QCheck2.Gen.(quad (int_range 32 52) bool gen_word64 gen_word64)
+    (fun (va_bits, tbi, va, pac) ->
+      let cfg = { Vaddr.va_bits; tbi } in
+      Vaddr.pac_field cfg = List.rev (Fold.ranges cfg)
+      && Vaddr.pac_bits cfg = List.fold_left (fun n (_, w) -> n + w) 0 (Fold.ranges cfg)
+      && Vaddr.canonical cfg va = Fold.canonical cfg va
+      && Vaddr.strip_pac cfg va = Fold.canonical cfg va
+      && Vaddr.insert_pac cfg ~pac va = Fold.insert_pac cfg ~pac va
+      && Vaddr.extract_pac cfg va = Fold.extract_pac cfg va
+      && Vaddr.poison cfg va = Fold.poison cfg va)
+
 let suite =
   [
     Alcotest.test_case "table 1: range select" `Quick test_select;
@@ -85,4 +143,5 @@ let suite =
     Alcotest.test_case "poisoned pointers" `Quick test_poison;
     QCheck_alcotest.to_alcotest prop_canonical_idempotent;
     QCheck_alcotest.to_alcotest prop_pac_roundtrip;
+    QCheck_alcotest.to_alcotest prop_masks_match_fold;
   ]
