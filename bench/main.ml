@@ -1,20 +1,18 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (E1-E10 of DESIGN.md) plus the ablations (A1-A6) and the
-   simulator's own host-throughput experiments.
+   evaluation (E1-E10 of DESIGN.md) plus the ablations (A1-A6).
 
    Usage:
      main.exe            run every experiment
      main.exe e2 e3      run selected experiments
      main.exe e9         SMP syscall-throughput scaling (simulated cores)
-     main.exe parallel   Domain-parallel wall-clock scaling
 
+   An unknown experiment name is refused before anything runs (exit 2).
    Any invocation additionally accepts [--json FILE]: the selected
    experiments' metrics are also written to FILE as an array of
-   {"experiment", "metric", "value", "unit"} rows. Seeded simulation
-   quantities repeat exactly; the host-throughput rows (sim's guest
-   MIPS and speedups, the snapshot, fleet, lint and parallel rates,
-   e10's fork speedup) are wall-clock measurements and vary between
-   runs. *)
+   {"experiment", "metric", "value", "unit"} rows. Every row is a
+   seeded model output that repeats exactly, except the wall-clock rows
+   of [sim] and [snapshot]; the E1-E10 rows are pinned byte for byte in
+   ci/paper-baseline.json. Host speed is measured by hostbench/. *)
 
 open Aarch64
 module C = Camouflage
@@ -630,8 +628,8 @@ let e9 () =
   row "own core's XOM key install (per-CPU key registers); residual skew is\n";
   row "the boot and bring-up work carried by individual cores.\n"
 
-(* E10: fault-injection campaign — detection-rate table, the run-time
-   cost of an armed injector, and the per-CPU quarantine demo. *)
+(* E10: fault-injection campaign — detection-rate table and the per-CPU
+   quarantine demo. *)
 let e10 () =
   header "E10 Fault-injection: detection rate and graceful degradation";
   let seed = 42L and trials = 100 in
@@ -656,66 +654,6 @@ let e10 () =
     ];
   metric ~experiment:"e10" ~name:"detection-rate"
     ~value:report.Faultinj.Campaign.detection_rate ~unit_:"ratio";
-
-  (* Hook overhead: the same workload with an armed injector whose
-     trigger never fires must retire the identical simulated schedule;
-     the wall-clock ratio is the price of evaluating the hook. *)
-  let never =
-    {
-      Faultinj.Injector.trigger = Faultinj.Injector.After_steps max_int;
-      model = Faultinj.Injector.Skip_insn;
-      persistence = Faultinj.Injector.Transient;
-    }
-  in
-  let timed armed =
-    let sys = K.System.boot ~config:C.Config.full ~seed ~cpus:2 () in
-    let layout =
-      K.System.map_user_program sys (Faultinj.Campaign.workload_program ~rounds:40)
-    in
-    let entry = Asm.symbol layout "main" in
-    let tasks = List.init 8 (fun _ -> K.System.spawn_user_task sys ~entry) in
-    if armed then
-      Faultinj.Injector.arm_all (Faultinj.Injector.create never) (K.System.machine sys);
-    let t0 = Unix.gettimeofday () in
-    let stats = K.System.run_smp ~quantum:400 sys ~tasks in
-    (stats.K.System.makespan, Unix.gettimeofday () -. t0)
-  in
-  ignore (timed false) (* warm up *);
-  let plain_span, plain_wall = timed false in
-  let armed_span, armed_wall = timed true in
-  row "\nhook overhead (armed, never-firing injector; 8 tasks x 40 rounds):\n";
-  row "  simulated makespan: %Ld cycles unarmed, %Ld armed%s\n" plain_span armed_span
-    (if plain_span = armed_span then "  [identical]" else "  [DIVERGED!]");
-  row "  wall clock: %.3f ms unarmed, %.3f ms armed (%.2fx)\n" (plain_wall *. 1e3)
-    (armed_wall *. 1e3)
-    (if plain_wall > 0.0 then armed_wall /. plain_wall else 0.0);
-
-  (* Fork-vs-boot: the same trial indices, once via a snapshot session
-     (boot once, restore per trial) and once via boot-per-trial. The
-     trial records are bit-identical (the fleet test pins this); only
-     the wall clock is allowed to differ. *)
-  let fork_trials = 16 in
-  let golden = Faultinj.Campaign.golden_run ~seed () in
-  let t0 = Unix.gettimeofday () in
-  for index = 0 to fork_trials - 1 do
-    ignore (Faultinj.Campaign.run_random_trial ~golden ~seed ~index ())
-  done;
-  let boot_wall = Unix.gettimeofday () -. t0 in
-  let ses = Faultinj.Campaign.create_session ~seed () in
-  let t0 = Unix.gettimeofday () in
-  for index = 0 to fork_trials - 1 do
-    ignore (Faultinj.Campaign.run_random_trial_in ses ~index ())
-  done;
-  let fork_wall = Unix.gettimeofday () -. t0 in
-  let fork_speedup = if fork_wall > 0.0 then boot_wall /. fork_wall else 0.0 in
-  row "\nboot-once-fork-N vs boot-per-trial (%d trials):\n" fork_trials;
-  row "  boot-per-trial: %.1f ms   snapshot-forked: %.1f ms   speedup %.2fx\n"
-    (boot_wall *. 1e3) (fork_wall *. 1e3) fork_speedup;
-  metric ~experiment:"e10" ~name:"fork-speedup" ~value:fork_speedup
-    ~unit_:"ratio";
-  metric ~experiment:"e10" ~name:"fork-trials-per-sec"
-    ~value:(if fork_wall > 0.0 then float_of_int fork_trials /. fork_wall else 0.0)
-    ~unit_:"trials/s";
 
   row "\n";
   print_string (Faultinj.Campaign.demo_to_string (Faultinj.Campaign.quarantine_demo ~seed ()));
@@ -777,107 +715,13 @@ let snapshot_bench () =
   row "dirtied since the snapshot (write hooks track them), which is what\n";
   row "makes boot-once-fork-N campaigns cheap.\n"
 
-(* Parallel mode: N independent single-core systems on real OCaml 5
-   domains — wall-clock scaling of the simulator itself. Unlike E9
-   (simulated parallel time on one interpreter), this uses the host's
-   actual cores, so the measured speedup is hardware-limited. *)
-let parallel () =
-  header "Parallel: independent systems on OCaml domains (wall clock)";
-  let host = Domain.recommended_domain_count () in
-  let systems_per_run = 4 in
-  let run_system idx =
-    let p =
-      Workloads.Smp.run_point
-        ~seed:(Int64.of_int (1000 + idx))
-        ~cpus:1 ~tasks:4 ~rounds:40 ()
-    in
-    p.Workloads.Smp.all_exited
-  in
-  let work domains =
-    (* the same total work (systems_per_run systems), split across
-       [domains] domains *)
-    let t0 = Unix.gettimeofday () in
-    let chunk d =
-      List.init (systems_per_run / domains) (fun i -> run_system ((d * 8) + i))
-    in
-    let spawned = List.init domains (fun d -> Domain.spawn (fun () -> chunk d)) in
-    let ok = List.for_all (List.for_all Fun.id) (List.map Domain.join spawned) in
-    (Unix.gettimeofday () -. t0, ok)
-  in
-  ignore (work 1);
-  (* warmed up *)
-  let base, _ = work 1 in
-  List.iter
-    (fun domains ->
-      let dt, ok = work domains in
-      let speedup = base /. dt in
-      row "%d domain%s: %6.3f s for %d systems, speedup %5.2fx%s\n" domains
-        (if domains = 1 then " " else "s")
-        dt systems_per_run speedup
-        (if ok then "" else "  [INCOMPLETE]"))
-    (List.filter (fun d -> d <= systems_per_run) [ 1; 2; 4 ]);
-  row "\nhost offers %d core%s (Domain.recommended_domain_count); wall-clock\n" host
-    (if host = 1 then "" else "s");
-  row "speedup is bounded by that, independent of the simulated machine.\n"
-
-(* FLEET: jobs/sec scaling of the work-stealing engine itself. The job
-   unit is one single-machine SMP workload point; simulated results are
-   asserted identical across worker counts (the engine's determinism
-   contract), so the only quantity allowed to move is wall clock. *)
+(* FLEET: span histograms across the work-stealing engine. A
+   telemetry-enabled fault campaign per scheme, with the merged
+   histogram JSON hard-asserted byte-identical for 1/2/8 workers — the
+   exact-merge monoid folded in trial-index order cannot see the
+   work-stealing schedule. *)
 let fleet () =
-  header "FLEET work-stealing engine: jobs/sec scaling across domains";
-  let jobs = 32 and seed = 2026L in
-  let host = Domain.recommended_domain_count () in
-  let counts =
-    List.sort_uniq compare [ 1; 2; 4; Fleet.Pool.default_workers () ]
-  in
-  let fingerprint points =
-    Array.fold_left
-      (fun acc p ->
-        Int64.add (Int64.mul acc 1000003L)
-          (Int64.add p.Workloads.Smp.makespan p.Workloads.Smp.aggregate))
-      0L points
-  in
-  let run workers =
-    let t0 = Unix.gettimeofday () in
-    let points, stats = Fleet.Sweep.bench_points ~workers ~seed ~jobs () in
-    (Unix.gettimeofday () -. t0, points, stats)
-  in
-  ignore (run 1) (* warm up *);
-  let results = List.map (fun w -> (w, run w)) counts in
-  let base_wall, base_fp =
-    match results with
-    | (_, (wall, points, _)) :: _ -> (wall, fingerprint points)
-    | [] -> (1.0, 0L)
-  in
-  row "%d jobs (1-cpu SMP workload points), host offers %d cores\n\n" jobs host;
-  row "%-8s %10s %12s %9s %8s\n" "workers" "wall (s)" "jobs/sec" "speedup"
-    "steals";
-  List.iter
-    (fun (w, (wall, points, stats)) ->
-      if fingerprint points <> base_fp then
-        failwith
-          (Printf.sprintf
-             "fleet bench: results diverged at %d workers (determinism broken)"
-             w);
-      let jobs_per_sec = float_of_int jobs /. wall in
-      let speedup = base_wall /. wall in
-      let steals = Array.fold_left ( + ) 0 stats.Fleet.Pool.steals in
-      row "%-8d %10.3f %12.1f %8.2fx %8d\n" w wall jobs_per_sec speedup steals;
-      let pfx = Printf.sprintf "%d-workers-" w in
-      metric ~experiment:"fleet" ~name:(pfx ^ "jobs-per-sec")
-        ~value:jobs_per_sec ~unit_:"jobs/s";
-      metric ~experiment:"fleet" ~name:(pfx ^ "speedup") ~value:speedup
-        ~unit_:"ratio")
-    results;
-  metric ~experiment:"fleet" ~name:"deterministic" ~value:1.0 ~unit_:"bool";
-  row "\nevery worker count produced bit-identical simulated results; the\n";
-  row "speedup column is host-hardware-limited, like the parallel experiment.\n";
-
-  (* Span histograms across the fleet (PR 9): a telemetry-enabled fault
-     campaign per scheme, with the merged histogram JSON hard-asserted
-     byte-identical for 1/2/8 workers — the exact-merge monoid folded
-     in trial-index order cannot see the work-stealing schedule. *)
+  header "FLEET span histograms across a fault campaign per scheme";
   let trials = 16 and hist_seed = 2026L in
   let hist_json config workers =
     let result =
@@ -889,7 +733,7 @@ let fleet () =
     | Some tel -> Telemetry.Span.histograms_to_json tel.Fleet.Campaign.hists
     | None -> failwith "telemetry campaign returned no summary"
   in
-  row "\nspan latency across a %d-trial fault campaign per scheme (cycles):\n"
+  row "span latency across a %d-trial fault campaign per scheme (cycles):\n"
     trials;
   row "%-16s %-16s %8s %8s %8s %8s\n" "scheme" "kind" "count" "p50" "p99" "max";
   List.iter
@@ -925,16 +769,12 @@ let fleet () =
   metric ~experiment:"fleet" ~name:"hist-deterministic" ~value:1.0 ~unit_:"bool"
 
 (* LINT: the whole-image interprocedural analyzer under the fleet
-   engine. Two contracts: (1) determinism — diagnostics and gadget
-   census of the full kernel image are byte-identical whether the
-   per-function rounds run sequentially or on 2/8 work-stealing
-   domains (hard failure if not); (2) scaling — a batch of whole-image
-   lints fanned out over the pool, wall-clock only, bounded by host
-   cores like every parallel experiment. The census quantities of the
-   colliding schemes are emitted as seeded metrics so CI can pin
-   them. *)
+   engine. Diagnostics and gadget census of the full kernel image must
+   be byte-identical whether the per-function rounds run sequentially
+   or on 2/8 work-stealing domains (hard failure if not). The census
+   quantities of every configuration are emitted as seeded metrics. *)
 let lint_bench () =
-  header "LINT whole-image analyzer: determinism + worker scaling";
+  header "LINT whole-image analyzer: worker-count determinism + census";
   let configs = List.map snd C.Config.named in
   let par workers =
     if workers <= 1 then Paclint.Lint.seq_par
@@ -977,40 +817,7 @@ let lint_bench () =
         ~unit_:"count";
       metric ~experiment:"lint" ~name:(name ^ "-frame-replay-pairs")
         ~value:(float_of_int pairs) ~unit_:"count")
-    configs;
-  (* wall-clock scaling over a batch of whole-image lints *)
-  let n = List.length configs in
-  let jobs = 2 * n in
-  let arr = Array.of_list configs in
-  let run workers =
-    let t0 = Unix.gettimeofday () in
-    let out =
-      Fleet.Pool.map ~workers ~jobs (fun i ->
-          fingerprint (K.Kbuild.lint_report arr.(i mod n)))
-    in
-    (Unix.gettimeofday () -. t0, out)
-  in
-  ignore (run 1) (* warm up *);
-  let base_wall, base_out = run 1 in
-  row "\n%d whole-image lints per run, host offers %d cores\n\n" jobs
-    (Domain.recommended_domain_count ());
-  row "%-8s %10s %12s %9s\n" "workers" "wall (s)" "lints/sec" "speedup";
-  List.iter
-    (fun w ->
-      let wall, out = run w in
-      if out <> base_out then
-        failwith
-          (Printf.sprintf
-             "lint bench: batch diverged at %d workers (determinism broken)" w);
-      let speedup = base_wall /. wall in
-      row "%-8d %10.3f %12.1f %8.2fx\n" w wall
-        (float_of_int jobs /. wall)
-        speedup;
-      metric ~experiment:"lint"
-        ~name:(Printf.sprintf "%d-workers-speedup" w)
-        ~value:speedup ~unit_:"ratio")
-    [ 1; 2; 4 ];
-  row "\nwall-clock speedup is host-hardware-limited, like the fleet experiment.\n"
+    configs
 
 (* SIM: host throughput of the interpreter itself — its headline
    numbers are wall-clock (guest-MIPS), measuring the
@@ -1171,7 +978,6 @@ let experiments =
     ("snapshot", snapshot_bench);
     ("fleet", fleet);
     ("lint", lint_bench);
-    ("parallel", parallel);
     ("oracle", oracle);
     ("a1", a1);
     ("a2", a2);
@@ -1196,13 +1002,21 @@ let () =
     | [] -> (List.rev names, None)
   in
   let names, json_path = split_json [] args in
-  (match names with
-  | [] -> List.iter (fun (_, f) -> f ()) experiments
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt (String.lowercase_ascii name) experiments with
-          | Some f -> f ()
-          | None -> Printf.eprintf "unknown experiment %s\n" name)
-        names);
+  (* resolve every name before running anything, so a typo cannot pass
+     as a shorter run *)
+  let selected =
+    match names with
+    | [] -> List.map snd experiments
+    | names ->
+        List.map
+          (fun name ->
+            match List.assoc_opt (String.lowercase_ascii name) experiments with
+            | Some f -> f
+            | None ->
+                Printf.eprintf "unknown experiment %s (valid: %s)\n" name
+                  (String.concat " " (List.map fst experiments));
+                exit 2)
+          names
+  in
+  List.iter (fun f -> f ()) selected;
   match json_path with None -> () | Some path -> write_metrics path

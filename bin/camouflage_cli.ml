@@ -595,14 +595,24 @@ let faults_cmd =
   in
   let run config seed cpus tier trials json quarantine workers retries
       record_dir chrome lanes hist_json demo =
+    let cpus = max cpus 2 in
     if demo then print_string (Faultinj.Campaign.demo_to_string (Faultinj.Campaign.quarantine_demo ~seed ()))
     else begin
+      (* the ranges serve and replay accept, so every recorded log replays *)
+      (match
+         Faultinj.Campaign.check_params ~cpus ?quarantine_after:quarantine
+           ~trials ()
+       with
+      | Ok () -> ()
+      | Error e ->
+          Printf.eprintf "faults: %s\n" e;
+          exit 2);
       (* the sequential path is just the fleet engine at --workers 1 *)
       let telemetry = chrome <> None || hist_json <> None in
       let result =
         Option.get
           (Fleet.Campaign.run ~config ~config_name:(C.Config.name config)
-             ~cpus:(max cpus 2) ?quarantine_after:quarantine
+             ~cpus ?quarantine_after:quarantine
              ~workers:(max 1 workers) ?retries ?record_dir ~telemetry ?tier
              ~lanes:(if chrome = None then 0 else max 0 lanes)
              ~seed ~trials ())

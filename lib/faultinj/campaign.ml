@@ -97,6 +97,29 @@ let setup ?(telemetry = false) ?tier ~config ~seed ~cpus ~tasks ~rounds () =
    golden run needs. *)
 let max_slices ~tasks = 64 * (tasks + 1)
 
+let check_params ?(cpus = 2) ?(tasks = 4) ?(rounds = 8) ?(quantum = 400)
+    ?quarantine_after ~trials () =
+  let quarantine =
+    match quarantine_after with
+    | None -> []
+    | Some q -> [ ("quarantine", q, 1, 1_000_000) ]
+  in
+  let out_of_range (_, v, lo, hi) = v < lo || v > hi in
+  match
+    List.find_opt out_of_range
+      ([
+         ("trials", trials, 1, 1_000_000);
+         ("cpus", cpus, 1, 16);
+         ("tasks", tasks, 1, 64);
+         ("rounds", rounds, 1, 10_000);
+         ("quantum", quantum, 50, 100_000);
+       ]
+      @ quarantine)
+  with
+  | None -> Ok ()
+  | Some (name, v, lo, hi) ->
+      Error (Printf.sprintf "%s %d out of range (%d-%d)" name v lo hi)
+
 type golden = {
   g_exits : (int * K.System.user_exit) list;  (** sorted by pid *)
   g_console : string;

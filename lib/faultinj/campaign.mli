@@ -73,6 +73,23 @@ type report = {
     observable. *)
 val workload_program : rounds:int -> Aarch64.Asm.program
 
+(** [check_params ~trials ()] — the parameter ranges every front end
+    of a campaign accepts (the CLI, [serve] requests and replay-log
+    headers): trials 1–1,000,000, cpus 1–16, tasks 1–64, rounds
+    1–10,000, quantum 50–100,000 and quarantine 1–1,000,000. An omitted
+    parameter is the campaign default, which is in range. [Error] names
+    the first field out of range. The campaign runners themselves do
+    not check. *)
+val check_params :
+  ?cpus:int ->
+  ?tasks:int ->
+  ?rounds:int ->
+  ?quantum:int ->
+  ?quarantine_after:int ->
+  trials:int ->
+  unit ->
+  (unit, string) result
+
 (** The uninjected reference run trials are classified against. Plain
     immutable data, so a fleet can compute it once and share it
     read-only across worker domains. *)

@@ -20,7 +20,10 @@ val entry_of_trial :
 
 (** Rebuild the campaign session a log was recorded against and verify
     the golden run's makespan and state fingerprint before any trial is
-    replayed. Replay always runs telemetry-off: the fingerprint excludes
+    replayed. A header whose kind or config is unknown, or whose
+    parameters fall outside {!Campaign.check_params}, is refused before
+    anything boots, with an [Error] naming the field. Replay always
+    runs telemetry-off: the fingerprint excludes
     telemetry, so recordings made with it still match. [tier] overrides
     the execution tier the replay runs under — tiers are bit-identical,
     so a log recorded under one tier must verify under any other; the
@@ -48,8 +51,10 @@ val replay_entry :
 
 (** [replay ?index log] — rebuild the session, then replay every entry
     (or just trial [index]). [Error] means the log could not be replayed
-    at all (bad config name, golden divergence, unknown index); verdicts
-    report per-trial divergence. *)
+    at all (a header {!session_of_header} refuses, an entry index that
+    repeats or falls outside [\[0, trials)], golden divergence, unknown
+    index); verdicts report per-trial divergence. Fewer entries than
+    [trials] is legal: quarantined trials are absent from a log. *)
 val replay :
   ?index:int -> ?tier:Aarch64.Cpu.tier -> Snapshot.Log.t ->
   (verdict list, string) result

@@ -182,17 +182,21 @@ let cancelled_state ~timed_out timeout_ms =
 let submit_faults t obj =
   let config, config_name = parse_config obj in
   let seed = dflt 42L (int64_field obj "seed") in
-  let trials = bounded "trials" 1 1_000_000 (dflt 16 (int_field obj "trials")) in
+  let trials = dflt 16 (int_field obj "trials") in
   let workers =
     bounded "workers" 1 64 (dflt (Pool.default_workers ()) (int_field obj "workers"))
   in
-  let cpus = bounded "cpus" 1 16 (dflt 2 (int_field obj "cpus")) in
-  let tasks = bounded "tasks" 1 64 (dflt 4 (int_field obj "tasks")) in
-  let rounds = bounded "rounds" 1 10_000 (dflt 8 (int_field obj "rounds")) in
-  let quantum = bounded "quantum" 50 100_000 (dflt 400 (int_field obj "quantum")) in
-  let quarantine_after =
-    Option.map (bounded "quarantine" 1 1_000_000) (int_field obj "quarantine")
-  in
+  let cpus = dflt 2 (int_field obj "cpus") in
+  let tasks = dflt 4 (int_field obj "tasks") in
+  let rounds = dflt 8 (int_field obj "rounds") in
+  let quantum = dflt 400 (int_field obj "quantum") in
+  let quarantine_after = int_field obj "quarantine" in
+  (match
+     Faultinj.Campaign.check_params ~cpus ~tasks ~rounds ~quantum
+       ?quarantine_after ~trials ()
+   with
+  | Ok () -> ()
+  | Error m -> bad "%s" m);
   let retries = Option.map (bounded "retries" 0 100) (int_field obj "retries") in
   let tier =
     match str_field obj "tier" with

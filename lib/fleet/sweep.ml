@@ -185,13 +185,3 @@ let report_to_string r =
     (if r.sw_audit_failures = 0 then "all passed"
      else Printf.sprintf "%d FAILED" r.sw_audit_failures);
   Buffer.contents b
-
-let bench_points ?(config = C.Config.full) ?workers ?(cpus = 1) ?(tasks = 2)
-    ?(rounds = 8) ~seed ~jobs () =
-  let outcome =
-    Pool.run ?workers ~jobs (fun index ->
-        Workloads.Smp.run_point ~config
-          ~seed:(machine_seed seed index)
-          ~cpus ~tasks ~rounds ())
-  in
-  (Array.map Option.get outcome.Pool.results, outcome.Pool.stats)

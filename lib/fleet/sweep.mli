@@ -1,5 +1,4 @@
-(** Fleet job kinds beyond fault campaigns: PAC brute-force sweeps and
-    bench-style throughput sweeps.
+(** Fleet job kind beyond fault campaigns: PAC brute-force sweeps.
 
     A brute-force sweep runs [machines] systems, each executing the
     {!Attacks.Bruteforce_attack} guessing loop with a seed derived from
@@ -15,11 +14,7 @@
     only in their attack-RNG stream, which is statistically equivalent
     to independent boots — a random forgery is accepted with probability
     2^-pac_bits regardless of the key value — and an order of magnitude
-    cheaper.
-
-    A throughput sweep runs [jobs] independent
-    {!Workloads.Smp.run_point} instances — the unit of work [bench
-    fleet] uses to measure the engine's own jobs/sec scaling. *)
+    cheaper. *)
 
 type machine_report = {
   m_index : int;
@@ -73,18 +68,3 @@ val run :
 val report_to_json : ?machine_detail:bool -> report -> string
 
 val report_to_string : report -> string
-
-(** [bench_points ~seed ~jobs ()] — [jobs] independent single-machine
-    SMP workload points (seed derived per index), merged in index order.
-    The simulated numbers are identical for every worker count; only
-    wall-clock changes, which is the quantity [bench fleet] reports. *)
-val bench_points :
-  ?config:Camouflage.Config.t ->
-  ?workers:int ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  seed:int64 ->
-  jobs:int ->
-  unit ->
-  Workloads.Smp.point array * Pool.stats

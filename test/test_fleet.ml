@@ -384,6 +384,10 @@ let test_serve_rejects_malformed () =
       ("unknown id", {|{"req": "status", "id": 99}|});
       ("report before submit", {|{"req": "report", "id": 99}|});
       ("out-of-range workers", {|{"req": "submit", "kind": "faults", "workers": 0}|});
+      ("out-of-range cpus", {|{"req": "submit", "kind": "faults", "cpus": 100000}|});
+      ("out-of-range trials", {|{"req": "submit", "kind": "faults", "trials": -1}|});
+      ("out-of-range quantum", {|{"req": "submit", "kind": "faults", "quantum": 0}|});
+      ("out-of-range quarantine", {|{"req": "submit", "kind": "faults", "quarantine": 0}|});
     ]
   in
   List.iter

@@ -226,6 +226,57 @@ let test_replay_detects_divergence () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown trial index accepted"
 
+(* Hostile logs: a header outside the ranges the CLI and serve accept,
+   or entries whose indices repeat or leave [0, trials), must be refused
+   with an error naming the field before anything boots, never an
+   exception from System.boot or a clean replay. *)
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+let test_replay_rejects_malformed () =
+  let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"hostile")) in
+  let h = log.L.header in
+  let first = [ List.hd log.L.entries ] in
+  let refused label field bad =
+    match Faultinj.Replay.replay bad with
+    | Ok _ -> Alcotest.fail (label ^ ": replayed instead of refused")
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error %S names %s" label e field)
+          true (contains field e)
+    | exception ex ->
+        Alcotest.fail (label ^ ": raised " ^ Printexc.to_string ex)
+  in
+  let with_header header = { log with L.header } in
+  refused "cpus 500" "cpus" (with_header { h with L.h_cpus = 500 });
+  refused "cpus 0" "cpus" (with_header { h with L.h_cpus = 0 });
+  refused "trials -5, one entry" "trials"
+    { L.header = { h with L.h_trials = -5 }; entries = first };
+  refused "trials 0" "trials" (with_header { h with L.h_trials = 0 });
+  refused "tasks 0" "tasks" (with_header { h with L.h_tasks = 0 });
+  refused "rounds 0" "rounds" (with_header { h with L.h_rounds = 0 });
+  refused "quantum 0" "quantum" (with_header { h with L.h_quantum = 0 });
+  refused "quarantine 0" "quarantine"
+    (with_header { h with L.h_quarantine_after = Some 0 });
+  let with_index i = { (List.hd first) with L.e_index = i } in
+  refused "repeated index" "index"
+    { log with L.entries = log.L.entries @ first };
+  refused "index = trials" "index"
+    { log with L.entries = [ with_index h.L.h_trials ] };
+  refused "negative index" "index" { log with L.entries = [ with_index (-1) ] };
+  (match Faultinj.Replay.session_of_header { h with L.h_cpus = 500 } with
+  | Ok _ -> Alcotest.fail "session_of_header booted cpus 500"
+  | Error e -> Alcotest.(check bool) "session_of_header names cpus" true (contains "cpus" e));
+  (* fewer entries than trials stays legal: quarantined trials are
+     absent from a log *)
+  match Faultinj.Replay.replay { log with L.entries = first } with
+  | Error e -> Alcotest.fail ("partial log refused: " ^ e)
+  | Ok vs ->
+      Alcotest.(check (list bool)) "partial log replays clean" [ true ]
+        (List.map Faultinj.Replay.verdict_ok vs)
+
 (* A campaign recorded under telemetry logs the bytes of a plain
    recording and replays clean. Seed 7's first 16 trials include
    kernel oopses and PAC-failure kills (trials 6, 9 and 15), whose oops
@@ -333,6 +384,8 @@ let suite =
       test_replay_detects_divergence;
     Alcotest.test_case "replay resolves both config vocabularies" `Quick
       test_replay_config_names;
+    Alcotest.test_case "replay refuses malformed headers and entries" `Quick
+      test_replay_rejects_malformed;
     Alcotest.test_case "campaign quarantine leaves other trials' bytes" `Quick
       test_campaign_failed_job_isolated;
     Alcotest.test_case "corrupt console head: drain and fingerprint return" `Quick
