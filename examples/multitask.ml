@@ -1,5 +1,6 @@
 (* Preemptive multitasking on the protected kernel: three user tasks in
-   round-robin, each computing and making syscalls, every timer-driven
+   round-robin on one core (System.run_smp, the scheduler of every core
+   count), each computing and making syscalls, every timer-driven
    context switch going through the instrumented cpu_switch_to with
    signed stored stack pointers (Section 5.2).
 
@@ -53,19 +54,19 @@ let () =
   Printf.printf "spawned %d worker tasks (pids %s)\n" (List.length tasks)
     (String.concat ", " (List.map (fun t -> string_of_int t.K.System.pid) tasks));
   let before = Cpu.cycles (K.System.cpu sys) in
-  let stats = K.System.run_scheduled ~quantum:1500 sys ~tasks in
+  let stats = K.System.run_smp ~quantum:1500 sys ~tasks in
   let elapsed = Int64.sub (Cpu.cycles (K.System.cpu sys)) before in
   Printf.printf "\nscheduler: %d slices, %d timer preemptions, %Ld cycles total\n"
-    stats.K.System.slices stats.K.System.preemptions elapsed;
+    stats.K.System.smp_slices stats.K.System.smp_preemptions elapsed;
   List.iter
-    (fun (pid, exit) ->
+    (fun (_cpu, pid, exit) ->
       Printf.printf "  pid %d: %s\n" pid
         (match exit with
         | K.System.Exited v -> Printf.sprintf "exited with 0x%Lx" v
         | K.System.User_killed m -> "killed: " ^ m
         | K.System.User_panicked m -> "panic: " ^ m
         | K.System.Watchdog_expired _ as e -> K.System.user_exit_to_string e))
-    stats.K.System.exits;
+    stats.K.System.smp_exits;
   Printf.printf "\nEvery preemption ran the instrumented cpu_switch_to: the stored\n";
   Printf.printf "stack pointers of scheduled-out tasks carry PACs bound to their\n";
   Printf.printf "task structures, and each resume authenticated them (Section 5.2).\n"

@@ -29,10 +29,10 @@ let run sys ~protect =
   (* Phase 1: run a few short slices so both tasks get preempted with
      saved contexts. *)
   let phase1 =
-    K.System.run_scheduled ~quantum:400 ~max_slices:4 ~context_integrity:protect sys
+    K.System.run_smp ~quantum:400 ~max_slices:4 ~context_integrity:protect sys
       ~tasks:[ t1; t2 ]
   in
-  if phase1.K.System.exits <> [] then Failed "victims finished before the attack"
+  if phase1.K.System.smp_exits <> [] then Failed "victims finished before the attack"
   else begin
     (* Tamper with the sleeping task's saved PC through the kernel bug. *)
     let saved_pc_field =
@@ -43,10 +43,14 @@ let run sys ~protect =
     | Result.Ok () -> (
         (* Phase 2: resume the schedule. *)
         let phase2 =
-          K.System.run_scheduled ~quantum:400 ~context_integrity:protect sys
+          K.System.run_smp ~quantum:400 ~context_integrity:protect sys
             ~tasks:[ t1; t2 ]
         in
-        match List.assoc_opt t2.K.System.pid phase2.K.System.exits with
+        match
+          List.find_map
+            (fun (_cpu, pid, e) -> if pid = t2.K.System.pid then Some e else None)
+            phase2.K.System.smp_exits
+        with
         | Some (K.System.Exited code) when code = 0x666L -> Diverted { exit_code = code }
         | Some (K.System.User_killed m)
           when String.length m >= 7 && String.sub m 0 7 = "context" ->

@@ -1,12 +1,3 @@
-open Aarch64
-
-type reason =
-  | Reads_key_register of Sysreg.t
-  | Writes_key_register of Sysreg.t
-  | Writes_sctlr
-
-type violation = { va : int64; insn : Insn.t; reason : reason }
-
 let policy ?(allowed = fun _ -> false) (config : Config.t) =
   {
     Paclint.Lint.protect_return = config.scheme <> Modifier.No_cfi;
@@ -25,34 +16,3 @@ let rules_scheme (config : Config.t) =
   | Modifier.Parts _ -> Paclint.Rules.Parts
   | Modifier.Camouflage -> Paclint.Rules.Camouflage
   | Modifier.Chained -> Paclint.Rules.Chained
-
-let of_diag (d : Paclint.Diag.t) =
-  match d.kind with
-  | Paclint.Diag.Key_register_read sr ->
-      Some { va = d.va; insn = d.insn; reason = Reads_key_register sr }
-  | Paclint.Diag.Key_register_write sr ->
-      Some { va = d.va; insn = d.insn; reason = Writes_key_register sr }
-  | Paclint.Diag.Sctlr_write -> Some { va = d.va; insn = d.insn; reason = Writes_sctlr }
-  | _ -> None
-
-let check ~allowed va insn =
-  match Paclint.Lint.key_access ~allowed va insn with
-  | Some d -> of_diag d
-  | None -> None
-
-let scan_insns ~base:_ insns ~allowed =
-  List.filter_map (fun (va, insn) -> check ~allowed va insn) insns
-
-let scan ~read32 ~base ~size ~allowed =
-  Paclint.Lint.decode_region ~read32 ~base ~size
-  |> Array.to_list
-  |> List.filter_map (fun (va, insn) -> check ~allowed va insn)
-
-let reason_to_string = function
-  | Reads_key_register sr -> Printf.sprintf "reads key register %s" (Sysreg.name sr)
-  | Writes_key_register sr ->
-      Printf.sprintf "writes key register %s outside the key setter" (Sysreg.name sr)
-  | Writes_sctlr -> "writes SCTLR_EL1 outside the key setter"
-
-let violation_to_string v =
-  Printf.sprintf "0x%Lx: %s (%s)" v.va (Insn.to_string v.insn) (reason_to_string v.reason)

@@ -1,21 +1,10 @@
 (** Static code verification (Sections 4.1 and 6.2.2).
 
     The kernel never needs to read its PAuth keys, only to set them from
-    one audited function. The key-access rule itself now lives in
-    {!Paclint.Lint.key_access}, of which [check]/[scan]/[scan_insns] are
-    thin compatibility wrappers keeping the historical [violation]
-    surface; [policy] derives the full lint policy from a {!Config.t} so
-    the loader and kernel build can run every paclint rule, not just
-    this one. *)
-
-open Aarch64
-
-type reason =
-  | Reads_key_register of Sysreg.t
-  | Writes_key_register of Sysreg.t  (** outside the audited setter *)
-  | Writes_sctlr  (** could clear the PAuth enable flags *)
-
-type violation = { va : int64; insn : Insn.t; reason : reason }
+    one audited function. The key-access rule itself lives in
+    {!Paclint.Lint.key_access}; [policy] derives the full lint policy
+    from a {!Config.t} so the loader and kernel build can run every
+    paclint rule, not just this one. *)
 
 (** [policy ?allowed config] — the {!Paclint.Lint.policy} a code region
     built under [config] must satisfy: return protection for any scheme
@@ -28,23 +17,3 @@ val policy : ?allowed:(int64 -> bool) -> Config.t -> Paclint.Lint.policy
 (** [rules_scheme config] — the {!Paclint.Rules.scheme} whose rule pack
     the configured modifier scheme promises to satisfy. *)
 val rules_scheme : Config.t -> Paclint.Rules.scheme
-
-(** [scan ~read32 ~base ~size ~allowed] decodes every word of
-    [base, base+size) and reports violations. [allowed va] marks
-    addresses belonging to the audited key-setter, where MSRs to key
-    registers are legitimate. Data words that do not decode are ignored:
-    they cannot be executed as key accesses. *)
-val scan :
-  read32:(int64 -> int32) ->
-  base:int64 ->
-  size:int ->
-  allowed:(int64 -> bool) ->
-  violation list
-
-(** [scan_insns ~base insns ~allowed] — same policy over an instruction
-    listing (used for pre-assembly checks in tests). *)
-val scan_insns :
-  base:int64 -> (int64 * Insn.t) list -> allowed:(int64 -> bool) -> violation list
-
-val reason_to_string : reason -> string
-val violation_to_string : violation -> string

@@ -637,74 +637,83 @@ let save_user_gprs t = Array.init 31 (fun idx -> Cpu.reg t.cpu (Insn.R idx))
 
 let restore_user_gprs t saved = Array.iteri (fun idx v -> Cpu.set_reg t.cpu (Insn.R idx) v) saved
 
-(* Cost of one watchdog intervention: timer interrupt, inspection of the
-   stuck task, reprogramming the budget. *)
-let watchdog_backoff_cycles = 400
-
-let run_user ?(max_insns = 10_000_000) ?(watchdog_retries = 2) t ~entry =
-  (* entering EL0: the task's own keys must be live (R5) *)
-  if Cpu.has_pauth t.cpu then restore_user_keys t;
-  Cpu.set_el t.cpu El.El0;
-  Cpu.set_sp_of t.cpu El.El0 Layout.user_stack_top;
-  Cpu.set_reg t.cpu Insn.lr Cpu.sentinel;
-  Cpu.set_pc t.cpu entry;
-  let budget = ref max_insns in
-  let retries_used = ref 0 in
-  let rec loop () =
-    match Cpu.run ~max_insns:!budget t.cpu with
-    | Cpu.Svc nr when nr = Kbuild.sys_exit -> Exited (Cpu.reg t.cpu (Insn.R 0))
-    | Cpu.Svc nr ->
+(* The user-mode loop under [run_user] and [run_smp]: run the active
+   core's current task at EL0 until it stops, dispatching its syscalls
+   on the way (the GPRs are saved around the handler and x0 carries the
+   result back). User instructions count against [budget] across
+   syscalls; the kernel-side work does not. [None] means the budget ran
+   out with the task still live. *)
+let rec run_user_mode t budget =
+  if budget <= 0 then None
+  else begin
+    let insns_before = Cpu.insns_retired t.cpu in
+    match Cpu.run ~max_insns:budget t.cpu with
+    | Cpu.Insn_limit -> None
+    | Cpu.Svc nr when nr = Kbuild.sys_exit -> Some (Exited (Cpu.reg t.cpu (Insn.R 0)))
+    | Cpu.Svc nr -> (
+        let spent = Int64.to_int (Int64.sub (Cpu.insns_retired t.cpu) insns_before) in
         let user_pc = Cpu.pc t.cpu in
         let saved = save_user_gprs t in
-        let args =
-          [ Cpu.reg t.cpu (Insn.R 0); Cpu.reg t.cpu (Insn.R 1); Cpu.reg t.cpu (Insn.R 2) ]
-        in
-        let outcome = syscall_gen ~trap_charged:true t ~nr ~args in
-        let result = (match outcome with Ok v -> v | Killed _ | Panicked _ -> -1L) in
-        (match outcome with
-        | Ok _ ->
+        let args = [ saved.(0); saved.(1); saved.(2) ] in
+        match syscall_gen ~trap_charged:true t ~nr ~args with
+        | Ok result ->
             restore_user_gprs t saved;
             Cpu.set_reg t.cpu (Insn.R 0) result;
             Cpu.set_el t.cpu El.El0;
             Cpu.set_pc t.cpu user_pc;
-            loop ()
-        | Killed m -> User_killed m
-        | Panicked m -> User_panicked m)
-    | Cpu.Sentinel_return -> Exited (Cpu.reg t.cpu (Insn.R 0))
-    | Cpu.Hlt code -> User_killed (Printf.sprintf "hlt #%d in user mode" code)
-    | Cpu.Brk code -> User_killed (Printf.sprintf "brk #%d" code)
+            run_user_mode t (budget - spent)
+        | Killed m -> Some (User_killed m)
+        | Panicked m -> Some (User_panicked m))
+    | Cpu.Sentinel_return -> Some (Exited (Cpu.reg t.cpu (Insn.R 0)))
+    | Cpu.Hlt code -> Some (User_killed (Printf.sprintf "hlt #%d in user mode" code))
+    | Cpu.Brk code -> Some (User_killed (Printf.sprintf "brk #%d" code))
     | Cpu.Fault { fault; pc } ->
-        logf t "segfault: pid %d %s at pc=0x%Lx" t.current.pid
+        logcpu t "segfault: pid %d %s at pc=0x%Lx" t.current.pid
           (match fault with
           | Cpu.Mmu_fault f -> Mmu.fault_to_string f
           | Cpu.Undefined_instruction w -> Printf.sprintf "undefined insn 0x%08lx" w
           | Cpu.Hyp_denied sr | Cpu.El_denied sr -> "denied access to " ^ Sysreg.name sr)
           pc;
         mark_dead t t.current;
-        User_killed "SIGSEGV"
-    | Cpu.Eret_done -> loop ()
-    | Cpu.Insn_limit ->
-        (* Watchdog: treat a blown instruction budget as a possibly
-           transient stall — retry with a doubled budget and a charged
-           backoff, a bounded number of times, before escalating. *)
-        if !retries_used < watchdog_retries then begin
-          incr retries_used;
-          budget := !budget * 2;
-          Cpu.charge t.cpu (watchdog_backoff_cycles * !retries_used);
-          logcpu t "watchdog: pid %d blew its instruction budget; retry %d/%d (budget %d)"
-            t.current.pid !retries_used watchdog_retries !budget;
-          loop ()
-        end
-        else begin
-          logcpu t "watchdog: pid %d unresponsive after %d retries; escalating to SIGKILL"
-            t.current.pid !retries_used;
-          log_dump t
-            (record_oops t ~pc:(Cpu.pc t.cpu) ~cause:"watchdog: instruction budget exhausted");
-          mark_dead t t.current;
-          Watchdog_expired { budget = !budget; retries = !retries_used }
-        end
+        Some (User_killed "SIGSEGV")
+    | Cpu.Eret_done -> run_user_mode t budget
+  end
+
+(* Cost of one watchdog intervention: timer interrupt, inspection of the
+   stuck task, reprogramming the budget. *)
+let watchdog_backoff_cycles = 400
+
+(* Grace periods a task that blows its budget gets before the SIGKILL. *)
+let watchdog_retries = 2
+
+let run_user ?(max_insns = 10_000_000) t ~entry =
+  (* entering EL0: the task's own keys must be live (R5) *)
+  if Cpu.has_pauth t.cpu then restore_user_keys t;
+  Cpu.set_el t.cpu El.El0;
+  Cpu.set_sp_of t.cpu El.El0 Layout.user_stack_top;
+  Cpu.set_reg t.cpu Insn.lr Cpu.sentinel;
+  Cpu.set_pc t.cpu entry;
+  (* Watchdog: treat a blown instruction budget as a possibly transient
+     stall — retry with a doubled budget and a charged backoff, a
+     bounded number of times, before escalating. *)
+  let rec attempt budget retries =
+    match run_user_mode t budget with
+    | Some status -> status
+    | None when retries < watchdog_retries ->
+        let retries = retries + 1 and budget = budget * 2 in
+        Cpu.charge t.cpu (watchdog_backoff_cycles * retries);
+        logcpu t "watchdog: pid %d blew its instruction budget; retry %d/%d (budget %d)"
+          t.current.pid retries watchdog_retries budget;
+        attempt budget retries
+    | None ->
+        logcpu t "watchdog: pid %d unresponsive after %d retries; escalating to SIGKILL"
+          t.current.pid retries;
+        log_dump t
+          (record_oops t ~pc:(Cpu.pc t.cpu) ~cause:"watchdog: instruction budget exhausted");
+        mark_dead t t.current;
+        Watchdog_expired { budget; retries }
   in
-  loop ()
+  attempt max_insns 0
 
 (* Kernel integrity monitor: a chained PACGA MAC over the syscall table
    under the generic-data key. The golden value is taken at boot and
@@ -796,170 +805,6 @@ let spawn_user_task t ~entry =
   Kmem.write64 t.cpu (Int64.add task.va (Int64.of_int (off_gpr 30))) Cpu.sentinel;
   task
 
-type sched_stats = {
-  exits : (int * user_exit) list;  (** pid, exit status *)
-  preemptions : int;
-  slices : int;
-}
-
-let run_scheduled ?(quantum = 2000) ?(max_slices = 10_000) ?(context_integrity = false)
-    t ~tasks:scheduled =
-  let runnable = Queue.create () in
-  List.iter (fun task -> Queue.add task runnable) scheduled;
-  let exits = ref [] in
-  let preemptions = ref 0 in
-  let slices = ref 0 in
-  let finish task status = exits := (task.pid, status) :: !exits in
-  let preempt_to task next =
-    (* timer IRQ: kernel entry, context switch, return to user *)
-    incr preemptions;
-    Cpu.charge t.cpu (Cpu.cost_profile t.cpu).Cost.exception_entry;
-    Cpu.charge t.cpu entry_overhead_cycles;
-    save_user_context t task;
-    if context_integrity && Cpu.has_pauth t.cpu then
-      Hashtbl.replace t.context_macs task.pid (context_mac t task);
-    match switch_to t next with
-    | Ok _ ->
-        Cpu.charge t.cpu exit_overhead_cycles;
-        Cpu.charge t.cpu (Cpu.cost_profile t.cpu).Cost.eret;
-        `Switched
-    | Killed m ->
-        (* the incoming task's switch frame failed authentication: kill
-           that task and keep the system running *)
-        logf t "scheduler: switch to pid %d failed (%s); killing it" next.pid m;
-        mark_dead t next;
-        `Victim_killed m
-    | Panicked m -> `Panic m
-  in
-  let rec drive () =
-    if Queue.is_empty runnable || !slices >= max_slices then ()
-    else begin
-      incr slices;
-      let task = Queue.pop runnable in
-      (* slice prologue runs in the kernel *)
-      Cpu.set_el t.cpu El.El1;
-      let switched =
-        if t.current.pid = task.pid then `Switched
-        else
-          match switch_to t task with
-          | Ok _ -> `Switched
-          | Killed m ->
-              logf t "scheduler: switch to pid %d failed (%s); killing it" task.pid m;
-              mark_dead t task;
-              `Victim_killed m
-          | Panicked m -> `Panic m
-      in
-      match switched with
-      | `Victim_killed m ->
-          finish task (User_killed m);
-          drive ()
-      | `Panic m ->
-          finish task (User_panicked m);
-          Queue.clear runnable
-      | `Switched ->
-      let context_ok =
-        if context_integrity && Cpu.has_pauth t.cpu then begin
-          match Hashtbl.find_opt t.context_macs task.pid with
-          | None -> true (* first slice: nothing saved yet *)
-          | Some golden ->
-              let ok = context_mac t task = golden in
-              if not ok then begin
-                logf t "context-integrity violation: pid %d saved state tampered"
-                  task.pid;
-                mark_dead t task;
-                finish task (User_killed "context integrity: SIGKILL")
-              end;
-              ok
-        end
-        else true
-      in
-      if not context_ok then drive ()
-      else begin
-      restore_user_context t task;
-      if Cpu.has_pauth t.cpu then begin
-        Cpu.set_reg t.cpu (Insn.R 0) task.va;
-        (match Cpu.call t.cpu t.xom.Xom.restore_addr with
-        | Cpu.Sentinel_return -> ()
-        | other -> failwith ("key restore: " ^ Cpu.stop_to_string other));
-        restore_user_context t task
-      end;
-      Cpu.set_el t.cpu El.El0;
-      run_slice task quantum
-      end
-    end
-  and run_slice task budget =
-    if budget <= 0 then begin
-      (* quantum expired: rotate *)
-      (match Queue.peek_opt runnable with
-      | Some next -> (
-          match preempt_to task next with
-          | `Switched -> Queue.add task runnable
-          | `Victim_killed m ->
-              (* the victim is still at the queue head: retire it *)
-              ignore (Queue.pop runnable);
-              finish next (User_killed m);
-              Queue.add task runnable
-          | `Panic m ->
-              finish task (User_panicked m);
-              Queue.clear runnable)
-      | None -> Queue.add task runnable);
-      drive ()
-    end
-    else begin
-      let insns_before = Cpu.insns_retired t.cpu in
-      let used () = Int64.to_int (Int64.sub (Cpu.insns_retired t.cpu) insns_before) in
-      match Cpu.run ~max_insns:budget t.cpu with
-      | Cpu.Insn_limit -> run_slice task 0
-      | Cpu.Svc nr when nr = Kbuild.sys_exit ->
-          finish task (Exited (Cpu.reg t.cpu (Insn.R 0)));
-          drive ()
-      | Cpu.Svc nr ->
-          let user_pc = Cpu.pc t.cpu in
-          let saved = save_user_gprs t in
-          let args =
-            [ Cpu.reg t.cpu (Insn.R 0); Cpu.reg t.cpu (Insn.R 1); Cpu.reg t.cpu (Insn.R 2) ]
-          in
-          let spent = used () in
-          (match syscall_gen ~trap_charged:true t ~nr ~args with
-          | Ok result ->
-              restore_user_gprs t saved;
-              Cpu.set_reg t.cpu (Insn.R 0) result;
-              Cpu.set_el t.cpu El.El0;
-              Cpu.set_pc t.cpu user_pc;
-              (* the user instructions before the trap consume quantum;
-                 the kernel-side work does not *)
-              run_slice task (budget - spent)
-          | Killed m ->
-              finish task (User_killed m);
-              drive ()
-          | Panicked m ->
-              finish task (User_panicked m);
-              Queue.clear runnable)
-      | Cpu.Sentinel_return ->
-          finish task (Exited (Cpu.reg t.cpu (Insn.R 0)));
-          drive ()
-      | Cpu.Hlt code ->
-          finish task (User_killed (Printf.sprintf "hlt #%d in user mode" code));
-          drive ()
-      | Cpu.Brk code ->
-          finish task (User_killed (Printf.sprintf "brk #%d" code));
-          drive ()
-      | Cpu.Fault { fault; pc } ->
-          logf t "segfault: pid %d %s at pc=0x%Lx" task.pid
-            (match fault with
-            | Cpu.Mmu_fault f -> Mmu.fault_to_string f
-            | Cpu.Undefined_instruction w -> Printf.sprintf "undefined insn 0x%08lx" w
-            | Cpu.Hyp_denied sr | Cpu.El_denied sr -> "denied access to " ^ Sysreg.name sr)
-            pc;
-          mark_dead t task;
-          finish task (User_killed "SIGSEGV");
-          drive ()
-      | Cpu.Eret_done -> run_slice task budget
-    end
-  in
-  drive ();
-  { exits = List.rev !exits; preemptions = !preemptions; slices = !slices }
-
 (* SMP scheduling: per-CPU round-robin run queues driven by a
    cycle-interleaved host loop. Each scheduling round visits the cores
    in order and runs one quantum on each, so simulated time advances in
@@ -982,7 +827,7 @@ type smp_stats = {
 }
 
 let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
-    ?quarantine_after t ~tasks:scheduled =
+    ?quarantine_after ?(context_integrity = false) t ~tasks:scheduled =
   let n = Machine.cpus t.machine in
   let queues = Array.init n (fun _ -> Queue.create ()) in
   List.iteri (fun idx task -> Queue.add task queues.(idx mod n)) scheduled;
@@ -997,7 +842,21 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
   in
   Array.iteri (fun cid _ -> update_rq cid) queues;
   let finish cid task status = exits := (cid, task.pid, status) :: !exits in
-  (* One quantum of task [task] on core [cid]. *)
+  let integrity = context_integrity && Cpu.has_pauth t.cpu in
+  (* X7: a task resumes only if its saved context still carries the MAC
+     taken when it was preempted (a task never preempted has none). *)
+  let context_intact task =
+    (not integrity)
+    ||
+    match Hashtbl.find_opt t.context_macs task.pid with
+    | Some golden when context_mac t task <> golden ->
+        logcpu t "context-integrity violation: pid %d saved state tampered" task.pid;
+        mark_dead t task;
+        false
+    | Some _ | None -> true
+  in
+  (* One quantum of task [task] on core [cid]: [None] when the timer
+     preempted it, [Some] exit status when it stopped. *)
   let run_one_slice cid task =
     with_core t cid (fun () ->
         (* slice prologue is a kernel entry on this core *)
@@ -1015,81 +874,36 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
                    kill that task, keep the core running *)
                 logcpu t "scheduler: switch to pid %d failed (%s); killing it" task.pid m;
                 mark_dead t task;
-                `Victim_killed m
-            | Panicked m -> `Panic m
+                `Stopped (User_killed m)
+            | Panicked m -> `Stopped (User_panicked m)
         in
         match switched with
-        | `Victim_killed m -> `Done (User_killed m)
-        | `Panic m -> `Panic m
-        | `Switched ->
-        restore_user_context t task;
-        if Cpu.has_pauth t.cpu then begin
-          Cpu.set_reg t.cpu (Insn.R 0) task.va;
-          xom_key_call t ~domain:"user" ~err:"key restore: "
-            t.xom.Xom.restore_addr;
-          restore_user_context t task
-        end;
-        Cpu.set_el t.cpu El.El0;
-        let preempt () =
-          (* timer IRQ: save the user context, re-enter the kernel (the
-             entry installs this core's keys like any other) *)
-          Cpu.charge t.cpu (Cpu.cost_profile t.cpu).Cost.exception_entry;
-          Cpu.charge t.cpu entry_overhead_cycles;
-          save_user_context t task;
-          Cpu.set_el t.cpu El.El1;
-          enter_kernel_context t;
-          `Preempted
-        in
-        let rec exec budget =
-          if budget <= 0 then preempt ()
-          else begin
-            let insns_before = Cpu.insns_retired t.cpu in
-            let used () =
-              Int64.to_int (Int64.sub (Cpu.insns_retired t.cpu) insns_before)
-            in
-            match Cpu.run ~max_insns:budget t.cpu with
-            | Cpu.Insn_limit -> preempt ()
-            | Cpu.Svc nr when nr = Kbuild.sys_exit ->
-                `Done (Exited (Cpu.reg t.cpu (Insn.R 0)))
-            | Cpu.Svc nr ->
-                let user_pc = Cpu.pc t.cpu in
-                let saved = save_user_gprs t in
-                let args =
-                  [
-                    Cpu.reg t.cpu (Insn.R 0);
-                    Cpu.reg t.cpu (Insn.R 1);
-                    Cpu.reg t.cpu (Insn.R 2);
-                  ]
-                in
-                let spent = used () in
-                (match syscall_gen ~trap_charged:true t ~nr ~args with
-                | Ok result ->
-                    restore_user_gprs t saved;
-                    Cpu.set_reg t.cpu (Insn.R 0) result;
-                    Cpu.set_el t.cpu El.El0;
-                    Cpu.set_pc t.cpu user_pc;
-                    exec (budget - spent)
-                | Killed m -> `Done (User_killed m)
-                | Panicked m -> `Panic m)
-            | Cpu.Sentinel_return -> `Done (Exited (Cpu.reg t.cpu (Insn.R 0)))
-            | Cpu.Hlt code ->
-                `Done (User_killed (Printf.sprintf "hlt #%d in user mode" code))
-            | Cpu.Brk code -> `Done (User_killed (Printf.sprintf "brk #%d" code))
-            | Cpu.Fault { fault; pc } ->
-                logcpu t "segfault: pid %d %s at pc=0x%Lx" task.pid
-                  (match fault with
-                  | Cpu.Mmu_fault f -> Mmu.fault_to_string f
-                  | Cpu.Undefined_instruction w ->
-                      Printf.sprintf "undefined insn 0x%08lx" w
-                  | Cpu.Hyp_denied sr | Cpu.El_denied sr ->
-                      "denied access to " ^ Sysreg.name sr)
-                  pc;
-                mark_dead t task;
-                `Done (User_killed "SIGSEGV")
-            | Cpu.Eret_done -> exec budget
-          end
-        in
-        exec quantum)
+        | `Stopped status -> Some status
+        | `Switched when not (context_intact task) ->
+            Some (User_killed "context integrity: SIGKILL")
+        | `Switched -> (
+            restore_user_context t task;
+            if Cpu.has_pauth t.cpu then begin
+              Cpu.set_reg t.cpu (Insn.R 0) task.va;
+              xom_key_call t ~domain:"user" ~err:"key restore: "
+                t.xom.Xom.restore_addr;
+              restore_user_context t task
+            end;
+            Cpu.set_el t.cpu El.El0;
+            match run_user_mode t quantum with
+            | Some status -> Some status
+            | None ->
+                (* timer IRQ: save (and under X7 MAC) the user context,
+                   re-enter the kernel (the entry installs this core's
+                   keys like any other) *)
+                Cpu.charge t.cpu (Cpu.cost_profile t.cpu).Cost.exception_entry;
+                Cpu.charge t.cpu entry_overhead_cycles;
+                save_user_context t task;
+                if integrity then
+                  Hashtbl.replace t.context_macs task.pid (context_mac t task);
+                Cpu.set_el t.cpu El.El1;
+                enter_kernel_context t;
+                None))
   in
   (* Reschedule-IPI receive path: acknowledge the doorbell and pull one
      task from each requester that is still busier than we are. *)
@@ -1187,11 +1001,10 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
         | Some task ->
             incr slices;
             (match run_one_slice cid task with
-            | `Done status -> finish cid task status
-            | `Preempted ->
+            | Some status -> finish cid task status
+            | None ->
                 incr preemptions;
-                Queue.add task queues.(cid)
-            | `Panic m -> finish cid task (User_panicked m));
+                Queue.add task queues.(cid));
             update_rq cid);
         quarantine_check cid
       end

@@ -161,12 +161,14 @@ val map_user_program : t -> Asm.program -> Asm.layout
 (** [run_user t ~entry] — execute user code at EL0 until exit, kill or
     panic, dispatching syscalls along the way.
 
-    A blown instruction budget ([max_insns]) is handled by the kernel
-    watchdog: the run is retried with a doubled budget (charging a
-    backoff) up to [watchdog_retries] times (default 2) before the task
-    is killed with {!Watchdog_expired} — a recoverable transient stall
-    gets a grace period, a genuine hang escalates. *)
-val run_user : ?max_insns:int -> ?watchdog_retries:int -> t -> entry:int64 -> user_exit
+    [max_insns] is the instruction budget, counted over user
+    instructions across syscalls (kernel-side work is free), so a hang
+    that keeps making syscalls blows it like any other. A blown budget
+    is handled by the kernel watchdog: the run is retried with a doubled
+    budget (charging a backoff) up to two times before the task is
+    killed with {!Watchdog_expired} — a recoverable transient stall gets
+    a grace period, a genuine hang escalates. *)
+val run_user : ?max_insns:int -> t -> entry:int64 -> user_exit
 
 (** [spawn_user_task t ~entry] — a new task with its own user stack and
     an initial user context starting at [entry]. *)
@@ -174,30 +176,6 @@ val spawn_user_task : t -> entry:int64 -> task
 
 (** [user_stack_top_of task] — the task's private user stack top. *)
 val user_stack_top_of : task -> int64
-
-type sched_stats = {
-  exits : (int * user_exit) list;  (** pid, exit status, in completion order *)
-  preemptions : int;  (** timer-IRQ context switches *)
-  slices : int;
-}
-
-(** [run_scheduled t ~tasks] — preemptive round-robin over user tasks:
-    each runs for [quantum] instructions, then a timer-IRQ kernel entry
-    switches to the next runnable task via [cpu_switch_to]. The user
-    instructions executed before an inline syscall count against the
-    quantum; the kernel-side work does not.
-
-    [context_integrity] enables the register-spill protection the paper
-    leaves as future work (Section 8): a chained PACGA MAC is taken over
-    the saved user context at preemption and verified before resumption;
-    a tampered context kills the task instead of resuming it. *)
-val run_scheduled :
-  ?quantum:int ->
-  ?max_slices:int ->
-  ?context_integrity:bool ->
-  t ->
-  tasks:task list ->
-  sched_stats
 
 type smp_stats = {
   smp_exits : (int * int * user_exit) list;
@@ -211,11 +189,16 @@ type smp_stats = {
   makespan : int64;  (** busiest core's clock: parallel simulated time *)
 }
 
-(** [run_smp t ~tasks] — preemptive round-robin over per-CPU run queues,
-    cycle-interleaved across the machine's cores: every scheduling round
+(** [run_smp t ~tasks] — the scheduler for every core count (1 to 16).
+    Preemptive round-robin over per-CPU run queues, cycle-interleaved
+    across the machine's cores: every scheduling round
     visits the cores in order and runs one [quantum] on each, so each
     core's kernel entries (with their per-CPU key installs) execute on
-    that core's own register file. Tasks are distributed round-robin at
+    that core's own register file. A quantum counts user instructions
+    across inline syscalls; the kernel-side work does not. When it
+    expires, a timer-IRQ kernel entry saves the user context in the task
+    structure, and the task's next slice switches to it through
+    [cpu_switch_to]. Tasks are distributed round-robin at
     submission; every [balance_interval] rounds, a core with at least
     two more queued tasks than the idlest core sends it a Reschedule IPI
     and the receiver pulls work over. Fully deterministic: the same seed
@@ -225,12 +208,21 @@ type smp_stats = {
     that many PAC authentication failures is taken offline — it stops
     scheduling and its run queue migrates to the remaining online cores
     (the last online core is never quarantined). Offlined cores are
-    reported in [smp_offlined]. Disabled by default. *)
+    reported in [smp_offlined]. Disabled by default.
+
+    [context_integrity] (default off) enables the register-spill
+    protection the paper leaves as future work (Section 8, X7): a
+    chained PACGA MAC is taken over the saved user context at
+    preemption and verified before the task resumes, on whichever core;
+    a tampered context kills the task with
+    ["context integrity: SIGKILL"] instead of resuming it. Inactive on
+    a PAuth-less part. *)
 val run_smp :
   ?quantum:int ->
   ?max_slices:int ->
   ?balance_interval:int ->
   ?quarantine_after:int ->
+  ?context_integrity:bool ->
   t ->
   tasks:task list ->
   smp_stats

@@ -25,7 +25,7 @@ type par = { pmap : 'a. jobs:int -> (int -> 'a) -> 'a array }
 
 let seq_par = { pmap = (fun ~jobs f -> Array.init jobs f) }
 
-(* ----- flow-insensitive key-access rule (Core.Verifier's contract) ----- *)
+(* ----- flow-insensitive key-access rule (§4.1, §6.2.2) ----- *)
 
 let key_access ~allowed va insn =
   match Insn.reads_sysreg insn with

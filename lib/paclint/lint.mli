@@ -113,9 +113,8 @@ val no_hooks : hooks
 val step : policy -> hooks -> state -> int64 * Insn.t -> unit
 
 (** [key_access ~allowed va insn] — the flow-insensitive key-register
-    rule on one instruction; exactly [Core.Verifier]'s historical
-    contract (key reads always flagged; key/SCTLR writes flagged outside
-    [allowed]). *)
+    rule on one instruction: key reads are always flagged, key and
+    SCTLR writes outside [allowed]. *)
 val key_access : allowed:(int64 -> bool) -> int64 -> Insn.t -> Diag.t option
 
 (** [decode_region ~read32 ~base ~size] — decode every word of

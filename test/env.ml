@@ -59,3 +59,10 @@ let expect_return cpu layout name =
 
 let read64_va cpu va = Mem.read64 (Cpu.mem cpu) (pa_of_va va)
 let write64_va cpu va v = Mem.write64 (Cpu.mem cpu) (pa_of_va va) v
+
+(* The static key-access rule over a memory region: every word that
+   decodes, checked by [Paclint.Lint.key_access]. *)
+let key_access_scan ~read32 ~base ~size ~allowed =
+  Paclint.Lint.decode_region ~read32 ~base ~size
+  |> Array.to_list
+  |> List.filter_map (fun (va, insn) -> Paclint.Lint.key_access ~allowed va insn)

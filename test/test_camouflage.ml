@@ -262,15 +262,15 @@ let test_verifier_rejects_key_reads () =
     ];
   let layout = Env.load_program cpu prog in
   let violations =
-    C.Verifier.scan
+    Env.key_access_scan
       ~read32:(fun va -> Mem.read32 (Cpu.mem cpu) (Env.pa_of_va va))
       ~base:layout.Asm.base ~size:layout.Asm.size
       ~allowed:(fun _ -> false)
   in
   Alcotest.(check int) "two violations" 2 (List.length violations);
   match violations with
-  | { C.Verifier.reason = C.Verifier.Reads_key_register Sysreg.APIBKeyLo_EL1; _ } :: _ -> ()
-  | v :: _ -> Alcotest.failf "wrong reason: %s" (C.Verifier.violation_to_string v)
+  | { Paclint.Diag.kind = Paclint.Diag.Key_register_read Sysreg.APIBKeyLo_EL1; _ } :: _ -> ()
+  | d :: _ -> Alcotest.failf "wrong reason: %s" (Paclint.Diag.to_string d)
   | [] -> Alcotest.fail "no violations"
 
 let test_verifier_allows_setter () =
@@ -290,17 +290,17 @@ let test_verifier_allows_setter () =
   let rogue_base = Asm.symbol layout "rogue_setter" in
   let allowed va = va >= setter_base && va < rogue_base in
   let violations =
-    C.Verifier.scan
+    Env.key_access_scan
       ~read32:(fun va -> Mem.read32 (Cpu.mem cpu) (Env.pa_of_va va))
       ~base:layout.Asm.base ~size:layout.Asm.size ~allowed
   in
   Alcotest.(check int) "only the rogue write flagged" 1 (List.length violations);
   match violations with
-  | [ { C.Verifier.reason = C.Verifier.Writes_key_register _; va; _ } ] ->
+  | [ { Paclint.Diag.kind = Paclint.Diag.Key_register_write _; va; _ } ] ->
       Alcotest.(check bool) "flagged inside rogue" true (va >= rogue_base)
   | other ->
       Alcotest.failf "unexpected: %s"
-        (String.concat "; " (List.map C.Verifier.violation_to_string other))
+        (String.concat "; " (List.map Paclint.Diag.to_string other))
 
 let test_verifier_sctlr () =
   let cpu = Env.fresh_cpu () in
@@ -313,16 +313,16 @@ let test_verifier_sctlr () =
     ];
   let layout = Env.load_program cpu prog in
   let violations =
-    C.Verifier.scan
+    Env.key_access_scan
       ~read32:(fun va -> Mem.read32 (Cpu.mem cpu) (Env.pa_of_va va))
       ~base:layout.Asm.base ~size:layout.Asm.size
       ~allowed:(fun _ -> false)
   in
   match violations with
-  | [ { C.Verifier.reason = C.Verifier.Writes_sctlr; _ } ] -> ()
+  | [ { Paclint.Diag.kind = Paclint.Diag.Sctlr_write; _ } ] -> ()
   | other ->
       Alcotest.failf "expected SCTLR violation, got %d: %s" (List.length other)
-        (String.concat "; " (List.map C.Verifier.violation_to_string other))
+        (String.concat "; " (List.map Paclint.Diag.to_string other))
 
 (* Brute force. *)
 

@@ -393,11 +393,11 @@ let test_scheduler_runs_all_tasks () =
       let layout = K.System.map_user_program sys (counting_program ~rounds:40) in
       let entry = Asm.symbol layout "counter" in
       let tasks = List.init 3 (fun _ -> K.System.spawn_user_task sys ~entry) in
-      let stats = K.System.run_scheduled ~quantum:60 sys ~tasks in
+      let stats = K.System.run_smp ~quantum:60 sys ~tasks in
       Alcotest.(check int) (name ^ ": all exited") 3
-        (List.length stats.K.System.exits);
+        (List.length stats.K.System.smp_exits);
       List.iter
-        (fun (pid, exit) ->
+        (fun (_cpu, pid, exit) ->
           match exit with
           | K.System.Exited v ->
               Alcotest.(check int64) (Printf.sprintf "%s: pid %d counted" name pid) 40L v
@@ -405,9 +405,9 @@ let test_scheduler_runs_all_tasks () =
               Alcotest.failf "%s: pid %d died: %s" name pid m
           | K.System.Watchdog_expired _ as e ->
               Alcotest.failf "%s: pid %d: %s" name pid (K.System.user_exit_to_string e))
-        stats.K.System.exits;
+        stats.K.System.smp_exits;
       Alcotest.(check bool) (name ^ ": preempted at least once") true
-        (stats.K.System.preemptions > 0))
+        (stats.K.System.smp_preemptions > 0))
     configs
 
 let test_scheduler_isolates_crashes () =
@@ -424,13 +424,16 @@ let test_scheduler_isolates_crashes () =
   let layout = K.System.map_user_program sys prog in
   let t1 = K.System.spawn_user_task sys ~entry:(Asm.symbol layout "crasher") in
   let t2 = K.System.spawn_user_task sys ~entry:(Asm.symbol layout "good") in
-  let stats = K.System.run_scheduled ~quantum:50 sys ~tasks:[ t1; t2 ] in
-  let lookup pid = List.assoc pid stats.K.System.exits in
+  let stats = K.System.run_smp ~quantum:50 sys ~tasks:[ t1; t2 ] in
+  let lookup pid =
+    List.find_map (fun (_cpu, p, e) -> if p = pid then Some e else None)
+      stats.K.System.smp_exits
+  in
   (match lookup t1.K.System.pid with
-  | K.System.User_killed "SIGSEGV" -> ()
+  | Some (K.System.User_killed "SIGSEGV") -> ()
   | _ -> Alcotest.fail "crasher should segfault");
   match lookup t2.K.System.pid with
-  | K.System.Exited 7L -> ()
+  | Some (K.System.Exited 7L) -> ()
   | _ -> Alcotest.fail "good task should survive the crash of its sibling"
 
 let suite =
@@ -725,7 +728,7 @@ let test_watchdog_retries_transient_stall () =
   let layout = K.System.map_user_program sys (counting_loop ~iters:80 ~exit_code:99) in
   (* ~163 instructions of work against a 100-instruction budget: the
      first attempt blows the budget, the doubled retry completes *)
-  match K.System.run_user sys ~max_insns:100 ~watchdog_retries:2 ~entry:(Asm.symbol layout "main") with
+  match K.System.run_user sys ~max_insns:100 ~entry:(Asm.symbol layout "main") with
   | K.System.Exited v ->
       Alcotest.(check int64) "completed on retry" 99L v;
       Alcotest.(check bool) "watchdog logged the grace period" true
@@ -743,7 +746,7 @@ let test_watchdog_escalates_genuine_hang () =
   Asm.add_function prog ~name:"main"
     [ Asm.label "spin"; Asm.ins (Insn.Add_imm (Insn.R 9, Insn.R 9, 1)); Asm.b_to "spin" ];
   let layout = K.System.map_user_program sys prog in
-  match K.System.run_user sys ~max_insns:50 ~watchdog_retries:2 ~entry:(Asm.symbol layout "main") with
+  match K.System.run_user sys ~max_insns:50 ~entry:(Asm.symbol layout "main") with
   | K.System.Watchdog_expired { budget; retries } ->
       Alcotest.(check int) "two grace periods granted" 2 retries;
       Alcotest.(check int) "budget doubled twice" 200 budget;
@@ -757,6 +760,30 @@ let test_watchdog_escalates_genuine_hang () =
              && String.sub o.K.System.oops_cause 0 8 = "watchdog");
           Alcotest.(check bool) "dump carries the trace ring" true
             (String.length o.K.System.oops_dump > 0))
+  | other -> Alcotest.failf "expected escalation: %s" (K.System.user_exit_to_string other)
+
+(* The budget counts user instructions across syscalls: a loop that
+   traps on every third instruction must still exhaust it. 5,000 getpid
+   rounds retire ~15,000 user instructions against 1,000 + 2,000 +
+   4,000. *)
+let test_watchdog_counts_across_syscalls () =
+  let sys = boot () in
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"main"
+    [
+      Asm.ins (Insn.Movz (Insn.R 20, 5000, 0));
+      Asm.label "spin";
+      Asm.ins (Insn.Svc K.Kbuild.sys_getpid);
+      Asm.ins (Insn.Sub_imm (Insn.R 20, Insn.R 20, 1));
+      Asm.cbnz_to (Insn.R 20) "spin";
+      Asm.ins (Insn.Movz (Insn.R 0, 0, 0));
+      Asm.ins (Insn.Svc K.Kbuild.sys_exit);
+    ];
+  let layout = K.System.map_user_program sys prog in
+  match K.System.run_user sys ~max_insns:1000 ~entry:(Asm.symbol layout "main") with
+  | K.System.Watchdog_expired { budget; retries } ->
+      Alcotest.(check int) "two grace periods granted" 2 retries;
+      Alcotest.(check int) "budget doubled twice" 4000 budget
   | other -> Alcotest.failf "expected escalation: %s" (K.System.user_exit_to_string other)
 
 let test_kernel_oops_records_cpu_dump () =
@@ -788,4 +815,6 @@ let suite =
         test_watchdog_escalates_genuine_hang;
       Alcotest.test_case "kernel oops records a CPU dump" `Quick
         test_kernel_oops_records_cpu_dump;
+      Alcotest.test_case "watchdog counts user insns across syscalls" `Quick
+        test_watchdog_counts_across_syscalls;
     ]

@@ -3,7 +3,7 @@
    - each oracle class is detected;
    - the built kernel image lints clean under every shipped config;
    - the loader gate rejects on error diagnostics and surfaces warnings;
-   - Core.Verifier's wrapper is observationally the old linear scan. *)
+   - Lint.key_access is observationally the seed verifier's linear scan. *)
 
 open Aarch64
 module C = Camouflage
@@ -556,20 +556,19 @@ let prop_interprocedural_matches_inlined =
       let intra = L.lint_insns ~policy:parity_policy (listing inlined) in
       kind_multiset report.Paclint.Summary.diags = kind_multiset intra)
 
-(* ----- Verifier wrapper == the old linear scan ----- *)
+(* ----- Lint.key_access == the old linear scan ----- *)
 
-(* The seed's Core.Verifier.check, verbatim: the oracle the wrapper must
-   reproduce observationally. *)
+(* The seed's Core.Verifier.check, verbatim but for the result type
+   (the diagnostic kind each of its reasons became): the oracle
+   [key_access] must reproduce observationally. *)
 let reference_check ~allowed va insn =
   match Insn.reads_sysreg insn with
-  | Some sr when Sysreg.is_pauth_key sr ->
-      Some { C.Verifier.va; insn; reason = C.Verifier.Reads_key_register sr }
+  | Some sr when Sysreg.is_pauth_key sr -> Some (va, insn, D.Key_register_read sr)
   | Some _ | None -> (
       match Insn.writes_sysreg insn with
       | Some sr when Sysreg.is_pauth_key sr && not (allowed va) ->
-          Some { C.Verifier.va; insn; reason = C.Verifier.Writes_key_register sr }
-      | Some Sysreg.SCTLR_EL1 when not (allowed va) ->
-          Some { C.Verifier.va; insn; reason = C.Verifier.Writes_sctlr }
+          Some (va, insn, D.Key_register_write sr)
+      | Some Sysreg.SCTLR_EL1 when not (allowed va) -> Some (va, insn, D.Sctlr_write)
       | Some _ | None -> None)
 
 let gen_scan_insn =
@@ -587,14 +586,21 @@ let gen_scan_insn =
       ])
 
 let prop_scan_matches_reference =
-  QCheck2.Test.make ~count:500 ~name:"Verifier.scan_insns == old linear scan"
+  QCheck2.Test.make ~count:500 ~name:"Lint.key_access == old linear scan"
     QCheck2.Gen.(pair (list_size (int_range 0 40) gen_scan_insn) (int_range 1 4))
     (fun (insns, m) ->
       let stream = listing insns in
       let allowed va =
         Int64.rem (Int64.div (Int64.sub va base) 4L) (Int64.of_int m) = 0L
       in
-      let got = C.Verifier.scan_insns ~base stream ~allowed in
+      let got =
+        List.filter_map
+          (fun (va, i) ->
+            Option.map
+              (fun (d : D.t) -> (d.D.va, d.D.insn, d.D.kind))
+              (L.key_access ~allowed va i))
+          stream
+      in
       let want = List.filter_map (fun (va, i) -> reference_check ~allowed va i) stream in
       got = want)
 

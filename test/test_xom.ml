@@ -97,13 +97,13 @@ let test_verifier_allowed_range () =
      the audited range *)
   let read32 va = K.Kmem.read32 cpu va in
   let strict =
-    C.Verifier.scan ~read32 ~base:xom.K.Xom.base ~size:xom.K.Xom.bytes
+    Env.key_access_scan ~read32 ~base:xom.K.Xom.base ~size:xom.K.Xom.bytes
       ~allowed:(fun _ -> false)
   in
   Alcotest.(check bool) "flags key writes without allowance" true
     (List.length strict >= List.length xom.K.Xom.kernel_keys * 2);
   let allowed =
-    C.Verifier.scan ~read32 ~base:xom.K.Xom.base ~size:xom.K.Xom.bytes
+    Env.key_access_scan ~read32 ~base:xom.K.Xom.base ~size:xom.K.Xom.bytes
       ~allowed:(K.Xom.allowed_key_writer xom)
   in
   Alcotest.(check int) "clean inside audited range" 0 (List.length allowed)
