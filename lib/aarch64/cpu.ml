@@ -1169,8 +1169,9 @@ let compile_block t tr =
       Some b
 
 (* Lookup-or-compile at a control-flow boundary. [sync] first: any
-   map/unmap/stage-2 flip or snapshot restore moved the MMU generation
-   and must flush before a stale block can be found. *)
+   map/unmap/stage-2 flip, or a snapshot restore that refilled the
+   tables, moved the MMU generation and must flush before a stale block
+   can be found. *)
 let find_block t tr =
   Traces.sync tr;
   match Traces.lookup tr ~el:t.el t.pc with
@@ -1312,8 +1313,10 @@ let fold_sysregs t f acc =
    telemetry sink binding): a restore must drop hooks installed after
    the capture — fault injectors armed for one trial must not leak into
    the next. The sysreg table is written back directly rather than
-   through [set_sysreg]; {!Machine.restore} performs one icache flush at
-   the end instead of one per MMU-control register. *)
+   through [set_sysreg], so restoring the MMU-control registers flushes
+   nothing: no decoded line or compiled op depends on a sysreg value
+   (MRS, MSR and the PAC family are trace cuts), and {!Machine.restore}
+   relies on the [Mem] and generation channels for the rest. *)
 type captured = {
   c_regs : int64 array;
   c_sp_el0 : int64;
@@ -1380,12 +1383,7 @@ let restore t c =
   Array.blit c.c_trace_insn 0 t.trace_insn 0 (Array.length t.trace_insn);
   t.trace_pos <- c.c_trace_pos;
   t.step_hook <- c.c_step_hook;
-  t.last_run_tier <- c.c_last_run_tier;
-  (* compiled blocks may shadow state the restore just rewrote; the
-     Mem-hook and generation channels catch most of it, but a flush
-     here makes restore unconditional, mirroring Machine.restore's
-     icache flush *)
-  match t.traces with Some tr -> Traces.flush tr | None -> ()
+  t.last_run_tier <- c.c_last_run_tier
 
 let fault_to_string = function
   | Mmu_fault f -> Mmu.fault_to_string f

@@ -236,8 +236,10 @@ val fold_sysregs : t -> ('a -> Sysreg.t -> int64 -> 'a) -> 'a -> 'a
     included), cycle/retirement counters, the trace ring, and host-side
     attachments (step hook, hypervisor lock predicate, last run tier).
     [restore] writes the sysreg table back directly without the
-    per-write icache flush of {!set_sysreg} — callers restoring a whole
-    machine must flush the shared icache once afterwards, which is what
+    per-write cache flush of {!set_sysreg}, and flushes neither the
+    icache nor the trace cache: no decoded line or compiled op depends
+    on a sysreg value. Callers restoring code or translation tables
+    invalidate through [Mem] and the [Mmu] generation, as
     {!Machine.restore} does. *)
 type captured
 

@@ -14,12 +14,18 @@
 
    Coherence has three channels:
    - a [Mem] write hook drops every entry whose decoded lines shadow
-     the written frame (guest stores, host [Kmem] writes and
-     fault-injector memory flips all funnel through [Mem]);
-   - the [Mmu] generation counter: any map/unmap/stage-2 change flushes
-     everything at the next lookup;
+     the written frame (guest stores, host [Kmem] writes,
+     fault-injector memory flips and every frame a snapshot restore
+     reverts all funnel through [Mem]);
+   - the [Mmu] generation counter: any map/unmap/stage-2 change, or a
+     restore that refills the tables, flushes everything at the next
+     lookup;
    - an explicit [flush] the CPU issues on writes to the MMU-control
      system registers (TTBR0/TTBR1/SCTLR) and CONTEXTIDR (ASID rolls).
+
+   A snapshot restore adds no flush of its own: the first two channels
+   cover everything it reverts, so the cache stays warm across fault
+   trials.
 
    PAuth key-register writes deliberately do NOT flush: keys affect
    PAC computation at execute time, never decode or translation, so the

@@ -137,11 +137,14 @@ let total_cycles t =
 
 (* Whole-machine snapshots: CoW memory + translation tables + every
    core's mutable state + the GIC doorbell + telemetry (captured so an
-   observed restore is bit-identical to an observed boot). The icache is
-   deliberately NOT captured — it is a host-speed cache, never
-   guest-visible; restore just flushes it once after all state is back
-   (Mmu.restore also advances the generation, so stale micro-TLB
-   entries self-discard). *)
+   observed restore is bit-identical to an observed boot). The icache
+   and the trace caches are deliberately NOT captured — they are
+   host-speed caches, never guest-visible — and restore keeps them warm.
+   Their two invalidation channels already cover everything a restore
+   changes: [Mem.restore] notifies every frame it reverts, which drops
+   the decoded lines and compiled blocks shadowing it, and a refill in
+   [Mmu.restore] advances the generation, which flushes both caches at
+   their next lookup. *)
 type snapshot = {
   s_mem : Mem.snapshot;
   s_mmu : Mmu.snapshot;
@@ -172,7 +175,6 @@ let restore t s =
     (fun i row -> Array.blit row 0 t.gic.senders.(i) 0 (Array.length row))
     s.s_senders;
   t.gic.ipis_sent <- s.s_ipis_sent;
-  (match (t.hub, s.s_hub) with
+  match (t.hub, s.s_hub) with
   | Some hub, Some c -> Telemetry.Hub.restore hub c
-  | _ -> ());
-  Icache.flush t.icache
+  | _ -> ()

@@ -92,9 +92,12 @@ val total_cycles : t -> int64
     PAuth keys, counters, trace ring, step hooks), the GIC doorbell, and
     — when the machine was created with [~telemetry:true] — the
     telemetry hub, so a restored-and-observed run is bit-identical to a
-    booted-and-observed one. The decoded-instruction cache is not
-    captured: it is host-speed state, invisible to the guest; [restore]
-    flushes it once after all architectural state is back. One snapshot
+    booted-and-observed one. The decoded-instruction cache and the
+    trace caches are not captured: they are host-speed state, invisible
+    to the guest, and [restore] keeps them. [Mem.restore] notifies every
+    frame it reverts, which drops the cached code shadowing it; a
+    translation change since the snapshot makes [Mmu.restore] refill and
+    advance the generation, which flushes both caches. One snapshot
     supports any number of successive restores. *)
 type snapshot
 

@@ -53,8 +53,9 @@ val fold_frames : t -> ('a -> int -> Bytes.t -> 'a) -> 'a -> 'a
     and begins tracking dirtied frames via a write hook. [restore t s]
     blits the captured bytes back into exactly the frames written since
     the snapshot (zero-filling frames that did not exist then), firing
-    the write hooks for each restored frame so instruction-cache
-    invalidation sees the restore like any other store. Restores are
+    the write hooks for each restored frame so icache and trace-cache
+    invalidation sees the restore like any other store ({!Machine.restore}
+    relies on this instead of flushing those caches). Restores are
     therefore proportional to the dirty set, and one snapshot supports
     any number of successive restores. Frames are mutated in place —
     the frame-pointer contract of {!frame_bytes} survives a restore. *)

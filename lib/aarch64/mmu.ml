@@ -100,34 +100,51 @@ let probe t ~el va_page =
 type snapshot = {
   s_stage1 : (int64, s1_entry) Hashtbl.t;
   s_stage2 : (int64, perm) Hashtbl.t;
+  s_mmu : t;  (* the tables this snapshot was taken from *)
+  (* a generation of [s_mmu] at which its tables equalled the copies
+     above: the capture itself, then every refill *)
+  mutable s_gen : int;
 }
 
 let snapshot t =
-  { s_stage1 = Hashtbl.copy t.stage1; s_stage2 = Hashtbl.copy t.stage2 }
+  {
+    s_stage1 = Hashtbl.copy t.stage1;
+    s_stage2 = Hashtbl.copy t.stage2;
+    s_mmu = t;
+    s_gen = t.generation;
+  }
 
-(* Restore refills the tables but *advances* the generation rather than
-   restoring it: a micro-TLB entry filled after the snapshot must not
-   find its fill-time generation current again. *)
+(* Every mutation of the tables advances the generation, so a
+   generation that still reads [s_gen] means the tables still equal the
+   snapshot: restore is then a no-op and the caches built over them stay
+   valid. Otherwise it refills both tables and *advances* the generation
+   rather than restoring it: a micro-TLB entry filled after the snapshot
+   must not find its fill-time generation current again. Another [t]'s
+   generation says nothing about these copies, so it always refills. *)
 let restore t s =
-  Hashtbl.reset t.stage1;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.stage1 k v) s.s_stage1;
-  Hashtbl.reset t.stage2;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.stage2 k v) s.s_stage2;
-  t.generation <- t.generation + 1
+  if t != s.s_mmu || t.generation <> s.s_gen then begin
+    Hashtbl.reset t.stage1;
+    Hashtbl.iter (fun k v -> Hashtbl.replace t.stage1 k v) s.s_stage1;
+    Hashtbl.reset t.stage2;
+    Hashtbl.iter (fun k v -> Hashtbl.replace t.stage2 k v) s.s_stage2;
+    t.generation <- t.generation + 1;
+    if t == s.s_mmu then s.s_gen <- t.generation
+  end
+
+(* Key-sorted bindings of a table whose keys are unique ([replace]
+   only): one pass, no per-key re-lookup. *)
+let sorted_bindings tbl =
+  List.sort
+    (fun (a, _) (b, _) -> Int64.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let fold_stage1 t f acc =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.stage1 [] in
-  let keys = List.sort compare keys in
   List.fold_left
-    (fun acc k ->
-      let e = Hashtbl.find t.stage1 k in
-      f acc k (e.pa_page, e.el0, e.el1))
-    acc keys
+    (fun acc (k, e) -> f acc k (e.pa_page, e.el0, e.el1))
+    acc (sorted_bindings t.stage1)
 
 let fold_stage2 t f acc =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.stage2 [] in
-  let keys = List.sort compare keys in
-  List.fold_left (fun acc k -> f acc k (Hashtbl.find t.stage2 k)) acc keys
+  List.fold_left (fun acc (k, p) -> f acc k p) acc (sorted_bindings t.stage2)
 
 let access_name = function Read -> "read" | Write -> "write" | Exec -> "exec"
 

@@ -73,10 +73,15 @@ val fault_to_string : fault -> string
 
 (** Translation-state snapshots.
 
-    [snapshot] copies both translation tables; [restore] refills them
-    and {e advances} the generation counter (it never rewinds it), so
-    generation-checked caches filled after the snapshot correctly
-    discard their entries on restore. *)
+    [snapshot t] copies both translation tables and records [t] and its
+    {!generation}. [restore t s] refills the tables only when they may
+    differ from the snapshot: when [t] is not the [Mmu] [s] was taken
+    from, or when [t]'s generation has moved since its tables last
+    matched [s] (at the capture or at [s]'s previous refill). A refill
+    {e advances} the generation counter (it never rewinds it), so
+    generation-checked caches filled after the snapshot discard their
+    entries. A restore over unchanged tables changes nothing, so those
+    caches stay warm. *)
 type snapshot
 
 val snapshot : t -> snapshot

@@ -8,10 +8,12 @@
    icache machinery reused wholesale:
 
    - a [Mem] write hook kills every block whose code spans the written
-     frame (guest stores, host [Kmem] writes, fault-injector flips),
-     screened by the same 32-bit golden-ratio Bloom filter;
+     frame (guest stores, host [Kmem] writes, fault-injector flips,
+     frames a snapshot restore reverts), screened by the same 32-bit
+     golden-ratio Bloom filter;
    - the [Mmu] generation counter flushes everything at the next [sync]
-     after any map/unmap/stage-2 change or snapshot restore;
+     after any map/unmap/stage-2 change, or a snapshot restore that
+     refills the tables;
    - an explicit [flush] on MMU-control/CONTEXTIDR writes (the CPU's
      MSR flush matrix calls it right next to [Icache.flush]).
 

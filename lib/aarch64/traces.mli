@@ -58,14 +58,13 @@ type 'code block = {
 val create : mem:Mem.t -> mmu:Mmu.t -> unit -> 'code t
 
 (** [flush t] kills every block, resets the hotness counters and the
-    frame registrations (the TTBR/SCTLR/ASID-write path, and the
-    machine-restore path). *)
+    frame registrations (the TTBR/SCTLR/ASID-write path). *)
 val flush : 'code t -> unit
 
 (** [sync t] flushes iff the MMU generation moved since the last call:
-    map/unmap/stage-2 permission flips and snapshot restores all advance
-    the generation, so stale traces self-invalidate at the next block
-    boundary. *)
+    map/unmap/stage-2 permission flips and snapshot restores that
+    refill the tables all advance the generation, so stale traces
+    self-invalidate at the next block boundary. *)
 val sync : 'code t -> unit
 
 (** [lookup t ~el pc] — the live block entered at exactly [(el, pc)],

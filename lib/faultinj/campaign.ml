@@ -437,7 +437,7 @@ let create_session ?(config = C.Config.full) ?(cpus = 2) ?(tasks = 4)
 type trial_result = {
   tr_trial : trial;
   tr_telemetry : job_telemetry option;
-  tr_fingerprint : string;
+  tr_fingerprint : string option;
 }
 
 (* Restore, arm, run: the forked counterpart of [run_one]. *)
@@ -457,7 +457,8 @@ let run_one_in ses ?quarantine_after spec_fn =
   in
   (sys, inj, spec, result)
 
-let run_random_trial_in ses ?quarantine_after ?keep_events ~index () =
+let run_random_trial_in ses ?quarantine_after ?keep_events ?(fingerprint = false)
+    ~index () =
   let rng =
     Rng.create
       (Int64.add ses.ses_seed (Int64.mul golden_mix (Int64.of_int (index + 1))))
@@ -469,7 +470,8 @@ let run_random_trial_in ses ?quarantine_after ?keep_events ~index () =
   {
     tr_trial = trial_of ~golden:ses.ses_golden ~index outcome;
     tr_telemetry = harvest_telemetry ?keep_events sys;
-    tr_fingerprint = Snapshot.Fingerprint.of_system sys;
+    tr_fingerprint =
+      (if fingerprint then Some (Snapshot.Fingerprint.of_system sys) else None);
   }
 
 let report_of_trials ?(config_name = "full") ?(cpus = 2) ?(tasks = 4)

@@ -179,19 +179,28 @@ val session_system : session -> Kernel.System.t
 type trial_result = {
   tr_trial : trial;
   tr_telemetry : job_telemetry option;
-  tr_fingerprint : string;  (** post-trial system state *)
+  tr_fingerprint : string option;
+      (** post-trial system state; [Some] iff the trial was run with
+          [~fingerprint:true] *)
 }
 
 (** [run_random_trial_in ses ~index ()] — the session-forked equivalent
     of {!run_random_trial}: restores the base snapshot, draws the
     [(seed, index)]-keyed spec, arms it and runs. Produces the identical
-    trial record, plus the post-trial state fingerprint that record mode
-    writes into the replay log. [keep_events] (default [false]) copies
-    the trial's raw event stream into [jt_ring] for trace-lane capture. *)
+    trial record. [keep_events] (default [false]) copies the trial's
+    raw event stream into [jt_ring] for trace-lane capture.
+
+    [fingerprint] (default [false]) also takes the post-trial state
+    fingerprint ({!Snapshot.Fingerprint.of_system}) into
+    [tr_fingerprint]. Only a replay log reads it — record mode writes
+    it, {!Replay} compares against it — and it costs a serialization of
+    all of memory, so a campaign that neither records nor replays
+    leaves it off. Taking it never changes the trial. *)
 val run_random_trial_in :
   session ->
   ?quarantine_after:int ->
   ?keep_events:bool ->
+  ?fingerprint:bool ->
   index:int ->
   unit ->
   trial_result

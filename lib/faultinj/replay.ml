@@ -97,11 +97,13 @@ let verdict_ok v = v.v_spec_ok && v.v_fingerprint_ok && v.v_bytes_ok
 
 let replay_entry ses ?quarantine_after (recorded : L.entry) =
   let tr =
-    Campaign.run_random_trial_in ses ?quarantine_after
+    Campaign.run_random_trial_in ses ?quarantine_after ~fingerprint:true
       ~index:recorded.L.e_index ()
   in
   let replayed =
-    entry_of_trial ~fingerprint:tr.Campaign.tr_fingerprint tr.Campaign.tr_trial
+    entry_of_trial
+      ~fingerprint:(Option.get tr.Campaign.tr_fingerprint)
+      tr.Campaign.tr_trial
   in
   {
     v_index = recorded.L.e_index;

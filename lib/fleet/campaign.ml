@@ -97,7 +97,7 @@ let run ?(config = Camouflage.Config.full) ?(config_name = "full") ?(cpus = 2)
       (fun index ->
         (match job_hook with Some h -> h index | None -> ());
         FC.run_random_trial_in (session_for params) ?quarantine_after
-          ~keep_events:(index < lanes) ~index ())
+          ~keep_events:(index < lanes) ~fingerprint:(record_dir <> None) ~index ())
   in
   if outcome.Pool.stats.Pool.stopped then None
   else
@@ -159,7 +159,7 @@ let run ?(config = Camouflage.Config.full) ?(config_name = "full") ?(cpus = 2)
             List.map
               (fun tr ->
                 Faultinj.Replay.entry_of_trial
-                  ~fingerprint:tr.FC.tr_fingerprint tr.FC.tr_trial)
+                  ~fingerprint:(Option.get tr.FC.tr_fingerprint) tr.FC.tr_trial)
               jobs
           in
           let path =

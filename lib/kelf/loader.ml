@@ -18,7 +18,6 @@ type env = {
 type placed = {
   object_name : string;
   text_layout : Asm.layout;
-  data_symbols : (string * int64) list;
   text_base : int64;
   text_bytes : int;
   rodata_base : int64;
@@ -26,6 +25,7 @@ type placed = {
   data_base : int64;
   data_bytes : int;
   lint_warnings : Paclint.Diag.t list;
+  symbol_table : (string, int64) Hashtbl.t;
 }
 
 type error =
@@ -44,6 +44,15 @@ let place_blobs base blobs =
       addr := Int64.add !addr (Int64.of_int (8 * List.length b.Object_file.words));
       (b, this))
     blobs
+
+(* The lookup table behind [symbol]: text symbols, then data symbols,
+   and the first binding of a name wins. *)
+let symbol_table ~text ~data =
+  let tbl = Hashtbl.create (List.length text + List.length data) in
+  List.iter
+    (fun (name, a) -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name a)
+    (text @ data);
+  tbl
 
 let resolve_word symbols w =
   match w with
@@ -138,7 +147,6 @@ let load ~cpu ~config ~registry ~env (obj : Object_file.t) =
         {
           object_name = obj.Object_file.obj_name;
           text_layout = layout;
-          data_symbols = blob_symbols;
           text_base;
           text_bytes;
           rodata_base;
@@ -146,6 +154,8 @@ let load ~cpu ~config ~registry ~env (obj : Object_file.t) =
           data_base;
           data_bytes;
           lint_warnings;
+          symbol_table =
+            symbol_table ~text:layout.Asm.symbols ~data:blob_symbols;
         }
     end
   with Load_error e -> Error e
@@ -163,13 +173,7 @@ let unload ~env placed =
   if placed.data_bytes > 0 then
     env.unmap_region ~base:placed.data_base ~bytes:placed.data_bytes Data
 
-let symbol placed name =
-  match List.assoc_opt name placed.text_layout.Asm.symbols with
-  | Some a -> a
-  | None -> (
-      match List.assoc_opt name placed.data_symbols with
-      | Some a -> a
-      | None -> raise Not_found)
+let symbol placed name = Hashtbl.find placed.symbol_table name
 
 let error_to_string = function
   | Verification_failed ds ->

@@ -43,7 +43,6 @@ type env = {
 type placed = {
   object_name : string;
   text_layout : Asm.layout;
-  data_symbols : (string * int64) list;
   text_base : int64;
   text_bytes : int;
   rodata_base : int64;
@@ -52,6 +51,10 @@ type placed = {
   data_bytes : int;
   lint_warnings : Paclint.Diag.t list;
       (** warning-severity lint findings on the accepted text *)
+  symbol_table : (string, int64) Hashtbl.t;
+      (** the table behind {!symbol}: every text symbol of
+          [text_layout] and every rodata/data blob; where a name
+          repeats, the first binding wins, text before data *)
 }
 
 type error =
@@ -74,7 +77,8 @@ val load :
     [System.unload_module] for the address-reuse path. *)
 val unload : env:env -> placed -> unit
 
-(** [symbol placed name] — text or data symbol address.
+(** [symbol placed name] — text or data symbol address (a text symbol
+    shadows a data symbol of the same name), in one hash lookup.
     Raises [Not_found]. *)
 val symbol : placed -> string -> int64
 

@@ -33,6 +33,43 @@ type oops = {
    (host-driven) one. *)
 type cpu_state = { pc : Percpu.t; mutable cur : task; mutable idle : task option }
 
+(* The host-kernel ABI: every kernel symbol this module's own paths
+   (syscall dispatch, context switch, task setup, deferred work, the
+   console drain, the table MAC) use, resolved once when the image is
+   loaded instead of by name on every call. An image that lacks one of
+   them fails at boot. Other callers look symbols up with
+   [kernel_symbol]. *)
+type abi = {
+  sys_call_table : int64;
+  table_mac : int64;
+  cpu_switch_to : int64;
+  run_work : int64;
+  run_timers : int64;
+  task_slab_next : int64;
+  file_slab_next : int64;
+  console_fops : int64;
+  root_cred : int64;
+  user_cred : int64;
+  console_ring : int64;
+  console_state : int64;
+}
+
+let resolve_abi sym =
+  {
+    sys_call_table = sym "sys_call_table";
+    table_mac = sym "table_mac";
+    cpu_switch_to = sym "cpu_switch_to";
+    run_work = sym "run_work";
+    run_timers = sym "run_timers";
+    task_slab_next = sym "task_slab_next";
+    file_slab_next = sym "file_slab_next";
+    console_fops = sym "console_fops";
+    root_cred = sym "root_cred";
+    user_cred = sym "user_cred";
+    console_ring = sym "console_ring";
+    console_state = sym "console_state";
+  }
+
 type t = {
   machine : Machine.t;
   mutable cpu : Cpu.t;  (** the active core — all helpers run on it *)
@@ -43,7 +80,9 @@ type t = {
   hyp : Hypervisor.t;
   xom : Xom.t;
   bruteforce : C.Bruteforce.t;
+  (* the kernel image and its ABI: set once at boot, then fixed *)
   mutable kernel : Kelf.Loader.placed;
+  mutable abi : abi;
   rng : Camo_util.Rng.t;
   mutable current : task;
   mutable tasks : task list;
@@ -220,7 +259,7 @@ let prepare_switch_frame t task =
   enter_kernel_context t;
   let top = task_stack_top task in
   let sp = Int64.sub top 16L in
-  let switch_addr = kernel_symbol t "cpu_switch_to" in
+  let switch_addr = t.abi.cpu_switch_to in
   let signed_lr =
     sign_return_address t ~sp:top ~func_addr:switch_addr Cpu.sentinel
   in
@@ -242,7 +281,7 @@ let write_user_keys t task =
     Sysreg.[ IA; IB; DA; DB; GA ]
 
 let alloc_task_struct t =
-  let cell = kernel_symbol t "task_slab_next" in
+  let cell = t.abi.task_slab_next in
   let va = Kmem.read64 t.cpu cell in
   Kmem.write64 t.cpu cell (Int64.add va (Int64.of_int Kobject.Task.size));
   va
@@ -260,8 +299,7 @@ let init_task_fields t task =
    other tasks get the unprivileged user credentials. *)
 let assign_cred t task =
   enter_kernel_context t;
-  let cred_sym = if task.pid = 1 then "root_cred" else "user_cred" in
-  let cred = kernel_symbol t cred_sym in
+  let cred = if task.pid = 1 then t.abi.root_cred else t.abi.user_cred in
   let signed =
     C.Pointer_integrity.sign_value t.cpu t.config t.registry ~type_name:"task"
       ~member_name:"cred" ~obj_addr:task.va cred
@@ -271,10 +309,10 @@ let assign_cred t task =
 (* Give a task the console on stdout/stderr: a file object whose signed
    ops pointer targets the console ops table. *)
 let install_console_fds t task =
-  let cell = kernel_symbol t "file_slab_next" in
+  let cell = t.abi.file_slab_next in
   let file = Kmem.read64 t.cpu cell in
   Kmem.write64 t.cpu cell (Int64.add file (Int64.of_int Kobject.File.size));
-  let fops = kernel_symbol t "console_fops" in
+  let fops = t.abi.console_fops in
   enter_kernel_context t;
   let signed =
     C.Pointer_integrity.sign_value t.cpu t.config t.registry ~type_name:"file"
@@ -425,7 +463,7 @@ let syscall_gen ?trap_charged t ~nr ~args =
     kernel_entry ?trap_charged t;
     List.iteri (fun idx v -> Cpu.set_reg t.cpu (Insn.R idx) v) args;
     Cpu.set_reg t.cpu (Insn.R 28) t.current.va;
-    let table = kernel_symbol t "sys_call_table" in
+    let table = t.abi.sys_call_table in
     let handler =
       if nr < 0 || nr >= Kbuild.syscall_count then 0L
       else Kmem.read64 t.cpu (Int64.add table (Int64.of_int (8 * nr)))
@@ -483,7 +521,7 @@ let switch_to t next =
     Cpu.set_reg t.cpu (Insn.R 1) next.va;
     Cpu.charge t.cpu sched_pick_cycles;
     (* the switch runs on the previous task's current kernel stack *)
-    let outcome = call_handler t (kernel_symbol t "cpu_switch_to") in
+    let outcome = call_handler t t.abi.cpu_switch_to in
     (match outcome with
     | Ok _ ->
         t.current <- next;
@@ -503,7 +541,7 @@ let run_work t ~work_va =
     enter_kernel_context t;
     Cpu.set_sp_of t.cpu El.El1 (task_stack_top t.current);
     Cpu.set_reg t.cpu (Insn.R 0) work_va;
-    call_handler t (kernel_symbol t "run_work")
+    call_handler t t.abi.run_work
   end
 
 (* Timer dispatch: fire expired timers against the virtual counter,
@@ -516,7 +554,7 @@ let run_timers t =
     enter_kernel_context t;
     Cpu.set_sp_of t.cpu El.El1 (task_stack_top t.current);
     Cpu.set_reg t.cpu (Insn.R 0) (Cpu.cycles t.cpu);
-    call_handler t (kernel_symbol t "run_timers")
+    call_handler t t.abi.run_timers
   end
 
 (* Symbol tables for the telemetry profiler: half-open PC ranges from a
@@ -542,8 +580,8 @@ let symbol_ranges t =
    head counter is guest memory, so a fault can leave any value there;
    the read is clamped to the ring. *)
 let console_output t =
-  let ring = kernel_symbol t "console_ring" in
-  let head = Int64.to_int (Kmem.read64 t.cpu (kernel_symbol t "console_state")) in
+  let ring = t.abi.console_ring in
+  let head = Int64.to_int (Kmem.read64 t.cpu t.abi.console_state) in
   let len = max 0 (min head 8192) in
   Kmem.read_string t.cpu ring len
 
@@ -725,9 +763,9 @@ let measure_syscall_table t =
   enter_kernel_context t;
   Cpu.set_el t.cpu El.El1;
   Cpu.set_sp_of t.cpu El.El1 (task_stack_top t.current);
-  Cpu.set_reg t.cpu (Insn.R 0) (kernel_symbol t "sys_call_table");
+  Cpu.set_reg t.cpu (Insn.R 0) t.abi.sys_call_table;
   Cpu.set_reg t.cpu (Insn.R 1) (Int64.of_int Kbuild.syscall_count);
-  match Cpu.call t.cpu (kernel_symbol t "table_mac") with
+  match Cpu.call t.cpu t.abi.table_mac with
   | Cpu.Sentinel_return -> Cpu.reg t.cpu (Insn.R 0)
   | other -> failwith ("table_mac: " ^ Cpu.stop_to_string other)
 
@@ -1090,7 +1128,6 @@ let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
         {
           Kelf.Loader.object_name = "";
           text_layout = Asm.assemble (Asm.create ()) ~base:Layout.text_base;
-          data_symbols = [];
           text_base = Layout.text_base;
           text_bytes = 0;
           rodata_base = Layout.rodata_base;
@@ -1098,7 +1135,9 @@ let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
           data_base = Layout.data_base;
           data_bytes = 0;
           lint_warnings = [];
+          symbol_table = Hashtbl.create 0;
         };
+      abi = resolve_abi (fun _ -> 0L);
       rng;
       current = { va = 0L; slot = 0; pid = 0 };
       tasks = [];
@@ -1140,6 +1179,7 @@ let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
     | Result.Error e -> failwith ("kernel image rejected: " ^ Kelf.Loader.error_to_string e)
   in
   t.kernel <- kernel;
+  t.abi <- resolve_abi (Kelf.Loader.symbol kernel);
   List.iter
     (fun d -> logf t "paclint: %s" (Paclint.Diag.to_string d))
     kernel.Kelf.Loader.lint_warnings;
@@ -1180,12 +1220,12 @@ let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
    scheduler mirrors, task lists, the console/oops logs, the RNG stream
    position, brute-force accounting, and the held-out attestation MACs.
    Immutable-after-boot structures (config, registry, hypervisor, XOM
-   layout, per-CPU bases) are shared, not copied. *)
+   layout, per-CPU bases, the kernel image and its ABI record) are
+   shared, not copied. *)
 type snapshot = {
   snap_machine : Machine.snapshot;
   snap_active : int;
   snap_percpu : (task * task option) array;
-  snap_kernel : Kelf.Loader.placed;
   snap_rng : int64;
   snap_current : task;
   snap_tasks : task list;
@@ -1206,7 +1246,6 @@ let snapshot t =
     snap_machine = Machine.snapshot t.machine;
     snap_active = t.active;
     snap_percpu = Array.map (fun st -> (st.cur, st.idle)) t.percpu;
-    snap_kernel = t.kernel;
     snap_rng = Camo_util.Rng.state t.rng;
     snap_current = t.current;
     snap_tasks = t.tasks;
@@ -1231,7 +1270,6 @@ let restore t s =
       t.percpu.(i).cur <- cur;
       t.percpu.(i).idle <- idle)
     s.snap_percpu;
-  t.kernel <- s.snap_kernel;
   Camo_util.Rng.set_state t.rng s.snap_rng;
   t.current <- s.snap_current;
   t.tasks <- s.snap_tasks;

@@ -278,9 +278,10 @@ val sched_pick_cycles : int
     captured point; one snapshot supports any number of restores, each
     proportional to what the intervening run dirtied. Restoring also
     drops step hooks installed after the capture (a fault injector armed
-    for one trial does not leak into the next) and flushes the decoded-
-    instruction cache. A snapshot is tied to the system it was taken
-    from: restoring it into a different system is not supported. *)
+    for one trial does not leak into the next). The host-speed caches
+    stay warm across a restore ({!Aarch64.Machine.restore}). A snapshot
+    is tied to the system it was taken from: restoring it into a
+    different system is not supported. *)
 type snapshot
 
 val snapshot : t -> snapshot

@@ -41,6 +41,12 @@ let add_core b core =
       add_i64 b v)
     ()
 
+(* A frame is a whole number of 64-bit words, so it is tested a word
+   at a time: this scan runs over every allocated frame. *)
+let all_zero frame =
+  let rec from i = i < 0 || (Bytes.get_int64_ne frame i = 0L && from (i - 8)) in
+  from (Bytes.length frame - 8)
+
 let add_machine b m =
   add_int b (Machine.cpus m);
   List.iter (add_core b) (Machine.cores m);
@@ -49,7 +55,6 @@ let add_machine b m =
      architecturally indistinguishable from an absent one — skip both,
      or allocation history (e.g. a restore that zero-fills frames the
      previous trial touched into existence) would leak into the hash *)
-  let all_zero frame = Bytes.for_all (fun c -> c = '\000') frame in
   Mem.fold_frames (Machine.mem m)
     (fun () idx frame ->
       if not (all_zero frame) then begin

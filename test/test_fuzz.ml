@@ -140,7 +140,10 @@ let prop_no_benign_panic =
    forward conditional skips, PAC/AUT round trips, stack push/pop pairs
    and (optionally) a self-patching store — wrapped in a loop hot
    enough to cross the trace compiler's threshold, executed under all
-   three tiers. The observable is the stop reason plus the whole-machine
+   three tiers. A self-patching program either re-patches its victim
+   pair on every trip, after the victim has run, or patches it once,
+   just after the first trip ran the victim from the loop head. The
+   observable is the stop reason plus the whole-machine
    state fingerprint ({!Snapshot.Fingerprint.of_machine}: registers,
    flags, cycle and retirement totals, system registers, every non-zero
    memory frame, both translation stages), so any divergence the trace
@@ -148,7 +151,8 @@ let prop_no_benign_panic =
    a self-patch, a mis-costed instruction — fails the property.
 
    Register discipline keeps random programs well-defined: R0-R5 are
-   arithmetic scratch, R8/R9 carry the self-patch word and victim
+   arithmetic scratch, R6 accumulates the victim's immediate (7
+   unpatched, 9 patched), R8/R9 carry the self-patch word and victim
    address, R10 points at the data region, R11 is the loop counter,
    R12/R13 are PAC scratch. *)
 
@@ -163,13 +167,17 @@ type fitem =
   | Skip_cond of Insn.cond * Insn.t list
   | Pac_pair of Sysreg.pauth_key  (* sign + authenticate, result folded in *)
   | Pacga_mix
-  | Patch  (* store R8 over the victim pair (selfmod programs only) *)
+  | Patch
+      (* store R8 over the victim pair (selfmod programs only); a
+         [victim_first] program then points R9 at the data region, so
+         later trips store there *)
 
 type fprog = {
   seeds : int list;  (* initial R0..R5 *)
   iters : int;  (* loop trips: past the hot threshold of 16 *)
   body : fitem list;
   selfmod : bool;
+  victim_first : bool;  (* selfmod: victim at the loop head, patched once *)
 }
 
 let gen_arith =
@@ -231,7 +239,9 @@ let gen_fprog =
        in
        return (ins at body)
      else return body)
-    >>= fun body -> return { seeds; iters; body; selfmod })
+    >>= fun body ->
+    (if selfmod then bool else return false) >>= fun victim_first ->
+    return { seeds; iters; body; selfmod; victim_first })
 
 let fitem_to_string = function
   | Arith i -> Insn.to_string i
@@ -251,13 +261,14 @@ let fitem_to_string = function
   | Patch -> "self-patch"
 
 let print_fprog p =
-  Printf.sprintf "iters=%d selfmod=%b seeds=[%s] body=[%s]" p.iters p.selfmod
+  Printf.sprintf "iters=%d selfmod=%b victim_first=%b seeds=[%s] body=[%s]"
+    p.iters p.selfmod p.victim_first
     (String.concat "," (List.map string_of_int p.seeds))
     (String.concat " | " (List.map fitem_to_string p.body))
 
 (* Emit one body item; returns the Asm items and the instruction count
    (labels are free), so the victim pair can be 8-aligned. *)
-let emit_fitem fresh = function
+let emit_fitem ~victim_first fresh = function
   | Arith i -> ([ Asm.ins i ], 1)
   | Store_load (s, d, k) ->
       ( [
@@ -300,6 +311,12 @@ let emit_fitem fresh = function
           Asm.ins (Insn.Eor_reg (Insn.R 2, Insn.R 2, Insn.R 13));
         ],
         2 )
+  | Patch when victim_first ->
+      ( [
+          Asm.ins (Insn.Str (Insn.R 8, Insn.Off (Insn.R 9, 0)));
+          Asm.ins (Insn.Mov (Insn.R 9, Insn.R 10));
+        ],
+        2 )
   | Patch -> ([ Asm.ins (Insn.Str (Insn.R 8, Insn.Off (Insn.R 9, 0))) ], 1)
 
 let emit_fprog p =
@@ -312,7 +329,7 @@ let emit_fprog p =
   let body_items, body_insns =
     List.fold_left
       (fun (items, n) it ->
-        let is, k = emit_fitem fresh it in
+        let is, k = emit_fitem ~victim_first:p.victim_first fresh it in
         (items @ is, n + k))
       ([], 0) p.body
   in
@@ -323,7 +340,7 @@ let emit_fprog p =
   in
   let word =
     Int64.logor
-      (enc (Insn.Movz (Insn.R 4, 9, 0)))
+      (enc (Insn.Add_imm (Insn.R 6, Insn.R 6, 9)))
       (Int64.shift_left (enc Insn.Nop) 32)
   in
   let mov_abs r v =
@@ -342,23 +359,27 @@ let emit_fprog p =
   in
   let prologue_insns = 4 + (if p.selfmod then 8 else 0) + 6 + 1 in
   (* keep the 8-byte victim pair aligned for the single patching store *)
-  let pad =
-    if (prologue_insns + body_insns) mod 2 = 1 then [ Asm.ins Insn.Nop ] else []
-  in
+  let pad_after n = if n mod 2 = 1 then [ Asm.ins Insn.Nop ] else [] in
   let victim =
     if p.selfmod then
       [
         Asm.label "victim";
-        Asm.ins (Insn.Movz (Insn.R 4, 7, 0));
+        Asm.ins (Insn.Add_imm (Insn.R 6, Insn.R 6, 7));
         Asm.ins Insn.Nop;
       ]
     else []
   in
+  let loop =
+    if p.victim_first then
+      pad_after prologue_insns @ [ Asm.label "loop" ] @ victim @ body_items
+    else
+      [ Asm.label "loop" ] @ body_items
+      @ pad_after (prologue_insns + body_insns)
+      @ victim
+  in
   let prog = Asm.create () in
   Asm.add_function prog ~name:"fuzz"
-    (prologue
-    @ [ Asm.label "loop" ]
-    @ body_items @ pad @ victim
+    (prologue @ loop
     @ [
         Asm.ins (Insn.Sub_imm (Insn.R 11, Insn.R 11, 1));
         Asm.cbnz_to (Insn.R 11) "loop";
@@ -366,17 +387,21 @@ let emit_fprog p =
       ]);
   prog
 
-(* [attach] runs on the boot core once the program is loaded, just
-   before the call: it arms an injector or attaches a sink. *)
-let run_fprog ?(attach = ignore) ~tier p =
+let load_fprog ~tier p =
   let m = Bare.smp ~seed:11L ~tier () in
   let cpu = Machine.boot_core m in
   if p.selfmod then
     Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
-  let layout = Bare.load cpu (emit_fprog p) in
+  (m, cpu, Bare.load cpu (emit_fprog p))
+
+(* [attach] runs on the boot core once the program is loaded, just
+   before the call: it arms an injector or attaches a sink. *)
+let call_fprog ?(attach = ignore) (m, cpu, layout) =
   attach cpu;
   let stop = Bare.call ~max_insns:200_000 cpu layout "fuzz" in
   (Cpu.stop_to_string stop, Snapshot.Fingerprint.of_machine m)
+
+let run_fprog ?attach ~tier p = call_fprog ?attach (load_fprog ~tier p)
 
 let prop_three_tier =
   QCheck2.Test.make
@@ -400,18 +425,20 @@ let prop_three_tier =
    - observed runs count the same counter file on every tier. *)
 let arm spec cpu = Faultinj.Injector.arm (Faultinj.Injector.create spec) cpu
 
+let never =
+  Faultinj.Injector.
+    { trigger = After_steps max_int; model = Skip_insn; persistence = Transient }
+
+let counters_json sink =
+  Telemetry.Counters.to_json
+    (Telemetry.Counters.snapshot (Telemetry.Sink.counters sink))
+
 let observed ~tier p =
   let sink = Telemetry.Sink.create ~cpu:0 () in
   let result = run_fprog ~attach:(fun cpu -> Cpu.attach_telemetry cpu sink) ~tier p in
-  ( result,
-    Telemetry.Counters.to_json
-      (Telemetry.Counters.snapshot (Telemetry.Sink.counters sink)) )
+  (result, counters_json sink)
 
 let prop_observed_armed =
-  let never =
-    Faultinj.Injector.
-      { trigger = After_steps max_int; model = Skip_insn; persistence = Transient }
-  in
   QCheck2.Test.make
     ~name:"random programs: armed and observed runs agree on every tier"
     ~count:150
@@ -431,6 +458,58 @@ let prop_observed_armed =
           && observed ~tier p = (plain, counters)
           && run_fprog ~attach:(arm skip) ~tier p = skipped)
         Cpu.all_tiers)
+
+(* Snapshot/restore joins the matrix. The snapshot is taken after the
+   load, or mid-run after a random instruction budget; the program runs
+   on from there, the machine is restored, and it runs on again over
+   the icache and trace caches the first run left warm. Restore keeps
+   those caches, so only [Mem.restore]'s notifications drop what the
+   first run patched: a victim-first program snapshotted before its
+   patch ends its first run with the patched victim decoded (and, on
+   traces, compiled into the loop's block), yet its second run must
+   start from the unpatched victim again. For plain runs, armed runs
+   whose injector never fires, and observed runs (counter files
+   included), the second run must equal the first on every tier. *)
+let rerun_after_restore ~attach ~tier ~at p =
+  let m, cpu, layout = load_fprog ~tier p in
+  (* enters [fuzz] and retires [at] instructions (none for [at = 0]); a
+     program that ends sooner leaves the PC at the sentinel, and the
+     runs below return at once *)
+  ignore (Bare.call ~max_insns:at cpu layout "fuzz" : Cpu.stop);
+  let snap = Machine.snapshot m in
+  let run_on () =
+    attach cpu;
+    let stop = Cpu.run ~max_insns:200_000 cpu in
+    (Cpu.stop_to_string stop, Snapshot.Fingerprint.of_machine m)
+  in
+  let first = run_on () in
+  Machine.restore m snap;
+  first = run_on ()
+
+let prop_restore_rerun =
+  QCheck2.Test.make
+    ~name:"random programs: a restored rerun repeats the first run on every tier"
+    ~count:100
+    ~print:(fun (p, mid) ->
+      Printf.sprintf "%s snapshots after load and at insn %d" (print_fprog p) mid)
+    QCheck2.Gen.(pair gen_fprog (int_range 1 2000))
+    (fun (p, mid) ->
+      List.for_all
+        (fun (tier, at) ->
+          let sinks = ref [] in
+          let observe cpu =
+            let sink = Telemetry.Sink.create ~cpu:0 () in
+            sinks := sink :: !sinks;
+            Cpu.attach_telemetry cpu sink
+          in
+          rerun_after_restore ~attach:ignore ~tier ~at p
+          && rerun_after_restore ~attach:(arm never) ~tier ~at p
+          && rerun_after_restore ~attach:observe ~tier ~at p
+          &&
+          match List.map counters_json !sinks with
+          | [ second; first ] -> first = second
+          | _ -> false)
+        (List.concat_map (fun tier -> [ (tier, 0); (tier, mid) ]) Cpu.all_tiers))
 
 (* Telemetry is pure observation in every tier: booting the kernel with
    counters on and running a random syscall sequence must produce the
@@ -464,4 +543,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_three_tier;
     QCheck_alcotest.to_alcotest prop_tier_telemetry;
     QCheck_alcotest.to_alcotest prop_observed_armed;
+    QCheck_alcotest.to_alcotest prop_restore_rerun;
   ]

@@ -11,6 +11,11 @@ module K = Kernel
 module FC = Faultinj.Campaign
 module L = Snapshot.Log
 
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 (* --- Mem: the copy-on-write unit ---------------------------------- *)
 
 let test_mem_cow_restore () =
@@ -34,6 +39,123 @@ let test_mem_cow_restore () =
   Mem.write64 mem 0x1000L 0xbeefL;
   Mem.restore mem snap;
   Alcotest.(check int64) "snapshot is reusable" 0xaaL (Mem.read64 mem 0x1000L)
+
+(* --- Mmu: restore refills only what moved -------------------------- *)
+
+let test_mmu_restore_refills_on_change () =
+  let a = Mmu.create () in
+  Mmu.map a ~va_page:1L ~pa_page:2L ~el0:Mmu.no_access ~el1:Mmu.rx;
+  let snap = Mmu.snapshot a in
+  let g = Mmu.generation a in
+  Mmu.restore a snap;
+  Alcotest.(check int) "unchanged tables: restore is a no-op" g (Mmu.generation a);
+  Mmu.unmap a ~va_page:1L;
+  Mmu.restore a snap;
+  Alcotest.(check bool) "changed tables: refilled" true
+    (Mmu.stage1_lookup a 1L = Some (2L, Mmu.no_access, Mmu.rx));
+  Alcotest.(check bool) "refill advances the generation" true (Mmu.generation a > g);
+  let g' = Mmu.generation a in
+  Mmu.restore a snap;
+  Alcotest.(check int) "matching again after the refill" g' (Mmu.generation a);
+  (* a different Mmu whose generation happens to equal the snapshot's *)
+  let b = Mmu.create () in
+  for _ = 1 to g' do
+    Mmu.stage2_protect b ~pa_page:9L Mmu.rw
+  done;
+  Alcotest.(check int) "same generation count" g' (Mmu.generation b);
+  Mmu.restore b snap;
+  Alcotest.(check bool) "another Mmu always refills" true
+    (Mmu.stage1_lookup b 1L = Some (2L, Mmu.no_access, Mmu.rx)
+    && Mmu.stage2_lookup b 9L = None);
+  Alcotest.(check bool) "and advances its generation" true (Mmu.generation b > g')
+
+(* --- restore keeps the caches, yet never runs stale code ------------ *)
+
+(* Load [f], which returns 7, and call it 24 times, so it is decoded
+   and, on traces, compiled. Returns the machine, the core, [f]'s
+   address and a call of [f]. *)
+let warm_f ~tier =
+  let m = Bare.smp ~seed:5L ~tier () in
+  let cpu = Machine.boot_core m in
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"f"
+    [ Asm.ins (Insn.Movz (Insn.R 0, 7, 0)); Asm.ins Insn.Ret ];
+  let layout = Bare.load cpu prog in
+  let call () =
+    let stop = Cpu.stop_to_string (Bare.call cpu layout "f") in
+    (stop, Cpu.reg cpu (Insn.R 0))
+  in
+  for _ = 1 to 24 do
+    ignore (call ())
+  done;
+  (m, cpu, Asm.symbol layout "f", call)
+
+(* Snapshot the warm machine, [change] the translation of [f]'s page,
+   call [f] once under the change, restore, and call it again. A
+   restore flushes neither the icache nor the trace cache, so the
+   refill in [Mmu.restore], and the generation bump that comes with it,
+   are what stop the changed translation's cache entries outliving it. *)
+let restore_after_change ~tier change =
+  let m, _, va, call = warm_f ~tier in
+  let snap = Machine.snapshot m in
+  change m ~va;
+  let changed = call () in
+  Machine.restore m snap;
+  (changed, call ())
+
+(* a second copy of [f], returning 9 instead, in a frame of its own *)
+let remap_to_other_frame m ~va =
+  let other = 0x480000L in
+  let mem = Machine.mem m in
+  Mem.write32 mem other (Encode.encode ~pc:va (Insn.Movz (Insn.R 0, 9, 0)));
+  Mem.write32 mem (Int64.add other 4L) (Encode.encode ~pc:(Int64.add va 4L) Insn.Ret);
+  Mmu.map (Machine.mmu m) ~va_page:(Vaddr.page_of va) ~pa_page:(Vaddr.page_of other)
+    ~el0:Mmu.no_access ~el1:Mmu.rx
+
+let test_restore_after_translation_change () =
+  let pa_page va = Vaddr.page_of (Bare.pa_of_va va) in
+  let cases =
+    [
+      ( "unmap the code page",
+        (fun m ~va -> Mmu.unmap (Machine.mmu m) ~va_page:(Vaddr.page_of va)),
+        "translation fault" );
+      ( "revoke stage-2 execute",
+        (fun m ~va -> Mmu.stage2_protect (Machine.mmu m) ~pa_page:(pa_page va) Mmu.rw),
+        "stage-2 permission fault" );
+      ("remap to another frame", remap_to_other_frame, "sentinel return");
+    ]
+  in
+  List.iter
+    (fun (name, change, expect) ->
+      List.iter
+        (fun tier ->
+          let label what = Printf.sprintf "%s, %s: %s" name (Cpu.tier_name tier) what in
+          let (stop, r0), after = restore_after_change ~tier change in
+          Alcotest.(check bool) (label "the change took effect") true
+            (contains expect stop && (expect <> "sentinel return" || r0 = 9L));
+          Alcotest.(check (pair string int64))
+            (label "after restore: the snapshot's code and mapping")
+            ("sentinel return", 7L) after)
+        Cpu.all_tiers)
+    cases
+
+(* With the translation untouched, a restore leaves both caches alone:
+   the next call hits the icache and dispatches the compiled block. *)
+let test_restore_keeps_caches_warm () =
+  let m, cpu, _, call = warm_f ~tier:Cpu.Traces in
+  let snap = Machine.snapshot m in
+  ignore (call ());
+  let flushes () =
+    ( (Icache.stats (Machine.icache m)).Icache.flushes,
+      (Option.get (Cpu.trace_stats cpu)).Traces.flushes )
+  in
+  let before = flushes () in
+  let compiled = (Option.get (Cpu.trace_stats cpu)).Traces.compiled in
+  Machine.restore m snap;
+  Alcotest.(check (pair string int64)) "same result" ("sentinel return", 7L) (call ());
+  Alcotest.(check (pair int int)) "no flush across the restore" before (flushes ());
+  Alcotest.(check int) "the block compiled before the snapshot still runs" compiled
+    (Option.get (Cpu.trace_stats cpu)).Traces.compiled
 
 (* --- restore-then-run ≡ boot-then-run ----------------------------- *)
 
@@ -141,6 +263,21 @@ let test_session_trial_matches_fresh_boot () =
       fresh.FC.fired t.FC.fired
   done
 
+(* Only record mode and replay read a trial's fingerprint, so a trial
+   takes it only when asked, and asking changes nothing else. *)
+let test_fingerprint_on_request () =
+  let ses = FC.create_session ~seed:11L () in
+  let line tr =
+    L.entry_to_json (Faultinj.Replay.entry_of_trial ~fingerprint:"" tr.FC.tr_trial)
+  in
+  let plain = FC.run_random_trial_in ses ~index:2 () in
+  let state = Snapshot.Fingerprint.of_system (FC.session_system ses) in
+  let asked = FC.run_random_trial_in ses ~fingerprint:true ~index:2 () in
+  Alcotest.(check (option string)) "not taken by default" None plain.FC.tr_fingerprint;
+  Alcotest.(check (option string)) "on request: the post-trial state" (Some state)
+    asked.FC.tr_fingerprint;
+  Alcotest.(check string) "the trial is the same" (line plain) (line asked)
+
 (* --- record-replay ------------------------------------------------- *)
 
 let tmpdir =
@@ -230,11 +367,6 @@ let test_replay_detects_divergence () =
    or entries whose indices repeat or leave [0, trials), must be refused
    with an error naming the field before anything boots, never an
    exception from System.boot or a clean replay. *)
-let contains sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let test_replay_rejects_malformed () =
   let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"hostile")) in
   let h = log.L.header in
@@ -392,4 +524,12 @@ let suite =
       test_corrupt_console_head;
     Alcotest.test_case "telemetry-on recording replays clean" `Quick
       test_replay_telemetry_recording;
+    Alcotest.test_case "mmu restore: refill only when the tables moved" `Quick
+      test_mmu_restore_refills_on_change;
+    Alcotest.test_case "restore after a translation change, every tier" `Quick
+      test_restore_after_translation_change;
+    Alcotest.test_case "restore over unchanged tables keeps caches warm" `Quick
+      test_restore_keeps_caches_warm;
+    Alcotest.test_case "trial fingerprints only on request" `Quick
+      test_fingerprint_on_request;
   ]
