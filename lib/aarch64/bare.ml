@@ -4,12 +4,12 @@ let data_base = 0xffff000000300000L
 
 let pa_of_va va = Int64.logand va 0x0000ffffffffffffL
 
-let map_region ?(el0 = Mmu.no_access) cpu ~base ~pages perm =
+let map_region cpu ~base ~pages perm =
   for idx = 0 to pages - 1 do
     let va = Int64.add base (Int64.of_int (idx * 4096)) in
     Mmu.map (Cpu.mmu cpu) ~va_page:(Vaddr.page_of va)
       ~pa_page:(Vaddr.page_of (pa_of_va va))
-      ~el0 ~el1:perm
+      ~el0:Mmu.no_access ~el1:perm
   done
 
 (* Shared EL1 bring-up: mappings, stack, enable bits, random keys. *)
@@ -41,13 +41,13 @@ let machine ?seed ?cost ?trace_depth ?tier () =
 (* Machine-based variant, for harnesses that need whole-machine
    snapshots or Snapshot.Fingerprint.of_machine — notably the
    three-tier differential fuzzer. *)
-let smp ?seed ?cost ?trace_depth ?tier ?(cpus = 1) () =
-  let m = Machine.create ?cost ?trace_depth ?tier ~cpus () in
+let smp ?seed ?tier () =
+  let m = Machine.create ?tier ~cpus:1 () in
   ignore (setup ?seed (Machine.boot_core m) : Cpu.t);
   m
 
-let load ?(base = code_base) cpu prog =
-  let layout = Asm.assemble prog ~base in
+let load cpu prog =
+  let layout = Asm.assemble prog ~base:code_base in
   Asm.encode_into layout ~write32:(fun va word ->
       Mem.write32 (Cpu.mem cpu) (pa_of_va va) word);
   layout

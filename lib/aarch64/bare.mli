@@ -21,20 +21,18 @@ val machine :
   ?seed:int64 -> ?cost:Cost.profile -> ?trace_depth:int -> ?tier:Cpu.tier ->
   unit -> Cpu.t
 
-(** [smp ?tier ()] — the same bring-up on a {!Machine} (boot core at
-    EL1 with mappings, stack and keys; secondary cores, if any, are
-    left untouched), for harnesses that need whole-machine snapshots or
+(** [smp ?tier ()] — the same bring-up on a one-core {!Machine}, for
+    harnesses that need whole-machine snapshots or
     [Snapshot.Fingerprint.of_machine] — the three-tier differential
-    fuzzer's entry point. Default [cpus] is 1. *)
-val smp :
-  ?seed:int64 -> ?cost:Cost.profile -> ?trace_depth:int -> ?tier:Cpu.tier ->
-  ?cpus:int -> unit -> Machine.t
+    fuzzer's entry point. *)
+val smp : ?seed:int64 -> ?tier:Cpu.tier -> unit -> Machine.t
 
-(** [map_region cpu ~base ~pages perm] — add an EL1 mapping. *)
-val map_region : ?el0:Mmu.perm -> Cpu.t -> base:int64 -> pages:int -> Mmu.perm -> unit
+(** [map_region cpu ~base ~pages perm] — add an EL1 mapping, with no
+    EL0 access. *)
+val map_region : Cpu.t -> base:int64 -> pages:int -> Mmu.perm -> unit
 
 (** [load cpu prog] — assemble at {!code_base} and write into memory. *)
-val load : ?base:int64 -> Cpu.t -> Asm.program -> Asm.layout
+val load : Cpu.t -> Asm.program -> Asm.layout
 
 (** [read64]/[write64] — host access through the identity map. *)
 val read64 : Cpu.t -> int64 -> int64

@@ -67,8 +67,6 @@ type t = {
   mutable cycles : int;
   mutable insns_retired : int;
   has_pauth : bool;
-  user_cfg : Vaddr.config;
-  kernel_cfg : Vaddr.config;
   mutable sysreg_locked : Sysreg.t -> bool;
   (* ring buffer of recently retired (pc, insn), newest last; parallel
      arrays so a retire stores two fields instead of allocating a
@@ -105,9 +103,9 @@ let[@inline] is_sentinel pc =
 
 let[@inline] is_zero64 v = Int64.to_int v = 0 && Int64.equal v 0L
 
-let create ?(cost = Cost.cortex_a53) ?(has_pauth = true) ?(user_cfg = Vaddr.linux_user)
-    ?(kernel_cfg = Vaddr.linux_kernel) ?(cipher = Qarma.Block.create ()) ?mem ?mmu
-    ?icache ?(tier = Icache) ?(trace_depth = 32) ?(id = 0) () =
+let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
+    ?(cipher = Qarma.Block.create ()) ?mem ?mmu ?icache ?(tier = Icache)
+    ?(trace_depth = 32) ?(id = 0) () =
   if trace_depth <= 0 then invalid_arg "Cpu.create: trace_depth";
   let mem = match mem with Some m -> m | None -> Mem.create () in
   let mmu = match mmu with Some m -> m | None -> Mmu.create () in
@@ -138,8 +136,6 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true) ?(user_cfg = Vaddr.linu
     cycles = 0;
     insns_retired = 0;
     has_pauth;
-    user_cfg;
-    kernel_cfg;
     sysreg_locked = (fun _ -> false);
     trace_pc =
       (let a = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout trace_depth in
@@ -162,13 +158,13 @@ let id t = t.id
 let cipher t = t.cipher
 let cost_profile t = t.cost
 let has_pauth t = t.has_pauth
-let user_cfg t = t.user_cfg
-let kernel_cfg t = t.kernel_cfg
+let user_cfg (_ : t) = Vaddr.linux_user
+let kernel_cfg (_ : t) = Vaddr.linux_kernel
 
-let pointer_cfg t va =
+let pointer_cfg (_ : t) va =
   match Vaddr.select va with
-  | Vaddr.Kernel -> t.kernel_cfg
-  | Vaddr.User | Vaddr.Invalid -> t.user_cfg
+  | Vaddr.Kernel -> Vaddr.linux_kernel
+  | Vaddr.User | Vaddr.Invalid -> Vaddr.linux_user
 
 let sp_of t = function
   | El.El0 -> t.sp_el0

@@ -83,8 +83,6 @@ val all_tiers : tier list
 val create :
   ?cost:Cost.profile ->
   ?has_pauth:bool ->
-  ?user_cfg:Vaddr.config ->
-  ?kernel_cfg:Vaddr.config ->
   ?cipher:Qarma.Block.t ->
   ?mem:Mem.t ->
   ?mmu:Mmu.t ->
@@ -112,7 +110,11 @@ val id : t -> int
 val cipher : t -> Qarma.Block.t
 val cost_profile : t -> Cost.profile
 val has_pauth : t -> bool
+
+(** The PAC layouts of user and kernel pointers: {!Vaddr.linux_user}
+    and {!Vaddr.linux_kernel} on every core. *)
 val user_cfg : t -> Vaddr.config
+
 val kernel_cfg : t -> Vaddr.config
 
 (** [pointer_cfg t va] — the PAC layout governing [va], chosen by its

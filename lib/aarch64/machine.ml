@@ -28,8 +28,8 @@ type t = {
   hub : Telemetry.Hub.t option;
 }
 
-let create ?cost ?has_pauth ?user_cfg ?kernel_cfg ?cipher ?trace_depth
-    ?(telemetry = false) ?(tier = Cpu.Icache) ~cpus () =
+let create ?cost ?has_pauth ?cipher ?trace_depth ?(telemetry = false)
+    ?(tier = Cpu.Icache) ~cpus () =
   if cpus < 1 then invalid_arg "Machine.create: cpus";
   let cipher = match cipher with Some c -> c | None -> Qarma.Block.create () in
   let mem = Mem.create () in
@@ -43,8 +43,8 @@ let create ?cost ?has_pauth ?user_cfg ?kernel_cfg ?cipher ?trace_depth
   let ic = Icache.create ~enabled:(tier <> Cpu.Interp) ~mem ~mmu () in
   let cores =
     Array.init cpus (fun id ->
-        Cpu.create ?cost ?has_pauth ?user_cfg ?kernel_cfg ~cipher ~mem ~mmu
-          ~icache:ic ~tier ?trace_depth ~id ())
+        Cpu.create ?cost ?has_pauth ~cipher ~mem ~mmu ~icache:ic ~tier
+          ?trace_depth ~id ())
   in
   let hub =
     if telemetry then begin

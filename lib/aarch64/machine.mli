@@ -36,8 +36,6 @@ type t
 val create :
   ?cost:Cost.profile ->
   ?has_pauth:bool ->
-  ?user_cfg:Vaddr.config ->
-  ?kernel_cfg:Vaddr.config ->
   ?cipher:Qarma.Block.t ->
   ?trace_depth:int ->
   ?telemetry:bool ->

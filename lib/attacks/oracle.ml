@@ -93,13 +93,13 @@ let pac_logged sys =
     (fun l -> String.length l >= 3 && String.sub l 0 3 = "PAC")
     (K.System.log sys)
 
-let sweep ?(seed = 2718L) () =
+let sweep () =
   List.map
     (fun (surface, attack) ->
       let sys =
         K.System.boot
           ~config:{ Camouflage.Config.full with bruteforce_threshold = 1000 }
-          ~seed ()
+          ~seed:2718L ()
       in
       K.Kmem.map_user_region (K.System.cpu sys) ~base:K.Layout.user_data_base
         ~bytes:4096 Aarch64.Mmu.rw;

@@ -14,10 +14,10 @@ type verdict = {
   logged : bool;  (** a PAC-failure line reached the kernel log *)
 }
 
-(** [sweep ?seed ()] — boot a fully protected system per surface and
-    report. A sound configuration yields [fatal && logged] on every
+(** [sweep ()] — boot a fully protected system (seed 2718) per surface
+    and report. A sound configuration yields [fatal && logged] on every
     surface. *)
-val sweep : ?seed:int64 -> unit -> verdict list
+val sweep : unit -> verdict list
 
 (** [all_closed verdicts] — no oracle found. *)
 val all_closed : verdict list -> bool

@@ -97,28 +97,26 @@ let setup ?(telemetry = false) ?tier ~config ~seed ~cpus ~tasks ~rounds () =
    golden run needs. *)
 let max_slices ~tasks = 64 * (tasks + 1)
 
-let check_params ?(cpus = 2) ?(tasks = 4) ?(rounds = 8) ?(quantum = 400)
-    ?quarantine_after ~trials () =
-  let quarantine =
-    match quarantine_after with
-    | None -> []
-    | Some q -> [ ("quarantine", q, 1, 1_000_000) ]
+(* An omitted parameter takes the session default, which is in range,
+   so only the given ones are checked. *)
+let check_params ?cpus ?tasks ?rounds ?quantum ?quarantine_after ~trials () =
+  let out_of_range (_, v, lo, hi) =
+    match v with Some v -> v < lo || v > hi | None -> false
   in
-  let out_of_range (_, v, lo, hi) = v < lo || v > hi in
   match
     List.find_opt out_of_range
-      ([
-         ("trials", trials, 1, 1_000_000);
-         ("cpus", cpus, 1, 16);
-         ("tasks", tasks, 1, 64);
-         ("rounds", rounds, 1, 10_000);
-         ("quantum", quantum, 50, 100_000);
-       ]
-      @ quarantine)
+      [
+        ("trials", Some trials, 1, 1_000_000);
+        ("cpus", cpus, 1, 16);
+        ("tasks", tasks, 1, 64);
+        ("rounds", rounds, 1, 10_000);
+        ("quantum", quantum, 50, 100_000);
+        ("quarantine", quarantine_after, 1, 1_000_000);
+      ]
   with
-  | None -> Ok ()
-  | Some (name, v, lo, hi) ->
+  | Some (name, Some v, lo, hi) ->
       Error (Printf.sprintf "%s %d out of range (%d-%d)" name v lo hi)
+  | _ -> Ok ()
 
 type golden = {
   g_exits : (int * K.System.user_exit) list;  (** sorted by pid *)
@@ -128,18 +126,6 @@ type golden = {
 
 let sorted_exits (stats : K.System.smp_stats) =
   List.sort compare (List.map (fun (_c, pid, e) -> (pid, e)) stats.K.System.smp_exits)
-
-let golden_run ?(config = C.Config.full) ?(cpus = 2) ?(tasks = 4) ?(rounds = 8)
-    ?(quantum = 400) ?tier ~seed () =
-  let sys, _layout, spawned = setup ?tier ~config ~seed ~cpus ~tasks ~rounds () in
-  let stats =
-    K.System.run_smp ~quantum ~max_slices:(max_slices ~tasks) sys ~tasks:spawned
-  in
-  {
-    g_exits = sorted_exits stats;
-    g_console = K.System.console_output sys;
-    g_makespan = stats.K.System.makespan;
-  }
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -200,23 +186,6 @@ let classify ~golden sys result =
                       (Silent_corruption, "lost work: not every task completed")
                     else (Silent_corruption, "exit codes or console diverge from golden")))
 
-let run_one ?(telemetry = false) ?tier ~config ~cpus ~tasks ~rounds ~quantum
-    ~quarantine_after ~seed spec_fn =
-  let sys, layout, spawned =
-    setup ~telemetry ?tier ~config ~seed ~cpus ~tasks ~rounds ()
-  in
-  let spec = spec_fn sys layout spawned in
-  let inj = Injector.create spec in
-  Injector.arm_all inj (K.System.machine sys);
-  let result =
-    try
-      Result.Ok
-        (K.System.run_smp ~quantum ~max_slices:(max_slices ~tasks) ?quarantine_after
-           sys ~tasks:spawned)
-    with Failure m -> Result.Error m
-  in
-  (sys, inj, spec, result)
-
 let trial_of ~golden ~index (sys, inj, spec, result) =
   let outcome, detail = classify ~golden sys result in
   {
@@ -233,13 +202,6 @@ let trial_of ~golden ~index (sys, inj, spec, result) =
     offlined =
       (match result with Result.Ok s -> s.K.System.smp_offlined | Result.Error _ -> []);
   }
-
-let run_trial ?(config = C.Config.full) ?(cpus = 2) ?(tasks = 4) ?(rounds = 8)
-    ?(quantum = 400) ?quarantine_after ?tier ?(index = 0) ~seed ~spec () =
-  let golden = golden_run ~config ~cpus ~tasks ~rounds ~quantum ?tier ~seed () in
-  trial_of ~golden ~index
-    (run_one ?tier ~config ~cpus ~tasks ~rounds ~quantum ~quarantine_after ~seed
-       spec)
 
 (* Draw one fault spec for trial [i]. The target population mixes the
    kernel's signed-pointer sites, saved task contexts, the user text,
@@ -361,32 +323,15 @@ let harvest_telemetry ?(keep_events = false) sys =
           jt_ring = (if keep_events then events else []);
         }
 
-(* One fleet-shardable unit of work: trial [index] of the campaign keyed
-   by [seed]. The per-trial RNG stream depends only on (seed, index), so
-   any partition of the index space over any number of workers replays
-   the exact trials the sequential loop would have run. *)
-let run_random_trial ?(config = C.Config.full) ?(cpus = 2) ?(tasks = 4)
-    ?(rounds = 8) ?(quantum = 400) ?quarantine_after ?(telemetry = false) ?tier
-    ~golden ~seed ~index () =
-  let rng =
-    Rng.create (Int64.add seed (Int64.mul golden_mix (Int64.of_int (index + 1))))
-  in
-  let ((sys, _, _, _) as outcome) =
-    run_one ~telemetry ?tier ~config ~cpus ~tasks ~rounds ~quantum
-      ~quarantine_after ~seed
-      (random_spec rng ~golden_makespan:golden.g_makespan)
-  in
-  (trial_of ~golden ~index outcome, harvest_telemetry sys)
-
 (* --- snapshot-forked sessions ------------------------------------
-   Booting and mapping the workload dominates a trial's cost, yet every
-   trial starts from the identical post-setup state. A session does the
-   setup once, snapshots it, runs the golden workload in place, and then
-   serves each trial by restoring the snapshot instead of re-booting.
-   Because [System.restore] returns the machine to the exact captured
-   state (and clears trial-armed step hooks with it), a forked trial is
-   bit-identical to a booted one — the equivalence the snapshot tests
-   pin down. *)
+   Every trial runs in a session. Booting and mapping the workload
+   dominates a trial's cost, yet every trial starts from the identical
+   post-setup state. A session does the setup once, snapshots it, runs
+   the golden workload in place, and then serves each trial by
+   restoring the snapshot instead of re-booting. [System.restore]
+   returns the machine to the exact captured state and clears
+   trial-armed step hooks with it, so no trial sees what the session
+   ran before it — the property the snapshot tests pin down. *)
 
 type session = {
   ses_sys : K.System.t;
@@ -396,7 +341,9 @@ type session = {
   ses_golden : golden;
   ses_golden_fingerprint : string;
   ses_seed : int64;
+  ses_cpus : int;
   ses_tasks : int;
+  ses_rounds : int;
   ses_quantum : int;
 }
 
@@ -430,7 +377,9 @@ let create_session ?(config = C.Config.full) ?(cpus = 2) ?(tasks = 4)
     ses_golden = golden;
     ses_golden_fingerprint = fp;
     ses_seed = seed;
+    ses_cpus = cpus;
     ses_tasks = tasks;
+    ses_rounds = rounds;
     ses_quantum = quantum;
   }
 
@@ -440,7 +389,8 @@ type trial_result = {
   tr_fingerprint : string option;
 }
 
-(* Restore, arm, run: the forked counterpart of [run_one]. *)
+(* The one trial body: restore the base snapshot, arm the fault
+   [spec_fn] draws, run, and hand back what [trial_of] classifies. *)
 let run_one_in ses ?quarantine_after spec_fn =
   let sys = ses.ses_sys in
   K.System.restore sys ses.ses_base;
@@ -457,6 +407,9 @@ let run_one_in ses ?quarantine_after spec_fn =
   in
   (sys, inj, spec, result)
 
+(* Trial [index] of the campaign keyed by the session's seed. The RNG
+   stream depends only on (seed, index), so any partition of the index
+   space over any number of workers draws the same faults. *)
 let run_random_trial_in ses ?quarantine_after ?keep_events ?(fingerprint = false)
     ~index () =
   let rng =
@@ -474,8 +427,10 @@ let run_random_trial_in ses ?quarantine_after ?keep_events ?(fingerprint = false
       (if fingerprint then Some (Snapshot.Fingerprint.of_system sys) else None);
   }
 
-let report_of_trials ?(config_name = "full") ?(cpus = 2) ?(tasks = 4)
-    ?(rounds = 8) ?(quantum = 400) ?quarantine_after ~seed ~golden trial_list =
+let run_trial_in ses ~spec () =
+  trial_of ~golden:ses.ses_golden ~index:0 (run_one_in ses spec)
+
+let report_of_trials ses ~config_name ?quarantine_after trial_list =
   let trials = List.length trial_list in
   let count o = List.length (List.filter (fun t -> t.outcome = o) trial_list) in
   let n_detected_by_pac = count Detected_by_pac in
@@ -496,15 +451,15 @@ let report_of_trials ?(config_name = "full") ?(cpus = 2) ?(tasks = 4)
       /. float_of_int trials
   in
   {
-    seed;
+    seed = ses.ses_seed;
     trials;
     config_name;
-    cpus;
-    tasks;
-    rounds;
-    quantum;
+    cpus = ses.ses_cpus;
+    tasks = ses.ses_tasks;
+    rounds = ses.ses_rounds;
+    quantum = ses.ses_quantum;
     quarantine_after;
-    golden_makespan = golden.g_makespan;
+    golden_makespan = ses.ses_golden.g_makespan;
     fired_count = List.length (List.filter (fun t -> t.fired) trial_list);
     n_detected_by_pac;
     n_detected_by_mmu;
@@ -517,21 +472,9 @@ let report_of_trials ?(config_name = "full") ?(cpus = 2) ?(tasks = 4)
     trial_list;
   }
 
-let run ?(config = C.Config.full) ?(config_name = "full") ?(cpus = 2) ?(tasks = 4)
-    ?(rounds = 8) ?(quantum = 400) ?quarantine_after ?tier ~seed ~trials () =
-  let golden = golden_run ~config ~cpus ~tasks ~rounds ~quantum ?tier ~seed () in
-  let trial_list =
-    List.init trials (fun i ->
-        fst
-          (run_random_trial ~config ~cpus ~tasks ~rounds ~quantum
-             ?quarantine_after ?tier ~golden ~seed ~index:i ()))
-  in
-  report_of_trials ~config_name ~cpus ~tasks ~rounds ~quantum ?quarantine_after
-    ~seed ~golden trial_list
-
 (* JSON rendering: fixed field order, %.6f floats, shared escaping —
    the same report must always serialize to the same bytes. *)
-let report_to_json ?(trial_detail = true) r =
+let report_to_json r =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
@@ -557,21 +500,18 @@ let report_to_json ?(trial_detail = true) r =
   add "  },\n";
   add "  \"detection_rate\": %.6f,\n" r.detection_rate;
   add "  \"mean_makespan\": %.2f,\n" r.mean_makespan;
-  if trial_detail then begin
-    add "  \"trial_list\": [\n";
-    List.iteri
-      (fun i t ->
-        add
-          "    {\"index\": %d, \"spec\": \"%s\", \"fired\": %b, \"outcome\": \
-           \"%s\", \"detail\": \"%s\", \"makespan\": %Ld, \"offlined\": [%s]}%s\n"
-          t.index (Json.escape t.spec_desc) t.fired (outcome_name t.outcome)
-          (Json.escape t.detail) t.makespan
-          (String.concat "," (List.map string_of_int t.offlined))
-          (if i = r.trials - 1 then "" else ","))
-      r.trial_list;
-    add "  ]\n"
-  end
-  else add "  \"trial_list\": []\n";
+  add "  \"trial_list\": [\n";
+  List.iteri
+    (fun i t ->
+      add
+        "    {\"index\": %d, \"spec\": \"%s\", \"fired\": %b, \"outcome\": \
+         \"%s\", \"detail\": \"%s\", \"makespan\": %Ld, \"offlined\": [%s]}%s\n"
+        t.index (Json.escape t.spec_desc) t.fired (outcome_name t.outcome)
+        (Json.escape t.detail) t.makespan
+        (String.concat "," (List.map string_of_int t.offlined))
+        (if i = r.trials - 1 then "" else ","))
+    r.trial_list;
+  add "  ]\n";
   add "}\n";
   Buffer.contents b
 

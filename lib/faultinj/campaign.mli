@@ -1,10 +1,13 @@
 (** Seeded fault-injection campaigns over the SMP kernel.
 
-    A campaign boots a fresh system per trial, runs a fixed multi-task
-    console workload once uninjected (the {e golden} run), then replays
-    it [trials] times, each time with one randomly drawn fault spec
-    armed ({!Injector}). Trial outcomes are classified against the
-    golden run:
+    A campaign {!session} boots one system, sets up a fixed multi-task
+    console workload, snapshots it and runs the workload once
+    uninjected (the {e golden} run). Every trial then restores that
+    snapshot, arms one fault spec ({!Injector}) and runs the workload
+    again: a randomly drawn spec ({!run_random_trial_in}) or a
+    hand-built one ({!run_trial_in}). [Fleet.Campaign.run] shards the
+    random trials over worker domains, one session each. Trial
+    outcomes are classified against the golden run:
 
     - [Detected_by_pac]: a task was killed on a PAC authentication
       failure (the poisoned-address path),
@@ -77,8 +80,8 @@ val workload_program : rounds:int -> Aarch64.Asm.program
     of a campaign accepts (the CLI, [serve] requests and replay-log
     headers): trials 1–1,000,000, cpus 1–16, tasks 1–64, rounds
     1–10,000, quantum 50–100,000 and quarantine 1–1,000,000. An omitted
-    parameter is the campaign default, which is in range. [Error] names
-    the first field out of range. The campaign runners themselves do
+    parameter is the {!create_session} default, which is in range.
+    [Error] names the first field out of range. Sessions themselves do
     not check. *)
 val check_params :
   ?cpus:int ->
@@ -90,28 +93,16 @@ val check_params :
   unit ->
   (unit, string) result
 
-(** The uninjected reference run trials are classified against. Plain
-    immutable data, so a fleet can compute it once and share it
-    read-only across worker domains. *)
+(** The uninjected reference run a session's trials are classified
+    against. *)
 type golden = {
   g_exits : (int * Kernel.System.user_exit) list;  (** sorted by pid *)
   g_console : string;
   g_makespan : int64;
 }
 
-val golden_run :
-  ?config:Camouflage.Config.t ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
-  ?tier:Aarch64.Cpu.tier ->
-  seed:int64 ->
-  unit ->
-  golden
-
-(** Telemetry harvested from one trial's machine when the trial booted
-    with [~telemetry:true]: the merged per-core counter file, an
+(** Telemetry harvested from one trial's machine when its session was
+    created with [~telemetry:true]: the merged per-core counter file, an
     event-ring summary, and the per-kind span latency histograms. Fold
     with {!Telemetry.Counters.merge} / {!Telemetry.Span.merge_histograms}
     to build fleet-wide views. [jt_ring] carries the raw event stream
@@ -125,37 +116,23 @@ type job_telemetry = {
   jt_ring : Telemetry.Event.t list;
 }
 
-(** [run_random_trial ~golden ~seed ~index ()] — trial [index] of the
-    campaign keyed by [seed]: exactly what {!run} executes at that index.
-    The per-trial RNG stream depends only on [(seed, index)], so any
-    partition of the index space over any number of workers replays the
-    identical trials. [telemetry] (default [false]) boots the trial
-    machine with telemetry — pure observation, the trial outcome is
-    bit-identical either way — and returns the harvested summary. *)
-val run_random_trial :
-  ?config:Camouflage.Config.t ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
-  ?quarantine_after:int ->
-  ?telemetry:bool ->
-  ?tier:Aarch64.Cpu.tier ->
-  golden:golden ->
-  seed:int64 ->
-  index:int ->
-  unit ->
-  trial * job_telemetry option
-
 (** A snapshot-forked campaign session: one boot + workload setup,
     captured with {!Kernel.System.snapshot}, plus the golden run. Each
-    trial restores the post-setup snapshot instead of re-booting, which
-    is bit-identical to a fresh boot (restore also clears trial-armed
-    injector hooks) but an order of magnitude cheaper. A session wraps
+    trial restores the post-setup snapshot instead of re-booting.
+    Restore returns the exact captured state and clears trial-armed
+    injector hooks, so a trial's outcome does not depend on the trials
+    the session ran before it. [telemetry] (default [false]) boots with
+    telemetry — pure observation, every trial outcome is bit-identical
+    either way — and fills each trial's [tr_telemetry]. A session wraps
     one mutable system: callers must not share it across domains —
     fleet workers each create their own. *)
 type session
 
+(** [create_session ~seed ()] — boot, set up the workload, snapshot and
+    run the golden run. The defaults are the campaign's: config
+    [Camouflage.Config.full], 2 cpus, 4 tasks, 8 rounds and a quantum
+    of 400 user instructions; every front end that omits a parameter
+    gets these. *)
 val create_session :
   ?config:Camouflage.Config.t ->
   ?cpus:int ->
@@ -184,11 +161,13 @@ type trial_result = {
           [~fingerprint:true] *)
 }
 
-(** [run_random_trial_in ses ~index ()] — the session-forked equivalent
-    of {!run_random_trial}: restores the base snapshot, draws the
-    [(seed, index)]-keyed spec, arms it and runs. Produces the identical
-    trial record. [keep_events] (default [false]) copies the trial's
-    raw event stream into [jt_ring] for trace-lane capture.
+(** [run_random_trial_in ses ~index ()] — trial [index] of the
+    campaign keyed by the session's seed: restores the base snapshot,
+    draws the [(seed, index)]-keyed spec, arms it and runs. The per-trial
+    RNG stream depends only on [(seed, index)], so any partition of the
+    index space over any number of workers replays the identical
+    trials. [keep_events] (default [false]) copies the trial's raw event
+    stream into [jt_ring] for trace-lane capture.
 
     [fingerprint] (default [false]) also takes the post-trial state
     fingerprint ({!Snapshot.Fingerprint.of_system}) into
@@ -205,62 +184,31 @@ val run_random_trial_in :
   unit ->
   trial_result
 
-(** [report_of_trials ~seed ~golden trials] — aggregate classified
-    trials into a campaign report. All aggregates (counts, rates, mean
-    makespan) are computed from the list in the order given; pass trials
-    sorted by index to get the byte-identical report the sequential
-    {!run} produces. *)
-val report_of_trials :
-  ?config_name:string ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
-  ?quarantine_after:int ->
-  seed:int64 ->
-  golden:golden ->
-  trial list ->
-  report
-
-(** [run_trial ~seed ~spec ()] — boot, arm [spec] (given the booted
-    system, the mapped workload layout and the spawned tasks — so tests
-    can compute concrete addresses), run, classify. [index] only labels
-    the returned record. *)
-val run_trial :
-  ?config:Camouflage.Config.t ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
-  ?quarantine_after:int ->
-  ?tier:Aarch64.Cpu.tier ->
-  ?index:int ->
-  seed:int64 ->
+(** [run_trial_in ses ~spec ()] — one trial with a hand-built fault:
+    restores the base snapshot, arms [spec] (given the restored system,
+    the mapped workload layout and the spawned tasks — so tests can
+    compute concrete addresses), runs and classifies. The record's
+    [index] is 0. *)
+val run_trial_in :
+  session ->
   spec:
     (Kernel.System.t -> Aarch64.Asm.layout -> Kernel.System.task list -> Injector.spec) ->
   unit ->
   trial
 
-(** [run ~seed ~trials ()] — the full campaign: golden run plus
-    [trials] randomly-drawn faults. *)
-val run :
-  ?config:Camouflage.Config.t ->
-  ?config_name:string ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
-  ?quarantine_after:int ->
-  ?tier:Aarch64.Cpu.tier ->
-  seed:int64 ->
-  trials:int ->
-  unit ->
-  report
+(** [report_of_trials ses ~config_name trials] — aggregate trials
+    classified against [ses]'s golden run into a campaign report, which
+    records [ses]'s seed and shape. [config_name] and [quarantine_after]
+    are only recorded. All aggregates (counts, rates, mean makespan) are
+    computed from the list in the order given, so pass trials sorted by
+    index for a report that does not depend on how they were
+    scheduled. *)
+val report_of_trials :
+  session -> config_name:string -> ?quarantine_after:int -> trial list -> report
 
 (** Deterministic JSON rendering: fixed field order, fixed float
-    formatting — the same report always serializes to the same bytes.
-    [trial_detail] (default [true]) includes the per-trial array. *)
-val report_to_json : ?trial_detail:bool -> report -> string
+    formatting — the same report always serializes to the same bytes. *)
+val report_to_json : report -> string
 
 val report_to_string : report -> string
 

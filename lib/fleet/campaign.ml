@@ -44,13 +44,14 @@ let merge_telemetry a b =
    The cache is keyed by the full parameter tuple, so interleaved
    campaigns with different shapes each get their own session; a repeat
    campaign on the same domain (the serve control plane, test suites)
-   reuses the session outright. *)
+   reuses the session outright. An omitted shape parameter stays [None]
+   here and takes the session's default. *)
 type session_params = {
-  sp_config : Camouflage.Config.t;
-  sp_cpus : int;
-  sp_tasks : int;
-  sp_rounds : int;
-  sp_quantum : int;
+  sp_config : Camouflage.Config.t option;
+  sp_cpus : int option;
+  sp_tasks : int option;
+  sp_rounds : int option;
+  sp_quantum : int option;
   sp_telemetry : bool;
   sp_tier : Aarch64.Cpu.tier option;
   sp_seed : int64;
@@ -64,17 +65,16 @@ let session_for p =
   | Some (q, ses) when q = p -> ses
   | _ ->
       let ses =
-        FC.create_session ~config:p.sp_config ~cpus:p.sp_cpus ~tasks:p.sp_tasks
-          ~rounds:p.sp_rounds ~quantum:p.sp_quantum ~telemetry:p.sp_telemetry
+        FC.create_session ?config:p.sp_config ?cpus:p.sp_cpus ?tasks:p.sp_tasks
+          ?rounds:p.sp_rounds ?quantum:p.sp_quantum ~telemetry:p.sp_telemetry
           ?tier:p.sp_tier ~seed:p.sp_seed ()
       in
       Domain.DLS.set session_key (Some (p, ses));
       ses
 
-let run ?(config = Camouflage.Config.full) ?(config_name = "full") ?(cpus = 2)
-    ?(tasks = 4) ?(rounds = 8) ?(quantum = 400) ?quarantine_after ?workers
-    ?retries ?(telemetry = false) ?tier ?(lanes = 0) ?record_dir ?job_hook
-    ?progress ?should_stop ~seed ~trials () =
+let run ?config ?(config_name = "full") ?cpus ?tasks ?rounds ?quantum
+    ?quarantine_after ?workers ?retries ?(telemetry = false) ?tier ?(lanes = 0)
+    ?record_dir ?job_hook ?progress ?should_stop ~seed ~trials () =
   let params =
     {
       sp_config = config;
@@ -88,10 +88,9 @@ let run ?(config = Camouflage.Config.full) ?(config_name = "full") ?(cpus = 2)
     }
   in
   (* the calling domain is pool worker 0: its DLS session doubles as
-     the golden-run provider, so the boot is not paid twice *)
+     the golden run and the report's shape, so the boot is not paid
+     twice *)
   let ses0 = session_for params in
-  let golden = FC.session_golden ses0 in
-  let golden_fingerprint = FC.session_golden_fingerprint ses0 in
   let outcome =
     Pool.run ?workers ?retries ?progress ?should_stop ~jobs:trials
       (fun index ->
@@ -132,10 +131,7 @@ let run ?(config = Camouflage.Config.full) ?(config_name = "full") ?(cpus = 2)
                      })
              empty_telemetry jobs)
     in
-    let report =
-      FC.report_of_trials ~config_name ~cpus ~tasks ~rounds ~quantum
-        ?quarantine_after ~seed ~golden trial_list
-    in
+    let report = FC.report_of_trials ses0 ~config_name ?quarantine_after trial_list in
     let record_path =
       match record_dir with
       | None -> None
@@ -146,13 +142,13 @@ let run ?(config = Camouflage.Config.full) ?(config_name = "full") ?(cpus = 2)
               h_seed = seed;
               h_trials = trials;
               h_config = config_name;
-              h_cpus = cpus;
-              h_tasks = tasks;
-              h_rounds = rounds;
-              h_quantum = quantum;
+              h_cpus = report.FC.cpus;
+              h_tasks = report.FC.tasks;
+              h_rounds = report.FC.rounds;
+              h_quantum = report.FC.quantum;
               h_quarantine_after = quarantine_after;
-              h_golden_makespan = golden.FC.g_makespan;
-              h_golden_fingerprint = golden_fingerprint;
+              h_golden_makespan = report.FC.golden_makespan;
+              h_golden_fingerprint = FC.session_golden_fingerprint ses0;
             }
           in
           let entries =

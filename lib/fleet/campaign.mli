@@ -1,17 +1,18 @@
-(** Sharded fault-injection campaigns over the {!Pool} (PR 6 tentpole,
-    layer 3; snapshot forking and record mode added in PR 8).
+(** Sharded fault-injection campaigns over the {!Pool}: the one
+    campaign runner.
 
     Every worker domain boots {e once}: it creates a campaign session
     ({!Faultinj.Campaign.create_session} — boot, workload setup, golden
     run, post-setup snapshot) in domain-local storage, then serves each
-    trial by restoring the snapshot. Restoring is bit-identical to
-    re-booting (pinned by the snapshot test suite), so the report — and
-    its JSON — is byte-identical to the sequential
-    {!Faultinj.Campaign.run} for every worker count. The single-run path
-    is literally [~workers:1]. Trials are merged {e by job index, not
-    completion order}; the per-trial RNG stream is keyed by
-    [(seed, index)], so the work-stealing schedule cannot change which
-    faults are drawn.
+    trial by restoring the snapshot
+    ({!Faultinj.Campaign.run_random_trial_in}). A trial does not depend
+    on the trials its session ran before it, so the report — and its
+    JSON — is byte-identical for every worker count, and equal to each
+    trial run on a session of its own (pinned by the fleet test suite).
+    The sequential run is literally [~workers:1]. Trials are merged
+    {e by job index, not completion order}; the per-trial RNG stream is
+    keyed by [(seed, index)], so the work-stealing schedule cannot
+    change which faults are drawn.
 
     A trial job that raises is retried and then quarantined by the pool
     ({!Pool.job_failure}): the campaign completes, the failed trial is
@@ -65,8 +66,10 @@ val merge_telemetry : telemetry_summary -> telemetry_summary -> telemetry_summar
     [job_hook] is a test-only hook invoked with the trial index at the
     start of every job attempt; raising from it simulates a worker
     failure. [lanes] (default 0) keeps the raw event streams of the
-    first [lanes] trials by index for fleet Chrome traces. Defaults
-    mirror {!Faultinj.Campaign.run}. *)
+    first [lanes] trials by index for fleet Chrome traces. An omitted
+    [config], [cpus], [tasks], [rounds] or [quantum] takes the
+    {!Faultinj.Campaign.create_session} default, and the report records
+    the value used; [config_name] defaults to ["full"]. *)
 val run :
   ?config:Camouflage.Config.t ->
   ?config_name:string ->

@@ -186,13 +186,14 @@ let submit_faults t obj =
   let workers =
     bounded "workers" 1 64 (dflt (Pool.default_workers ()) (int_field obj "workers"))
   in
-  let cpus = dflt 2 (int_field obj "cpus") in
-  let tasks = dflt 4 (int_field obj "tasks") in
-  let rounds = dflt 8 (int_field obj "rounds") in
-  let quantum = dflt 400 (int_field obj "quantum") in
+  (* absent shape fields stay omitted: the campaign session's defaults *)
+  let cpus = int_field obj "cpus" in
+  let tasks = int_field obj "tasks" in
+  let rounds = int_field obj "rounds" in
+  let quantum = int_field obj "quantum" in
   let quarantine_after = int_field obj "quarantine" in
   (match
-     Faultinj.Campaign.check_params ~cpus ~tasks ~rounds ~quantum
+     Faultinj.Campaign.check_params ?cpus ?tasks ?rounds ?quantum
        ?quarantine_after ~trials ()
    with
   | Ok () -> ()
@@ -215,7 +216,7 @@ let submit_faults t obj =
             deadline_stop ~stop:cells.c_stop timeout_ms
           in
           match
-            Campaign.run ~config ~config_name ~cpus ~tasks ~rounds ~quantum
+            Campaign.run ~config ~config_name ?cpus ?tasks ?rounds ?quantum
               ?quarantine_after ~workers ?retries ~telemetry:true ?tier
               ~progress:(fun () -> Atomic.incr cells.c_completed)
               ~should_stop ~seed ~trials ()
@@ -407,18 +408,18 @@ let handle t line =
   in
   (response, !continue)
 
-let loop ?(input = stdin) ?(output = stdout) t =
+let loop t =
   let rec go () =
     (* EOF lets running jobs finish; an explicit shutdown cancels them
        first so the exit cannot block behind a long campaign *)
-    match input_line input with
+    match input_line stdin with
     | exception End_of_file -> drain t
     | line when String.trim line = "" -> go ()
     | line ->
         let response, continue = handle t line in
-        output_string output response;
-        output_char output '\n';
-        flush output;
+        print_string response;
+        print_char '\n';
+        flush stdout;
         if continue then go () else shutdown t
   in
   go ()

@@ -60,6 +60,6 @@ val drain : t -> unit
     on an explicit [shutdown] request. *)
 val shutdown : t -> unit
 
-(** [loop t] — serve until [shutdown] or EOF on [input] (defaults:
-    stdin/stdout). Responses are flushed per line. *)
-val loop : ?input:in_channel -> ?output:out_channel -> t -> unit
+(** [loop t] — serve stdin to stdout until [shutdown] or EOF.
+    Responses are flushed per line. *)
+val loop : t -> unit

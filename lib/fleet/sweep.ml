@@ -134,7 +134,7 @@ let run ?(config = C.Config.full) ?threshold ?workers ?retries
         outcome.Pool.stats,
         outcome.Pool.failures )
 
-let report_to_json ?(machine_detail = true) r =
+let report_to_json r =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
@@ -143,29 +143,26 @@ let report_to_json ?(machine_detail = true) r =
   add "  \"machines\": %d,\n" r.sw_machines;
   add "  \"attempts_per_machine\": %d,\n" r.sw_attempts;
   add "  \"threshold\": %d,\n" r.sw_threshold;
-  add "  \"config\": \"%s\",\n" r.sw_config_name;
+  add "  \"config\": \"%s\",\n" (Camo_util.Json.escape r.sw_config_name);
   add "  \"total_attempts\": %d,\n" r.sw_total_attempts;
   add "  \"total_successes\": %d,\n" r.sw_total_successes;
   add "  \"total_detected\": %d,\n" r.sw_total_detected;
   add "  \"panicked_machines\": %d,\n" r.sw_panicked;
   add "  \"audit_failures\": %d,\n" r.sw_audit_failures;
-  if machine_detail then begin
-    (* count from the list, not sw_machines: quarantined machines are
-       absent, and the last present row must not grow a comma *)
-    let rows = List.length r.sw_machine_list in
-    add "  \"machine_list\": [\n";
-    List.iteri
-      (fun i m ->
-        add
-          "    {\"index\": %d, \"attempts\": %d, \"successes\": %d, \
-           \"detected\": %d, \"panicked\": %b, \"audit_ok\": %b}%s\n"
-          m.m_index m.m_attempts m.m_successes m.m_detected m.m_panicked
-          m.m_audit_ok
-          (if i = rows - 1 then "" else ","))
-      r.sw_machine_list;
-    add "  ],\n"
-  end
-  else add "  \"machine_list\": [],\n";
+  (* count from the list, not sw_machines: quarantined machines are
+     absent, and the last present row must not grow a comma *)
+  let rows = List.length r.sw_machine_list in
+  add "  \"machine_list\": [\n";
+  List.iteri
+    (fun i m ->
+      add
+        "    {\"index\": %d, \"attempts\": %d, \"successes\": %d, \
+         \"detected\": %d, \"panicked\": %b, \"audit_ok\": %b}%s\n"
+        m.m_index m.m_attempts m.m_successes m.m_detected m.m_panicked
+        m.m_audit_ok
+        (if i = rows - 1 then "" else ","))
+    r.sw_machine_list;
+  add "  ],\n";
   add "  \"span_hists\": %s\n" (Telemetry.Span.histograms_to_json r.sw_hists);
   add "}\n";
   Buffer.contents b

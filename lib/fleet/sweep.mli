@@ -64,7 +64,8 @@ val run :
   unit ->
   (report * Pool.stats * Pool.job_failure list) option
 
-(** Deterministic JSON: fixed field order, byte-stable. *)
-val report_to_json : ?machine_detail:bool -> report -> string
+(** Deterministic JSON: fixed field order, byte-stable, strings through
+    {!Camo_util.Json.escape}. *)
+val report_to_json : report -> string
 
 val report_to_string : report -> string

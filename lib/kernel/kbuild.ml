@@ -852,7 +852,7 @@ let lint_report ?(par = Paclint.Lint.seq_par) ?scheme config =
     census;
   }
 
-let lint ?par ?scheme config = (lint_report ?par ?scheme config).diags
+let lint ?scheme config = (lint_report ?scheme config).diags
 
 (* Lint a standalone module object against the kernel export surface:
    the module's text is assembled at the module area base, its own blobs

@@ -101,9 +101,9 @@ let make_static_ops name n_fptrs =
   in
   (struct_def, init)
 
-let generate ?(calibration = linux_5_2) ~seed () =
+let generate ~seed () =
   let rng = Camo_util.Rng.create seed in
-  let cal = calibration in
+  let cal = linux_5_2 in
   let sizes = multi_sizes cal in
   let files = ref [] in
   let add_file name structs functions initializers =

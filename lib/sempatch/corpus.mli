@@ -21,5 +21,6 @@ type calibration = {
 (** The Linux 5.2 shape: 275 + 229 types, 1285 members. *)
 val linux_5_2 : calibration
 
-(** [generate ?calibration ~seed ()] — a deterministic corpus. *)
-val generate : ?calibration:calibration -> seed:int64 -> unit -> Cast.corpus
+(** [generate ~seed ()] — a deterministic corpus of the {!linux_5_2}
+    shape. *)
+val generate : seed:int64 -> unit -> Cast.corpus

@@ -1,8 +1,8 @@
 type t = { sinks : Sink.t array }
 
-let create ?ring_depth ~cpus () =
+let create ~cpus () =
   if cpus <= 0 then invalid_arg "Hub.create: cpus";
-  { sinks = Array.init cpus (fun cpu -> Sink.create ?ring_depth ~cpu ()) }
+  { sinks = Array.init cpus (fun cpu -> Sink.create ~cpu ()) }
 
 let cpus t = Array.length t.sinks
 let sink t i = t.sinks.(i)

@@ -4,7 +4,7 @@
 
 type t
 
-val create : ?ring_depth:int -> cpus:int -> unit -> t
+val create : cpus:int -> unit -> t
 val cpus : t -> int
 val sink : t -> int -> Sink.t
 val sinks : t -> Sink.t array

@@ -118,30 +118,6 @@ let flat t ~symbols =
              | c -> c)
          | c -> c)
 
-let flat_to_string ?limit lines =
-  let lines =
-    match limit with
-    | Some n -> List.filteri (fun i _ -> i < n) lines
-    | None -> lines
-  in
-  let tot =
-    List.fold_left (fun a l -> Int64.add a l.line_cycles) 0L lines
-  in
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "%10s %6s  %-14s %s\n" "cycles" "%" "origin" "symbol");
-  List.iter
-    (fun l ->
-      let pct =
-        if tot = 0L then 0.0
-        else 100.0 *. Int64.to_float l.line_cycles /. Int64.to_float tot
-      in
-      Buffer.add_string b
-        (Printf.sprintf "%10Ld %5.1f%%  %-14s %s\n" l.line_cycles pct
-           (origin_name l.line_origin) l.line_symbol))
-    lines;
-  Buffer.contents b
-
 let folded t ~symbols =
   flat t ~symbols
   |> List.map (fun l ->

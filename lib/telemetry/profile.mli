@@ -57,8 +57,6 @@ type line = { line_symbol : string; line_origin : origin; line_cycles : int64 }
     PCs outside every range fold into ["[unknown]"]. *)
 val flat : t -> symbols:sym list -> line list
 
-val flat_to_string : ?limit:int -> line list -> string
-
 (** Folded-stack output, one ["symbol;origin cycles"] line per bucket
     (flamegraph.pl-compatible), sorted for byte-stability. *)
 val folded : t -> symbols:sym list -> string

@@ -6,9 +6,9 @@ type t = {
   mutable origin_override : Profile.origin option;
 }
 
-let default_ring_depth = 4096
+let ring_depth = 4096
 
-let create ?(ring_depth = default_ring_depth) ~cpu () =
+let create ~cpu () =
   {
     cpu;
     counters = Counters.create ();

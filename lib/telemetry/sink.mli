@@ -5,7 +5,7 @@
 
 type t
 
-val create : ?ring_depth:int -> cpu:int -> unit -> t
+val create : cpu:int -> unit -> t
 val cpu : t -> int
 val counters : t -> Counters.t
 val ring : t -> Ring.t

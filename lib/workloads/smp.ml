@@ -37,14 +37,12 @@ let throughput_program ~rounds =
     ];
   prog
 
-let boot_and_run ?(config = Camouflage.Config.full) ?(seed = 42L) ?(quantum = 800)
-    ~cpus ~tasks ~rounds () =
-  let sys = K.System.boot ~config ~seed ~cpus () in
+let boot_and_run ~seed ~cpus ~tasks ~rounds =
+  let sys = K.System.boot ~config:Camouflage.Config.full ~seed ~cpus () in
   let layout = K.System.map_user_program sys (throughput_program ~rounds) in
   let entry = Asm.symbol layout "throughput" in
   let spawned = List.init tasks (fun _ -> K.System.spawn_user_task sys ~entry) in
-  let stats = K.System.run_smp ~quantum sys ~tasks:spawned in
-  (sys, stats)
+  K.System.run_smp ~quantum:800 sys ~tasks:spawned
 
 let point_of_stats ~cpus ~tasks ~rounds (stats : K.System.smp_stats) =
   let aggregate = Array.fold_left Int64.add 0L stats.K.System.per_cpu_cycles in
@@ -74,27 +72,23 @@ let point_of_stats ~cpus ~tasks ~rounds (stats : K.System.smp_stats) =
     all_exited;
   }
 
-let run_point ?config ?seed ?quantum ~cpus ~tasks ~rounds () =
-  let _sys, stats = boot_and_run ?config ?seed ?quantum ~cpus ~tasks ~rounds () in
-  point_of_stats ~cpus ~tasks ~rounds stats
+let run_point ?(seed = 42L) ~cpus ~tasks ~rounds () =
+  point_of_stats ~cpus ~tasks ~rounds (boot_and_run ~seed ~cpus ~tasks ~rounds)
 
 (* E9: the same task population on 1, 2, 4 and 8 cores. Speedups are in
    simulated parallel time (makespan); they are sub-linear because the
    boot core's clock also carries boot and bring-up work, and because
    kernel entries serialize per core. *)
-let run_scaling ?config ?(seed = 42L) ?(cpu_counts = [ 1; 2; 4; 8 ]) ?(tasks = 8)
-    ?(rounds = 40) () =
+let run_scaling ?(seed = 42L) ?(tasks = 8) ?(rounds = 40) () =
   let points =
-    List.map (fun cpus -> run_point ?config ~seed ~cpus ~tasks ~rounds ()) cpu_counts
+    List.map (fun cpus -> run_point ~seed ~cpus ~tasks ~rounds ()) [ 1; 2; 4; 8 ]
   in
-  match points with
-  | [] -> []
-  | base :: _ ->
-      List.map
-        (fun p ->
-          let speedup =
-            if p.makespan = 0L then 0.0
-            else Int64.to_float base.makespan /. Int64.to_float p.makespan
-          in
-          { p with speedup })
-        points
+  let base = (List.hd points).makespan in
+  List.map
+    (fun p ->
+      let speedup =
+        if p.makespan = 0L then 0.0
+        else Int64.to_float base /. Int64.to_float p.makespan
+      in
+      { p with speedup })
+    points

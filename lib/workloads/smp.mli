@@ -23,25 +23,11 @@ type point = {
 
 val throughput_program : rounds:int -> Aarch64.Asm.program
 
-(** [run_point ~cpus ~tasks ~rounds ()] — boot, spawn, schedule, score
-    one configuration. *)
-val run_point :
-  ?config:Camouflage.Config.t ->
-  ?seed:int64 ->
-  ?quantum:int ->
-  cpus:int ->
-  tasks:int ->
-  rounds:int ->
-  unit ->
-  point
+(** [run_point ~cpus ~tasks ~rounds ()] — boot the full configuration,
+    spawn, schedule with an 800-instruction quantum, score one core
+    count. *)
+val run_point : ?seed:int64 -> cpus:int -> tasks:int -> rounds:int -> unit -> point
 
-(** [run_scaling ()] — the same population across [cpu_counts]
-    (default [1; 2; 4; 8]); [speedup] is relative to the first point. *)
-val run_scaling :
-  ?config:Camouflage.Config.t ->
-  ?seed:int64 ->
-  ?cpu_counts:int list ->
-  ?tasks:int ->
-  ?rounds:int ->
-  unit ->
-  point list
+(** [run_scaling ()] — the same population on 1, 2, 4 and 8 cores;
+    [speedup] is relative to the single-core point. *)
+val run_scaling : ?seed:int64 -> ?tasks:int -> ?rounds:int -> unit -> point list

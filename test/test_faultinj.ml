@@ -225,7 +225,10 @@ let test_pac_field_flip_stays_in_field () =
   in
   Alcotest.(check bool) "the flipped bit lies in the PAC field" true in_pac
 
-(* Deterministic campaign trials: one per fault-model / outcome class. *)
+(* Deterministic campaign trials: one per fault-model / outcome class,
+   each on the session of its config (seed 42). *)
+
+let full_session = lazy (FI.Campaign.create_session ~seed:42L ())
 
 let site_of_task label_suffix sys (spawned : K.System.task list) =
   let task = List.hd spawned in
@@ -238,7 +241,7 @@ let site_of_task label_suffix sys (spawned : K.System.task list) =
 
 let test_trial_pac_field_flip_detected_by_pac () =
   let trial =
-    FI.Campaign.run_trial ~seed:42L
+    FI.Campaign.run_trial_in (Lazy.force full_session)
       ~spec:(fun sys _layout spawned ->
         {
           FI.Injector.trigger = FI.Injector.Always;
@@ -255,7 +258,7 @@ let test_trial_pac_field_flip_detected_by_pac () =
 
 let test_trial_saved_pc_flip_detected_by_mmu () =
   let trial =
-    FI.Campaign.run_trial ~seed:42L
+    FI.Campaign.run_trial_in (Lazy.force full_session)
       ~spec:(fun _sys _layout spawned ->
         let task = List.hd spawned in
         {
@@ -278,7 +281,7 @@ let test_trial_saved_pc_flip_detected_by_mmu () =
 let test_trial_threshold_one_panics () =
   let config = { C.Config.full with C.Config.bruteforce_threshold = 1 } in
   let trial =
-    FI.Campaign.run_trial ~config ~seed:42L
+    FI.Campaign.run_trial_in (FI.Campaign.create_session ~config ~seed:42L ())
       ~spec:(fun sys _layout spawned ->
         {
           FI.Injector.trigger = FI.Injector.Always;
@@ -297,7 +300,7 @@ let test_trial_threshold_one_panics () =
    paths. *)
 let test_trial_brk_rewrite_task_killed () =
   let trial =
-    FI.Campaign.run_trial ~seed:42L
+    FI.Campaign.run_trial_in (Lazy.force full_session)
       ~spec:(fun _sys layout _spawned ->
         let add_pc, add_insn =
           match
@@ -332,7 +335,7 @@ let test_trial_brk_rewrite_task_killed () =
 
 let test_trial_skip_increment_silent_corruption () =
   let trial =
-    FI.Campaign.run_trial ~seed:42L
+    FI.Campaign.run_trial_in (Lazy.force full_session)
       ~spec:(fun _sys layout _spawned ->
         let add_pc =
           match
@@ -355,7 +358,7 @@ let test_trial_skip_increment_silent_corruption () =
 
 let test_trial_unused_word_benign () =
   let trial =
-    FI.Campaign.run_trial ~seed:42L
+    FI.Campaign.run_trial_in (Lazy.force full_session)
       ~spec:(fun _sys _layout _spawned ->
         {
           FI.Injector.trigger = FI.Injector.Always;
@@ -372,14 +375,13 @@ let test_trial_unused_word_benign () =
 
 (* Campaign reproducibility: same seed, byte-identical JSON. *)
 let test_campaign_reproducible () =
-  let r1 = FI.Campaign.run ~seed:5L ~trials:6 () in
-  let r2 = FI.Campaign.run ~seed:5L ~trials:6 () in
-  Alcotest.(check string) "same seed, same bytes"
-    (FI.Campaign.report_to_json r1)
-    (FI.Campaign.report_to_json r2);
-  let r3 = FI.Campaign.run ~seed:6L ~trials:6 () in
-  Alcotest.(check bool) "different seed, different trials" true
-    (FI.Campaign.report_to_json r1 <> FI.Campaign.report_to_json r3)
+  let json seed =
+    let r = Option.get (Fleet.Campaign.run ~workers:1 ~seed ~trials:6 ()) in
+    FI.Campaign.report_to_json r.Fleet.Campaign.report
+  in
+  let r1 = json 5L in
+  Alcotest.(check string) "same seed, same bytes" r1 (json 5L);
+  Alcotest.(check bool) "different seed, different trials" true (r1 <> json 6L)
 
 (* Zero-fault equivalence: an armed injector whose trigger never fires
    leaves the run cycle-for-cycle identical to an uninstrumented one. *)

@@ -1,9 +1,10 @@
 (* PR 6: the fleet engine. Deque semantics, pool determinism and
    cancellation, campaign/sweep byte-stability across worker counts
-   (including against the legacy sequential path), telemetry merging,
-   and the serve control-plane protocol. *)
+   (including against every trial run on a session of its own),
+   telemetry merging, and the serve control-plane protocol. *)
 
 module F = Fleet
+module FC = Faultinj.Campaign
 module J = Camo_util.Json
 
 (* --- deque -------------------------------------------------------- *)
@@ -191,13 +192,21 @@ let test_campaign_workers_byte_identical () =
   Alcotest.(check string) "1 worker = 2 workers" w1 w2;
   Alcotest.(check string) "1 worker = 8 workers" w1 w8
 
-let test_campaign_matches_legacy_sequential () =
-  let legacy =
-    Faultinj.Campaign.report_to_json
-      (Faultinj.Campaign.run ~seed:5L ~trials:6 ())
+(* The reference runs every trial on a session of its own and folds
+   them in index order: no trial may depend on the worker, or on the
+   trials a shared session ran before it. *)
+let test_campaign_matches_fresh_sessions () =
+  let seed = 5L in
+  let trial index =
+    (FC.run_random_trial_in (FC.create_session ~seed ()) ~index ()).FC.tr_trial
+  in
+  let reference =
+    FC.report_to_json
+      (FC.report_of_trials (FC.create_session ~seed ()) ~config_name:"full"
+         (List.init 6 trial))
   in
   let fleet, _ = campaign_json 3 in
-  Alcotest.(check string) "fleet report = legacy sequential report" legacy fleet
+  Alcotest.(check string) "fleet report = fresh-session trials" reference fleet
 
 let test_campaign_telemetry_merge () =
   let plain, _ = campaign_json 2 in
@@ -480,8 +489,8 @@ let suite =
       test_pool_retry_recovers_transient_failure;
     Alcotest.test_case "campaign bytes: workers 1 = 2 = 8" `Quick
       test_campaign_workers_byte_identical;
-    Alcotest.test_case "campaign bytes: fleet = legacy sequential" `Quick
-      test_campaign_matches_legacy_sequential;
+    Alcotest.test_case "campaign bytes: fleet = new sessions" `Quick
+      test_campaign_matches_fresh_sessions;
     Alcotest.test_case "campaign telemetry merges without perturbing" `Quick
       test_campaign_telemetry_merge;
     Alcotest.test_case "campaign hists and lanes: workers 1 = 2 = 8" `Quick

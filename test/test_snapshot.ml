@@ -235,14 +235,18 @@ let test_corrupt_console_head () =
 
 (* --- session trials = fresh-boot trials --------------------------- *)
 
+(* One session serves trials 0-3 in turn. Each reference trial runs on
+   a session booted just for it, so no earlier trial touched its state. *)
 let test_session_trial_matches_fresh_boot () =
   let seed = 11L in
-  let golden = FC.golden_run ~seed () in
   let ses = FC.create_session ~seed () in
-  Alcotest.(check int64) "session golden = fresh golden"
-    golden.FC.g_makespan (FC.session_golden ses).FC.g_makespan;
   for index = 0 to 3 do
-    let fresh, _ = FC.run_random_trial ~golden ~seed ~index () in
+    let fresh_ses = FC.create_session ~seed () in
+    Alcotest.(check int64)
+      (Printf.sprintf "trial %d golden" index)
+      (FC.session_golden fresh_ses).FC.g_makespan
+      (FC.session_golden ses).FC.g_makespan;
+    let fresh = (FC.run_random_trial_in fresh_ses ~index ()).FC.tr_trial in
     let forked = FC.run_random_trial_in ses ~index () in
     let t = forked.FC.tr_trial in
     Alcotest.(check string)
@@ -496,6 +500,43 @@ let test_campaign_failed_job_isolated () =
           (List.assoc i pois))
     base
 
+(* A trial that halts the kernel must not leak into the next one: after
+   a stuck data-key flip panics a threshold-1 session, its next random
+   trials equal the same indices on a fresh session, fingerprint
+   included. *)
+let test_panicked_trial_does_not_leak () =
+  let config = { C.Config.full with C.Config.bruteforce_threshold = 1 } in
+  let seed = 11L in
+  let ses = FC.create_session ~config ~seed () in
+  let panicked =
+    FC.run_trial_in ses
+      ~spec:(fun _sys _layout _spawned ->
+        {
+          Faultinj.Injector.trigger = Faultinj.Injector.Always;
+          model =
+            Faultinj.Injector.Key_flip
+              { key = Sysreg.DB; high_half = false; bit = 7 };
+          persistence = Faultinj.Injector.Stuck;
+        })
+      ()
+  in
+  Alcotest.(check string) "stuck data-key flip panics" "panicked"
+    (FC.outcome_name panicked.FC.outcome);
+  let line ses index =
+    let tr = FC.run_random_trial_in ses ~fingerprint:true ~index () in
+    L.entry_to_json
+      (Faultinj.Replay.entry_of_trial
+         ~fingerprint:(Option.get tr.FC.tr_fingerprint) tr.FC.tr_trial)
+  in
+  List.iter
+    (fun index ->
+      let after_panic = line ses index in
+      Alcotest.(check string)
+        (Printf.sprintf "trial %d after the panic" index)
+        (line (FC.create_session ~config ~seed ()) index)
+        after_panic)
+    [ 0; 2 ]
+
 let suite =
   [
     Alcotest.test_case "mem snapshot: dirty tracking and rollback" `Quick
@@ -532,4 +573,6 @@ let suite =
       test_restore_keeps_caches_warm;
     Alcotest.test_case "trial fingerprints only on request" `Quick
       test_fingerprint_on_request;
+    Alcotest.test_case "a panicked trial does not leak into the next" `Quick
+      test_panicked_trial_does_not_leak;
   ]
