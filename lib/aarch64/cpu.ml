@@ -38,10 +38,8 @@ let tier_of_string = function
 let all_tiers = [ Interp; Icache; Traces ]
 
 type t = {
+  (* every register an operand can name, by slot (see [read_slot]) *)
   regs : int64 array;
-  mutable sp_el0 : int64;
-  mutable sp_el1 : int64;
-  mutable sp_el2 : int64;
   mutable pc : int64;
   mutable el : El.t;
   flags : flags;
@@ -49,14 +47,16 @@ type t = {
   mem : Mem.t;
   mmu : Mmu.t;
   (* decoded-instruction cache + micro-TLB over (mem, mmu); possibly
-     shared with sibling cores. Purely host-speed: never guest-visible. *)
-  icache : Icache.t;
+     shared with sibling cores. Its lines hold this module's ops, which
+     take the core as an argument. Purely host-speed: never
+     guest-visible. *)
+  icache : op Icache.t;
   (* requested execution tier; fixed at creation *)
   tier : tier;
   (* superblock trace cache, present iff [tier = Traces]. Per-core,
-     unlike the shared icache: compiled blocks capture this core's
-     register file. Invalidation still crosses cores because every
-     trace cache hooks the one shared [Mem]. *)
+     unlike the shared icache: a block's chain captures this core.
+     Invalidation still crosses cores because every trace cache hooks
+     the one shared [Mem]. *)
   traces : (unit -> unit) Traces.t option;
   cipher : Qarma.Block.t;
   cost : Cost.profile;
@@ -87,6 +87,10 @@ type t = {
   mutable last_run_tier : tier;
 }
 
+(* An instruction compiled for one EL and one address, applied to
+   whichever core executes it; see [op_of]. *)
+and op = t -> unit
+
 (* A canonical kernel address that is never mapped: it survives PAC/AUT
    round trips (host-called protected functions sign it as their return
    address) and the fetch path checks for it before translation. *)
@@ -102,52 +106,6 @@ let[@inline] is_sentinel pc =
   Int64.to_int pc = sentinel_lo && Int64.equal pc sentinel
 
 let[@inline] is_zero64 v = Int64.to_int v = 0 && Int64.equal v 0L
-
-let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
-    ?(cipher = Qarma.Block.create ()) ?mem ?mmu ?icache ?(tier = Icache)
-    ?(trace_depth = 32) ?(id = 0) () =
-  if trace_depth <= 0 then invalid_arg "Cpu.create: trace_depth";
-  let mem = match mem with Some m -> m | None -> Mem.create () in
-  let mmu = match mmu with Some m -> m | None -> Mmu.create () in
-  let icache =
-    match icache with
-    | Some i -> i
-    | None -> Icache.create ~enabled:(tier <> Interp) ~mem ~mmu ()
-  in
-  let traces =
-    match tier with Traces -> Some (Traces.create ~mem ~mmu ()) | _ -> None
-  in
-  {
-    regs = Array.make 31 0L;
-    sp_el0 = 0L;
-    sp_el1 = 0L;
-    sp_el2 = 0L;
-    pc = 0L;
-    el = El.El1;
-    flags = { n = false; z = false; v = false; c = false };
-    sysregs = Hashtbl.create 32;
-    mem;
-    mmu;
-    icache;
-    tier;
-    traces;
-    cipher;
-    cost;
-    cycles = 0;
-    insns_retired = 0;
-    has_pauth;
-    sysreg_locked = (fun _ -> false);
-    trace_pc =
-      (let a = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout trace_depth in
-       Bigarray.Array1.fill a 0L;
-       a);
-    trace_insn = Array.make trace_depth Insn.Nop;
-    trace_pos = 0;
-    id;
-    step_hook = None;
-    sink = None;
-    last_run_tier = tier;
-  }
 
 let mem t = t.mem
 let mmu t = t.mmu
@@ -166,29 +124,31 @@ let pointer_cfg (_ : t) va =
   | Vaddr.Kernel -> Vaddr.linux_kernel
   | Vaddr.User | Vaddr.Invalid -> Vaddr.linux_user
 
-let sp_of t = function
-  | El.El0 -> t.sp_el0
-  | El.El1 -> t.sp_el1
-  | El.El2 -> t.sp_el2
+(* The register file is one array: x0..x30, the three banked stack
+   pointers, and two slots for the zero register, one that reads of
+   XZR hit (never written, so always 0) and one that writes to XZR land
+   in (never read). Every operand, SP and XZR included, is then a slot
+   fixed once its EL is known, so an op reads and writes registers by
+   plain array index whatever their kind. [R n] is validated at
+   decode/assembly time (n < 31), so accesses skip the bounds check. *)
+let sp_slot = function El.El0 -> 31 | El.El1 -> 32 | El.El2 -> 33
+let zero_slot = 34
+let sink_slot = 35
 
-let set_sp_of t el v =
-  match el with
-  | El.El0 -> t.sp_el0 <- v
-  | El.El1 -> t.sp_el1 <- v
-  | El.El2 -> t.sp_el2 <- v
+let read_slot el = function
+  | Insn.R n -> n
+  | Insn.SP -> sp_slot el
+  | Insn.XZR -> zero_slot
 
-(* [R n] is validated at decode/assembly time (n < 31), so the register
-   file skips the bounds check on the hot path. *)
-let reg t = function
-  | Insn.R n -> Array.unsafe_get t.regs n
-  | Insn.XZR -> 0L
-  | Insn.SP -> sp_of t t.el
+let write_slot el = function
+  | Insn.R n -> n
+  | Insn.SP -> sp_slot el
+  | Insn.XZR -> sink_slot
 
-let set_reg t r v =
-  match r with
-  | Insn.R n -> Array.unsafe_set t.regs n v
-  | Insn.XZR -> ()
-  | Insn.SP -> set_sp_of t t.el v
+let sp_of t el = Array.unsafe_get t.regs (sp_slot el)
+let set_sp_of t el v = Array.unsafe_set t.regs (sp_slot el) v
+let reg t r = Array.unsafe_get t.regs (read_slot t.el r)
+let set_reg t r v = Array.unsafe_set t.regs (write_slot t.el r) v
 
 let sysreg t sr =
   match sr with
@@ -224,6 +184,12 @@ let flags_bits t =
   lor (if t.flags.z then 4 else 0)
   lor (if t.flags.c then 2 else 0)
   lor if t.flags.v then 1 else 0
+
+let set_flags_bits t bits =
+  t.flags.n <- bits land 8 <> 0;
+  t.flags.z <- bits land 4 <> 0;
+  t.flags.c <- bits land 2 <> 0;
+  t.flags.v <- bits land 1 <> 0
 
 let pc t = t.pc
 let set_pc t v = t.pc <- v
@@ -339,20 +305,6 @@ let do_aut t key ptr modifier =
   end
   else ptr
 
-(* Addressing-mode evaluation: returns the effective VA and applies any
-   base-register writeback. *)
-let effective_address t m =
-  match m with
-  | Insn.Off (base, off) -> Int64.add (reg t base) (Int64.of_int off)
-  | Insn.Pre (base, off) ->
-      let addr = Int64.add (reg t base) (Int64.of_int off) in
-      set_reg t base addr;
-      addr
-  | Insn.Post (base, off) ->
-      let addr = reg t base in
-      set_reg t base (Int64.add addr (Int64.of_int off));
-      addr
-
 let set_flags_sub t a b =
   let result = Int64.sub a b in
   t.flags.n <- Int64.compare result 0L < 0;
@@ -374,197 +326,439 @@ let cond_holds t = function
 
 exception Stop of stop
 
-(* Data-side accesses. The walk counter counts architectural walks,
-   which the micro-TLB does not change: it bumps once per translation
-   request whether the result comes from the cache or the tables,
-   keeping telemetry bit-identical across cache configurations.
-   [Icache.Translate_fault] propagates to the run loop, which converts
-   it to a [Stop] with the current PC (unchanged until retirement
-   bookkeeping is done, so the faulting PC is exact). *)
+(* The walk counter counts architectural walks, which neither the
+   micro-TLB nor a page cache changes: it bumps once per translation
+   request whether the result comes from a cache or the tables, keeping
+   telemetry bit-identical across tiers. *)
 let[@inline] count_walk t =
   match t.sink with
   | Some s -> Telemetry.Counters.count_mmu_walk (Telemetry.Sink.counters s)
   | None -> ()
 
-let load t ~access ~width va =
-  count_walk t;
-  match width with
-  | `X -> Icache.read64_exn t.icache ~el:t.el va
-  | `B ->
-      Int64.of_int
-        (Mem.read8 t.mem (Icache.translate_exn t.icache ~el:t.el ~access va))
+(* --- Instruction semantics: the one op compiler. ---
 
-let store t ~width va v =
-  count_walk t;
-  match width with
-  | `X -> Icache.write64_exn t.icache ~el:t.el va v
-  | `B ->
-      Mem.write8 t.mem
-        (Icache.translate_exn t.icache ~el:t.el ~access:Mmu.Write va)
-        (Int64.to_int (Int64.logand v 0xffL))
+   [op_of insn ~el ~next] is the only place that says what an
+   instruction does. Its op is applied to whichever core executes it
+   and reads and writes only that core. Icache lines hold ops compiled
+   at fill, the single-step path runs them, the interp tier and EL2
+   compile a fresh one per step, and trace blocks chain line ops.
 
+   Compile time binds the operands, immediates, [next] (the fall-
+   through address), branch targets and the SP bank of [el], the EL the
+   line was decoded under: icache entries and blocks are keyed by EL,
+   and no op runs at another one. Keys, SCTLR, the sysreg lock and the
+   telemetry sink are read at run time, so one op serves every core
+   sharing the icache. An op sets the PC last: a faulting access still
+   sees the instruction's own address, and [Icache.Translate_fault]
+   propagates to the run loop, which turns it into a [Stop]. *)
 
-(* Execute one decoded instruction. The PC has NOT yet been advanced;
-   [next] is the fall-through address. *)
-let execute t insn ~next =
-  let branch target = t.pc <- target in
-  let fallthrough () = t.pc <- next in
+(* Addressing modes: writeback happens before the access. *)
+let op_addr el m =
+  match m with
+  | Insn.Off (base, off) ->
+      let b = read_slot el base and o = Int64.of_int off in
+      fun t -> Int64.add (Array.unsafe_get t.regs b) o
+  | Insn.Pre (base, off) ->
+      let b = read_slot el base and w = write_slot el base and o = Int64.of_int off in
+      fun t ->
+        let a = Int64.add (Array.unsafe_get t.regs b) o in
+        Array.unsafe_set t.regs w a;
+        a
+  | Insn.Post (base, off) ->
+      let b = read_slot el base and w = write_slot el base and o = Int64.of_int off in
+      fun t ->
+        let a = Array.unsafe_get t.regs b in
+        Array.unsafe_set t.regs w (Int64.add a o);
+        a
+
+(* Per-op single-entry data TLB for memory ops: the frame bytes backing
+   the last page the op touched, so the steady state is an int compare
+   plus a direct [Bytes] access. Sound because frame byte buffers are
+   stable for the life of a [Mem], the fill checks the op's access kind
+   against the page permissions, and any translation or permission
+   change advances the MMU generation, which flushes the icache lines
+   and kills the trace blocks holding the op before it runs again. The
+   page number is shifted before it is truncated to a native int, so
+   addresses differing only in bit 63 never share it. Stores still
+   fire [Mem.notify_store], so invalidation and snapshot dirty tracking
+   observe them exactly as a [Mem.write64]. *)
+type page_cache = {
+  mutable pg_page : int;  (* VA page, -1 when empty *)
+  mutable pg_bytes : Bytes.t;
+  mutable pg_frame : int;
+}
+
+let no_bytes = Bytes.create 0
+let fresh_page_cache () = { pg_page = -1; pg_bytes = no_bytes; pg_frame = 0 }
+let[@inline] page_of va = Int64.to_int (Int64.shift_right_logical va 12)
+
+let fill_page_cache t el access (c : page_cache) page va =
+  match Icache.data_page t.icache ~el ~access va with
+  | Some (fb, fi) ->
+      c.pg_page <- page;
+      c.pg_bytes <- fb;
+      c.pg_frame <- fi;
+      true
+  | None -> false
+
+(* [cached t el access c va] — whether [c] holds [va]'s page, refilled
+   on a miss. [false] sends the op to the exact path through the
+   icache, which raises the fault kind or handles a page straddle. *)
+let[@inline] cached t el access c va =
+  let page = page_of va in
+  page = c.pg_page || fill_page_cache t el access c page va
+
+let el_denied sr t = raise (Stop (Fault { fault = El_denied sr; pc = t.pc }))
+
+let stop_after ~next stop =
+  let e = Stop stop in
+  fun t ->
+    t.pc <- next;
+    raise e
+
+let rec op_of insn ~el ~next : op =
+  let src = read_slot el and dst = write_slot el in
   match insn with
-  | Insn.Nop | Insn.Isb -> fallthrough ()
+  | Insn.Nop | Insn.Isb -> fun t -> t.pc <- next
   | Insn.Movz (rd, imm, sh) ->
-      set_reg t rd (Int64.shift_left (Int64.of_int imm) sh);
-      fallthrough ()
+      let d = dst rd and v = Int64.shift_left (Int64.of_int imm) sh in
+      fun t ->
+        Array.unsafe_set t.regs d v;
+        t.pc <- next
   | Insn.Movk (rd, imm, sh) ->
-      set_reg t rd
-        (Val64.insert ~lo:sh ~width:16 ~field:(Int64.of_int imm) (reg t rd));
-      fallthrough ()
+      let d = dst rd and s = src rd and field = Int64.of_int imm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Val64.insert ~lo:sh ~width:16 ~field (Array.unsafe_get r s));
+        t.pc <- next
   | Insn.Mov (rd, rn) ->
-      set_reg t rd (reg t rn);
-      fallthrough ()
+      let d = dst rd and n = src rn in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Array.unsafe_get r n);
+        t.pc <- next
   | Insn.Add_imm (rd, rn, imm) ->
-      set_reg t rd (Int64.add (reg t rn) (Int64.of_int imm));
-      fallthrough ()
+      let d = dst rd and n = src rn and i = Int64.of_int imm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.add (Array.unsafe_get r n) i);
+        t.pc <- next
   | Insn.Sub_imm (rd, rn, imm) ->
-      set_reg t rd (Int64.sub (reg t rn) (Int64.of_int imm));
-      fallthrough ()
+      let d = dst rd and n = src rn and i = Int64.of_int imm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.sub (Array.unsafe_get r n) i);
+        t.pc <- next
   | Insn.Add_reg (rd, rn, rm) ->
-      set_reg t rd (Int64.add (reg t rn) (reg t rm));
-      fallthrough ()
+      let d = dst rd and n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.add (Array.unsafe_get r n) (Array.unsafe_get r m));
+        t.pc <- next
   | Insn.Sub_reg (rd, rn, rm) ->
-      set_reg t rd (Int64.sub (reg t rn) (reg t rm));
-      fallthrough ()
-  | Insn.Subs_reg (rd, rn, rm) ->
-      set_reg t rd (set_flags_sub t (reg t rn) (reg t rm));
-      fallthrough ()
-  | Insn.Subs_imm (rd, rn, imm) ->
-      set_reg t rd (set_flags_sub t (reg t rn) (Int64.of_int imm));
-      fallthrough ()
+      let d = dst rd and n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.sub (Array.unsafe_get r n) (Array.unsafe_get r m));
+        t.pc <- next
   | Insn.And_reg (rd, rn, rm) ->
-      set_reg t rd (Int64.logand (reg t rn) (reg t rm));
-      fallthrough ()
+      let d = dst rd and n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.logand (Array.unsafe_get r n) (Array.unsafe_get r m));
+        t.pc <- next
   | Insn.Orr_reg (rd, rn, rm) ->
-      set_reg t rd (Int64.logor (reg t rn) (reg t rm));
-      fallthrough ()
+      let d = dst rd and n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.logor (Array.unsafe_get r n) (Array.unsafe_get r m));
+        t.pc <- next
   | Insn.Eor_reg (rd, rn, rm) ->
-      set_reg t rd (Int64.logxor (reg t rn) (reg t rm));
-      fallthrough ()
+      let d = dst rd and n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.logxor (Array.unsafe_get r n) (Array.unsafe_get r m));
+        t.pc <- next
+  | Insn.Subs_reg (rd, rn, rm) ->
+      let d = dst rd and n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (set_flags_sub t (Array.unsafe_get r n) (Array.unsafe_get r m));
+        t.pc <- next
+  | Insn.Subs_imm (rd, rn, imm) ->
+      let d = dst rd and n = src rn and i = Int64.of_int imm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (set_flags_sub t (Array.unsafe_get r n) i);
+        t.pc <- next
   | Insn.Lsl_imm (rd, rn, sh) ->
-      set_reg t rd (Int64.shift_left (reg t rn) sh);
-      fallthrough ()
+      let d = dst rd and n = src rn in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.shift_left (Array.unsafe_get r n) sh);
+        t.pc <- next
   | Insn.Lsr_imm (rd, rn, sh) ->
-      set_reg t rd (Int64.shift_right_logical (reg t rn) sh);
-      fallthrough ()
-  | Insn.Bfi (rd, rn, lsb, width) ->
-      set_reg t rd (Val64.insert ~lo:lsb ~width ~field:(reg t rn) (reg t rd));
-      fallthrough ()
-  | Insn.Ubfx (rd, rn, lsb, width) ->
-      set_reg t rd (Val64.extract ~lo:lsb ~width (reg t rn));
-      fallthrough ()
+      let d = dst rd and n = src rn in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Int64.shift_right_logical (Array.unsafe_get r n) sh);
+        t.pc <- next
+  | Insn.Bfi (rd, rn, lo, width) ->
+      let d = dst rd and s = src rd and n = src rn in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d
+          (Val64.insert ~lo ~width ~field:(Array.unsafe_get r n) (Array.unsafe_get r s));
+        t.pc <- next
+  | Insn.Ubfx (rd, rn, lo, width) ->
+      let d = dst rd and n = src rn in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (Val64.extract ~lo ~width (Array.unsafe_get r n));
+        t.pc <- next
   | Insn.Adr (rd, target) ->
-      set_reg t rd target;
-      fallthrough ()
+      let d = dst rd in
+      fun t ->
+        Array.unsafe_set t.regs d target;
+        t.pc <- next
   | Insn.Ldr (rd, m) ->
-      let va = effective_address t m in
-      set_reg t rd (load t ~access:Mmu.Read ~width:`X va);
-      fallthrough ()
-  | Insn.Ldrb (rd, m) ->
-      let va = effective_address t m in
-      set_reg t rd (load t ~access:Mmu.Read ~width:`B va);
-      fallthrough ()
+      let addr = op_addr el m and d = dst rd and c = fresh_page_cache () in
+      fun t ->
+        let a = addr t in
+        count_walk t;
+        let off = Int64.to_int a land 0xfff in
+        Array.unsafe_set t.regs d
+          (if cached t el Mmu.Read c a && off <= 4088 then Bytes.get_int64_le c.pg_bytes off
+           else Mem.read64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a));
+        t.pc <- next
   | Insn.Str (rs, m) ->
-      let va = effective_address t m in
-      store t ~width:`X va (reg t rs);
-      fallthrough ()
+      let addr = op_addr el m and s = src rs and c = fresh_page_cache () in
+      fun t ->
+        let a = addr t in
+        count_walk t;
+        let off = Int64.to_int a land 0xfff and v = Array.unsafe_get t.regs s in
+        if cached t el Mmu.Write c a && off <= 4088 then begin
+          Bytes.set_int64_le c.pg_bytes off v;
+          Mem.notify_store t.mem c.pg_frame
+        end
+        else Mem.write64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a) v;
+        t.pc <- next
+  | Insn.Ldrb (rd, m) ->
+      let addr = op_addr el m and d = dst rd and c = fresh_page_cache () in
+      fun t ->
+        let a = addr t in
+        count_walk t;
+        Array.unsafe_set t.regs d
+          (Int64.of_int
+             (if cached t el Mmu.Read c a then
+                Char.code (Bytes.get c.pg_bytes (Int64.to_int a land 0xfff))
+              else Mem.read8 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a)));
+        t.pc <- next
   | Insn.Strb (rs, m) ->
-      let va = effective_address t m in
-      store t ~width:`B va (reg t rs);
-      fallthrough ()
+      let addr = op_addr el m and s = src rs and c = fresh_page_cache () in
+      fun t ->
+        let a = addr t in
+        count_walk t;
+        let byte = Int64.to_int (Int64.logand (Array.unsafe_get t.regs s) 0xffL) in
+        if cached t el Mmu.Write c a then begin
+          Bytes.set c.pg_bytes (Int64.to_int a land 0xfff) (Char.chr byte);
+          Mem.notify_store t.mem c.pg_frame
+        end
+        else Mem.write8 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a) byte;
+        t.pc <- next
   | Insn.Ldp (r1, r2, m) ->
-      let va = effective_address t m in
-      set_reg t r1 (load t ~access:Mmu.Read ~width:`X va);
-      set_reg t r2 (load t ~access:Mmu.Read ~width:`X (Int64.add va 8L));
-      fallthrough ()
+      let addr = op_addr el m and d1 = dst r1 and d2 = dst r2 in
+      let c = fresh_page_cache () in
+      fun t ->
+        let a = addr t in
+        let off = Int64.to_int a land 0xfff and r = t.regs in
+        if cached t el Mmu.Read c a && off <= 4080 then begin
+          count_walk t;
+          count_walk t;
+          Array.unsafe_set r d1 (Bytes.get_int64_le c.pg_bytes off);
+          Array.unsafe_set r d2 (Bytes.get_int64_le c.pg_bytes (off + 8))
+        end
+        else begin
+          count_walk t;
+          Array.unsafe_set r d1
+            (Mem.read64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a));
+          count_walk t;
+          let a = Int64.add a 8L in
+          Array.unsafe_set r d2
+            (Mem.read64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a))
+        end;
+        t.pc <- next
   | Insn.Stp (r1, r2, m) ->
-      let va = effective_address t m in
-      store t ~width:`X va (reg t r1);
-      store t ~width:`X (Int64.add va 8L) (reg t r2);
-      fallthrough ()
-  | Insn.B target -> branch target
+      let addr = op_addr el m and s1 = src r1 and s2 = src r2 in
+      let c = fresh_page_cache () in
+      fun t ->
+        let a = addr t in
+        let off = Int64.to_int a land 0xfff and r = t.regs in
+        if cached t el Mmu.Write c a && off <= 4080 then begin
+          count_walk t;
+          count_walk t;
+          Bytes.set_int64_le c.pg_bytes off (Array.unsafe_get r s1);
+          Bytes.set_int64_le c.pg_bytes (off + 8) (Array.unsafe_get r s2);
+          Mem.notify_store t.mem c.pg_frame
+        end
+        else begin
+          count_walk t;
+          Mem.write64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a)
+            (Array.unsafe_get r s1);
+          count_walk t;
+          let a = Int64.add a 8L in
+          Mem.write64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a)
+            (Array.unsafe_get r s2)
+        end;
+        t.pc <- next
+  | Insn.B target -> fun t -> t.pc <- target
   | Insn.Bl target ->
-      set_reg t Insn.lr next;
-      branch target
-  | Insn.Br rn -> branch (reg t rn)
+      fun t ->
+        Array.unsafe_set t.regs 30 next;
+        t.pc <- target
+  | Insn.Br rn ->
+      let n = src rn in
+      fun t -> t.pc <- Array.unsafe_get t.regs n
   | Insn.Blr rn ->
-      let target = reg t rn in
-      set_reg t Insn.lr next;
-      branch target
-  | Insn.Ret -> branch (reg t Insn.lr)
-  | Insn.Cbz (rn, target) -> if is_zero64 (reg t rn) then branch target else fallthrough ()
+      let n = src rn in
+      fun t ->
+        (* read the target before writing lr: Blr x30 branches to the
+           old link register *)
+        let target = Array.unsafe_get t.regs n in
+        Array.unsafe_set t.regs 30 next;
+        t.pc <- target
+  | Insn.Ret -> fun t -> t.pc <- Array.unsafe_get t.regs 30
+  | Insn.Cbz (rn, target) ->
+      let n = src rn in
+      fun t -> t.pc <- (if is_zero64 (Array.unsafe_get t.regs n) then target else next)
   | Insn.Cbnz (rn, target) ->
-      if not (is_zero64 (reg t rn)) then branch target else fallthrough ()
-  | Insn.Bcond (c, target) -> if cond_holds t c then branch target else fallthrough ()
+      let n = src rn in
+      fun t -> t.pc <- (if is_zero64 (Array.unsafe_get t.regs n) then next else target)
+  | Insn.Bcond (c, target) -> fun t -> t.pc <- (if cond_holds t c then target else next)
   | Insn.Pac (k, rd, rm) ->
-      set_reg t rd (do_pac t k (reg t rd) (reg t rm));
-      fallthrough ()
+      let d = dst rd and s = src rd and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (do_pac t k (Array.unsafe_get r s) (Array.unsafe_get r m));
+        t.pc <- next
   | Insn.Aut (k, rd, rm) ->
-      set_reg t rd (do_aut t k (reg t rd) (reg t rm));
-      fallthrough ()
-  | Insn.Pac1716 k ->
-      set_reg t Insn.ip1 (do_pac t k (reg t Insn.ip1) (reg t Insn.ip0));
-      fallthrough ()
-  | Insn.Aut1716 k ->
-      set_reg t Insn.ip1 (do_aut t k (reg t Insn.ip1) (reg t Insn.ip0));
-      fallthrough ()
+      let d = dst rd and s = src rd and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d (do_aut t k (Array.unsafe_get r s) (Array.unsafe_get r m));
+        t.pc <- next
+  | Insn.Pac1716 k -> op_of (Insn.Pac (k, Insn.ip1, Insn.ip0)) ~el ~next
+  | Insn.Aut1716 k -> op_of (Insn.Aut (k, Insn.ip1, Insn.ip0)) ~el ~next
   | Insn.Xpac rd ->
-      let v = reg t rd in
-      set_reg t rd (Vaddr.strip_pac (pointer_cfg t v) v);
-      fallthrough ()
+      let d = dst rd and s = src rd in
+      fun t ->
+        let v = Array.unsafe_get t.regs s in
+        Array.unsafe_set t.regs d (Vaddr.strip_pac (pointer_cfg t v) v);
+        t.pc <- next
   | Insn.Pacga (rd, rn, rm) ->
-      set_reg t rd
-        (Pac.generic ~cipher:t.cipher ~key:(pac_key t Sysreg.GA) ~value:(reg t rn)
-           ~modifier:(reg t rm));
-      fallthrough ()
+      let d = dst rd and n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        Array.unsafe_set r d
+          (Pac.generic ~cipher:t.cipher ~key:(pac_key t Sysreg.GA)
+             ~value:(Array.unsafe_get r n) ~modifier:(Array.unsafe_get r m));
+        t.pc <- next
   | Insn.Blra (k, rn, rm) ->
-      let target = do_aut t k (reg t rn) (reg t rm) in
-      set_reg t Insn.lr next;
-      branch target
-  | Insn.Bra (k, rn, rm) -> branch (do_aut t k (reg t rn) (reg t rm))
-  | Insn.Reta k -> branch (do_aut t k (reg t Insn.lr) (reg t Insn.SP))
+      let n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        let target = do_aut t k (Array.unsafe_get r n) (Array.unsafe_get r m) in
+        Array.unsafe_set r 30 next;
+        t.pc <- target
+  | Insn.Bra (k, rn, rm) ->
+      let n = src rn and m = src rm in
+      fun t ->
+        let r = t.regs in
+        t.pc <- do_aut t k (Array.unsafe_get r n) (Array.unsafe_get r m)
+  | Insn.Reta k ->
+      let sp = sp_slot el in
+      fun t ->
+        let r = t.regs in
+        t.pc <- do_aut t k (Array.unsafe_get r 30) (Array.unsafe_get r sp)
+  | Insn.Mrs (_, sr) when el = El.El0 && not (Sysreg.el0_readable sr) -> el_denied sr
   | Insn.Mrs (rd, sr) ->
-      if t.el = El.El0 && not (Sysreg.el0_readable sr) then
-        raise (Stop (Fault { fault = El_denied sr; pc = t.pc }));
-      set_reg t rd (sysreg t sr);
-      fallthrough ()
+      let d = dst rd in
+      fun t ->
+        Array.unsafe_set t.regs d (sysreg t sr);
+        t.pc <- next
+  | Insn.Msr (sr, _) when el = El.El0 -> el_denied sr
   | Insn.Msr (sr, rn) ->
-      if t.el = El.El0 then raise (Stop (Fault { fault = El_denied sr; pc = t.pc }));
-      if t.el = El.El1 && t.sysreg_locked sr then
-        raise (Stop (Fault { fault = Hyp_denied sr; pc = t.pc }));
-      set_sysreg t sr (reg t rn);
-      fallthrough ()
+      let n = src rn in
+      fun t ->
+        if el = El.El1 && t.sysreg_locked sr then
+          raise (Stop (Fault { fault = Hyp_denied sr; pc = t.pc }));
+        set_sysreg t sr (Array.unsafe_get t.regs n);
+        t.pc <- next
   | Insn.Svc imm ->
-      t.pc <- next;
-      (match t.sink with
-      | Some s -> Telemetry.Counters.count_exception_entry (Telemetry.Sink.counters s)
-      | None -> ());
-      raise (Stop (Svc imm))
+      let stop = Stop (Svc imm) in
+      fun t ->
+        t.pc <- next;
+        (match t.sink with
+        | Some s -> Telemetry.Counters.count_exception_entry (Telemetry.Sink.counters s)
+        | None -> ());
+        raise stop
   | Insn.Eret ->
-      let spsr = sysreg t Sysreg.SPSR_EL1 in
-      let target_el = if Val64.extract ~lo:2 ~width:2 spsr = 0L then El.El0 else El.El1 in
-      t.el <- target_el;
-      t.pc <- sysreg t Sysreg.ELR_EL1;
-      (match t.sink with
-      | Some s -> Telemetry.Counters.count_exception_return (Telemetry.Sink.counters s)
-      | None -> ());
-      raise (Stop Eret_done)
-  | Insn.Brk imm ->
-      t.pc <- next;
-      raise (Stop (Brk imm))
-  | Insn.Hlt imm ->
-      t.pc <- next;
-      raise (Stop (Hlt imm))
+      fun t ->
+        let spsr = sysreg t Sysreg.SPSR_EL1 in
+        t.el <- (if Val64.extract ~lo:2 ~width:2 spsr = 0L then El.El0 else El.El1);
+        t.pc <- sysreg t Sysreg.ELR_EL1;
+        (match t.sink with
+        | Some s -> Telemetry.Counters.count_exception_return (Telemetry.Sink.counters s)
+        | None -> ());
+        raise (Stop Eret_done)
+  | Insn.Brk imm -> stop_after ~next (Brk imm)
+  | Insn.Hlt imm -> stop_after ~next (Hlt imm)
 
-(* Retirement bookkeeping common to the single-step path and compiled
-   ops. Allocation-free: the trace ring keeps pc and insn in parallel
+let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
+    ?(cipher = Qarma.Block.create ()) ?mem ?mmu ?icache ?(tier = Icache)
+    ?(trace_depth = 32) ?(id = 0) () =
+  if trace_depth <= 0 then invalid_arg "Cpu.create: trace_depth";
+  let mem = match mem with Some m -> m | None -> Mem.create () in
+  let mmu = match mmu with Some m -> m | None -> Mmu.create () in
+  let icache =
+    match icache with
+    | Some i -> i
+    | None -> Icache.create ~enabled:(tier <> Interp) ~compile:op_of ~mem ~mmu ()
+  in
+  let traces =
+    match tier with Traces -> Some (Traces.create ~mem ~mmu ()) | _ -> None
+  in
+  {
+    regs = Array.make (sink_slot + 1) 0L;
+    pc = 0L;
+    el = El.El1;
+    flags = { n = false; z = false; v = false; c = false };
+    sysregs = Hashtbl.create 32;
+    mem;
+    mmu;
+    icache;
+    tier;
+    traces;
+    cipher;
+    cost;
+    cycles = 0;
+    insns_retired = 0;
+    has_pauth;
+    sysreg_locked = (fun _ -> false);
+    trace_pc =
+      (let a = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout trace_depth in
+       Bigarray.Array1.fill a 0L;
+       a);
+    trace_insn = Array.make trace_depth Insn.Nop;
+    trace_pos = 0;
+    id;
+    step_hook = None;
+    sink = None;
+    last_run_tier = tier;
+  }
+
+(* Retirement bookkeeping common to the single-step path and trace
+   blocks. Allocation-free: the trace ring keeps pc and insn in parallel
    arrays, and the number of valid entries is [min insns_retired depth]
    since every retire writes one. *)
 let retire t insn cost =
@@ -578,21 +772,34 @@ let retire t insn cost =
   let p = t.trace_pos + 1 in
   t.trace_pos <- (if p = Array.length t.trace_insn then 0 else p)
 
+let skip_op t = t.pc <- Int64.add t.pc 4L
+
 (* The single-step path: the one place an instruction is fetched,
    hooked, costed, retired, shown to a sink and executed outside a
-   compiled block. The walk is counted before the fetch (a faulting
-   fetch still walked) and the hook runs before the charge, so state
-   it changes prices the instruction as it executes it. A skipped
-   instruction still issues; only the PC advances. [observed] (a hook
-   or sink may be attached) is a constant at every call site, so the
-   unobserved inlined copy tests neither. *)
+   trace block. The walk is counted before the fetch (a faulting fetch
+   still walked) and the hook runs before the charge, so state it
+   changes prices the instruction as it executes it. A skipped
+   instruction still issues; only the PC advances. The fetched line's
+   op may hold a page cache that a hook outdates by moving the MMU
+   generation; the next fetch would flush it, but this instruction is
+   already fetched, so it runs a freshly compiled op instead. [observed]
+   (a hook or sink may be attached) is a constant at every call site,
+   so the unobserved inlined copy tests neither. *)
 let[@inline] step_insn t ~observed =
   if observed then count_walk t;
-  let insn = Icache.fetch_exn t.icache ~el:t.el t.pc in
-  let action =
-    if observed then
-      match t.step_hook with None -> Exec | Some h -> h t ~pc:t.pc insn
-    else Exec
+  let line = Icache.fetch_exn t.icache ~el:t.el t.pc in
+  let insn = line.Icache.insn in
+  let op =
+    if not observed then line.Icache.op
+    else
+      match t.step_hook with
+      | None -> line.Icache.op
+      | Some h -> (
+          let gen = Mmu.generation t.mmu in
+          match h t ~pc:t.pc insn with
+          | Skip -> skip_op
+          | Exec when Mmu.generation t.mmu = gen -> line.Icache.op
+          | Exec -> op_of insn ~el:t.el ~next:(Int64.add t.pc 4L))
   in
   let cost = cost_of t insn in
   retire t insn cost;
@@ -602,33 +809,33 @@ let[@inline] step_insn t ~observed =
      | Some s ->
          Telemetry.Sink.retire s ~pc:t.pc ~cls:(class_of_insn insn)
            ~origin:(origin_of_insn insn) ~cycles:cost);
-  let next = Int64.add t.pc 4L in
-  (match action with Skip -> t.pc <- next | Exec -> execute t insn ~next);
+  op t;
   insn
 
-(* --- The traces tier: superblock compilation and dispatch. ---
+(* --- The traces tier: superblocks of chained line ops. ---
 
-   Hot straight-line regions are compiled into arrays of pre-bound
-   closures ("ops") and driven by a tight loop — fetch, decode, the
-   cost match and the dispatch match all disappear from the hot path.
-   The contract is the same as the icache's, only stronger: guest
-   state, cycles, retirement counts, the trace ring, fault kinds and
-   stop reasons must be bit-identical to the interpreter.
+   Hot straight-line regions become continuation-threaded chains of the
+   icache lines' ops, driven by a tight loop: fetch, decode and the
+   cost match disappear from the hot path. The contract is the same as
+   the icache's, only stronger: guest state, cycles, retirement counts,
+   the trace ring, fault kinds and stop reasons must be bit-identical
+   to the interpreter.
 
    Invariants that make that hold:
    - at every op's start, [t.pc] is that op's instruction address (the
-     previous op's epilogue set it, and the dispatcher only enters a
-     block when [t.pc] equals its entry), so [retire]'s ring write and
-     a faulting access both see the exact PC;
-   - every op retires first and executes second, like [step_insn], so a
-     faulting instruction is still retired and charged;
+     previous op set it, and the dispatcher only enters a block when
+     [t.pc] equals its entry), so [retire]'s ring write and a faulting
+     access both see the exact PC;
+   - every link retires first and runs its op second, like
+     [step_insn], so a faulting instruction is still retired and
+     charged;
    - blocks are cut at branches (compiled as terminators), PAC/AUT
-     boundaries and exception-raising instructions, so every compiled
+     boundaries and exception-raising instructions, so every chained
      instruction has a statically known cost and can never change EL;
-   - the driver re-checks [bk_live] between ops: a store that lands
-     in the block's own code pages (the Bloom-screened [Mem] hook) kills
-     the block mid-flight and the remaining ops are abandoned, exactly
-     as the interpreter would re-fetch the patched word. *)
+   - the driver re-checks [bk_live] after stores: a store that lands in
+     the block's own code pages (the Bloom-screened [Mem] hook) kills
+     the block mid-flight and the remaining links are abandoned,
+     exactly as the interpreter would re-fetch the patched word. *)
 
 (* Instructions that end a block *before* themselves: dynamic cost
    (PAC family), EL/sysreg traffic, or a raise. They execute via the
@@ -647,445 +854,57 @@ let is_terminator = function
       true
   | _ -> false
 
-(* Compiled blocks are continuation-threaded: each op ends with a tail
-   call to the next op's closure, so a full block run is one indirect
-   call from the driver and a chain of tail calls — no per-op array
-   indexing, bounds check or loop counter. An op that must abandon the
+(* Blocks are continuation-threaded: each link ends with a tail call to
+   the next link's closure, so a full block run is one indirect call
+   from the driver and a chain of tail calls — no per-op array
+   indexing, bounds check or loop counter. A link that must abandon the
    block (a mispredicted inlined return, or a store that invalidated
    the block under its own feet) simply returns without calling its
    continuation; the driver recovers the retired count from the
    [insns_retired] delta. [block_end] terminates every chain. *)
 let block_end () = ()
 
-(* Only compiled stores can flip [bk_live] mid-block (the [Mem] write
-   hook: self-modifying code, or data sharing a frame with block code);
+(* Only stores can flip [bk_live] mid-block (the [Mem] write hook:
+   self-modifying code, or data sharing a frame with block code);
    everything else that invalidates — MSR flush matrix, MMU generation,
    slot eviction — runs at block boundaries. So stores re-check
-   liveness before tail-calling the rest of the chain, and other ops
+   liveness before tail-calling the rest of the chain, and other links
    skip the check entirely. [self] is back-patched right after
    [Traces.install]. *)
 let[@inline] block_alive self =
   match !self with Some b -> b.Traces.bk_live | None -> true
 
-(* Compile-time operand accessors. A block executes entirely at its
-   compile-time EL (the cut set excludes every EL-changing instruction
-   and the dispatcher guards [bk_el] at entry), so the SP bank can be
-   selected when the closure is built instead of on every execution. *)
-let op_get t el = function
-  | Insn.R n ->
-      let regs = t.regs in
-      fun () -> Array.unsafe_get regs n
-  | Insn.XZR -> fun () -> 0L
-  | Insn.SP -> fun () -> sp_of t el
-
-let op_set t el = function
-  | Insn.R n ->
-      let regs = t.regs in
-      fun v -> Array.unsafe_set regs n v
-  | Insn.XZR -> fun _ -> ()
-  | Insn.SP -> fun v -> set_sp_of t el v
-
-(* Addressing-mode compiler: the mode dispatch and the offset boxing
-   happen once, the writeback order matches [effective_address]
-   exactly (writeback before the access, like the interpreter). The
-   common base kinds get flat single-closure arms — no inner accessor
-   call on the hot path. *)
-let op_addr t el m =
-  let regs = t.regs in
-  match m with
-  | Insn.Off (Insn.R b, off) ->
-      let o = Int64.of_int off in
-      fun () -> Int64.add (Array.unsafe_get regs b) o
-  | Insn.Pre (Insn.R b, off) ->
-      let o = Int64.of_int off in
-      fun () ->
-        let a = Int64.add (Array.unsafe_get regs b) o in
-        Array.unsafe_set regs b a;
-        a
-  | Insn.Post (Insn.R b, off) ->
-      let o = Int64.of_int off in
-      fun () ->
-        let a = Array.unsafe_get regs b in
-        Array.unsafe_set regs b (Int64.add a o);
-        a
-  | Insn.Off (Insn.SP, off) ->
-      let o = Int64.of_int off in
-      fun () -> Int64.add (sp_of t el) o
-  | Insn.Pre (Insn.SP, off) ->
-      let o = Int64.of_int off in
-      fun () ->
-        let a = Int64.add (sp_of t el) o in
-        set_sp_of t el a;
-        a
-  | Insn.Post (Insn.SP, off) ->
-      let o = Int64.of_int off in
-      fun () ->
-        let a = sp_of t el in
-        set_sp_of t el (Int64.add a o);
-        a
-  | Insn.Off (base, off) ->
-      let g = op_get t el base and o = Int64.of_int off in
-      fun () -> Int64.add (g ()) o
-  | Insn.Pre (base, off) ->
-      let g = op_get t el base
-      and s = op_set t el base
-      and o = Int64.of_int off in
-      fun () ->
-        let a = Int64.add (g ()) o in
-        s a;
-        a
-  | Insn.Post (base, off) ->
-      let g = op_get t el base
-      and s = op_set t el base
-      and o = Int64.of_int off in
-      fun () ->
-        let a = g () in
-        s (Int64.add a o);
-        a
-
-(* Per-op single-entry data TLB for compiled memory ops: caches the
-   frame bytes backing the last page the op touched, so the steady
-   state is an int compare plus a direct [Bytes] access — no hash, no
-   slot probe, no permission re-check. Sound because frame byte
-   buffers are stable for the life of a [Mem], the fill checks the
-   op's access kind against the page permissions, and any translation
-   or permission change advances the MMU generation, which kills the
-   owning block before its next dispatch. Stores still fire
-   [Mem.notify_store], so icache/trace invalidation and snapshot dirty
-   tracking observe them exactly as a [Mem.write64]. *)
-type page_cache = {
-  mutable pg_page : int;  (* VA page (63-bit), -1 when empty *)
-  mutable pg_bytes : Bytes.t;
-  mutable pg_frame : int;
-}
-
-let no_bytes = Bytes.create 0
-let fresh_page_cache () = { pg_page = -1; pg_bytes = no_bytes; pg_frame = 0 }
-
-let fill_page_cache t el access (c : page_cache) page va =
-  match Icache.data_page t.icache ~el ~access va with
-  | Some (fb, fi) ->
-      c.pg_page <- page;
-      c.pg_bytes <- fb;
-      c.pg_frame <- fi
-  | None -> ()
-
-(* Compile one instruction into an op that tail-calls [k]. The common
-   cases are specialized down to unsafe register-array accesses with
-   every immediate pre-bound (captured boxed int64 constants cost
-   nothing to reuse); everything else falls back to [execute], which
-   still skips fetch/decode/cost on re-execution. [cost_of] is constant
-   for every compilable class — the dynamic-cost instructions are all
-   in [is_cut]. *)
-let compile_op t insn ~next ~self k =
+(* One block link: retire at the cost bound when the block was built
+   (constant for every chained class — the dynamic-cost instructions
+   are all in [is_cut]), run the line op, continue. *)
+let link t insn (op : op) ~self k =
   let cost = cost_of t insn in
-  let regs = t.regs in
-  let el = t.el in
   match insn with
-  | Insn.Nop | Insn.Isb ->
+  | Insn.Str _ | Insn.Strb _ | Insn.Stp _ ->
       fun () ->
         retire t insn cost;
-        t.pc <- next;
-        k ()
-  | Insn.Movz (Insn.R d, imm, sh) ->
-      let v = Int64.shift_left (Int64.of_int imm) sh in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d v;
-        t.pc <- next;
-        k ()
-  | Insn.Mov (Insn.R d, Insn.R n) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Array.unsafe_get regs n);
-        t.pc <- next;
-        k ()
-  | Insn.Add_imm (Insn.R d, Insn.R n, imm) ->
-      let i = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Int64.add (Array.unsafe_get regs n) i);
-        t.pc <- next;
-        k ()
-  | Insn.Sub_imm (Insn.R d, Insn.R n, imm) ->
-      let i = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Int64.sub (Array.unsafe_get regs n) i);
-        t.pc <- next;
-        k ()
-  | Insn.Add_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.add (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Sub_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.sub (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.And_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.logand (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Orr_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.logor (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Eor_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.logxor (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Subs_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (set_flags_sub t (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Subs_imm (Insn.R d, Insn.R n, imm) ->
-      let i = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (set_flags_sub t (Array.unsafe_get regs n) i);
-        t.pc <- next;
-        k ()
-  | Insn.Lsl_imm (Insn.R d, Insn.R n, sh) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Int64.shift_left (Array.unsafe_get regs n) sh);
-        t.pc <- next;
-        k ()
-  | Insn.Lsr_imm (Insn.R d, Insn.R n, sh) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.shift_right_logical (Array.unsafe_get regs n) sh);
-        t.pc <- next;
-        k ()
-  | Insn.Adr (Insn.R d, target) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d target;
-        t.pc <- next;
-        k ()
-  | Insn.Movk (Insn.R d, imm, sh) ->
-      let field = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Val64.insert ~lo:sh ~width:16 ~field (Array.unsafe_get regs d));
-        t.pc <- next;
-        k ()
-  | Insn.Ldr (rd, m) ->
-      let addr = op_addr t el m and set_d = op_set t el rd in
-      let icache = t.icache in
-      let c = fresh_page_cache () in
-      fun () ->
-        retire t insn cost;
-        let a = addr () in
-        let ai = Int64.to_int a in
-        let page = ai lsr 12 and off = ai land 0xfff in
-        if page = c.pg_page && off <= 4088 then
-          set_d (Bytes.get_int64_le c.pg_bytes off)
-        else begin
-          set_d (Icache.read64_exn icache ~el a);
-          fill_page_cache t el Mmu.Read c page a
-        end;
-        t.pc <- next;
-        k ()
-  | Insn.Str (rs, m) ->
-      let addr = op_addr t el m and get_s = op_get t el rs in
-      let icache = t.icache and mem = t.mem in
-      let c = fresh_page_cache () in
-      fun () ->
-        retire t insn cost;
-        let a = addr () in
-        let ai = Int64.to_int a in
-        let page = ai lsr 12 and off = ai land 0xfff in
-        if page = c.pg_page && off <= 4088 then begin
-          Bytes.set_int64_le c.pg_bytes off (get_s ());
-          Mem.notify_store mem c.pg_frame
-        end
-        else begin
-          Icache.write64_exn icache ~el a (get_s ());
-          fill_page_cache t el Mmu.Write c page a
-        end;
-        t.pc <- next;
+        op t;
         if block_alive self then k ()
-  | Insn.Ldrb (rd, m) ->
-      let addr = op_addr t el m and set_d = op_set t el rd in
-      let c = fresh_page_cache () in
-      fun () ->
-        retire t insn cost;
-        let a = addr () in
-        let ai = Int64.to_int a in
-        let page = ai lsr 12 and off = ai land 0xfff in
-        if page = c.pg_page then
-          set_d (Int64.of_int (Char.code (Bytes.get c.pg_bytes off)))
-        else begin
-          set_d
-            (Int64.of_int
-               (Mem.read8 t.mem
-                  (Icache.translate_exn t.icache ~el ~access:Mmu.Read a)));
-          fill_page_cache t el Mmu.Read c page a
-        end;
-        t.pc <- next;
-        k ()
-  | Insn.Strb (rs, m) ->
-      let addr = op_addr t el m and get_s = op_get t el rs in
-      let mem = t.mem in
-      let c = fresh_page_cache () in
-      fun () ->
-        retire t insn cost;
-        let a = addr () in
-        let ai = Int64.to_int a in
-        let page = ai lsr 12 and off = ai land 0xfff in
-        if page = c.pg_page then begin
-          Bytes.set c.pg_bytes off
-            (Char.chr (Int64.to_int (Int64.logand (get_s ()) 0xffL)));
-          Mem.notify_store mem c.pg_frame
-        end
-        else begin
-          Mem.write8 mem
-            (Icache.translate_exn t.icache ~el ~access:Mmu.Write a)
-            (Int64.to_int (Int64.logand (get_s ()) 0xffL));
-          fill_page_cache t el Mmu.Write c page a
-        end;
-        t.pc <- next;
-        if block_alive self then k ()
-  | Insn.Ldp (r1, r2, m) ->
-      let addr = op_addr t el m
-      and set_1 = op_set t el r1
-      and set_2 = op_set t el r2 in
-      let icache = t.icache in
-      let c = fresh_page_cache () in
-      fun () ->
-        retire t insn cost;
-        let a = addr () in
-        let ai = Int64.to_int a in
-        let page = ai lsr 12 and off = ai land 0xfff in
-        if page = c.pg_page && off <= 4080 then begin
-          let fb = c.pg_bytes in
-          set_1 (Bytes.get_int64_le fb off);
-          set_2 (Bytes.get_int64_le fb (off + 8))
-        end
-        else begin
-          set_1 (Icache.read64_exn icache ~el a);
-          set_2 (Icache.read64_exn icache ~el (Int64.add a 8L));
-          fill_page_cache t el Mmu.Read c page a
-        end;
-        t.pc <- next;
-        k ()
-  | Insn.Stp (r1, r2, m) ->
-      let addr = op_addr t el m
-      and get_1 = op_get t el r1
-      and get_2 = op_get t el r2 in
-      let icache = t.icache and mem = t.mem in
-      let c = fresh_page_cache () in
-      fun () ->
-        retire t insn cost;
-        let a = addr () in
-        let ai = Int64.to_int a in
-        let page = ai lsr 12 and off = ai land 0xfff in
-        if page = c.pg_page && off <= 4080 then begin
-          let fb = c.pg_bytes in
-          Bytes.set_int64_le fb off (get_1 ());
-          Bytes.set_int64_le fb (off + 8) (get_2 ());
-          Mem.notify_store mem c.pg_frame
-        end
-        else begin
-          Icache.write64_exn icache ~el a (get_1 ());
-          Icache.write64_exn icache ~el (Int64.add a 8L) (get_2 ());
-          fill_page_cache t el Mmu.Write c page a
-        end;
-        t.pc <- next;
-        if block_alive self then k ()
-  | Insn.B target ->
-      fun () ->
-        retire t insn cost;
-        t.pc <- target;
-        k ()
-  | Insn.Bl target ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs 30 next;
-        t.pc <- target;
-        k ()
-  | Insn.Br (Insn.R n) ->
-      fun () ->
-        retire t insn cost;
-        t.pc <- Array.unsafe_get regs n;
-        k ()
-  | Insn.Blr (Insn.R n) ->
-      fun () ->
-        retire t insn cost;
-        (* read the target before writing lr: Blr x30 must branch to
-           the old link register, like [execute] *)
-        let target = Array.unsafe_get regs n in
-        Array.unsafe_set regs 30 next;
-        t.pc <- target;
-        k ()
-  | Insn.Ret ->
-      fun () ->
-        retire t insn cost;
-        t.pc <- Array.unsafe_get regs 30;
-        k ()
-  | Insn.Cbz (Insn.R n, target) ->
-      fun () ->
-        retire t insn cost;
-        (if is_zero64 (Array.unsafe_get regs n) then t.pc <- target
-         else t.pc <- next);
-        k ()
-  | Insn.Cbnz (Insn.R n, target) ->
-      fun () ->
-        retire t insn cost;
-        (if is_zero64 (Array.unsafe_get regs n) then t.pc <- next
-         else t.pc <- target);
-        k ()
-  | Insn.Bcond (c, target) ->
-      fun () ->
-        retire t insn cost;
-        (if cond_holds t c then t.pc <- target else t.pc <- next);
-        k ()
   | _ ->
-      (* XZR/SP operands, bitfield ops: rare enough to share the
-         interpreter's executor. Liveness-checked like a store out of
-         caution — nothing unspecialized writes memory today, but the
-         check keeps that a local property of this match. *)
       fun () ->
         retire t insn cost;
-        execute t insn ~next;
-        if block_alive self then k ()
+        op t;
+        k ()
 
 let max_block_len = 256
 
 (* Walk forward from the current PC through the icache's (result-
-   returning, architecturally pure) fetch, compiling until a cut point,
-   a stopping terminator, a fetch failure or the length cap. The walk
-   follows unconditional direct control flow instead of stopping at it —
-   this is what makes the blocks superblocks:
+   returning, architecturally pure) fetch, linking line ops until a cut
+   point, a stopping terminator, a fetch failure or the length cap. The
+   walk follows unconditional direct control flow instead of stopping
+   at it — this is what makes the blocks superblocks:
 
-   - [B]/[Bl] compile as ordinary ops (their epilogue sets the PC to
-     the target, preserving the per-op PC invariant) and the walk
-     continues at the target, inlining the callee straight into the
-     block; [Bl] pushes its static return address on a compile-time
-     stack;
-   - a plain [Ret] reached with a pending return address compiles as a
-     {e guarded} op: it predicts LR still holds the matching [Bl]'s
+   - [B]/[Bl] link as ordinary ops (they set the PC to the target,
+     preserving the per-op PC invariant) and the walk continues at the
+     target, inlining the callee straight into the block; [Bl] pushes
+     its static return address on a compile-time stack;
+   - a plain [Ret] reached with a pending return address becomes a
+     {e guarded} link: it predicts LR still holds the matching [Bl]'s
      return address (always true unless the callee clobbered LR), falls
      through in-block when the guard holds and drops its continuation —
      PC already set from the real LR — when it does not. The walk then
@@ -1102,19 +921,19 @@ let max_block_len = 256
 let compile_block t tr =
   let el = t.el in
   let entry = t.pc in
-  (* back-patched with the installed block so store ops can check
+  (* back-patched with the installed block so store links can check
      [bk_live] mid-chain *)
   let self = ref None in
-  (* The walk accumulates continuation builders ([k -> op], head =
-     last instruction) because an op's closure captures the *next*
-     op, which does not exist yet on a forward walk; the final fold
-     threads [block_end] backwards through the list. *)
+  (* The walk accumulates continuation builders ([k -> link], head =
+     last instruction) because a link captures the *next* one, which
+     does not exist yet on a forward walk; the final fold threads
+     [block_end] backwards through the list. *)
   let rec walk pc rstack mks len frames =
     if len >= max_block_len then (mks, len, frames)
     else
       match Icache.fetch t.icache ~el pc with
       | Error _ -> (mks, len, frames)
-      | Ok insn ->
+      | Ok { Icache.insn; op } ->
           if is_cut insn then (mks, len, frames)
           else begin
             let frames =
@@ -1127,13 +946,9 @@ let compile_block t tr =
             let next = Int64.add pc 4L in
             match insn with
             | Insn.B target ->
-                walk target rstack
-                  (compile_op t insn ~next ~self :: mks)
-                  (len + 1) frames
+                walk target rstack (link t insn op ~self :: mks) (len + 1) frames
             | Insn.Bl target ->
-                walk target (next :: rstack)
-                  (compile_op t insn ~next ~self :: mks)
-                  (len + 1) frames
+                walk target (next :: rstack) (link t insn op ~self :: mks) (len + 1) frames
             | Insn.Ret when rstack <> [] ->
                 let expected = List.hd rstack in
                 let cost = cost_of t insn in
@@ -1149,7 +964,7 @@ let compile_block t tr =
                 in
                 walk expected (List.tl rstack) (mk :: mks) (len + 1) frames
             | _ ->
-                let mks = compile_op t insn ~next ~self :: mks in
+                let mks = link t insn op ~self :: mks in
                 if is_terminator insn then (mks, len + 1, frames)
                 else walk next rstack mks (len + 1) frames
           end
@@ -1310,14 +1125,12 @@ let fold_sysregs t f acc =
    the capture — fault injectors armed for one trial must not leak into
    the next. The sysreg table is written back directly rather than
    through [set_sysreg], so restoring the MMU-control registers flushes
-   nothing: no decoded line or compiled op depends on a sysreg value
-   (MRS, MSR and the PAC family are trace cuts), and {!Machine.restore}
+   nothing: ops read sysregs only at run time, the costs a block binds
+   depend on none (MRS, MSR and the PAC family are trace cuts), and
+   {!Machine.restore}
    relies on the [Mem] and generation channels for the rest. *)
 type captured = {
   c_regs : int64 array;
-  c_sp_el0 : int64;
-  c_sp_el1 : int64;
-  c_sp_el2 : int64;
   c_pc : int64;
   c_el : El.t;
   c_n : bool;
@@ -1338,9 +1151,6 @@ type captured = {
 let capture t =
   {
     c_regs = Array.copy t.regs;
-    c_sp_el0 = t.sp_el0;
-    c_sp_el1 = t.sp_el1;
-    c_sp_el2 = t.sp_el2;
     c_pc = t.pc;
     c_el = t.el;
     c_n = t.flags.n;
@@ -1361,9 +1171,6 @@ let capture t =
 
 let restore t c =
   Array.blit c.c_regs 0 t.regs 0 (Array.length t.regs);
-  t.sp_el0 <- c.c_sp_el0;
-  t.sp_el1 <- c.c_sp_el1;
-  t.sp_el2 <- c.c_sp_el2;
   t.pc <- c.c_pc;
   t.el <- c.c_el;
   t.flags.n <- c.c_n;
@@ -1408,7 +1215,7 @@ let dump_state ?trace_limit t =
     Buffer.add_char b '\n'
   done;
   Buffer.add_string b
-    (Printf.sprintf "  sp_el0=%016Lx sp_el1=%016Lx\n" t.sp_el0 t.sp_el1);
+    (Printf.sprintf "  sp_el0=%016Lx sp_el1=%016Lx\n" (sp_of t El.El0) (sp_of t El.El1));
   Buffer.add_string b
     (Printf.sprintf "  flags: n=%b z=%b c=%b v=%b\n" t.flags.n t.flags.z
        t.flags.c t.flags.v);

@@ -25,6 +25,10 @@ type stop =
 
 type t
 
+(** An instruction compiled by {!op_of}: applied to a core, it executes
+    the instruction on that core and reads and writes nothing else. *)
+type op = t -> unit
+
 (** Verdict returned by a step hook: execute the decoded instruction
     normally, or suppress its effects (the instruction still fetches,
     charges its cycles and appears in the trace ring, but only the PC
@@ -36,13 +40,16 @@ type hook_action = Exec | Skip
     (the three-tier differential fuzzer in [test/test_fuzz.ml] enforces
     this); the selector only trades host-side speed:
 
-    - [Interp]: plain fetch/decode/execute, the decoded-instruction
-      cache disabled;
+    Every tier runs the same {!op_of} ops:
+
+    - [Interp]: fetch, decode, compile and run once per instruction,
+      the decoded-instruction cache disabled;
     - [Icache]: the decoded-instruction cache + micro-TLB (the
-      default);
-    - [Traces]: hot straight-line regions additionally compile into
-      superblocks of pre-linked closures with block-to-block chaining;
-      cold and cut code still takes the single-step path through the
+      default); a line holds its op, compiled at fill, so a hit runs
+      it directly;
+    - [Traces]: hot straight-line regions additionally chain their
+      lines' ops into superblocks with block-to-block chaining; cold
+      and cut code still takes the single-step path through the
       icache. *)
 type tier = Interp | Icache | Traces
 
@@ -64,18 +71,18 @@ val all_tiers : tier list
     observe one physical memory while keeping private register files,
     EL state, banked SPs, key registers and cycle counters.
 
-    [icache] substitutes a shared decoded-instruction cache (a
-    {!Machine} passes one instance to every core — entries depend only
-    on (EL, VA page) and the shared tables, never on per-core state);
-    without it a private cache is created over this core's memory and
-    MMU, disabled on an [Interp] core. The cache is a host-speed
-    optimization only: execution with it on or off is bit-identical,
-    including cycles and telemetry.
+    [icache] substitutes a shared decoded-instruction cache compiling
+    with {!op_of} (a {!Machine} passes one instance to every core —
+    entries and their ops depend only on (EL, VA page) and the shared
+    tables, never on per-core state); without it a private cache is
+    created over this core's memory and MMU, disabled on an [Interp]
+    core. The cache is a host-speed optimization only: execution with
+    it on or off is bit-identical, including cycles and telemetry.
 
     [tier] selects the execution tier (default [Icache]). A [Traces]
     core creates a private superblock trace cache over its memory/MMU
-    pair — traces are per-core (compiled blocks capture this core's
-    register file), unlike the shared icache.
+    pair — traces are per-core (a block's chain captures this core),
+    unlike the shared icache.
 
     [trace_depth] sizes the retired-instruction ring buffer behind
     {!recent_trace} (default 32); deep call chains in oops dumps may
@@ -86,7 +93,7 @@ val create :
   ?cipher:Qarma.Block.t ->
   ?mem:Mem.t ->
   ?mmu:Mmu.t ->
-  ?icache:Icache.t ->
+  ?icache:op Icache.t ->
   ?tier:tier ->
   ?trace_depth:int ->
   ?id:int ->
@@ -97,7 +104,20 @@ val mem : t -> Mem.t
 val mmu : t -> Mmu.t
 
 (** The decoded-instruction cache this core fetches through. *)
-val icache : t -> Icache.t
+val icache : t -> op Icache.t
+
+(** [op_of insn ~el ~next] compiles [insn], decoded at [next - 4] under
+    [el], into an op: the one definition of what every instruction does,
+    run by every tier. Compile time binds operands, immediates, [next],
+    branch targets and [el]'s SP bank; keys, SCTLR, the sysreg lock and
+    the telemetry sink are read from the core at run time, so one op
+    serves every core sharing an icache. Memory ops carry a one-page
+    cache of the last frame they touched, valid while the MMU generation
+    stands still. Apply an op only to a core at [el] whose PC is the
+    instruction's address; it sets the PC last, and a stop (SVC, ERET,
+    BRK, HLT, a denied sysreg access) or a translation fault escapes it
+    as an exception that {!run} turns into a {!stop}. *)
+val op_of : Insn.t -> el:El.t -> next:int64 -> op
 
 (** The execution tier this core was created with. *)
 val tier : t -> tier
@@ -142,6 +162,9 @@ val insns_retired : t -> int64
     state fingerprints. *)
 val flags_bits : t -> int
 
+(** [set_flags_bits t bits] — the inverse of {!flags_bits}. *)
+val set_flags_bits : t -> int -> unit
+
 (** [charge t n] adds [n] cycles of orchestrator-accounted cost (e.g.
     exception entry performed by the host-side kernel layer). *)
 val charge : t -> int -> unit
@@ -155,9 +178,14 @@ val set_sysreg_lock : t -> (Sysreg.t -> bool) -> unit
     observation point: [h] runs after fetch + decode and before the
     instruction executes, receiving the core, the current PC and the
     decoded instruction. The hook may mutate machine state (registers,
-    key registers, memory) — this is the fault-injection attachment
-    point — and its verdict decides whether the instruction executes or
-    is skipped. The hook must not call {!run} reentrantly. *)
+    key registers, memory, translation tables) — this is the
+    fault-injection attachment point — and its verdict decides whether
+    the instruction executes or is skipped. The instruction already
+    fetched runs as fetched, even if the hook rewrote its word; if the
+    hook moved the MMU generation it runs a freshly compiled op, so no
+    stale page cache outlives the hook. The hook must not change the
+    core's EL or PC (the fetched op is bound to both) and must not call
+    {!run} reentrantly. *)
 val set_step_hook : t -> (t -> pc:int64 -> Insn.t -> hook_action) option -> unit
 
 (** [attach_telemetry t sink] connects a per-core telemetry endpoint:
@@ -189,8 +217,8 @@ val sentinel : int64
 (** [run ?max_insns t] executes until a stop (default limit 10 million
     instructions) in the one run loop every tier shares. Hot code on a
     [Traces] core with neither a step hook nor a telemetry sink runs as
-    compiled blocks; every other instruction takes the single-step path
-    (fetch, hook, charge, retire, sink, execute). *)
+    chained blocks; every other instruction takes the single-step path
+    (fetch, hook, charge, retire, sink, run the line's op). *)
 val run : ?max_insns:int -> t -> stop
 
 (** [last_run_tier t] — the tier the most recent {!run} actually
@@ -239,10 +267,10 @@ val fold_sysregs : t -> ('a -> Sysreg.t -> int64 -> 'a) -> 'a -> 'a
     attachments (step hook, hypervisor lock predicate, last run tier).
     [restore] writes the sysreg table back directly without the
     per-write cache flush of {!set_sysreg}, and flushes neither the
-    icache nor the trace cache: no decoded line or compiled op depends
-    on a sysreg value. Callers restoring code or translation tables
-    invalidate through [Mem] and the [Mmu] generation, as
-    {!Machine.restore} does. *)
+    icache nor the trace cache: ops read sysregs only at run time, and
+    the costs a block binds depend on none. Callers restoring code or
+    translation tables invalidate through [Mem] and the [Mmu]
+    generation, as {!Machine.restore} does. *)
 type captured
 
 val capture : t -> captured

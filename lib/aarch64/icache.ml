@@ -1,4 +1,4 @@
-(* Decoded-instruction cache + micro-TLB for the interpreter hot path.
+(* Decoded-instruction cache + micro-TLB for the single-step path.
 
    Purely a host-speed structure: nothing here is guest-visible. Cycle
    charges, telemetry counters, fault kinds and all architectural state
@@ -8,9 +8,12 @@
    Entries are keyed by (EL, VA page), not by physical frame: decoded
    instructions embed absolute branch/ADR targets computed from the PC
    at decode time, so the same physical word mapped at two virtual
-   addresses decodes to two different [Insn.t] values. Each entry also
-   memoizes the combined two-stage permission triple, so it doubles as
-   a micro-TLB for data-side translations of the same page.
+   addresses decodes to two different [Insn.t] values. A line holds the
+   decoded instruction and the op the CPU's compiler built for it at
+   fill, for the entry's EL and the line's address; the cache never
+   looks inside an op. Each entry also memoizes the combined two-stage
+   permission triple, so it doubles as a micro-TLB for data-side
+   translations of the same page.
 
    Coherence has three channels:
    - a [Mem] write hook drops every entry whose decoded lines shadow
@@ -33,7 +36,9 @@
    five keys on every kernel entry, which would otherwise wipe the
    cache continuously. *)
 
-type entry = {
+type 'op line = { insn : Insn.t; op : 'op }
+
+type 'op entry = {
   e_el : El.t;
   e_va_page : int;  (* va lsr 12 — exact, top 12 bits of the VA are shifted out *)
   e_pa_page : int64;
@@ -47,7 +52,7 @@ type entry = {
   mutable e_frame : Bytes.t;
   (* decoded lines for the page, lazily allocated on the first
      instruction fetch; [||] marks a translation-only (data) entry *)
-  mutable e_lines : Insn.t option array;
+  mutable e_lines : 'op line option array;
 }
 
 let no_frame = Bytes.create 0
@@ -56,8 +61,6 @@ type stats = {
   fetch_hits : int;
   fetch_misses : int;
   fills : int;
-  tlb_hits : int;
-  tlb_misses : int;
   invalidations : int;
   flushes : int;
 }
@@ -66,18 +69,17 @@ type counters = {
   mutable c_fetch_hits : int;
   mutable c_fetch_misses : int;
   mutable c_fills : int;
-  mutable c_tlb_hits : int;
-  mutable c_tlb_misses : int;
   mutable c_invalidations : int;
   mutable c_flushes : int;
 }
 
-type t = {
+type 'op t = {
   enabled : bool;
-  slots : entry option array;  (* direct-mapped on (EL, VA page) *)
+  compile : Insn.t -> el:El.t -> next:int64 -> 'op;
+  slots : 'op entry option array;  (* direct-mapped on (EL, VA page) *)
   (* frame index -> entries whose decoded lines shadow that frame;
      only entries with allocated lines are registered here *)
-  by_frame : (int, entry list) Hashtbl.t;
+  by_frame : (int, 'op entry list) Hashtbl.t;
   (* Bloom filter over the registered frame indices: a store whose
      frame bit is clear definitely shadows no decoded lines and skips
      the [by_frame] lookup. Registration sets bits; only [flush]
@@ -138,10 +140,11 @@ let on_store t frame =
         List.iter (drop t) entries
     | exception Not_found -> ()
 
-let create ?(enabled = true) ~mem ~mmu () =
+let create ?(enabled = true) ~compile ~mem ~mmu () =
   let t =
     {
       enabled;
+      compile;
       slots = Array.make slot_count None;
       by_frame = Hashtbl.create 64;
       reg_mask = 0;
@@ -153,8 +156,6 @@ let create ?(enabled = true) ~mem ~mmu () =
           c_fetch_hits = 0;
           c_fetch_misses = 0;
           c_fills = 0;
-          c_tlb_hits = 0;
-          c_tlb_misses = 0;
           c_invalidations = 0;
           c_flushes = 0;
         };
@@ -170,8 +171,6 @@ let stats t =
     fetch_hits = t.c.c_fetch_hits;
     fetch_misses = t.c.c_fetch_misses;
     fills = t.c.c_fills;
-    tlb_hits = t.c.c_tlb_hits;
-    tlb_misses = t.c.c_tlb_misses;
     invalidations = t.c.c_invalidations;
     flushes = t.c.c_flushes;
   }
@@ -231,36 +230,35 @@ let lines_of t e =
   end;
   e.e_lines
 
+(* Decode and compile one line. Decode failures raise and are never
+   cached: the undefined word is re-read on every attempt. *)
+let decode_line_exn t ~el pc word =
+  match Encode.decode ~pc word with
+  | None -> raise (Fetch_stop (Fetch_undefined word))
+  | Some insn -> { insn; op = t.compile insn ~el ~next:(Int64.add pc 4L) }
+
+(* The uncached path compiles a fresh line on every fetch. *)
 let uncached_fetch_exn t ~el pc =
   match Mmu.translate t.mmu ~el ~access:Mmu.Exec pc with
   | Error f -> raise (Fetch_stop (Fetch_fault f))
-  | Ok pa -> (
-      let word = Mem.read32 t.mem pa in
-      match Encode.decode ~pc word with
-      | None -> raise (Fetch_stop (Fetch_undefined word))
-      | Some insn -> insn)
+  | Ok pa -> decode_line_exn t ~el pc (Mem.read32 t.mem pa)
 
 (* Fill or hit one line of an installed executable entry. [off] is the
    page offset of the PC as a native int (low 12 bits are unaffected by
-   the 63-bit truncation). Decode failures are never cached: the
-   undefined word is re-read on every attempt, exactly like the
-   uncached path. *)
+   the 63-bit truncation). *)
 let line_fetch_exn t e pc off =
   let lines = lines_of t e in
-  let line = off lsr 2 in
-  match Array.unsafe_get lines line with
-  | Some insn ->
+  let i = off lsr 2 in
+  match Array.unsafe_get lines i with
+  | Some line ->
       t.c.c_fetch_hits <- t.c.c_fetch_hits + 1;
-      insn
-  | None -> (
+      line
+  | None ->
       t.c.c_fills <- t.c.c_fills + 1;
       let pa = Int64.logor (Int64.shift_left e.e_pa_page 12) (Int64.of_int off) in
-      let word = Mem.read32 t.mem pa in
-      match Encode.decode ~pc word with
-      | None -> raise (Fetch_stop (Fetch_undefined word))
-      | Some insn ->
-          Array.unsafe_set lines line (Some insn);
-          insn)
+      let line = decode_line_exn t ~el:e.e_el pc (Mem.read32 t.mem pa) in
+      Array.unsafe_set lines i (Some line);
+      line
 
 let fetch_exn t ~el pc =
   if (not t.enabled) || el = El.El2 then uncached_fetch_exn t ~el pc
@@ -287,7 +285,7 @@ let fetch_exn t ~el pc =
 
 let fetch t ~el pc =
   match fetch_exn t ~el pc with
-  | insn -> Ok insn
+  | line -> Ok line
   | exception Fetch_stop e -> Error e
 
 exception Translate_fault of Mmu.fault
@@ -303,13 +301,11 @@ let translate_exn t ~el ~access va =
     match t.slots.(slot_of ~el va_page) with
     | Some e
       when e.e_va_page = va_page && e.e_el = el && Mmu.allows e.e_perm access ->
-        t.c.c_tlb_hits <- t.c.c_tlb_hits + 1;
         Int64.logor (Int64.shift_left e.e_pa_page 12) (Int64.logand va 0xfffL)
     | _ -> (
-        t.c.c_tlb_misses <- t.c.c_tlb_misses + 1;
         match Mmu.probe t.mmu ~el (Int64.of_int va_page) with
         | Some (pa_page, perm) when Mmu.allows perm access ->
-            ignore (install t ~el ~va_page ~pa_page ~perm : entry);
+            ignore (install t ~el ~va_page ~pa_page ~perm : _ entry);
             Int64.logor (Int64.shift_left pa_page 12) (Int64.logand va 0xfffL)
         | _ -> (
             (* denied or unmapped: real walk for the exact fault kind *)
@@ -318,52 +314,13 @@ let translate_exn t ~el ~access va =
             | Error f -> raise (Translate_fault f)))
   end
 
-(* Whole-access fast paths: a micro-TLB hit resolves a 64-bit load or
-   store directly against the memoized frame bytes, skipping the PA
-   reconstruction and the frame table. Accesses that straddle a page
-   boundary (offset > 4088) and every miss fall back to the exact
-   translate-then-[Mem] path; stores still run the write hooks via
-   [Mem.notify_store], so invalidation sees them. *)
-let read64_exn t ~el va =
-  if (not t.enabled) || el = El.El2 then
-    Mem.read64 t.mem (translate_exn t ~el ~access:Mmu.Read va)
-  else begin
-    sync t;
-    let off = Int64.to_int va land 0xfff in
-    let va_page = Int64.to_int (Int64.shift_right_logical va 12) in
-    match t.slots.(slot_of ~el va_page) with
-    | Some e
-      when e.e_va_page = va_page && e.e_el = el && e.e_perm.Mmu.r && off <= 4088
-      ->
-        t.c.c_tlb_hits <- t.c.c_tlb_hits + 1;
-        Bytes.get_int64_le (frame_of_entry t e) off
-    | _ -> Mem.read64 t.mem (translate_exn t ~el ~access:Mmu.Read va)
-  end
-
-let write64_exn t ~el va v =
-  if (not t.enabled) || el = El.El2 then
-    Mem.write64 t.mem (translate_exn t ~el ~access:Mmu.Write va) v
-  else begin
-    sync t;
-    let off = Int64.to_int va land 0xfff in
-    let va_page = Int64.to_int (Int64.shift_right_logical va 12) in
-    match t.slots.(slot_of ~el va_page) with
-    | Some e
-      when e.e_va_page = va_page && e.e_el = el && e.e_perm.Mmu.w && off <= 4088
-      ->
-        t.c.c_tlb_hits <- t.c.c_tlb_hits + 1;
-        Bytes.set_int64_le (frame_of_entry t e) off v;
-        Mem.notify_store t.mem e.e_frame_idx
-    | _ -> Mem.write64 t.mem (translate_exn t ~el ~access:Mmu.Write va) v
-  end
-
-(* Fill path for the trace tier's per-op page caches: resolve the page
-   backing [va] for [access] and hand out its frame bytes and frame
-   index. Frame byte buffers are stable for the life of the [Mem]
-   (see [Mem.frame_bytes]), so the caller may keep the pair for as
-   long as the MMU generation stands still — any translation or
-   permission change advances it, and the trace tier kills the owning
-   block before its next dispatch. *)
+(* Fill path for the per-op page caches: resolve the page backing [va]
+   for [access] and hand out its frame bytes and frame index. Frame
+   byte buffers are stable for the life of the [Mem] (see
+   [Mem.frame_bytes]), so the caller may keep the pair for as long as
+   the MMU generation stands still — any translation or permission
+   change advances it, which flushes every line (and so every op) here
+   at the next lookup. *)
 let data_page t ~el ~access va =
   if (not t.enabled) || el = El.El2 then None
   else begin

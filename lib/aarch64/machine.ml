@@ -22,7 +22,7 @@ type t = {
   cores : Cpu.t array;
   mem : Mem.t;
   mmu : Mmu.t;
-  icache : Icache.t;
+  icache : Cpu.op Icache.t;
   cipher : Qarma.Block.t;
   gic : gic;
   hub : Telemetry.Hub.t option;
@@ -34,13 +34,13 @@ let create ?cost ?has_pauth ?cipher ?trace_depth ?(telemetry = false)
   let cipher = match cipher with Some c -> c | None -> Qarma.Block.create () in
   let mem = Mem.create () in
   let mmu = Mmu.create () in
-  (* One shared cache: decoded entries depend only on (EL, VA page) and
-     the shared translation tables, so cores can reuse each other's
-     fills — and the single-threaded interleaved execution model means
-     there is no concurrent access to protect against. Trace caches, by
-     contrast, are per-core (blocks capture a core's register file) and
-     are created inside Cpu.create. *)
-  let ic = Icache.create ~enabled:(tier <> Cpu.Interp) ~mem ~mmu () in
+  (* One shared cache: decoded entries and their ops depend only on
+     (EL, VA page) and the shared translation tables, so cores can reuse
+     each other's fills — and the single-threaded interleaved execution
+     model means there is no concurrent access to protect against.
+     Trace caches, by contrast, are per-core (a block's chain captures
+     its core) and are created inside Cpu.create. *)
+  let ic = Icache.create ~enabled:(tier <> Cpu.Interp) ~compile:Cpu.op_of ~mem ~mmu () in
   let cores =
     Array.init cpus (fun id ->
         Cpu.create ?cost ?has_pauth ~cipher ~mem ~mmu ~icache:ic ~tier

@@ -58,7 +58,7 @@ val mem : t -> Mem.t
 val mmu : t -> Mmu.t
 
 (** The machine-wide decoded-instruction cache shared by all cores. *)
-val icache : t -> Icache.t
+val icache : t -> Cpu.op Icache.t
 val cipher : t -> Qarma.Block.t
 
 (** [send_ipi t ~src ~dst ipi] — ring core [dst]'s doorbell: sets the

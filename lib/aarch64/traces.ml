@@ -1,8 +1,8 @@
 (* Superblock trace cache: hotness detection, block storage, chaining
    metadata and invalidation for the traces execution tier.
 
-   Parametric in the compiled representation: the CPU layer compiles
-   straight-line guest code into closure arrays and drives them; this
+   Parametric in the compiled representation: the CPU layer chains the
+   ops of straight-line guest code into closures and drives them; this
    module never looks inside 'code. What it owns is the part that must
    be exactly right — the invalidation contract, which is the PR 5
    icache machinery reused wholesale:

@@ -5,8 +5,8 @@
     keying) and stores the compiled form the CPU layer produces for
     them. The cache is parametric in the compiled representation
     (['code]) so that this module carries no dependency on the
-    interpreter: {!Cpu} compiles blocks into pre-linked closure arrays
-    and drives them; this module owns hotness, block lookup,
+    interpreter: {!Cpu} chains its icache lines' ops into continuation-
+    threaded closures and drives them; this module owns hotness, block lookup,
     block-to-block chaining metadata and — the critical part — the
     invalidation machinery, reused wholesale from the decoded
     instruction cache:
@@ -51,8 +51,8 @@ type 'code block = {
 }
 
 (** [create ~mem ~mmu ()] registers the store-invalidation hook on
-    [mem]. Blocks compiled by one CPU capture that CPU's register file,
-    so unlike the icache a trace cache is per-core; cross-core stores
+    [mem]. A block's chain captures the CPU that compiled it, so unlike
+    the icache a trace cache is per-core; cross-core stores
     still invalidate because all cores share one {!Mem}. An entry PC
     is hot after 16 boundary executions. *)
 val create : mem:Mem.t -> mmu:Mmu.t -> unit -> 'code t

@@ -161,6 +161,7 @@ open Aarch64
 type fitem =
   | Arith of Insn.t
   | Store_load of int * int * int  (* rs, rd, 8-byte slot in the data page *)
+  | Byte_store_load of int * int * int  (* rs, rd, byte offset in the data page *)
   | Push_pop of int * int * int * int
   | Skip_z of int * Insn.t list  (* cbz R(n) over the protected run *)
   | Skip_nz of int * Insn.t list
@@ -180,25 +181,36 @@ type fprog = {
   victim_first : bool;  (* selfmod: victim at the loop head, patched once *)
 }
 
+(* Sources may also be XZR or SP (read, never written) and
+   destinations XZR, so ops address the SP and zero-register slots hot
+   inside blocks too, not only x0..x30. *)
 let gen_arith =
   QCheck2.Gen.(
-    let reg = map (fun n -> Insn.R n) (int_range 0 5) in
+    let scratch = map (fun n -> Insn.R n) (int_range 0 5) in
+    let reg = frequency [ (8, scratch); (1, return Insn.XZR); (1, return Insn.SP) ] in
+    let dst = frequency [ (9, scratch); (1, return Insn.XZR) ] in
     let imm12 = int_range 0 4095 in
+    let bitfield =
+      map2 (fun lsb w -> (lsb, max 1 (min w (64 - lsb)))) (int_range 0 63) (int_range 1 64)
+    in
     oneof
       [
-        map2 (fun r v -> Insn.Movz (r, v, 0)) reg (int_range 0 0xffff);
-        map3 (fun d n v -> Insn.Add_imm (d, n, v)) reg reg imm12;
-        map3 (fun d n v -> Insn.Sub_imm (d, n, v)) reg reg imm12;
-        map3 (fun d n m -> Insn.Add_reg (d, n, m)) reg reg reg;
-        map3 (fun d n m -> Insn.Sub_reg (d, n, m)) reg reg reg;
-        map3 (fun d n m -> Insn.And_reg (d, n, m)) reg reg reg;
-        map3 (fun d n m -> Insn.Orr_reg (d, n, m)) reg reg reg;
-        map3 (fun d n m -> Insn.Eor_reg (d, n, m)) reg reg reg;
-        map3 (fun d n m -> Insn.Subs_reg (d, n, m)) reg reg reg;
-        map3 (fun d n v -> Insn.Subs_imm (d, n, v)) reg reg imm12;
-        map3 (fun d n s -> Insn.Lsl_imm (d, n, s)) reg reg (int_range 0 15);
-        map3 (fun d n s -> Insn.Lsr_imm (d, n, s)) reg reg (int_range 0 15);
-        map2 (fun d n -> Insn.Mov (d, n)) reg reg;
+        map2 (fun r v -> Insn.Movz (r, v, 0)) dst (int_range 0 0xffff);
+        map3 (fun r v s -> Insn.Movk (r, v, 16 * s)) dst (int_range 0 0xffff) (int_range 0 3);
+        map3 (fun d n v -> Insn.Add_imm (d, n, v)) dst reg imm12;
+        map3 (fun d n v -> Insn.Sub_imm (d, n, v)) dst reg imm12;
+        map3 (fun d n m -> Insn.Add_reg (d, n, m)) dst reg reg;
+        map3 (fun d n m -> Insn.Sub_reg (d, n, m)) dst reg reg;
+        map3 (fun d n m -> Insn.And_reg (d, n, m)) dst reg reg;
+        map3 (fun d n m -> Insn.Orr_reg (d, n, m)) dst reg reg;
+        map3 (fun d n m -> Insn.Eor_reg (d, n, m)) dst reg reg;
+        map3 (fun d n m -> Insn.Subs_reg (d, n, m)) dst reg reg;
+        map3 (fun d n v -> Insn.Subs_imm (d, n, v)) dst reg imm12;
+        map3 (fun d n s -> Insn.Lsl_imm (d, n, s)) dst reg (int_range 0 15);
+        map3 (fun d n s -> Insn.Lsr_imm (d, n, s)) dst reg (int_range 0 15);
+        map3 (fun d n (lsb, w) -> Insn.Bfi (d, n, lsb, w)) dst reg bitfield;
+        map3 (fun d n (lsb, w) -> Insn.Ubfx (d, n, lsb, w)) dst reg bitfield;
+        map2 (fun d n -> Insn.Mov (d, n)) dst reg;
         return Insn.Nop;
       ])
 
@@ -210,6 +222,7 @@ let gen_fitem =
       [
         (5, map (fun i -> Arith i) gen_arith);
         (2, map3 (fun s d k -> Store_load (s, d, k)) r5 r5 (int_range 0 7));
+        (1, map3 (fun s d b -> Byte_store_load (s, d, b)) r5 r5 (int_range 0 2047));
         ( 1,
           map3 (fun a b c -> (a, b, c)) r5 r5 r5 >>= fun (a, b, c) ->
           map (fun d -> Push_pop (a, b, c, d)) r5 );
@@ -246,6 +259,7 @@ let gen_fprog =
 let fitem_to_string = function
   | Arith i -> Insn.to_string i
   | Store_load (s, d, k) -> Printf.sprintf "st/ld r%d->r%d @%d" s d k
+  | Byte_store_load (s, d, b) -> Printf.sprintf "stb/ldb r%d->r%d @+%d" s d b
   | Push_pop (a, b, c, d) -> Printf.sprintf "push/pop %d,%d->%d,%d" a b c d
   | Skip_z (r, is) ->
       Printf.sprintf "skip-z r%d [%s]" r
@@ -274,6 +288,12 @@ let emit_fitem ~victim_first fresh = function
       ( [
           Asm.ins (Insn.Str (Insn.R s, Insn.Off (Insn.R 10, 8 * k)));
           Asm.ins (Insn.Ldr (Insn.R d, Insn.Off (Insn.R 10, 8 * k)));
+        ],
+        2 )
+  | Byte_store_load (s, d, b) ->
+      ( [
+          Asm.ins (Insn.Strb (Insn.R s, Insn.Off (Insn.R 10, b)));
+          Asm.ins (Insn.Ldrb (Insn.R d, Insn.Off (Insn.R 10, b)));
         ],
         2 )
   | Push_pop (a, b, c, d) ->

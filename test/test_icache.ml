@@ -506,6 +506,40 @@ let test_machine_shares_one_cache () =
   Alcotest.(check bool) "both cores use the machine cache" true
     (Cpu.icache (Machine.core m 0) == Cpu.icache (Machine.core m 1))
 
+(* ---------- differential: unobserved SMP schedule on every tier ---------- *)
+
+(* The schedule above with telemetry off, so the traces tier runs
+   blocks, chaining line ops that its three cores share through the one
+   icache. Schedule statistics and the system fingerprint must match on
+   every tier. *)
+let run_smp_unobserved ~tier =
+  let sys = K.System.boot ~config:C.Config.full ~seed:23L ~cpus:3 ~tier () in
+  let layout =
+    K.System.map_user_program sys (Workloads.Smp.throughput_program ~rounds:6)
+  in
+  let entry = Asm.symbol layout "throughput" in
+  let tasks = List.init 6 (fun _ -> K.System.spawn_user_task sys ~entry) in
+  let stats = K.System.run_smp ~quantum:400 sys ~tasks in
+  (sys, (smp_fingerprint sys stats, Snapshot.Fingerprint.of_system sys))
+
+let test_diff_smp_unobserved () =
+  let _, base = run_smp_unobserved ~tier:Cpu.Interp in
+  List.iter
+    (fun tier ->
+      let sys, got = run_smp_unobserved ~tier in
+      Alcotest.(check (pair string string))
+        (Cpu.tier_name tier ^ " schedule and fingerprint = interp")
+        base got;
+      if tier = Cpu.Traces then
+        Alcotest.(check bool) "blocks ran on the traces tier" true
+          (List.exists
+             (fun c ->
+               match Cpu.trace_stats c with
+               | Some s -> s.Traces.block_insns > 0
+               | None -> false)
+             (Machine.cores (K.System.machine sys))))
+    [ Cpu.Icache; Cpu.Traces ]
+
 let suite =
   [
     Alcotest.test_case "differential: call-heavy workload" `Quick
@@ -533,4 +567,6 @@ let suite =
       test_disabled_machine_never_counts;
     Alcotest.test_case "SMP machine shares one cache" `Quick
       test_machine_shares_one_cache;
+    Alcotest.test_case "differential: unobserved SMP schedule, all tiers" `Quick
+      test_diff_smp_unobserved;
   ]

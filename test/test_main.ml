@@ -29,4 +29,5 @@ let () =
       ("fleet", Test_fleet.suite);
       ("snapshot", Test_snapshot.suite);
       ("misc", Test_misc.suite);
+      ("semantics", Test_semantics.suite);
     ]

@@ -502,6 +502,103 @@ let test_tier_of_string () =
     all_tiers;
   Alcotest.(check bool) "junk rejected" true (Cpu.tier_of_string "jit" = None)
 
+(* ---------- per-op page caches: bit 63 of the address ---------- *)
+
+(* A hot loop warms the page cache of one load (or store) on the data
+   page; then x0 gets bit 63 flipped and the same instruction runs once
+   more. The flipped address differs from the cached page only in bit
+   63, which a page number truncated to a native int before the shift
+   drops: such a cache hits where every tier must fault. *)
+let bit63_prog access =
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"alias"
+    (mov_abs (Insn.R 0) Bare.data_base
+    @ [
+        Asm.ins (Insn.Movz (Insn.R 3, 0x8000, 48));
+        Asm.ins (Insn.Movz (Insn.R 11, 40, 0));
+        Asm.label "loop";
+        Asm.ins access;
+        Asm.ins (Insn.Sub_imm (Insn.R 11, Insn.R 11, 1));
+        Asm.cbnz_to (Insn.R 11) "loop";
+        Asm.cbz_to (Insn.R 3) "done";
+        Asm.ins (Insn.Eor_reg (Insn.R 0, Insn.R 0, Insn.R 3));
+        Asm.ins (Insn.Movz (Insn.R 3, 0, 0));
+        Asm.ins (Insn.Movz (Insn.R 11, 1, 0));
+        Asm.b_to "loop";
+        Asm.label "done";
+        Asm.ins Insn.Ret;
+      ]);
+  prog
+
+let test_bit63_alias access kind () =
+  let run tier =
+    let cpu = Bare.machine ~seed:5L ~tier () in
+    let layout = Bare.load cpu (bit63_prog access) in
+    let stop = Cpu.stop_to_string (Bare.call cpu layout "alias") in
+    if tier = Cpu.Traces then check_traces_engaged cpu;
+    (stop, fingerprint ~probe:[ Bare.data_base ] cpu)
+  in
+  let base = run Cpu.Interp in
+  let want = Printf.sprintf "translation fault on %s at 0x7fff000000300000" kind in
+  Alcotest.(check bool) ("interp stops with " ^ want) true
+    (String.ends_with ~suffix:want (fst base));
+  List.iter
+    (fun tier ->
+      Alcotest.(check (pair string string))
+        (Cpu.tier_name tier ^ " stop and state = interp")
+        base (run tier))
+    all_tiers
+
+(* ---------- a step hook that moves the MMU generation ---------- *)
+
+(* The hook unmaps the data page on the 30th execution of a hot
+   [ldr x1, [x0]]. That [ldr] is already fetched, and on the cached
+   tiers its line op holds a page cache on the page just unmapped, so
+   it must run as a freshly compiled op and fault at once, as on the
+   interp tier: 5 + 29 * 3 + 1 = 93 instructions retired, x11 = 11. A
+   stale op would load on and fault one trip later, after 96. *)
+let test_hook_moves_generation () =
+  let run tier =
+    let cpu = Bare.machine ~seed:5L ~tier () in
+    let prog = Asm.create () in
+    Asm.add_function prog ~name:"hot"
+      (mov_abs (Insn.R 0) Bare.data_base
+      @ [
+          Asm.ins (Insn.Movz (Insn.R 11, 40, 0));
+          Asm.label "loop";
+          Asm.ins (Insn.Ldr (Insn.R 1, Insn.Off (Insn.R 0, 0)));
+          Asm.ins (Insn.Sub_imm (Insn.R 11, Insn.R 11, 1));
+          Asm.cbnz_to (Insn.R 11) "loop";
+          Asm.ins Insn.Ret;
+        ]);
+    let layout = Bare.load cpu prog in
+    let loads = ref 0 in
+    Cpu.set_step_hook cpu
+      (Some
+         (fun cpu ~pc:_ insn ->
+           (match insn with
+           | Insn.Ldr _ ->
+               incr loads;
+               if !loads = 30 then
+                 Mmu.unmap (Cpu.mmu cpu) ~va_page:(Vaddr.page_of Bare.data_base)
+           | _ -> ());
+           Cpu.Exec));
+    let stop = Cpu.stop_to_string (Bare.call cpu layout "hot") in
+    Alcotest.(check string)
+      (Cpu.tier_name tier ^ " faults on the unmapped page")
+      (Printf.sprintf "fault at pc=0x%Lx: translation fault on read at 0x%Lx"
+         (Int64.add Bare.code_base 20L) Bare.data_base)
+      stop;
+    Alcotest.(check int64) (Cpu.tier_name tier ^ " retired") 93L (Cpu.insns_retired cpu);
+    Alcotest.(check int64) (Cpu.tier_name tier ^ " x11") 11L (Cpu.reg cpu (Insn.R 11));
+    fingerprint ~probe:[] cpu
+  in
+  let base = run Cpu.Interp in
+  List.iter
+    (fun tier ->
+      Alcotest.(check string) (Cpu.tier_name tier ^ " state = interp state") base (run tier))
+    all_tiers
+
 let suite =
   [
     Alcotest.test_case "differential: hot loop across tiers" `Quick
@@ -523,4 +620,10 @@ let suite =
     Alcotest.test_case "block-to-block chaining" `Quick test_chaining;
     Alcotest.test_case "last_run_tier reporting" `Quick test_last_run_tier;
     Alcotest.test_case "tier_of_string round-trip" `Quick test_tier_of_string;
+    Alcotest.test_case "page cache: bit-63 alias of a hot load faults" `Quick
+      (test_bit63_alias (Insn.Ldr (Insn.R 1, Insn.Off (Insn.R 0, 0))) "read");
+    Alcotest.test_case "page cache: bit-63 alias of a hot store faults" `Quick
+      (test_bit63_alias (Insn.Str (Insn.R 11, Insn.Off (Insn.R 0, 0))) "write");
+    Alcotest.test_case "step hook moving the MMU generation: fresh op" `Quick
+      test_hook_moves_generation;
   ]
