@@ -38,16 +38,43 @@ let seed_arg =
   let doc = "PRNG seed driving key generation and synthetic inputs." in
   Arg.(value & opt int64 42L & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
 
-let cpus_arg =
+(* A count in [lo, hi], refused while parsing when out of range. *)
+let count_conv ~what ~lo ~hi =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 && n <= 16 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "cpu count %d out of range (1-16)" n))
-    | None -> Error (`Msg (Printf.sprintf "invalid cpu count %S" s))
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "%s %d out of range (%d-%d)" what n lo hi))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
   in
-  let cpus_conv = Arg.conv (parse, Format.pp_print_int) in
+  Arg.conv (parse, Format.pp_print_int)
+
+let cpus_arg =
   let doc = "Number of simulated cores to boot (1-16)." in
-  Arg.(value & opt cpus_conv 1 & info [ "cpus" ] ~docv:"N" ~doc)
+  let cpus = count_conv ~what:"cpu count" ~lo:1 ~hi:16 in
+  Arg.(value & opt cpus 1 & info [ "cpus" ] ~docv:"N" ~doc)
+
+(* The range [serve] accepts for a job's ["workers"]. *)
+let workers_arg =
+  let doc =
+    "Fleet worker domains (1-64). Output is byte-identical for every worker \
+     count; only wall-clock time changes."
+  in
+  let workers = count_conv ~what:"worker count" ~lo:1 ~hi:64 in
+  Arg.(value & opt workers 1 & info [ "workers" ] ~docv:"N" ~doc)
+
+(* An output file, refused while parsing unless its directory exists
+   and the path itself is not a directory, so a bad path fails before
+   anything boots rather than after a whole run. *)
+let out_file =
+  let parse s =
+    let dir = Filename.dirname s in
+    if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "no directory %S for output file %S" dir s))
+    else if Sys.file_exists s && Sys.is_directory s then
+      Error (`Msg (Printf.sprintf "output file %S is a directory" s))
+    else Ok s
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 let exec_tier_arg =
   let parse s =
@@ -222,14 +249,14 @@ let trace_cmd =
        timeline to $(docv) as Chrome trace-event JSON (load in Perfetto or \
        chrome://tracing)."
     in
-    Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some out_file) None & info [ "chrome" ] ~docv:"FILE" ~doc)
   in
   let validate_arg =
     let doc =
       "Validate $(docv) as trace-event JSON (well-formed, required fields, \
        monotone timestamps per track); exit non-zero on failure."
     in
-    Arg.(value & opt (some string) None & info [ "validate" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some non_dir_file) None & info [ "validate" ] ~docv:"FILE" ~doc)
   in
   let text_arg =
     let doc = "Print the telemetry event timeline as text instead of JSON." in
@@ -393,13 +420,6 @@ let lint_cmd =
     in
     Arg.(value & opt (some sconv) None & info [ "scheme" ] ~docv:"SCHEME" ~doc)
   in
-  let workers_arg =
-    let doc =
-      "Run the per-function analysis rounds on $(docv) fleet worker domains. \
-       Diagnostics and census are byte-identical for every worker count."
-    in
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc)
-  in
   let module_arg =
     let doc =
       "Lint a standalone .kelf module object (written by $(b,camouflage \
@@ -508,7 +528,7 @@ let lint_cmd =
 let modgen_cmd =
   let dir_arg =
     let doc = "Directory to write the sample .kelf objects into." in
-    Arg.(value & opt string "." & info [ "o"; "out" ] ~docv:"DIR" ~doc)
+    Arg.(value & opt dir "." & info [ "o"; "out" ] ~docv:"DIR" ~doc)
   in
   let run config dir =
     List.iter
@@ -550,13 +570,6 @@ let faults_cmd =
     in
     Arg.(value & flag & info [ "demo" ] ~doc)
   in
-  let workers_arg =
-    let doc =
-      "Run trials on $(docv) worker domains via the fleet engine. The report \
-       is byte-identical for every worker count; only wall-clock changes."
-    in
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc)
-  in
   let retries_arg =
     let doc =
       "Re-attempts granted to a raising trial job before it is quarantined \
@@ -570,7 +583,7 @@ let faults_cmd =
        (as faults-<seed>-<trials>.replay), re-runnable bit-for-bit with \
        $(b,camouflage replay)."
     in
-    Arg.(value & opt (some string) None & info [ "record-dir" ] ~docv:"DIR" ~doc)
+    Arg.(value & opt (some dir) None & info [ "record-dir" ] ~docv:"DIR" ~doc)
   in
   let chrome_arg =
     let doc =
@@ -578,7 +591,7 @@ let faults_cmd =
        Chrome trace (one per-trial process lane, per-core thread tracks) to \
        $(docv). Byte-identical for every worker count."
     in
-    Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some out_file) None & info [ "chrome" ] ~docv:"FILE" ~doc)
   in
   let lanes_arg =
     let doc = "Number of trial lanes kept for the $(b,--chrome) trace." in
@@ -591,7 +604,7 @@ let faults_cmd =
        worker count (the merge is an exact commutative monoid folded in \
        trial-index order)."
     in
-    Arg.(value & opt (some string) None & info [ "hist-json" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some out_file) None & info [ "hist-json" ] ~docv:"FILE" ~doc)
   in
   let run config seed cpus tier trials json quarantine workers retries
       record_dir chrome lanes hist_json demo =
@@ -613,7 +626,7 @@ let faults_cmd =
         Option.get
           (Fleet.Campaign.run ~config ~config_name:(C.Config.name config)
              ~cpus ?quarantine_after:quarantine
-             ~workers:(max 1 workers) ?retries ?record_dir ~telemetry ?tier
+             ~workers ?retries ?record_dir ~telemetry ?tier
              ~lanes:(if chrome = None then 0 else max 0 lanes)
              ~seed ~trials ())
       in
@@ -725,10 +738,6 @@ let sweep_cmd =
     let doc = "Override the brute-force panic threshold." in
     Arg.(value & opt (some int) None & info [ "threshold" ] ~docv:"N" ~doc)
   in
-  let workers_arg =
-    let doc = "Worker domains for the fleet engine." in
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc)
-  in
   let json_arg =
     let doc = "Emit the sweep report as deterministic JSON." in
     Arg.(value & flag & info [ "json" ] ~doc)
@@ -736,7 +745,7 @@ let sweep_cmd =
   let run config seed machines attempts threshold workers json =
     let report, _, failures =
       Option.get
-        (Fleet.Sweep.run ~config ?threshold ~workers:(max 1 workers) ~seed
+        (Fleet.Sweep.run ~config ?threshold ~workers ~seed
            ~machines ~attempts ())
     in
     if json then print_string (Fleet.Sweep.report_to_json report)

@@ -27,9 +27,6 @@ val bcond_to : Insn.cond -> string -> item
 (** [adr_of r l] — materialize the address of a label. *)
 val adr_of : Insn.reg -> string -> item
 
-(** [with_label l f] — general fixup: [f] receives the resolved address. *)
-val with_label : string -> (int64 -> Insn.t) -> item
-
 (** [mov_addr r l] — materialize the full 64-bit address of label [l]
     into [r] with a MOVZ/MOVK sequence (4 instructions); unlike
     {!adr_of} this has unlimited range. *)

@@ -6,12 +6,8 @@
     backward-edge scheme, which reserves a live chain register and
     cannot run under the prefabricated-frame kernel. *)
 
-val code_base : int64
 val stack_top : int64
 val data_base : int64
-
-(** Physical address backing a VA under the identity map used here. *)
-val pa_of_va : int64 -> int64
 
 (** [machine ?seed ()] — a CPU at EL1 with code (rx), stack (rw) and
     data (rw) regions mapped, SP at {!stack_top}, all four enable bits
@@ -27,11 +23,7 @@ val machine :
     fuzzer's entry point. *)
 val smp : ?seed:int64 -> ?tier:Cpu.tier -> unit -> Machine.t
 
-(** [map_region cpu ~base ~pages perm] — add an EL1 mapping, with no
-    EL0 access. *)
-val map_region : Cpu.t -> base:int64 -> pages:int -> Mmu.perm -> unit
-
-(** [load cpu prog] — assemble at {!code_base} and write into memory. *)
+(** [load cpu prog] — assemble at the code base and write into memory. *)
 val load : Cpu.t -> Asm.program -> Asm.layout
 
 (** [read64]/[write64] — host access through the identity map. *)

@@ -28,7 +28,3 @@ let cortex_a53 =
     isb = 4;
     clock_hz = 1.4e9;
   }
-
-let armv83 = { cortex_a53 with name = "armv8.3 native PAuth" }
-
-let ns_of_cycles p cycles = Int64.to_float cycles /. p.clock_hz *. 1e9

@@ -25,10 +25,3 @@ type profile = {
 (** Cortex-A53-class in-order core at 1.4 GHz, PA-analogue PAuth cost of
     4 cycles: the paper's evaluation platform. *)
 val cortex_a53 : profile
-
-(** Hypothetical ARMv8.3 core with a dedicated PAC unit of the same
-    4-cycle latency (the paper's estimate for QARMA in hardware). *)
-val armv83 : profile
-
-(** [ns_of_cycles p cycles] converts simulated cycles to nanoseconds. *)
-val ns_of_cycles : profile -> int64 -> float

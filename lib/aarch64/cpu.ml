@@ -1203,8 +1203,7 @@ let dump_state ?trace_limit t =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf "cpu%d: pc=0x%Lx el=%s cycles=%d insns=%d\n" t.id t.pc
-       (match t.el with El.El0 -> "EL0" | El.El1 -> "EL1" | El.El2 -> "EL2")
-       t.cycles t.insns_retired);
+       (El.name t.el) t.cycles t.insns_retired);
   for row = 0 to 7 do
     Buffer.add_string b " ";
     for col = 0 to 3 do

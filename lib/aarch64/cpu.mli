@@ -200,15 +200,6 @@ val attach_telemetry : t -> Telemetry.Sink.t -> unit
 val detach_telemetry : t -> unit
 val telemetry : t -> Telemetry.Sink.t option
 
-(** [class_of_insn i] / [origin_of_insn i] — the telemetry taxonomy:
-    retirement class (mirrors the cost model's grouping) and
-    instrumentation origin (PAC construction / authentication /
-    reserved-register modifier arithmetic / baseline). Exposed for the
-    profiler's tests. *)
-val class_of_insn : Insn.t -> Telemetry.Counters.insn_class
-
-val origin_of_insn : Insn.t -> Telemetry.Profile.origin
-
 (** The host-return address: jumping here stops execution with
     [Sentinel_return]. It is canonical (so it survives PAC/AUT round
     trips in instrumented prologues) but never mapped. *)

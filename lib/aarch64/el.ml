@@ -1,4 +1,3 @@
 type t = El0 | El1 | El2
 
 let name = function El0 -> "EL0" | El1 -> "EL1" | El2 -> "EL2"
-let pp fmt t = Format.pp_print_string fmt (name t)

@@ -6,4 +6,3 @@
 type t = El0 | El1 | El2
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit

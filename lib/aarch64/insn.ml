@@ -139,8 +139,6 @@ let to_string i =
   | Brk imm -> Printf.sprintf "brk #%d" imm
   | Hlt imm -> Printf.sprintf "hlt #%d" imm
 
-let pp fmt i = Format.pp_print_string fmt (to_string i)
-
 let is_pauth = function
   | Pac _ | Aut _ | Pac1716 _ | Aut1716 _ | Xpac _ | Pacga _ | Blra _ | Bra _ | Reta _ ->
       true

@@ -85,8 +85,6 @@ type t =
   | Brk of int
   | Hlt of int  (** model halt; the kernel panic primitive *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 
 (** [reg_name r] — assembly spelling ([x7], [fp], [lr], [sp], [xzr]). *)

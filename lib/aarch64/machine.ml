@@ -80,11 +80,9 @@ let core t i =
 let cores t = Array.to_list t.cores
 let telemetry t = t.hub
 let boot_core t = t.cores.(0)
-let tier t = Cpu.tier t.cores.(0)
 let mem t = t.mem
 let mmu t = t.mmu
 let icache t = t.icache
-let cipher t = t.cipher
 
 let send_ipi t ~src ~dst ipi =
   if dst < 0 || dst >= cpus t then invalid_arg "Machine.send_ipi: dst";
@@ -131,9 +129,6 @@ let ipis_sent t = t.gic.ipis_sent
    so the wall time of a parallel phase is the busiest core's clock. *)
 let max_cycles t =
   Array.fold_left (fun acc c -> max acc (Cpu.cycles c)) 0L t.cores
-
-let total_cycles t =
-  Array.fold_left (fun acc c -> Int64.add acc (Cpu.cycles c)) 0L t.cores
 
 (* Whole-machine snapshots: CoW memory + translation tables + every
    core's mutable state + the GIC doorbell + telemetry (captured so an

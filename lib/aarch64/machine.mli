@@ -17,8 +17,6 @@
 (** Inter-processor interrupt ids (the kernel's classic trio). *)
 type ipi = Reschedule | Stop | Call_function
 
-val ipi_name : ipi -> string
-
 type t
 
 (** [create ~cpus ()] — [cpus] cores sharing fresh memory/MMU/cipher.
@@ -52,14 +50,11 @@ val cores : t -> Cpu.t list
 val telemetry : t -> Telemetry.Hub.t option
 val boot_core : t -> Cpu.t
 
-(** The execution tier every core runs under. *)
-val tier : t -> Cpu.tier
 val mem : t -> Mem.t
 val mmu : t -> Mmu.t
 
 (** The machine-wide decoded-instruction cache shared by all cores. *)
 val icache : t -> Cpu.op Icache.t
-val cipher : t -> Qarma.Block.t
 
 (** [send_ipi t ~src ~dst ipi] — ring core [dst]'s doorbell: sets the
     pending bit for [ipi] and records [src] in the requester set. *)
@@ -79,9 +74,6 @@ val ipis_sent : t -> int
 (** [max_cycles t] — the busiest core's clock: the simulated wall time
     of a phase in which all cores ran in parallel. *)
 val max_cycles : t -> int64
-
-(** [total_cycles t] — summed cycles across cores (aggregate work). *)
-val total_cycles : t -> int64
 
 (** Whole-machine snapshots.
 

@@ -124,5 +124,3 @@ let name = function
   | PMEVCNTR0_EL0 -> "PMEVCNTR0_EL0"
   | PMEVCNTR1_EL0 -> "PMEVCNTR1_EL0"
   | PMEVCNTR2_EL0 -> "PMEVCNTR2_EL0"
-
-let pp fmt r = Format.pp_print_string fmt (name r)

@@ -48,19 +48,9 @@ val is_pauth_key : t -> bool
     locks down (TTBRs and SCTLR). *)
 val is_mmu_control : t -> bool
 
-(** [is_pmu r] — the five read-only performance counters. *)
-val is_pmu : t -> bool
-
 (** [el0_readable r] — registers user code may MRS without trapping:
     the virtual counter and the PMU counters. *)
 val el0_readable : t -> bool
-
-(** SCTLR_EL1 PAuth enable bit positions (architectural values). *)
-val sctlr_enia_bit : int
-
-val sctlr_enib_bit : int
-val sctlr_enda_bit : int
-val sctlr_endb_bit : int
 
 (** [sctlr_enable_bit k] — the SCTLR_EL1 bit enabling key [k]; raises
     [Invalid_argument] for [GA], which has no enable bit. *)
@@ -73,4 +63,3 @@ val to_id : t -> int
 val of_id : int -> t option
 val all : t list
 val name : t -> string
-val pp : Format.formatter -> t -> unit

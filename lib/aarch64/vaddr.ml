@@ -64,8 +64,4 @@ let poison cfg va = Int64.logxor (canonical cfg va) (Int64.shift_left 3L cfg.va_
 
 let is_poisoned cfg va = (not (is_canonical cfg va)) && va = poison cfg (canonical cfg va)
 
-let page_size = 4096
-
 let page_of va = Int64.shift_right_logical va 12
-
-let offset_in_page va = Int64.to_int (Val64.extract ~lo:0 ~width:12 va)

@@ -28,11 +28,6 @@ val linux_kernel : config
     bit 55, as the hardware translation-table select does. *)
 val select : int64 -> space
 
-(** [is_canonical cfg va] is [true] when all non-address upper bits agree
-    with bit 55 (and the top byte is ignored when [cfg.tbi]): i.e. the
-    pointer would translate without a fault. *)
-val is_canonical : config -> int64 -> bool
-
 (** [canonical cfg va] rewrites the upper bits of [va] into proper sign
     extension of the [cfg.va_bits]-bit address, preserving bit 55 and,
     with TBI, the tag byte. This is the pointer a PAC is computed over. *)
@@ -67,13 +62,7 @@ val poison : config -> int64 -> int64
 (** [is_poisoned cfg va] recognizes [poison]'s bit pattern. *)
 val is_poisoned : config -> int64 -> bool
 
-(** [page_size] is 4 KiB, the configuration assumed throughout. *)
-val page_size : int
-
 (** [page_of va] is the page number of [va]: the full 64-bit value
     shifted right by 12, so kernel (0xffff...) and user pages never
     collide as table keys. *)
 val page_of : int64 -> int64
-
-(** [offset_in_page va]. *)
-val offset_in_page : int64 -> int

@@ -57,12 +57,3 @@ let cross_validate ?(seed = 42L) () =
     run ~seed { C.Config.backward_only with scheme = C.Modifier.Parts 0x7357L };
     run ~seed C.Config.full;
   ]
-
-let verdict_to_string v =
-  Printf.sprintf "%-40s predicted %4d frame-replay pairs | replay %s | %s"
-    v.config_name v.predicted_pairs
-    (match v.outcome with
-    | Replay.Accepted _ -> "ACCEPTED"
-    | Replay.Rejected -> "rejected"
-    | Replay.Failed m -> "failed: " ^ m)
-    (if v.consistent then "CONSISTENT" else "MISMATCH")

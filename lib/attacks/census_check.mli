@@ -20,8 +20,4 @@ type verdict = {
     SP-dependent collision classes). *)
 val frame_replay_pairs : Paclint.Census.t -> int
 
-val run : seed:int64 -> Camouflage.Config.t -> verdict
-
 val cross_validate : ?seed:int64 -> unit -> verdict list
-
-val verdict_to_string : verdict -> string

@@ -8,11 +8,6 @@ val kread : Kernel.System.t -> int64 -> (int64, string) result
 
 val kwrite : Kernel.System.t -> int64 -> int64 -> (unit, string) result
 
-(** [spray sys ~bytes] — place attacker-controlled bytes into kernel
-    memory at a known address using the pipe buffer, returning the
-    kernel address of the sprayed data. *)
-val spray : Kernel.System.t -> bytes:string -> (int64, string) result
-
 (** [spray_words sys ~words] — same, for 64-bit words. *)
 val spray_words : Kernel.System.t -> words:int64 list -> (int64, string) result
 

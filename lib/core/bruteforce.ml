@@ -28,7 +28,6 @@ let failures t = t.count
 let failures_on t ~cpu = Option.value ~default:0 (Hashtbl.find_opt t.per_cpu cpu)
 
 let log t = List.rev t.events
-let threshold t = t.threshold
 
 type captured = {
   c_count : int;

@@ -31,7 +31,6 @@ val failures : t -> int
 val failures_on : t -> cpu:int -> int
 
 val log : t -> event list
-val threshold : t -> int
 
 (** Accounting-state capture for system snapshots (threshold is fixed
     at creation and not part of the capture). *)

@@ -115,18 +115,3 @@ let wrap config ~name body =
   }
 
 let wrap_leaf ~name body = { name; items = body @ [ Asm.ins Insn.Ret ] }
-
-let add_to config program ~name body =
-  let f = wrap config ~name body in
-  Asm.add_function program ~name:f.name f.items
-
-let overhead_insns config =
-  let instrumented =
-    Asm.instruction_count
-      (frame_push config ~func_label:"f" @ frame_pop config ~func_label:"f")
-  in
-  let bare =
-    Asm.instruction_count
-      (frame_push Config.none ~func_label:"f" @ frame_pop Config.none ~func_label:"f")
-  in
-  instrumented - bare

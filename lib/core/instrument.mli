@@ -3,9 +3,8 @@
     [wrap] turns a function body into a full function with the frame
     record of Listing 1 and, per configuration, the signing prologue and
     authenticating epilogue of Listing 2 (SP-only) or Listing 3
-    (Camouflage). The same sequences are exposed as the [frame_push] /
-    [frame_pop] assembler macros used in hand-written assembly such as
-    [cpu_switch_to].
+    (Camouflage). Every instrumented kernel function, [cpu_switch_to]
+    included, is built by [wrap].
 
     Bodies are written without prologue/epilogue and must not touch FP,
     LR, IP0 (X16) or IP1 (X17); control falls off the end of the body
@@ -28,19 +27,3 @@ val wrap : Config.t -> name:string -> Asm.item list -> t
 (** [wrap_leaf ~name body] — frameless leaf: no frame record, no
     signing (the LR never leaves the register file). *)
 val wrap_leaf : name:string -> Asm.item list -> t
-
-(** [frame_push config ~func_label] — the prologue macro: sign LR (per
-    scheme) and push the frame record. *)
-val frame_push : Config.t -> func_label:string -> Asm.item list
-
-(** [frame_pop config ~func_label] — the epilogue macro: pop the frame
-    record and authenticate LR. Does not include the final RET. *)
-val frame_pop : Config.t -> func_label:string -> Asm.item list
-
-(** [add_to config program ~name body] — convenience: wrap and register
-    with the assembler. *)
-val add_to : Config.t -> Asm.program -> name:string -> Asm.item list -> unit
-
-(** Number of extra instructions the prologue+epilogue add compared to
-    the uninstrumented frame, for overhead reporting. *)
-val overhead_insns : Config.t -> int

@@ -18,8 +18,6 @@ let keys_in_use = function
   | Armv83 -> [ Sysreg.IB; Sysreg.IA; Sysreg.DB ]
   | Compat -> [ Sysreg.IB ]
 
-let role_name = function Backward -> "backward" | Forward -> "forward" | Data -> "data"
-
 (* SMP key-install verification: the keys live in per-CPU registers, so
    every core must have executed the XOM setter itself. [read] is the
    probed core's key-register accessor; the result lists the keys whose

@@ -23,8 +23,6 @@ val key_for : mode -> role -> Sysreg.pauth_key
     switch on kernel entry/exit (3 for [Armv83], 1 for [Compat]). *)
 val keys_in_use : mode -> Sysreg.pauth_key list
 
-val role_name : role -> string
-
 (** [missing_keys ~expected ~read] — per-CPU install check: probe one
     core's key registers through [read] and report the keys whose
     registers do not hold the [expected] material. An SMP kernel runs

@@ -30,10 +30,6 @@ let constant_of r ~type_name ~member_name =
 
 let member_of_constant r c = Hashtbl.find_opt r.by_constant c
 
-let members r =
-  Hashtbl.fold (fun c m acc -> (c, m) :: acc) r.by_constant []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let lookup r ~type_name ~member_name =
   let c = constant_of r ~type_name ~member_name in
   match member_of_constant r c with

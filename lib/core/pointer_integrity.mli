@@ -37,7 +37,6 @@ val register : registry -> member -> int
 val constant_of : registry -> type_name:string -> member_name:string -> int
 
 val member_of_constant : registry -> int -> member option
-val members : registry -> (int * member) list
 
 (** [emit_getter config r ~type_name ~member_name ~obj ~dst ~scratch] —
     load the signed member from the object in [obj], authenticate it

@@ -51,12 +51,7 @@ let insn_matches cls insn =
       match insn with Insn.Ldr _ | Insn.Ldrb _ | Insn.Ldp _ -> true | _ -> false)
   | Store_insn -> (
       match insn with Insn.Str _ | Insn.Strb _ | Insn.Stp _ -> true | _ -> false)
-  | Pauth_insn -> (
-      match insn with
-      | Insn.Pac _ | Insn.Aut _ | Insn.Pac1716 _ | Insn.Aut1716 _ | Insn.Xpac _
-      | Insn.Pacga _ | Insn.Blra _ | Insn.Bra _ | Insn.Reta _ ->
-          true
-      | _ -> false)
+  | Pauth_insn -> Insn.is_pauth insn
 
 let trigger_due t cpu ~pc insn =
   match t.spec.trigger with
@@ -229,5 +224,3 @@ let hook t cpu ~pc insn =
 
 let arm t cpu = Cpu.set_step_hook cpu (Some (fun cpu ~pc insn -> hook t cpu ~pc insn))
 let arm_all t machine = List.iter (arm t) (Machine.cores machine)
-let disarm cpu = Cpu.set_step_hook cpu None
-

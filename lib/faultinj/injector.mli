@@ -63,9 +63,6 @@ val arm : t -> Cpu.t -> unit
 (** [arm_all t machine] arms every core. *)
 val arm_all : t -> Machine.t -> unit
 
-(** [disarm cpu] removes any step hook from [cpu]. *)
-val disarm : Cpu.t -> unit
-
 (** [fired t] — has the fault struck at least once? *)
 val fired : t -> bool
 

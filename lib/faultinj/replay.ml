@@ -81,9 +81,6 @@ let boot_session ?tier config (h : L.header) =
          (Campaign.session_golden_fingerprint ses))
   else Ok ses
 
-let session_of_header ?tier h =
-  Result.bind (check_header h) (fun config -> boot_session ?tier config h)
-
 type verdict = {
   v_index : int;
   v_spec_ok : bool;

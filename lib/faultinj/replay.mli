@@ -18,21 +18,6 @@ val config_of_name : string -> Camouflage.Config.t option
 val entry_of_trial :
   fingerprint:string -> Campaign.trial -> Snapshot.Log.entry
 
-(** Rebuild the campaign session a log was recorded against and verify
-    the golden run's makespan and state fingerprint before any trial is
-    replayed. A header whose kind or config is unknown, or whose
-    parameters fall outside {!Campaign.check_params}, is refused before
-    anything boots, with an [Error] naming the field. Replay always
-    runs telemetry-off: the fingerprint excludes
-    telemetry, so recordings made with it still match. [tier] overrides
-    the execution tier the replay runs under — tiers are bit-identical,
-    so a log recorded under one tier must verify under any other; the
-    log format does not record the tier. *)
-val session_of_header :
-  ?tier:Aarch64.Cpu.tier ->
-  Snapshot.Log.header ->
-  (Campaign.session, string) result
-
 type verdict = {
   v_index : int;
   v_spec_ok : bool;  (** re-derived spec = recorded spec *)
@@ -44,14 +29,9 @@ type verdict = {
 
 val verdict_ok : verdict -> bool
 
-(** [replay_entry ses recorded] — re-run one recorded trial in [ses]
-    and compare. *)
-val replay_entry :
-  Campaign.session -> ?quarantine_after:int -> Snapshot.Log.entry -> verdict
-
 (** [replay ?index log] — rebuild the session, then replay every entry
     (or just trial [index]). [Error] means the log could not be replayed
-    at all (a header {!session_of_header} refuses, an entry index that
+    at all (a header outside the campaign ranges or naming an unknown config, an entry index that
     repeats or falls outside [\[0, trials)], golden divergence, unknown
     index); verdicts report per-trial divergence. Fewer entries than
     [trials] is legal: quarantined trials are absent from a log. *)

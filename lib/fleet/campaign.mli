@@ -55,8 +55,6 @@ type result = {
       (** the replay log written when [record_dir] was given *)
 }
 
-val merge_telemetry : telemetry_summary -> telemetry_summary -> telemetry_summary
-
 (** [run ~seed ~trials ()] — golden run, then [trials] pool jobs forked
     from per-worker snapshots. Returns [None] only when [should_stop]
     fired before every trial completed (the cancelled-campaign path of

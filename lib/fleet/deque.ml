@@ -7,10 +7,9 @@ type 'a t = {
   m : Mutex.t;
   mutable front : 'a list;  (* oldest first *)
   mutable back : 'a list;  (* newest first *)
-  mutable n : int;
 }
 
-let create () = { m = Mutex.create (); front = []; back = []; n = 0 }
+let create () = { m = Mutex.create (); front = []; back = [] }
 
 let locked t f =
   Mutex.lock t.m;
@@ -23,17 +22,13 @@ let locked t f =
   Mutex.unlock t.m;
   r
 
-let push t x =
-  locked t (fun () ->
-      t.back <- x :: t.back;
-      t.n <- t.n + 1)
+let push t x = locked t (fun () -> t.back <- x :: t.back)
 
 let pop t =
   locked t (fun () ->
       match t.back with
       | x :: rest ->
           t.back <- rest;
-          t.n <- t.n - 1;
           Some x
       | [] -> (
           match List.rev t.front with
@@ -42,15 +37,13 @@ let pop t =
               (* flipped: newest first, so the head is the owner's pick *)
               t.front <- [];
               t.back <- rest;
-              t.n <- t.n - 1;
-              Some x))
+                  Some x))
 
 let steal t =
   locked t (fun () ->
       match t.front with
       | x :: rest ->
           t.front <- rest;
-          t.n <- t.n - 1;
           Some x
       | [] -> (
           match List.rev t.back with
@@ -59,8 +52,4 @@ let steal t =
               (* flipped: oldest first, so the head is the thief's pick *)
               t.back <- [];
               t.front <- rest;
-              t.n <- t.n - 1;
-              Some x))
-
-let length t = locked t (fun () -> t.n)
-let is_empty t = length t = 0
+                  Some x))

@@ -23,6 +23,3 @@ val pop : 'a t -> 'a option
 
 (** [steal t] — a thief removes the oldest element. *)
 val steal : 'a t -> 'a option
-
-val length : 'a t -> int
-val is_empty : 'a t -> bool

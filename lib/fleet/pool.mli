@@ -52,9 +52,6 @@ type 'a outcome = {
     domain count, clamped to [1 .. 8]. *)
 val default_workers : unit -> int
 
-(** Re-attempts granted to a raising job before quarantine (2). *)
-val default_retries : int
-
 (** [run ?workers ?retries ?progress ?should_stop ~jobs f] — execute
     the job stream. [progress] is invoked once per completed job — also
     for quarantined ones — {e from worker domains} (it must be

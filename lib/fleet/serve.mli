@@ -54,12 +54,6 @@ val handle : t -> string -> string * bool
     jobs finish. Idempotent; called by {!loop} on EOF. *)
 val drain : t -> unit
 
-(** [shutdown t] — set every job's stop flag, then {!drain}: in-flight
-    trials finish, queued work is shed, and the call returns without
-    waiting for any campaign to run to completion. Called by {!loop}
-    on an explicit [shutdown] request. *)
-val shutdown : t -> unit
-
 (** [loop t] — serve stdin to stdout until [shutdown] or EOF.
     Responses are flushed per line. *)
 val loop : t -> unit

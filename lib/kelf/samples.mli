@@ -4,10 +4,6 @@
     configuration, so the prologue/epilogue shapes match what the kernel
     build emits. *)
 
-(** Two instrumented functions, one calling the other; lints with no
-    error under every configuration. *)
-val clean : Camouflage.Config.t -> Object_file.t
-
 (** The interprocedural detection fixture: a cross-function signing
     oracle ([cap_make] loads an attacker-writable word and passes it to
     [cap_sign]'s PAC), plus — under non-address-diversified schemes — a

@@ -852,8 +852,6 @@ let lint_report ?(par = Paclint.Lint.seq_par) ?scheme config =
     census;
   }
 
-let lint ?scheme config = (lint_report ?scheme config).diags
-
 (* Lint a standalone module object against the kernel export surface:
    the module's text is assembled at the module area base, its own blobs
    right after, and every kernel export resolves to its conventional

@@ -76,12 +76,6 @@ val lint_report :
   Camouflage.Config.t ->
   lint_report
 
-(** [lint config] — just the diagnostics of a sequential
-    {!lint_report}. This is the same gate {!Kelf.Loader} applies when
-    {!System.boot} loads the image; the CLI's [lint] subcommand and CI
-    run {!lint_report} without booting. *)
-val lint : ?scheme:Paclint.Rules.scheme -> Camouflage.Config.t -> Paclint.Diag.t list
-
 (** [lint_module ?par ?scheme config obj] — the whole-image analysis
     over a standalone module object ([camouflage lint --module]): text
     assembled at the module area base, blobs placed after it, kernel

@@ -19,7 +19,6 @@ module File = struct
   let off_pos = 0
   let off_buf = 8
   let off_buf_len = 16
-  let off_flags = 24
   let off_f_cred = 32
   let off_f_ops = 40
   let off_private = 48
@@ -28,16 +27,13 @@ end
 
 module Fops = struct
   let off_open = 0
-  let off_release = 8
   let off_read = 16
   let off_write = 24
-  let size = 32
 end
 
 module Work = struct
   let off_data = 0
   let off_func = 8
-  let size = 16
 end
 
 module Timer = struct

@@ -35,8 +35,6 @@ module File : sig
 
   val off_buf : int
   val off_buf_len : int
-  val off_flags : int
-  val off_f_cred : int  (** \[PAC\] data pointer to credentials *)
 
   val off_f_ops : int  (** \[PAC\] data pointer to the ops table (Listing 4 uses 40) *)
 
@@ -47,18 +45,14 @@ end
 
 module Fops : sig
   val off_open : int
-  val off_release : int
   val off_read : int  (** Listing 4 loads the read op at offset 16 *)
 
   val off_write : int
-  val size : int
 end
 
 module Work : sig
   val off_data : int
   val off_func : int  (** \[PAC\] deferred callback *)
-
-  val size : int
 end
 
 module Timer : sig

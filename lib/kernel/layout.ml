@@ -1,5 +1,3 @@
-let kernel_prefix = 0xffff000000000000L
-
 (* Kernel VAs drop their sign-extension prefix; user VAs are offset into
    the upper half of the PA space so the two ranges never share frames. *)
 let pa_of_va va =

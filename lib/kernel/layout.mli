@@ -7,8 +7,6 @@
     with the kernel prefix cleared, so host-side accessors can reach any
     kernel VA without a page-table walk. *)
 
-val kernel_prefix : int64
-
 (** Physical address backing a kernel or user VA (identity map with the
     sign-extension prefix cleared). *)
 val pa_of_va : int64 -> int64
@@ -38,9 +36,6 @@ val task_stack_bytes : int
 
 (** Stack slots mapped at boot (bounds tasks + per-CPU idle tasks). *)
 val max_task_slots : int
-
-(** Per-CPU data segment: one page per core. *)
-val percpu_base : int64
 
 val percpu_stride : int
 

@@ -9,7 +9,7 @@ let off_key_installs = 32
 let off_ipi_count = 40
 let off_resched_count = 48
 
-type t = { cid : int; base : int64 }
+type t = { base : int64 }
 
 let area_bytes = Layout.percpu_stride
 
@@ -18,31 +18,23 @@ let field t off = Int64.add t.base (Int64.of_int off)
 let init cpu ~cid =
   let base = Layout.percpu_area ~cpu:cid in
   Kmem.map_kernel_region cpu ~base ~bytes:area_bytes Mmu.rw;
-  let t = { cid; base } in
+  let t = { base } in
   Kmem.write64 cpu (field t off_cpu_id) (Int64.of_int cid);
   (* TPIDR_EL1 is how the real arm64 kernel finds its per-CPU segment;
      mirror that so machine code could reach it the same way. *)
   Cpu.set_sysreg cpu Sysreg.TPIDR_EL1 base;
   t
 
-let cid t = t.cid
-let base t = t.base
-
 let read cpu t off = Kmem.read64 cpu (field t off)
 let write cpu t off v = Kmem.write64 cpu (field t off) v
 
 let set_current cpu t task_va = write cpu t off_current task_va
-let current cpu t = read cpu t off_current
 let set_idle cpu t task_va = write cpu t off_idle task_va
-let idle cpu t = read cpu t off_idle
 let set_rq_len cpu t n = write cpu t off_rq_len (Int64.of_int n)
-let rq_len cpu t = Int64.to_int (read cpu t off_rq_len)
 
 let bump cpu t off = write cpu t off (Int64.add (read cpu t off) 1L)
 
 let count_key_install cpu t = bump cpu t off_key_installs
 let key_installs cpu t = Int64.to_int (read cpu t off_key_installs)
 let count_ipi cpu t = bump cpu t off_ipi_count
-let ipi_count cpu t = Int64.to_int (read cpu t off_ipi_count)
 let count_resched cpu t = bump cpu t off_resched_count
-let resched_count cpu t = Int64.to_int (read cpu t off_resched_count)

@@ -18,19 +18,11 @@ type t
     core. *)
 val init : Cpu.t -> cid:int -> t
 
-val cid : t -> int
-val base : t -> int64
-
 val set_current : Cpu.t -> t -> int64 -> unit
-val current : Cpu.t -> t -> int64
 val set_idle : Cpu.t -> t -> int64 -> unit
-val idle : Cpu.t -> t -> int64
 val set_rq_len : Cpu.t -> t -> int -> unit
-val rq_len : Cpu.t -> t -> int
 
 val count_key_install : Cpu.t -> t -> unit
 val key_installs : Cpu.t -> t -> int
 val count_ipi : Cpu.t -> t -> unit
-val ipi_count : Cpu.t -> t -> int
 val count_resched : Cpu.t -> t -> unit
-val resched_count : Cpu.t -> t -> int

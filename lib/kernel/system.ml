@@ -117,7 +117,6 @@ let cpu t = t.cpu
 let machine t = t.machine
 let cpus t = Machine.cpus t.machine
 let config t = t.config
-let registry t = t.registry
 let xom t = t.xom
 let current t = t.current
 let tasks t = t.tasks

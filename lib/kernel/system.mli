@@ -86,7 +86,6 @@ val cpu : t -> Cpu.t
 val machine : t -> Machine.t
 val cpus : t -> int
 val config : t -> Camouflage.Config.t
-val registry : t -> Camouflage.Pointer_integrity.registry
 val xom : t -> Xom.t
 val current : t -> task
 val tasks : t -> task list
@@ -174,9 +173,6 @@ val run_user : ?max_insns:int -> t -> entry:int64 -> user_exit
     an initial user context starting at [entry]. *)
 val spawn_user_task : t -> entry:int64 -> task
 
-(** [user_stack_top_of task] — the task's private user stack top. *)
-val user_stack_top_of : task -> int64
-
 type smp_stats = {
   smp_exits : (int * int * user_exit) list;
       (** cpu, pid, exit status, in completion order *)
@@ -259,13 +255,6 @@ val console_output : t -> string
     write protection. Always [true] on a PAuth-less part, where the
     monitor is inactive. *)
 val verify_syscall_table : t -> bool
-
-(** Fixed host-charged costs (cycles), exposed for reporting. *)
-val entry_overhead_cycles : int
-
-val exit_overhead_cycles : int
-val fork_vm_copy_cycles : int
-val sched_pick_cycles : int
 
 (** Whole-system snapshots — the boot-once / fork-many primitive.
 

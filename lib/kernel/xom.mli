@@ -36,11 +36,3 @@ val install :
 (** [allowed_key_writer t va] — the audited-range predicate for the
     static verifier. *)
 val allowed_key_writer : t -> int64 -> bool
-
-(** [setter_items ~keys] — the generated instruction sequence (exposed
-    for inspection and tests). *)
-val setter_items : keys:(Sysreg.pauth_key * Pac.key) list -> Asm.item list
-
-(** [restore_items ()] — loads the five user keys from the task
-    structure pointed to by X0. *)
-val restore_items : unit -> Asm.item list

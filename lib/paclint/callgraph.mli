@@ -47,9 +47,6 @@ val build : ?symbols:(string * int64) list -> (int64 * Insn.t) array -> t
 (** Index of the function whose entry is exactly [va]. *)
 val fn_index : t -> int64 -> int option
 
-(** Index of the function containing [va]. *)
-val fn_of_va : t -> int64 -> int option
-
 (** Instruction slice of function [i]. *)
 val code_of : t -> int -> (int64 * Insn.t) array
 

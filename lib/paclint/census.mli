@@ -57,15 +57,6 @@ type t = {
   classes : cls_report list;  (** ascending (key, class) *)
 }
 
-(** Canonical class string: ["imm:0x..."], ["addr:0x..."], ["sp"],
-    ["dyn"], ["bfi(base,src,lsb,width)"]. *)
-val cls_string : mexpr -> string
-
-(** Bits of the 64-bit modifier that vary at run time. *)
-val dynamic_bits : mexpr -> int
-
-val dynamism : mexpr -> Diag.dynamism
-
 (** [2. ** -. dynamic_bits] — the probability a pointer signed at one
     site of the class authenticates at another with uncorrelated dynamic
     context. 1.0 for a static class. *)

@@ -80,7 +80,6 @@ type t = { va : int64; insn : Insn.t; kind : kind }
 
 val severity : t -> severity
 val is_error : t -> bool
-val severity_name : severity -> string
 
 (** Stable kebab-case identifier for the kind (used in JSON output). *)
 val kind_name : kind -> string
@@ -91,27 +90,13 @@ val key_name : Sysreg.pauth_key -> string
 (** ["static"] / ["sp-dependent"] / ["object-dependent"]. *)
 val dynamism_name : dynamism -> string
 
-(** One-sentence statement of the finding. *)
-val message : t -> string
-
-(** One-line fix hint. *)
-val hint : t -> string
-
 (** ["0x<va>: <severity>: <message> (<insn>); hint: <hint>"]. *)
 val to_string : t -> string
 
-(** Total order on diagnostics: (va, kind name, severity, payload).
-    This is the order every lint driver reports in, so output is
-    byte-stable regardless of analysis or worker order. *)
-val compare : t -> t -> int
-
-(** [normalize ds] — sort by {!compare} and drop structural duplicates.
-    Applied by {!list_to_json} and by every lint entry point before
-    reporting. *)
+(** [normalize ds] — sort by (va, kind name, severity, payload) and drop
+    structural duplicates. Applied by {!list_to_json} and by every lint
+    entry point before reporting. *)
 val normalize : t list -> t list
-
-(** One finding as a JSON object (hand-rolled, no dependencies). *)
-val to_json : t -> string
 
 (** A findings list as a JSON array, normalized first. *)
 val list_to_json : t list -> string

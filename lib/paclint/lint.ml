@@ -7,14 +7,6 @@ type policy = {
   allowed_key_writer : int64 -> bool;
 }
 
-let policy_none =
-  {
-    protect_return = false;
-    protect_pointers = false;
-    sp_modifier = false;
-    allowed_key_writer = (fun _ -> false);
-  }
-
 let reserved_registers = [ Insn.R 15; Insn.ip0; Insn.ip1 ]
 
 (* Parallel-map capability. paclint sits below lib/fleet in the library
@@ -387,12 +379,6 @@ let lint_insns ~policy ?entries insns =
     | None -> if Array.length code = 0 then [] else [ fst code.(0) ]
   in
   analyze policy code ~entries
-
-let lint_region ~policy ~read32 ~base ~size ~entries =
-  analyze policy (decode_region ~read32 ~base ~size) ~entries
-
-let lint_layout ~policy (l : Asm.layout) =
-  analyze policy l.Asm.code ~entries:(List.map snd l.Asm.symbols)
 
 let check_body items =
   let insns = Array.of_list (List.filter_map Asm.item_insn items) in

@@ -34,10 +34,6 @@ type policy = {
           registers and SCTLR are legitimate *)
 }
 
-(** All checks off, no audited setter. Key accesses still diagnose
-    (reads are never legitimate; writes only inside the setter). *)
-val policy_none : policy
-
 (** Registers the instrumentation reserves as scratch and a raw function
     body must not write: x15 ([Core.Instrument.scratch]), x16, x17. *)
 val reserved_registers : Insn.reg list
@@ -79,14 +75,7 @@ val entry_state : unit -> state
 
 val copy : state -> state
 val equal_state : state -> state -> bool
-val join_pv : pv -> pv -> pv
 val join_state : state -> state -> state
-val get : state -> Insn.reg -> pv
-val set : state -> Insn.reg -> pv -> unit
-
-(** Conservative call effect: x0-x18 to [Top] (the procedure-call
-    standard's caller-saved set); the caller must clobber LR itself. *)
-val clobber_call : state -> unit
 
 (** Analysis callbacks. [emit] receives diagnostics; [sign_site] and
     [auth_site] fire at PAC/AUT instructions with the modifier's SP
@@ -129,20 +118,6 @@ val decode_region :
     come back in ascending address order. *)
 val lint_insns :
   policy:policy -> ?entries:int64 list -> (int64 * Insn.t) list -> Diag.t list
-
-(** [lint_region ~policy ~read32 ~base ~size ~entries] — decode then
-    analyze a memory region (the loader's and kernel's gate). *)
-val lint_region :
-  policy:policy ->
-  read32:(int64 -> int32) ->
-  base:int64 ->
-  size:int ->
-  entries:int64 list ->
-  Diag.t list
-
-(** [lint_layout ~policy layout] — analyze an assembled layout, using
-    its global symbols as entries. *)
-val lint_layout : policy:policy -> Asm.layout -> Diag.t list
 
 (** [check_body items] — the reserved-register rule over a raw,
     pre-instrumentation function body: warn on any write to

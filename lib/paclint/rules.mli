@@ -31,9 +31,6 @@ type rule = {
   check : ctx -> Diag.t list;
 }
 
-(** The modifier-collision rule every pack includes: {!Census.to_diags}. *)
-val collision_rule : rule
-
 (** The rule set scheme [s] promises to satisfy. *)
 val pack : scheme -> rule list
 

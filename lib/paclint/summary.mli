@@ -34,12 +34,6 @@ type fn_summary = {
   sp_net : int option;  (** net SP delta entry->return, when known *)
 }
 
-(** Registers whose provenance is [Signed _] in a state. *)
-val signed_regs : Lint.state -> (int * Sysreg.pauth_key) list
-
-(** Reserved scratch registers (x15-x17) the function may clobber. *)
-val clobbered_reserved : fn_summary -> Insn.reg list
-
 type report = {
   cg : Callgraph.t;
   summaries : fn_summary array;  (** parallel to [cg.fns] *)

@@ -61,9 +61,6 @@ type file = {
 
 type corpus = file list
 
-(** [find_struct corpus name]. *)
-val find_struct : corpus -> string -> struct_def option
-
 (** [expr_type ~corpus ~env e] — best-effort type of [e] given variable
     typings [env]; [None] when unknown. *)
 val expr_type : corpus:corpus -> env:(string * ctype) list -> expr -> ctype option

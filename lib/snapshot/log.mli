@@ -42,15 +42,7 @@ type entry = {
 
 type t = { header : header; entries : entry list }
 
-val header_to_json : header -> string
 val entry_to_json : entry -> string
-
-(** Full log rendering, one JSON object per line, trailing newline. *)
-val to_string : t -> string
-
-(** Inverse of {!to_string}; blank lines are ignored. Errors name the
-    offending line. *)
-val parse : string -> (t, string) result
 
 val write : path:string -> t -> unit
 val read : path:string -> (t, string) result

@@ -82,18 +82,6 @@ let create () : t =
     ipis_received = 0L;
   }
 
-let reset (t : t) =
-  t.retired <- 0L;
-  t.cycles <- 0L;
-  Array.fill t.classes 0 class_count 0L;
-  t.auth_failures <- 0L;
-  t.key_installs <- 0L;
-  t.exception_entries <- 0L;
-  t.exception_returns <- 0L;
-  t.mmu_walks <- 0L;
-  t.ipis_sent <- 0L;
-  t.ipis_received <- 0L
-
 let retire (t : t) ~cls ~cycles =
   t.retired <- Int64.succ t.retired;
   t.cycles <- Int64.add t.cycles (Int64.of_int cycles);

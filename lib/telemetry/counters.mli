@@ -28,14 +28,12 @@ type insn_class =
   | Exception
 
 val class_count : int
-val class_index : insn_class -> int
-val class_name : insn_class -> string
-val all_classes : insn_class list
 
 type t
 
 (** Immutable copy of a counter file. [classes] is indexed by
-    {!class_index} and must not be mutated by callers. *)
+    the declaration order of {!insn_class} and must not be mutated by
+    callers. *)
 type snapshot = {
   retired : int64;
   cycles : int64;
@@ -50,7 +48,6 @@ type snapshot = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 (** Record one retired instruction of class [cls] costing [cycles]. *)
 val retire : t -> cls:insn_class -> cycles:int -> unit
@@ -78,16 +75,11 @@ val diff : after:snapshot -> before:snapshot -> snapshot
 (** Element-wise sum, for folding per-core files into a machine view. *)
 val merge : snapshot -> snapshot -> snapshot
 
-val class_count_of : snapshot -> insn_class -> int64
-
 (** Derived: PAC-constructing ops ([Pac] + [Pacga] classes). *)
 val pac_ops : snapshot -> int64
 
 (** Derived: authenticating ops ([Aut] + [Auth_branch] classes). *)
 val aut_ops : snapshot -> int64
-
-(** Derived: XPAC strips (the [Xpac] class). *)
-val xpac_strips : snapshot -> int64
 
 (** Live reads for the guest-visible PMEVCNTRn sysregs. *)
 val live_pac_ops : t -> int64
@@ -95,10 +87,7 @@ val live_pac_ops : t -> int64
 val live_aut_ops : t -> int64
 val live_auth_failures : t -> int64
 
-(** Stable (label, value) rows, classes first, for tables and JSON. *)
-val rows : snapshot -> (string * int64) list
-
 val to_string : snapshot -> string
 
-(** One-line JSON object; keys in {!rows} order, byte-stable. *)
+(** One-line JSON object; keys in a fixed order, byte-stable. *)
 val to_json : snapshot -> string

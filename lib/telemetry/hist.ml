@@ -76,7 +76,6 @@ let is_empty t = t.total = 0L
 let sum t = t.sum
 let min_value t = if is_empty t then 0L else t.min_v
 let max_value t = if is_empty t then 0L else t.max_v
-let mean t = if is_empty t then 0.0 else Int64.to_float t.sum /. Int64.to_float t.total
 
 (* Canonical view: non-zero (index, count) pairs sorted by index. *)
 let sorted_buckets t =
@@ -92,8 +91,6 @@ let merge a b =
   m.min_v <- (if Int64.compare a.min_v b.min_v < 0 then a.min_v else b.min_v);
   m.max_v <- (if Int64.compare a.max_v b.max_v > 0 then a.max_v else b.max_v);
   m
-
-let copy t = merge t empty
 
 let equal a b =
   a.total = b.total && a.sum = b.sum && a.min_v = b.min_v && a.max_v = b.max_v
@@ -124,12 +121,6 @@ let p50 t = percentile t 0.50
 let p90 t = percentile t 0.90
 let p99 t = percentile t 0.99
 let p999 t = percentile t 0.999
-
-let to_string t =
-  if is_empty t then "n=0"
-  else
-    Printf.sprintf "n=%Ld p50=%Ld p90=%Ld p99=%Ld p999=%Ld mean=%.1f max=%Ld"
-      t.total (p50 t) (p90 t) (p99 t) (p999 t) (mean t) (max_value t)
 
 (* Byte-stable rendering: fixed field order, buckets as sorted
    [index, count] pairs with zero buckets elided. *)

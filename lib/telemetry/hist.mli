@@ -11,9 +11,6 @@
 
 type t
 
-val sub_bucket_bits : int
-val bucket_count : int
-
 val create : unit -> t
 
 (** The merge identity. Shared and must never be recorded into; use
@@ -29,8 +26,6 @@ val record : t -> int64 -> unit
     associative, with {!empty} as identity. Arguments are unchanged. *)
 val merge : t -> t -> t
 
-val copy : t -> t
-
 (** Structural equality (counts, total, sum, min, max). *)
 val equal : t -> t -> bool
 
@@ -44,9 +39,6 @@ val min_value : t -> int64
 (** 0 when empty. *)
 val max_value : t -> int64
 
-(** 0.0 when empty. *)
-val mean : t -> float
-
 (** [percentile t q] for [0 < q <= 1]: lower bound of the bucket
     holding rank [ceil (q * count)] — exact below 32, within one
     sub-bucket above. 0 when empty. *)
@@ -55,10 +47,6 @@ val percentile : t -> float -> int64
 val p50 : t -> int64
 val p90 : t -> int64
 val p99 : t -> int64
-val p999 : t -> int64
-
-(** Compact one-line human summary, ["n=0"] when empty. *)
-val to_string : t -> string
 
 (** Byte-stable single-line JSON: fixed field order ([count], [sum],
     [min], [max], [p50], [p90], [p99], [p999], [buckets]) with the

@@ -6,7 +6,6 @@ let create ~cpus () =
 
 let cpus t = Array.length t.sinks
 let sink t i = t.sinks.(i)
-let sinks t = t.sinks
 
 let counters t =
   Array.fold_left
@@ -24,13 +23,10 @@ let events t =
          | 0 -> compare a.cpu b.cpu
          | c -> c)
 
-let spans t = Span.of_events (events t)
 let histograms t = Span.histograms (events t)
 
 let dropped t =
   Array.fold_left (fun acc s -> acc + Ring.dropped (Sink.ring s)) 0 t.sinks
-
-let reset t = Array.iter Sink.reset t.sinks
 
 type captured = { c_sinks : Sink.captured array }
 

@@ -7,7 +7,6 @@ type t
 val create : cpus:int -> unit -> t
 val cpus : t -> int
 val sink : t -> int -> Sink.t
-val sinks : t -> Sink.t array
 
 (** Merged counter snapshot over all cores. *)
 val counters : t -> Counters.snapshot
@@ -17,17 +16,12 @@ val per_cpu : t -> Counters.snapshot array
 (** All live events, sorted by (ts, cpu, arrival) — deterministic. *)
 val events : t -> Event.t list
 
-(** Spans derived from {!events} (a pure fold; see {!Span}). *)
-val spans : t -> Span.t list
-
-(** Per-kind latency histograms over {!spans}, every {!Span.kind}
-    present in {!Span.all_kinds} order. *)
+(** Per-kind latency histograms over the spans of {!events}, every
+    {!Span.kind} present in declaration order. *)
 val histograms : t -> (Span.kind * Hist.t) list
 
 (** Total events overwritten across all rings. *)
 val dropped : t -> int
-
-val reset : t -> unit
 
 (** Whole-hub capture (every per-core sink), for machine snapshots. *)
 type captured

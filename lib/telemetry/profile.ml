@@ -49,11 +49,6 @@ let restore t c =
     (fun pc row -> Hashtbl.replace t.buckets pc (Array.copy row))
     c.c_buckets
 
-let total t =
-  Hashtbl.fold
-    (fun _ row acc -> Array.fold_left Int64.add acc row)
-    t.buckets 0L
-
 let by_origin t =
   let sums = Array.make origin_count 0L in
   Hashtbl.iter

@@ -16,8 +16,6 @@ type origin =
   | Cfi_modifier  (** modifier arithmetic on reserved ip0/ip1 *)
   | Cfi_key_switch  (** instructions inside the XOM key routines *)
 
-val origin_count : int
-val origin_index : origin -> int
 val origin_name : origin -> string
 val all_origins : origin list
 
@@ -36,9 +34,6 @@ type captured
 
 val capture : t -> captured
 val restore : t -> captured -> unit
-
-(** Total attributed cycles. *)
-val total : t -> int64
 
 (** Per-origin cycle totals, every origin present, fixed order. *)
 val by_origin : t -> (origin * int64) list

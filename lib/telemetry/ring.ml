@@ -8,15 +8,11 @@ let create ~depth =
   if depth <= 0 then invalid_arg "Ring.create: depth";
   { buf = Array.make depth None; pos = 0; total = 0 }
 
-let depth t = Array.length t.buf
-
 let push t ev =
   t.buf.(t.pos) <- Some ev;
   t.pos <- (t.pos + 1) mod Array.length t.buf;
   t.total <- t.total + 1
 
-let length t = min t.total (Array.length t.buf)
-let pushed t = t.total
 let dropped t = max 0 (t.total - Array.length t.buf)
 
 let to_list t =
@@ -30,11 +26,6 @@ let to_list t =
     | None -> ()
   done;
   !acc
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.pos <- 0;
-  t.total <- 0
 
 type captured = { c_buf : Event.t option array; c_pos : int; c_total : int }
 

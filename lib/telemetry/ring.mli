@@ -7,20 +7,13 @@ type t
 (** @raise Invalid_argument if [depth <= 0]. *)
 val create : depth:int -> t
 
-val depth : t -> int
 val push : t -> Event.t -> unit
-val length : t -> int
-
-(** Total events ever pushed. *)
-val pushed : t -> int
 
 (** [max 0 (pushed - depth)]. *)
 val dropped : t -> int
 
 (** Live events, oldest first. *)
 val to_list : t -> Event.t list
-
-val clear : t -> unit
 
 (** Ring-content capture for machine snapshots ([restore] requires the
     same depth the capture was taken at). *)

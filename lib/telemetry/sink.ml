@@ -17,7 +17,6 @@ let create ~cpu () =
     origin_override = None;
   }
 
-let cpu t = t.cpu
 let counters t = t.counters
 let ring t = t.ring
 let profile t = t.profile
@@ -35,12 +34,6 @@ let with_origin t o f =
   let saved = t.origin_override in
   t.origin_override <- Some o;
   Fun.protect ~finally:(fun () -> t.origin_override <- saved) f
-
-let reset t =
-  Counters.reset t.counters;
-  Ring.clear t.ring;
-  Profile.reset t.profile;
-  t.origin_override <- None
 
 type captured = {
   c_counters : Counters.snapshot;

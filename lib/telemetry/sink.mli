@@ -6,7 +6,6 @@
 type t
 
 val create : cpu:int -> unit -> t
-val cpu : t -> int
 val counters : t -> Counters.t
 val ring : t -> Ring.t
 val profile : t -> Profile.t
@@ -29,9 +28,6 @@ val retire :
     generated code is otherwise indistinguishable from baseline ALU).
     Restores the previous override even on exception. *)
 val with_origin : t -> Profile.origin -> (unit -> 'a) -> 'a
-
-(** Reset counters, ring and profile (e.g. before a measured window). *)
-val reset : t -> unit
 
 (** Full endpoint capture (counters + ring + profile + origin
     override), for machine snapshots. *)

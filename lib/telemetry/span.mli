@@ -15,9 +15,6 @@
 
 type kind = Syscall | Context_switch | Ipi | Key_domain
 
-(** Fixed order: [Syscall; Context_switch; Ipi; Key_domain]. *)
-val all_kinds : kind list
-
 (** ["syscall"], ["context-switch"], ["ipi"], ["key-domain"]. *)
 val kind_name : kind -> string
 
@@ -33,8 +30,8 @@ type t = {
     end-event order. Unmatched begin markers produce no span. *)
 val of_events : Event.t list -> t list
 
-(** Per-kind latency histograms over {!of_events}; every kind from
-    {!all_kinds} is present (possibly empty) so fleet merges line up
+(** Per-kind latency histograms over {!of_events}; every {!kind} is
+    present (possibly empty) so fleet merges line up
     without keying. *)
 val histograms : Event.t list -> (kind * Hist.t) list
 
@@ -45,5 +42,5 @@ val merge_histograms :
 val empty_histograms : unit -> (kind * Hist.t) list
 
 (** Byte-stable single-line JSON object keyed by {!kind_name} in
-    {!all_kinds} order, each value a {!Hist.to_json} rendering. *)
+    declaration order, each value a {!Hist.to_json} rendering. *)
 val histograms_to_json : (kind * Hist.t) list -> string

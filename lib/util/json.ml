@@ -326,10 +326,5 @@ let to_int v =
       Some (Int64.to_int i)
   | _ -> None
 
-let to_float = function
-  | Float f -> Some f
-  | Int i -> Some (Int64.to_float i)
-  | _ -> None
-
 let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None

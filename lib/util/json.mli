@@ -10,7 +10,7 @@
 
     Recursive descent, no dependencies, strict: trailing garbage, raw
     control characters in strings, malformed numbers and nesting deeper
-    than {!max_depth} are errors. Numbers without a fraction or exponent
+    than 512 levels are errors. Numbers without a fraction or exponent
     are kept as exact [int64]s so seeds survive the round trip. *)
 
 type t =
@@ -36,11 +36,6 @@ and lvalue =
   | LList of located list
   | LObj of (string * located) list
 
-(** Deepest array/object nesting the parser accepts (512). Deeper input
-    is rejected with a positioned ["nesting too deep"] error instead of
-    recursing without bound. *)
-val max_depth : int
-
 (** [parse_located s] — parse one JSON value, keeping the byte offset
     of every value. Trailing non-whitespace is an error. Errors carry a
     short description plus the {!position} of the failure. *)
@@ -48,10 +43,6 @@ val parse_located : string -> (located, string) result
 
 (** [parse s] — {!parse_located} with the positions stripped. *)
 val parse : string -> (t, string) result
-
-(** [line_col s pos] — 1-based (line, column) of byte offset [pos] in
-    [s]. *)
-val line_col : string -> int -> int * int
 
 (** ["line %d, column %d (offset %d)"] for a byte offset. *)
 val position : string -> int -> string
@@ -71,6 +62,5 @@ val lmember : string -> located -> located option
 
 val to_int : t -> int option
 val to_int64 : t -> int64 option
-val to_float : t -> float option
 val to_string : t -> string option
 val to_bool : t -> bool option

@@ -20,6 +20,5 @@ let key128 t =
   let lo = next t in
   (hi, lo)
 
-let split t = create (Int64.logxor (next t) 0xD1B54A32D192ED03L)
 let state t = t.state
 let set_state t s = t.state <- s

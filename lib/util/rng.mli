@@ -22,10 +22,6 @@ val next_in : t -> int -> int
 (** [key128 t] draws a 128-bit PAuth key as a (hi, lo) register pair. *)
 val key128 : t -> int64 * int64
 
-(** [split t] derives an independent generator, useful for giving each
-    subsystem its own stream without cross-coupling. *)
-val split : t -> t
-
 (** [state t] reads the internal state, for snapshotting. Restoring the
     same state with {!set_state} resumes the identical stream. *)
 val state : t -> int64

@@ -16,11 +16,3 @@ let geomean = function
   | xs ->
       List.iter (fun x -> if x <= 0.0 then invalid_arg "Stats.geomean: non-positive") xs;
       exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs /. float_of_int (List.length xs))
-
-let percent_overhead ~baseline x =
-  if baseline = 0.0 then invalid_arg "Stats.percent_overhead";
-  (x -. baseline) /. baseline *. 100.0
-
-let relative ~baseline x =
-  if baseline = 0.0 then invalid_arg "Stats.relative";
-  x /. baseline

@@ -11,14 +11,5 @@ val mean : float list -> float
     0.0 for lists of length < 2. *)
 val stddev : float list -> float
 
-(** [variance xs] — sample variance, 0.0 for lists of length < 2. *)
-val variance : float list -> float
-
 (** [geomean xs] — geometric mean; all inputs must be positive. *)
 val geomean : float list -> float
-
-(** [percent_overhead ~baseline x] — [(x - baseline) / baseline * 100]. *)
-val percent_overhead : baseline:float -> float -> float
-
-(** [relative ~baseline x] — [x / baseline]. *)
-val relative : baseline:float -> float -> float

@@ -1,7 +1,5 @@
 type t = int64
 
-let zero = 0L
-let one = 1L
 let all_ones = -1L
 
 let mask width =
@@ -32,14 +30,6 @@ let ror x n =
   if n = 0 then x
   else Int64.logor (Int64.shift_right_logical x n) (Int64.shift_left x (64 - n))
 
-let sign_extend ~from x =
-  if from <= 0 || from > 64 then invalid_arg "Val64.sign_extend";
-  if from = 64 then x
-  else if bit (from - 1) x then Int64.logor x (Int64.lognot (mask from))
-  else Int64.logand x (mask from)
-
-let ucompare a b = Int64.unsigned_compare a b
-
 let to_hex x = Printf.sprintf "%016Lx" x
 
 let of_hex s =
@@ -61,10 +51,6 @@ let of_hex s =
     else go (Int64.logor (Int64.shift_left acc 4) (Int64.of_int (digit s.[i]))) (i + 1)
   in
   go 0L 0
-
-let popcount x =
-  let rec go acc x = if x = 0L then acc else go (acc + 1) (Int64.logand x (Int64.sub x 1L)) in
-  go 0 x
 
 let nibble i x =
   if i < 0 || i > 15 then invalid_arg "Val64.nibble";

@@ -7,10 +7,6 @@
 
 type t = int64
 
-val zero : t
-val one : t
-val all_ones : t
-
 (** [mask width] is a word with the low [width] bits set.
     [width] must be in [0, 64]. *)
 val mask : int -> t
@@ -33,22 +29,12 @@ val set_bit : int -> bool -> t -> t
 (** [ror x n] rotates [x] right by [n] bit positions ([n] taken mod 64). *)
 val ror : t -> int -> t
 
-(** [sign_extend ~from x] replicates bit [from - 1] of [x] into all bits
-    at and above position [from]. *)
-val sign_extend : from:int -> t -> t
-
-(** Unsigned comparison. *)
-val ucompare : t -> t -> int
-
 (** [to_hex x] is the 16-digit lowercase hexadecimal rendering of [x]. *)
 val to_hex : t -> string
 
 (** [of_hex s] parses a hexadecimal string (no "0x" prefix required,
     but accepted). Raises [Invalid_argument] on malformed input. *)
 val of_hex : string -> t
-
-(** [popcount x] is the number of set bits in [x]. *)
-val popcount : t -> int
 
 (** [nibble i x] is the [i]-th 4-bit cell of [x] where cell 0 is the
     most significant nibble, the cell ordering used by QARMA. *)

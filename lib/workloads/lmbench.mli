@@ -22,9 +22,9 @@ type result = {
     full, backward-edge, none. *)
 val configs : (string * Camouflage.Config.t) list
 
-(** The probe suite: null (getpid), read, write, stat, fstat,
-    open/close, notifier install, notifier dispatch, pipe write+read,
-    fork, context switch. *)
+(** The probe suite, in report order: null (getpid), read, write, stat,
+    fstat, open/close, notifier install and dispatch, pipe, socket,
+    poll, timer, fork and context switch. *)
 val probes : probe list
 
 (** [run ?seed ()] — all probes under all configurations. *)

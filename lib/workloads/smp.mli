@@ -23,11 +23,6 @@ type point = {
 
 val throughput_program : rounds:int -> Aarch64.Asm.program
 
-(** [run_point ~cpus ~tasks ~rounds ()] — boot the full configuration,
-    spawn, schedule with an 800-instruction quantum, score one core
-    count. *)
-val run_point : ?seed:int64 -> cpus:int -> tasks:int -> rounds:int -> unit -> point
-
 (** [run_scaling ()] — the same population on 1, 2, 4 and 8 cores;
     [speedup] is relative to the single-core point. *)
 val run_scaling : ?seed:int64 -> ?tasks:int -> ?rounds:int -> unit -> point list

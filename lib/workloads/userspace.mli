@@ -21,8 +21,6 @@ type result = {
   relative : float array;
 }
 
-val specs : spec list
-
 (** [run ?seed ()] — all workloads under all of {!Lmbench.configs}. *)
 val run : ?seed:int64 -> unit -> result list
 

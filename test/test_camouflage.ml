@@ -6,10 +6,13 @@
 open Aarch64
 module C = Camouflage
 
-let listing_of config name body =
+let add_wrapped config prog ~name body =
   let f = C.Instrument.wrap config ~name body in
+  Asm.add_function prog ~name:f.C.Instrument.name f.C.Instrument.items
+
+let listing_of config name body =
   let prog = Asm.create () in
-  Asm.add_function prog ~name:f.C.Instrument.name f.C.Instrument.items;
+  add_wrapped config prog ~name body;
   Asm.assemble prog ~base:Env.code_base
 
 (* E8: the emitted sequences must match the paper's listings. *)
@@ -49,13 +52,21 @@ let test_listing3_camouflage () =
   in
   Alcotest.(check string) "Listing 3 shape" expected text
 
+(* Instructions a scheme adds to an empty function's prologue and
+   epilogue, over the unprotected frame. *)
+let overhead_insns config =
+  let count config =
+    Asm.instruction_count (C.Instrument.wrap config ~name:"f" []).C.Instrument.items
+  in
+  count config - count C.Config.none
+
 let test_overhead_counts () =
-  Alcotest.(check int) "camouflage adds 8 insns" 8 (C.Instrument.overhead_insns C.Config.full);
+  Alcotest.(check int) "camouflage adds 8 insns" 8 (overhead_insns C.Config.full);
   Alcotest.(check int) "sp-only adds 2 insns" 2
-    (C.Instrument.overhead_insns { C.Config.full with scheme = C.Modifier.Sp_only });
+    (overhead_insns { C.Config.full with scheme = C.Modifier.Sp_only });
   Alcotest.(check int) "parts adds 12 insns" 12
-    (C.Instrument.overhead_insns { C.Config.full with scheme = C.Modifier.Parts 42L });
-  Alcotest.(check int) "none adds 0" 0 (C.Instrument.overhead_insns C.Config.none)
+    (overhead_insns { C.Config.full with scheme = C.Modifier.Parts 42L });
+  Alcotest.(check int) "none adds 0" 0 (overhead_insns C.Config.none)
 
 (* Runtime: instrumented call chains execute and return correctly for
    every scheme and mode; corrupting the saved LR is detected. *)
@@ -63,11 +74,11 @@ let test_overhead_counts () =
 let build_nested config =
   let cpu = Env.fresh_cpu () in
   let prog = Asm.create () in
-  C.Instrument.add_to config prog ~name:"leaf_worker"
+  add_wrapped config prog ~name:"leaf_worker"
     [ Asm.ins (Insn.Add_imm (Insn.R 0, Insn.R 0, 5)) ];
-  C.Instrument.add_to config prog ~name:"middle"
+  add_wrapped config prog ~name:"middle"
     [ Asm.bl_to "leaf_worker"; Asm.ins (Insn.Add_imm (Insn.R 0, Insn.R 0, 7)) ];
-  C.Instrument.add_to config prog ~name:"outer"
+  add_wrapped config prog ~name:"outer"
     [ Asm.bl_to "middle"; Asm.ins (Insn.Add_imm (Insn.R 0, Insn.R 0, 11)) ];
   let layout = Env.load_program cpu prog in
   (cpu, layout)
@@ -98,7 +109,7 @@ let test_compat_runs_without_pauth () =
   let config = C.Config.compat in
   let cpu = Env.fresh_cpu ~has_pauth:false () in
   let prog = Asm.create () in
-  C.Instrument.add_to config prog ~name:"fn"
+  add_wrapped config prog ~name:"fn"
     [ Asm.ins (Insn.Add_imm (Insn.R 0, Insn.R 0, 9)) ];
   let layout = Env.load_program cpu prog in
   Cpu.set_reg cpu (Insn.R 0) 0L;
@@ -116,7 +127,7 @@ let test_rop_detected ~config ~expect_detected =
   let gadget_entry = ref 0L in
   (* victim: a protected function that "overflows" its own stack slot,
      modeling an attacker-controlled write of the saved LR. *)
-  C.Instrument.add_to config prog ~name:"victim"
+  add_wrapped config prog ~name:"victim"
     [
       (* saved frame record sits at [fp]: fp+8 holds the saved LR *)
       Asm.adr_of (Insn.R 9) "gadget";
@@ -165,10 +176,10 @@ let test_get_set_roundtrip () =
   let cpu = Env.fresh_cpu () in
   let prog = Asm.create () in
   (* set_file_ops(x0=file, x1=ops); then file_ops(x0) -> x0 *)
-  C.Instrument.add_to config prog ~name:"set_file_ops"
+  add_wrapped config prog ~name:"set_file_ops"
     (C.Pointer_integrity.emit_setter config registry ~type_name:"file"
        ~member_name:"f_ops" ~obj:(Insn.R 0) ~value:(Insn.R 1) ~scratch:(Insn.R 9));
-  C.Instrument.add_to config prog ~name:"file_ops"
+  add_wrapped config prog ~name:"file_ops"
     (C.Pointer_integrity.emit_getter config registry ~type_name:"file"
        ~member_name:"f_ops" ~obj:(Insn.R 0) ~dst:(Insn.R 8) ~scratch:(Insn.R 9)
     @ [ Asm.ins (Insn.Mov (Insn.R 0, Insn.R 8)) ]);
@@ -449,10 +460,7 @@ let test_temporal_replay_matrix () =
 let test_chained_limits () =
   Alcotest.check_raises "no compat encoding"
     (Invalid_argument "Instrument: the chained scheme has no compat encoding") (fun () ->
-      ignore
-        (C.Instrument.frame_push
-           { chained_config with mode = C.Keys.Compat }
-           ~func_label:"f"));
+      ignore (C.Instrument.wrap { chained_config with mode = C.Keys.Compat } ~name:"f" []));
   (match Kernel.System.boot ~config:chained_config () with
   | exception Failure _ -> ()
   | _sys -> Alcotest.fail "chained boot must be refused");

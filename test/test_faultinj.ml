@@ -56,7 +56,7 @@ let test_gpr_flip_transient () =
       Alcotest.(check int) "struck cpu 0" 0 cpu;
       Alcotest.(check int64) "struck at the mov" mov_pc pc
   | None -> Alcotest.fail "no strike recorded");
-  FI.Injector.disarm (K.System.cpu sys)
+  Cpu.set_step_hook (K.System.cpu sys) None
 
 let store_load_program () =
   let data_lo = Int64.to_int (Int64.logand K.Layout.user_data_base 0xffffL) in
@@ -91,7 +91,7 @@ let test_mem_flip_transient_overwritten () =
   FI.Injector.arm inj (K.System.cpu sys);
   expect_exit "store heals the transient flip" 4L
     (K.System.run_user sys ~entry:(Asm.symbol layout "main"));
-  FI.Injector.disarm (K.System.cpu sys)
+  Cpu.set_step_hook (K.System.cpu sys) None
 
 let test_mem_flip_stuck_survives_store () =
   let sys = boot () in
@@ -108,7 +108,7 @@ let test_mem_flip_stuck_survives_store () =
   expect_exit "bit 0 stuck at 1 through the store" 5L
     (K.System.run_user sys ~entry:(Asm.symbol layout "main"));
   Alcotest.(check bool) "many forcings" true (FI.Injector.injections inj >= 1);
-  FI.Injector.disarm (K.System.cpu sys)
+  Cpu.set_step_hook (K.System.cpu sys) None
 
 let test_skip_insn () =
   let sys = boot () in
@@ -132,7 +132,7 @@ let test_skip_insn () =
   in
   FI.Injector.arm inj (K.System.cpu sys);
   expect_exit "the add was suppressed" 7L (K.System.run_user sys ~entry);
-  FI.Injector.disarm (K.System.cpu sys)
+  Cpu.set_step_hook (K.System.cpu sys) None
 
 (* Key-register faults: a transient flip is healed by the XOM setter on
    the next kernel entry; a stuck-at flip defeats it, and the next
@@ -166,7 +166,7 @@ let test_key_flip_transient_heals () =
   | K.System.Ok _ -> ()
   | K.System.Killed m | K.System.Panicked m ->
       Alcotest.failf "write after transient key flip: %s" m);
-  FI.Injector.disarm (K.System.cpu sys)
+  Cpu.set_step_hook (K.System.cpu sys) None
 
 let test_key_flip_stuck_detected_by_pac () =
   let sys = boot () in
@@ -185,7 +185,7 @@ let test_key_flip_stuck_detected_by_pac () =
       Alcotest.(check bool) "killed on the PAC path" true (contains ~sub:"PAC" m)
   | K.System.Ok v -> Alcotest.failf "write succeeded (%Ld) under a stuck key fault" v
   | K.System.Panicked m -> Alcotest.failf "panicked: %s" m);
-  FI.Injector.disarm (K.System.cpu sys)
+  Cpu.set_step_hook (K.System.cpu sys) None
 
 (* A PAC-field flip must stay inside the PAC field: the stripped
    (unauthenticated) pointer bits are untouched. *)
@@ -209,7 +209,7 @@ let test_pac_field_flip_stays_in_field () =
   in
   FI.Injector.arm inj cpu;
   ignore (K.System.syscall sys ~nr:K.Kbuild.sys_getpid ~args:[]);
-  FI.Injector.disarm cpu;
+  Cpu.set_step_hook cpu None;
   let after = K.Kmem.read64 cpu va in
   let diff = Int64.logxor before after in
   Alcotest.(check bool) "exactly one bit flipped" true

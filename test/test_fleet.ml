@@ -11,18 +11,17 @@ module J = Camo_util.Json
 
 let test_deque_semantics () =
   let d = F.Deque.create () in
-  Alcotest.(check bool) "fresh deque is empty" true (F.Deque.is_empty d);
   Alcotest.(check (option int)) "pop on empty" None (F.Deque.pop d);
   Alcotest.(check (option int)) "steal on empty" None (F.Deque.steal d);
   List.iter (fun i -> F.Deque.push d i) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (F.Deque.length d);
   (* owner pops the hot (most recent) end... *)
   Alcotest.(check (option int)) "pop is LIFO" (Some 4) (F.Deque.pop d);
   (* ...thieves take the cold (oldest) end *)
   Alcotest.(check (option int)) "steal is FIFO" (Some 1) (F.Deque.steal d);
   Alcotest.(check (option int)) "steal again" (Some 2) (F.Deque.steal d);
   Alcotest.(check (option int)) "pop the rest" (Some 3) (F.Deque.pop d);
-  Alcotest.(check bool) "drained" true (F.Deque.is_empty d)
+  Alcotest.(check (option int)) "drained" None (F.Deque.pop d);
+  Alcotest.(check (option int)) "drained for thieves too" None (F.Deque.steal d)
 
 (* --- pool --------------------------------------------------------- *)
 

@@ -150,11 +150,20 @@ let prop_no_benign_panic =
    compiler could introduce — wrong retirement count, stale code after
    a self-patch, a mis-costed instruction — fails the property.
 
+   System-register and PAuth items cover every path a trace block may
+   one day absorb: MSR/MRS round trips to a key half, TPIDR_EL1 and
+   CONTEXTIDR_EL1; MRS of the cycle, instruction and virtual counters;
+   an SCTLR enable-bit flip (MRS, EOR, MSR); XPAC of a pointer signed
+   under an instruction or a data key (the model's one XPAC form is
+   XPACI and XPACD); the PAC/AUT 1716 pair; and BRAA and BLRAA to a
+   label signed inside the program.
+
    Register discipline keeps random programs well-defined: R0-R5 are
    arithmetic scratch, R6 accumulates the victim's immediate (7
    unpatched, 9 patched), R8/R9 carry the self-patch word and victim
    address, R10 points at the data region, R11 is the loop counter,
-   R12/R13 are PAC scratch. *)
+   R12/R13 are PAC scratch, R14 saves LR across a BLRAA and R16/R17 are
+   the 1716 pair's modifier and pointer. *)
 
 open Aarch64
 
@@ -168,6 +177,15 @@ type fitem =
   | Skip_cond of Insn.cond * Insn.t list
   | Pac_pair of Sysreg.pauth_key  (* sign + authenticate, result folded in *)
   | Pacga_mix
+  | Sysreg_roundtrip of Sysreg.t * int * int  (* msr sr, R(a); mrs R(b), sr *)
+  | Counter_read of Sysreg.t  (* an always-live counter folded into R2 *)
+  | Sctlr_flip of Sysreg.pauth_key  (* toggle the key's SCTLR enable bit *)
+  | Xpac_strip of Sysreg.pauth_key  (* sign under the key, strip, fold in *)
+  | Pac1716_pair of Sysreg.pauth_key
+  | Auth_branch of bool  (* BRAA over a skipped add, or (true) BLRAA to a ret *)
+  | Bad_auth_branch
+      (* BRAA under the wrong modifier: the branch faults (never drawn
+         by [gen_fitem]; [prop_failed_auth_branch] ends a body with it) *)
   | Patch
       (* store R8 over the victim pair (selfmod programs only); a
          [victim_first] program then points R9 at the data region, so
@@ -235,6 +253,21 @@ let gen_fitem =
             protected_run );
         (1, map (fun k -> Pac_pair k) (oneofl Sysreg.[ IA; IB; DA; DB ]));
         (1, return Pacga_mix);
+        ( 1,
+          map3
+            (fun sr a b -> Sysreg_roundtrip (sr, a, b))
+            (oneofl
+               (List.filter Sysreg.is_pauth_key Sysreg.all
+               @ Sysreg.[ TPIDR_EL1; CONTEXTIDR_EL1 ]))
+            r5 r5 );
+        ( 1,
+          map
+            (fun sr -> Counter_read sr)
+            (oneofl Sysreg.[ PMCCNTR_EL0; PMICNTR_EL0; CNTVCT_EL0 ]) );
+        (1, map (fun k -> Sctlr_flip k) (oneofl Sysreg.[ IA; IB; DA; DB ]));
+        (1, map (fun k -> Xpac_strip k) (oneofl Sysreg.[ IA; IB; DA; DB ]));
+        (1, map (fun k -> Pac1716_pair k) (oneofl Sysreg.[ IA; IB ]));
+        (1, map (fun link -> Auth_branch link) bool);
       ])
 
 let gen_fprog =
@@ -272,6 +305,14 @@ let fitem_to_string = function
         (String.concat "; " (List.map Insn.to_string is))
   | Pac_pair k -> "pac/aut " ^ Sysreg.name (fst (Sysreg.key_halves k))
   | Pacga_mix -> "pacga"
+  | Sysreg_roundtrip (sr, a, b) ->
+      Printf.sprintf "msr/mrs %s r%d->r%d" (Sysreg.name sr) a b
+  | Counter_read sr -> "mrs " ^ Sysreg.name sr
+  | Sctlr_flip k -> "sctlr flip " ^ Sysreg.name (fst (Sysreg.key_halves k))
+  | Xpac_strip k -> "xpac " ^ Sysreg.name (fst (Sysreg.key_halves k))
+  | Pac1716_pair k -> "pac/aut 1716 " ^ Sysreg.name (fst (Sysreg.key_halves k))
+  | Auth_branch link -> if link then "blraa" else "braa"
+  | Bad_auth_branch -> "braa (wrong modifier)"
   | Patch -> "self-patch"
 
 let print_fprog p =
@@ -331,6 +372,84 @@ let emit_fitem ~victim_first fresh = function
           Asm.ins (Insn.Eor_reg (Insn.R 2, Insn.R 2, Insn.R 13));
         ],
         2 )
+  | Sysreg_roundtrip (sr, a, b) ->
+      ([ Asm.ins (Insn.Msr (sr, Insn.R a)); Asm.ins (Insn.Mrs (Insn.R b, sr)) ], 2)
+  | Counter_read sr ->
+      ( [
+          Asm.ins (Insn.Mrs (Insn.R 13, sr));
+          Asm.ins (Insn.Eor_reg (Insn.R 2, Insn.R 2, Insn.R 13));
+        ],
+        2 )
+  | Sctlr_flip k ->
+      let bit = Sysreg.sctlr_enable_bit k in
+      ( [
+          Asm.ins (Insn.Mrs (Insn.R 13, Sysreg.SCTLR_EL1));
+          Asm.ins (Insn.Movz (Insn.R 12, 1 lsl (bit mod 16), 16 * (bit / 16)));
+          Asm.ins (Insn.Eor_reg (Insn.R 13, Insn.R 13, Insn.R 12));
+          Asm.ins (Insn.Msr (Sysreg.SCTLR_EL1, Insn.R 13));
+        ],
+        4 )
+  | Xpac_strip k ->
+      ( [
+          Asm.ins (Insn.Mov (Insn.R 12, Insn.R 10));
+          Asm.ins (Insn.Mov (Insn.R 13, Insn.R 11));
+          Asm.ins (Insn.Pac (k, Insn.R 12, Insn.R 13));
+          Asm.ins (Insn.Xpac (Insn.R 12));
+          Asm.ins (Insn.Add_reg (Insn.R 1, Insn.R 1, Insn.R 12));
+        ],
+        5 )
+  | Pac1716_pair k ->
+      ( [
+          Asm.ins (Insn.Mov (Insn.ip1, Insn.R 10));
+          Asm.ins (Insn.Mov (Insn.ip0, Insn.R 11));
+          Asm.ins (Insn.Pac1716 k);
+          Asm.ins (Insn.Aut1716 k);
+          Asm.ins (Insn.Add_reg (Insn.R 1, Insn.R 1, Insn.ip1));
+        ],
+        5 )
+  | Auth_branch false ->
+      let l = fresh () in
+      ( [
+          Asm.adr_of (Insn.R 12) l;
+          Asm.ins (Insn.Mov (Insn.R 13, Insn.R 11));
+          Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 12, Insn.R 13));
+          Asm.ins (Insn.Bra (Sysreg.IA, Insn.R 12, Insn.R 13));
+          Asm.ins (Insn.Add_imm (Insn.R 1, Insn.R 1, 5));
+          Asm.label l;
+        ],
+        5 )
+  | Auth_branch true ->
+      let callee = fresh () and after = fresh () in
+      ( [
+          Asm.adr_of (Insn.R 12) callee;
+          Asm.ins (Insn.Mov (Insn.R 13, Insn.R 11));
+          Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 12, Insn.R 13));
+          Asm.ins (Insn.Mov (Insn.R 14, Insn.lr));
+          Asm.ins (Insn.Blra (Sysreg.IA, Insn.R 12, Insn.R 13));
+          Asm.ins (Insn.Mov (Insn.lr, Insn.R 14));
+          Asm.b_to after;
+          Asm.label callee;
+          Asm.ins (Insn.Add_imm (Insn.R 1, Insn.R 1, 3));
+          Asm.ins Insn.Ret;
+          Asm.label after;
+        ],
+        9 )
+  | Bad_auth_branch ->
+      (* the modifier goes wrong on the last trip only, once the loop is
+         hot enough to run as compiled blocks on the traces tier *)
+      let ok = fresh () and l = fresh () in
+      ( [
+          Asm.adr_of (Insn.R 12) l;
+          Asm.ins (Insn.Mov (Insn.R 13, Insn.R 11));
+          Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 12, Insn.R 13));
+          Asm.ins (Insn.Subs_imm (Insn.XZR, Insn.R 11, 1));
+          Asm.bcond_to Insn.Ne ok;
+          Asm.ins (Insn.Add_imm (Insn.R 13, Insn.R 13, 1));
+          Asm.label ok;
+          Asm.ins (Insn.Bra (Sysreg.IA, Insn.R 12, Insn.R 13));
+          Asm.label l;
+        ],
+        7 )
   | Patch when victim_first ->
       ( [
           Asm.ins (Insn.Str (Insn.R 8, Insn.Off (Insn.R 9, 0)));
@@ -411,7 +530,7 @@ let load_fprog ~tier p =
   let m = Bare.smp ~seed:11L ~tier () in
   let cpu = Machine.boot_core m in
   if p.selfmod then
-    Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
+    Env.map_region cpu ~base:Env.code_base ~pages:16 Mmu.rwx;
   (m, cpu, Bare.load cpu (emit_fprog p))
 
 (* [attach] runs on the boot core once the program is loaded, just
@@ -555,6 +674,79 @@ let prop_tier_telemetry =
         (fun tier -> run_sequence_tier C.Config.full ~tier seq = base)
         [ Cpu.Icache; Cpu.Traces ])
 
+(* Restore across different SCTLR enable bits: capture the loaded
+   machine, flip one key's enable bit host-side, run, restore (which
+   writes the captured SCTLR back) and run again. On every tier the
+   first run must equal a fresh interp run under the flipped SCTLR and
+   the second a fresh interp run under the original one: nothing cached
+   while one SCTLR was live may leak into a run under the other. *)
+let toggle_enable k cpu =
+  let bit = Int64.shift_left 1L (Sysreg.sctlr_enable_bit k) in
+  Cpu.set_sysreg cpu Sysreg.SCTLR_EL1
+    (Int64.logxor (Cpu.sysreg cpu Sysreg.SCTLR_EL1) bit)
+
+let prop_sctlr_restore =
+  QCheck2.Test.make
+    ~name:"random programs: a restore across an SCTLR flip reruns clean on every tier"
+    ~count:60
+    ~print:(fun (p, k) ->
+      Printf.sprintf "%s flip %s" (print_fprog p) (Sysreg.name (fst (Sysreg.key_halves k))))
+    QCheck2.Gen.(pair gen_fprog (oneofl Sysreg.[ IA; IB; DA; DB ]))
+    (fun (p, k) ->
+      let plain = run_fprog ~tier:Cpu.Interp p in
+      let flipped = run_fprog ~attach:(toggle_enable k) ~tier:Cpu.Interp p in
+      List.for_all
+        (fun tier ->
+          let ((m, _, _) as loaded) = load_fprog ~tier p in
+          let snap = Machine.snapshot m in
+          let first = call_fprog ~attach:(toggle_enable k) loaded in
+          Machine.restore m snap;
+          let second = call_fprog loaded in
+          first = flipped && second = plain)
+        Cpu.all_tiers)
+
+(* An authenticated branch that fails: the stop and the machine state
+   it leaves must match on every tier. *)
+let prop_failed_auth_branch =
+  QCheck2.Test.make
+    ~name:"random programs ending in a failed BRAA stop alike on every tier"
+    ~count:60 ~print:print_fprog
+    QCheck2.Gen.(map (fun p -> { p with body = p.body @ [ Bad_auth_branch ] }) gen_fprog)
+    (fun p ->
+      let base = run_fprog ~tier:Cpu.Interp p in
+      List.for_all (fun tier -> run_fprog ~tier p = base) [ Cpu.Icache; Cpu.Traces ])
+
+(* The generator must keep drawing every system-register and PAuth
+   item, or the properties above stop covering them. *)
+let test_generator_coverage () =
+  let rand = Random.State.make [| 21 |] in
+  let drawn = List.init 2000 (fun _ -> QCheck2.Gen.generate1 ~rand gen_fitem) in
+  let roundtrip sr = function
+    | Sysreg_roundtrip (r, _, _) -> r = sr
+    | _ -> false
+  in
+  List.iter
+    (fun (what, drawn_as) ->
+      Alcotest.(check bool) (what ^ " is drawn") true (List.exists drawn_as drawn))
+    ([
+       ( "MSR/MRS of a key half",
+         function Sysreg_roundtrip (r, _, _) -> Sysreg.is_pauth_key r | _ -> false );
+       ("MSR/MRS of TPIDR_EL1", roundtrip Sysreg.TPIDR_EL1);
+       ("MSR/MRS of CONTEXTIDR_EL1", roundtrip Sysreg.CONTEXTIDR_EL1);
+       ("XPAC under an instruction key", ( = ) (Xpac_strip Sysreg.IA));
+       ("XPAC under a data key", ( = ) (Xpac_strip Sysreg.DA));
+       ("PACIA1716/AUTIA1716", ( = ) (Pac1716_pair Sysreg.IA));
+       ("BRAA", ( = ) (Auth_branch false));
+       ("BLRAA", ( = ) (Auth_branch true));
+     ]
+    @ List.map
+        (fun sr -> ("MRS of " ^ Sysreg.name sr, ( = ) (Counter_read sr)))
+        Sysreg.[ PMCCNTR_EL0; PMICNTR_EL0; CNTVCT_EL0 ]
+    @ List.map
+        (fun k ->
+          ("SCTLR flip of " ^ Sysreg.name (fst (Sysreg.key_halves k)), ( = ) (Sctlr_flip k)))
+        Sysreg.[ IA; IB; DA; DB ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_transparency;
@@ -564,4 +756,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tier_telemetry;
     QCheck_alcotest.to_alcotest prop_observed_armed;
     QCheck_alcotest.to_alcotest prop_restore_rerun;
+    QCheck_alcotest.to_alcotest prop_sctlr_restore;
+    QCheck_alcotest.to_alcotest prop_failed_auth_branch;
+    Alcotest.test_case "the generator draws every sysreg and PAuth item" `Quick
+      test_generator_coverage;
   ]

@@ -185,7 +185,7 @@ let run_selfmod case ~tier =
      [code_base] and the prefix ahead of the "victim" label is always
      mov_addr (4) + mov_abs (4) + one Movz + the filler. *)
   let victim =
-    Int64.add Bare.code_base (Int64.of_int (4 * (9 + List.length case.before)))
+    Int64.add Env.code_base (Int64.of_int (4 * (9 + List.length case.before)))
   in
   assert (Int64.rem victim 8L = 0L);
   let enc pc insn =
@@ -198,9 +198,9 @@ let run_selfmod case ~tier =
   in
   let cpu = Bare.machine ~seed:3L ~tier () in
   (* the program patches itself, so its code pages must be writable *)
-  Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
+  Env.map_region cpu ~base:Env.code_base ~pages:16 Mmu.rwx;
   let layout = Bare.load cpu (selfmod_prog case ~word) in
-  assert (Asm.symbol layout "selfmod" = Bare.code_base);
+  assert (Asm.symbol layout "selfmod" = Env.code_base);
   let stop = Bare.call ~max_insns:100_000 cpu layout "selfmod" in
   (Cpu.stop_to_string stop, cpu)
 
@@ -324,7 +324,7 @@ let run_stage2_flip ~tier =
   Asm.add_function prog ~name:"f"
     [ Asm.ins (Insn.Movz (Insn.R 0, 7, 0)); Asm.ins Insn.Ret ];
   let layout = Bare.load cpu prog in
-  let pa_page = Vaddr.page_of (Bare.pa_of_va (Asm.symbol layout "f")) in
+  let pa_page = Vaddr.page_of (Env.pa_of_va (Asm.symbol layout "f")) in
   let mmu = Cpu.mmu cpu in
   let s1 = Bare.call cpu layout "f" in
   Mmu.stage2_protect mmu ~pa_page Mmu.rw;
@@ -431,7 +431,7 @@ let run_stuck_fault ~tier =
   I.arm inj cpu;
   let stop = Bare.call ~max_insns:10_000 cpu layout "caller" in
   Alcotest.(check bool) "fault fired" true (I.fired inj);
-  I.disarm cpu;
+  Cpu.set_step_hook cpu None;
   (Cpu.stop_to_string stop, fingerprint cpu)
 
 let test_stuck_fault_on_cached_code () =

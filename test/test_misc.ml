@@ -1,14 +1,8 @@
-(* Coverage for the small supporting surfaces: cost conversion,
-   disassembly text, exception-level naming, insn classification, the
+(* Coverage for the small supporting surfaces: disassembly text,
+   exception-level naming, insn classification, the
    trace ring, and the hypervisor lockdown predicate. *)
 
 open Aarch64
-
-let test_cost_ns () =
-  let p = Cost.cortex_a53 in
-  Alcotest.(check (float 1e-9)) "1.4 GHz: 14 cycles = 10ns" 10.0 (Cost.ns_of_cycles p 14L);
-  Alcotest.(check bool) "armv83 shares the estimate" true
-    (Cost.armv83.Cost.pauth = p.Cost.pauth)
 
 let test_el_names () =
   Alcotest.(check string) "el0" "EL0" (El.name El.El0);
@@ -140,7 +134,6 @@ let test_cntvct_reads_cycles () =
 
 let suite =
   [
-    Alcotest.test_case "cost conversions" `Quick test_cost_ns;
     Alcotest.test_case "exception-level names" `Quick test_el_names;
     Alcotest.test_case "instruction classification" `Quick test_insn_classification;
     Alcotest.test_case "instruction rendering" `Quick test_insn_rendering;

@@ -57,7 +57,11 @@ let test_wrapped_clean () =
               let prog = Asm.create () in
               Asm.add_function prog ~name:"f" f.C.Instrument.items;
               let layout = Asm.assemble prog ~base in
-              let diags = L.lint_layout ~policy:(C.Verifier.policy config) layout in
+              let diags =
+                L.lint_insns ~policy:(C.Verifier.policy config)
+                  ~entries:(List.map snd layout.Asm.symbols)
+                  (Array.to_list layout.Asm.code)
+              in
               Alcotest.(check int)
                 (Printf.sprintf "%s/%s wrapped function is clean" mname sname)
                 0 (List.length diags))
@@ -175,7 +179,7 @@ let is_collision d = match d.D.kind with D.Modifier_collision _ -> true | _ -> f
 let test_kernel_image_clean () =
   List.iter
     (fun (name, config, expect) ->
-      let diags = K.Kbuild.lint config in
+      let diags = (K.Kbuild.lint_report config).K.Kbuild.diags in
       Alcotest.(check int)
         (Printf.sprintf "%s kernel image has no errors" name)
         0
@@ -369,22 +373,23 @@ let has_violation diags =
     diags
 
 let test_rule_packs () =
+  let lint ?scheme config = (K.Kbuild.lint_report ?scheme config).K.Kbuild.diags in
   (* each scheme's own image satisfies its own pack... *)
   List.iter
     (fun (name, config) ->
       Alcotest.(check bool)
         (Printf.sprintf "%s image passes its own pack" name)
         false
-        (has_violation (K.Kbuild.lint config)))
+        (has_violation (lint config)))
     [ ("full", C.Config.full); ("sp-only", sp_config); ("parts", parts_config) ];
   (* ...and fails a foreign discipline: PARTS modifiers are not bare SP,
      and contain no function address *)
   Alcotest.(check bool) "parts image violates the sp-only pack" true
-    (has_violation (K.Kbuild.lint ~scheme:Paclint.Rules.Sp_only parts_config));
+    (has_violation (lint ~scheme:Paclint.Rules.Sp_only parts_config));
   Alcotest.(check bool) "parts image violates the camouflage pack" true
-    (has_violation (K.Kbuild.lint ~scheme:Paclint.Rules.Camouflage parts_config));
+    (has_violation (lint ~scheme:Paclint.Rules.Camouflage parts_config));
   Alcotest.(check bool) "sp-only image violates the parts pack" true
-    (has_violation (K.Kbuild.lint ~scheme:Paclint.Rules.Parts sp_config))
+    (has_violation (lint ~scheme:Paclint.Rules.Parts sp_config))
 
 (* ----- worker-count independence (the fleet determinism contract) ----- *)
 
@@ -411,7 +416,7 @@ let test_kelf_roundtrip () =
   let dir = Filename.temp_file "kelf" ".d" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let obj = Kelf.Samples.clean C.Config.full in
+  let obj = List.assoc "clean" (Kelf.Samples.all C.Config.full) in
   let path = Filename.concat dir "clean.kelf" in
   Kelf.Object_file.write_file path obj;
   (match Kelf.Object_file.read_file path with
@@ -435,7 +440,10 @@ let test_kelf_roundtrip () =
 
 let test_lint_module () =
   (* the clean module: no errors under any configuration's gate *)
-  let clean = K.Kbuild.lint_module C.Config.full (Kelf.Samples.clean C.Config.full) in
+  let clean =
+    K.Kbuild.lint_module C.Config.full
+      (List.assoc "clean" (Kelf.Samples.all C.Config.full))
+  in
   Alcotest.(check int) "clean module: no errors" 0
     (List.length (List.filter D.is_error clean.K.Kbuild.diags));
   (* the oracle fixture under PARTS: the cross-function signing oracle is

@@ -27,7 +27,7 @@ open Aarch64
 let pc = Test_properties.pc
 let data_base = Bare.data_base
 let data_bytes = 4 * 4096
-let data_frame = Int64.to_int (Vaddr.page_of (Bare.pa_of_va data_base))
+let data_frame = Int64.to_int (Vaddr.page_of (Env.pa_of_va data_base))
 let pattern = String.init data_bytes (fun i -> Char.chr (1 + (i * 131 mod 255)))
 let cipher = Qarma.Block.create ()
 
@@ -79,7 +79,7 @@ let gen_case =
 
 let map_page cpu va ~el0 ~el1 =
   Mmu.map (Cpu.mmu cpu) ~va_page:(Vaddr.page_of va)
-    ~pa_page:(Vaddr.page_of (Bare.pa_of_va va)) ~el0 ~el1
+    ~pa_page:(Vaddr.page_of (Env.pa_of_va va)) ~el0 ~el1
 
 (* A fresh core holding the case's state, the instruction at [pc]. *)
 let make ~tier c =
@@ -118,7 +118,7 @@ let make ~tier c =
   Cpu.set_flags_bits cpu c.flags;
   Cpu.set_el cpu c.el;
   Cpu.set_pc cpu pc;
-  Mem.write32 (Cpu.mem cpu) (Bare.pa_of_va pc) (Encode.encode ~pc c.insn);
+  Mem.write32 (Cpu.mem cpu) (Env.pa_of_va pc) (Encode.encode ~pc c.insn);
   cpu
 
 let counter = function

@@ -260,7 +260,12 @@ let test_ops_conversion_hand_corpus () =
   | [ SC.Set_accessor ("blkdev", "ops", SC.Var "d", SC.Addr_of_static ("blkdev_default_ops", "blkdev_ops")) ] -> ()
   | _ -> Alcotest.fail "probe body not collapsed to a single ops store");
   (* the converted type exposes ops and no raw fptrs *)
-  match Sempatch.Cast.find_struct converted "blkdev" with
+  match
+    List.find_map
+      (fun (f : SC.file) ->
+        List.find_opt (fun (s : SC.struct_def) -> s.SC.struct_name = "blkdev") f.SC.structs)
+      converted
+  with
   | Some sd ->
       Alcotest.(check (list string))
         "fields after conversion"

@@ -191,7 +191,7 @@ let test_skipped_install_faults () =
      kernel does for every prefabricated switch frame *)
   let key = List.assoc Sysreg.IB xom.K.Xom.kernel_keys in
   let signed =
-    Pac.compute ~cipher:(Machine.cipher m) ~key ~cfg:(Cpu.kernel_cfg c0) ~modifier:0L
+    Pac.compute ~cipher:(Cpu.cipher c0) ~key ~cfg:(Cpu.kernel_cfg c0) ~modifier:0L
       Cpu.sentinel
   in
   K.Kmem.write64 c0 data signed;

@@ -152,7 +152,7 @@ let selfmod_prog ~word =
 
 let run_selfmod ~tier =
   (* victim = code_base + 4 * (mov_addr 4 + mov_abs 4 + 2 movz + str + nop) *)
-  let victim = Int64.add Bare.code_base (Int64.of_int (4 * 12)) in
+  let victim = Int64.add Env.code_base (Int64.of_int (4 * 12)) in
   assert (Int64.rem victim 8L = 0L);
   let enc pc insn =
     Int64.logand (Int64.of_int32 (Encode.encode ~pc insn)) 0xffffffffL
@@ -163,9 +163,9 @@ let run_selfmod ~tier =
       (Int64.shift_left (enc (Int64.add victim 4L) Insn.Nop) 32)
   in
   let cpu = Bare.machine ~seed:3L ~tier () in
-  Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
+  Env.map_region cpu ~base:Env.code_base ~pages:16 Mmu.rwx;
   let layout = Bare.load cpu (selfmod_prog ~word) in
-  assert (Asm.symbol layout "selfmod" = Bare.code_base);
+  assert (Asm.symbol layout "selfmod" = Env.code_base);
   let stop = Bare.call ~max_insns:100_000 cpu layout "selfmod" in
   (Cpu.stop_to_string stop, cpu)
 
@@ -307,7 +307,7 @@ let run_stage2_flip ~tier =
   Asm.add_function prog ~name:"f"
     [ Asm.ins (Insn.Movz (Insn.R 0, 7, 0)); Asm.ins Insn.Ret ];
   let layout = Bare.load cpu prog in
-  let pa_page = Vaddr.page_of (Bare.pa_of_va (Asm.symbol layout "f")) in
+  let pa_page = Vaddr.page_of (Env.pa_of_va (Asm.symbol layout "f")) in
   let mmu = Cpu.mmu cpu in
   (* heat the function so the traces tier compiles it before the flip *)
   for _ = 1 to 24 do
@@ -587,7 +587,7 @@ let test_hook_moves_generation () =
     Alcotest.(check string)
       (Cpu.tier_name tier ^ " faults on the unmapped page")
       (Printf.sprintf "fault at pc=0x%Lx: translation fault on read at 0x%Lx"
-         (Int64.add Bare.code_base 20L) Bare.data_base)
+         (Int64.add Env.code_base 20L) Bare.data_base)
       stop;
     Alcotest.(check int64) (Cpu.tier_name tier ^ " retired") 93L (Cpu.insns_retired cpu);
     Alcotest.(check int64) (Cpu.tier_name tier ^ " x11") 11L (Cpu.reg cpu (Insn.R 11));

@@ -3,6 +3,9 @@
 
 open Aarch64
 
+(* A canonical pointer is a fixed point of [Vaddr.canonical]. *)
+let is_canonical cfg va = Int64.equal (Vaddr.canonical cfg va) va
+
 let test_select () =
   Alcotest.(check bool) "kernel top" true (Vaddr.select 0xffffffffffffffffL = Vaddr.Kernel);
   Alcotest.(check bool) "kernel base" true (Vaddr.select 0xffff000000000000L = Vaddr.Kernel);
@@ -12,9 +15,9 @@ let test_select () =
 let test_canonical_kernel () =
   let cfg = Vaddr.linux_kernel in
   Alcotest.(check bool) "kernel canonical" true
-    (Vaddr.is_canonical cfg 0xffff000012345678L);
+    (is_canonical cfg 0xffff000012345678L);
   Alcotest.(check bool) "kernel with junk top" false
-    (Vaddr.is_canonical cfg 0xabff000012345678L);
+    (is_canonical cfg 0xabff000012345678L);
   (* bit 55 of the input is 1, so the kernel form is reconstructed *)
   Alcotest.(check int64) "canonicalize restores sign" 0xffff000012345678L
     (Vaddr.canonical cfg 0xab80000012345678L)
@@ -23,9 +26,9 @@ let test_canonical_user_tbi () =
   let cfg = Vaddr.linux_user in
   (* TBI: the top byte is a tag and ignored. *)
   Alcotest.(check bool) "tagged user pointer is canonical" true
-    (Vaddr.is_canonical cfg 0xab00123456789abcL);
+    (is_canonical cfg 0xab00123456789abcL);
   Alcotest.(check bool) "extension bits must still be clear" false
-    (Vaddr.is_canonical cfg 0xab80123456789abcL)
+    (is_canonical cfg 0xab80123456789abcL)
 
 let test_pac_widths () =
   (* Paper, Section 5.4: typical Linux configuration leaves 15 bits for
@@ -52,7 +55,7 @@ let test_poison () =
   let cfg = Vaddr.linux_kernel in
   let va = 0xffff000000001000L in
   let p = Vaddr.poison cfg va in
-  Alcotest.(check bool) "poisoned not canonical" false (Vaddr.is_canonical cfg p);
+  Alcotest.(check bool) "poisoned not canonical" false (is_canonical cfg p);
   Alcotest.(check bool) "poison recognized" true (Vaddr.is_poisoned cfg p);
   Alcotest.(check bool) "clean not recognized" false (Vaddr.is_poisoned cfg va)
 
@@ -86,7 +89,7 @@ module Fold = struct
     (va_bits, 55 - va_bits) :: (if tbi then [] else [ (56, 8) ])
 
   let canonical cfg va =
-    let sign = if Val64.bit 55 va then Val64.all_ones else Val64.zero in
+    let sign = if Val64.bit 55 va then -1L else 0L in
     List.fold_left
       (fun acc (lo, width) -> Val64.insert ~lo ~width ~field:(Val64.extract ~lo ~width sign) acc)
       va (ranges cfg)
