@@ -726,17 +726,26 @@ let replay_cmd =
     Term.(const run $ log_arg $ trial_arg $ exec_tier_arg)
 
 let sweep_cmd =
+  (* the ranges [serve] accepts for a bruteforce job *)
   let machines_arg =
-    let doc = "Number of independent machines to boot and attack." in
-    Arg.(value & opt int 16 & info [ "machines" ] ~docv:"N" ~doc)
+    let lo, hi = Fleet.Sweep.machines_range in
+    let doc =
+      Printf.sprintf "Number of independent machines to boot and attack (%d-%d)." lo hi
+    in
+    let machines = count_conv ~what:"machine count" ~lo ~hi in
+    Arg.(value & opt machines 16 & info [ "machines" ] ~docv:"N" ~doc)
   in
   let attempts_arg =
-    let doc = "PAC forgery attempts per machine." in
-    Arg.(value & opt int 8 & info [ "attempts" ] ~docv:"N" ~doc)
+    let lo, hi = Fleet.Sweep.attempts_range in
+    let doc = Printf.sprintf "PAC forgery attempts per machine (%d-%d)." lo hi in
+    let attempts = count_conv ~what:"attempt count" ~lo ~hi in
+    Arg.(value & opt attempts 8 & info [ "attempts" ] ~docv:"N" ~doc)
   in
   let threshold_arg =
-    let doc = "Override the brute-force panic threshold." in
-    Arg.(value & opt (some int) None & info [ "threshold" ] ~docv:"N" ~doc)
+    let lo, hi = Fleet.Sweep.threshold_range in
+    let doc = Printf.sprintf "Override the brute-force panic threshold (%d-%d)." lo hi in
+    let threshold = count_conv ~what:"threshold" ~lo ~hi in
+    Arg.(value & opt (some threshold) None & info [ "threshold" ] ~docv:"N" ~doc)
   in
   let json_arg =
     let doc = "Emit the sweep report as deterministic JSON." in

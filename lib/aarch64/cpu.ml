@@ -37,13 +37,20 @@ let tier_of_string = function
 
 let all_tiers = [ Interp; Icache; Traces ]
 
+module A = Bigarray.Array1
+
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) A.t
+
 type t = {
-  (* every register an operand can name, by slot (see [read_slot]) *)
-  regs : int64 array;
-  mutable pc : int64;
+  (* every register an operand can name, the PC and the system
+     registers, one unboxed slot each (see [pc_slot]): a read is a
+     load and a write a store, with no box and no write barrier *)
+  st : words;
+  (* bit [Sysreg.to_id sr] is set once [sr] has been written: the
+     registers [fold_sysregs], and so a fingerprint, lists *)
+  mutable written : int;
   mutable el : El.t;
   flags : flags;
-  sysregs : (Sysreg.t, int64) Hashtbl.t;
   mem : Mem.t;
   mmu : Mmu.t;
   (* decoded-instruction cache + micro-TLB over (mem, mmu); possibly
@@ -72,7 +79,7 @@ type t = {
      arrays so a retire stores two fields instead of allocating a
      [Some (pc, insn)] tuple per instruction. The PC ring is a Bigarray
      so the store is an unboxed write — no allocation, no GC barrier. *)
-  trace_pc : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  trace_pc : words;
   trace_insn : Insn.t array;
   mutable trace_pos : int;
   id : int;
@@ -124,16 +131,28 @@ let pointer_cfg (_ : t) va =
   | Vaddr.Kernel -> Vaddr.linux_kernel
   | Vaddr.User | Vaddr.Invalid -> Vaddr.linux_user
 
-(* The register file is one array: x0..x30, the three banked stack
-   pointers, and two slots for the zero register, one that reads of
-   XZR hit (never written, so always 0) and one that writes to XZR land
-   in (never read). Every operand, SP and XZR included, is then a slot
-   fixed once its EL is known, so an op reads and writes registers by
-   plain array index whatever their kind. [R n] is validated at
+(* The core's state is one flat array of int64 slots:
+   - 0-30: x0..x30;
+   - 31-33: the stack pointers of EL0, EL1 and EL2;
+   - 34: the slot reads of XZR hit (never written, so always 0);
+   - 35: the slot writes to XZR land in (never read);
+   - 36: the PC;
+   - 37-62: the system registers, at their [Sysreg.to_id] offsets.
+   Every operand, SP and XZR included, is then a slot fixed once its EL
+   is known, and every system register a slot fixed by its name, so an
+   op binds its slots when it is compiled and reads and writes them by
+   plain index whatever their kind. [R n] is validated at
    decode/assembly time (n < 31), so accesses skip the bounds check. *)
 let sp_slot = function El.El0 -> 31 | El.El1 -> 32 | El.El2 -> 33
 let zero_slot = 34
 let sink_slot = 35
+let pc_slot = 36
+let sysreg_base = 37
+let sysreg_slot sr = sysreg_base + Sysreg.to_id sr
+let written_bit sr = 1 lsl Sysreg.to_id sr
+let sctlr_slot = sysreg_slot Sysreg.SCTLR_EL1
+let elr_slot = sysreg_slot Sysreg.ELR_EL1
+let spsr_slot = sysreg_slot Sysreg.SPSR_EL1
 
 let read_slot el = function
   | Insn.R n -> n
@@ -145,14 +164,22 @@ let write_slot el = function
   | Insn.SP -> sp_slot el
   | Insn.XZR -> sink_slot
 
-let sp_of t el = Array.unsafe_get t.regs (sp_slot el)
-let set_sp_of t el v = Array.unsafe_set t.regs (sp_slot el) v
-let reg t r = Array.unsafe_get t.regs (read_slot t.el r)
-let set_reg t r v = Array.unsafe_set t.regs (write_slot t.el r) v
+let sp_of t el = A.unsafe_get t.st (sp_slot el)
+let set_sp_of t el v = A.unsafe_set t.st (sp_slot el) v
+let reg t r = A.unsafe_get t.st (read_slot t.el r)
+let set_reg t r v = A.unsafe_set t.st (write_slot t.el r) v
+let[@inline] pc t = A.unsafe_get t.st pc_slot
+let[@inline] set_pc t v = A.unsafe_set t.st pc_slot v
 
-let sysreg t sr =
+(* The counters read live values, never their slot. *)
+let is_counter = function
+  | Sysreg.CNTVCT_EL0 | Sysreg.PMCCNTR_EL0 | Sysreg.PMICNTR_EL0 | Sysreg.PMEVCNTR0_EL0
+  | Sysreg.PMEVCNTR1_EL0 | Sysreg.PMEVCNTR2_EL0 ->
+      true
+  | _ -> false
+
+let counter t sr =
   match sr with
-  | Sysreg.CNTVCT_EL0 | Sysreg.PMCCNTR_EL0 -> Int64.of_int t.cycles
   | Sysreg.PMICNTR_EL0 -> Int64.of_int t.insns_retired
   | Sysreg.PMEVCNTR0_EL0 | Sysreg.PMEVCNTR1_EL0 | Sysreg.PMEVCNTR2_EL0 -> (
       (* event counters read 0 unless a telemetry sink is attached *)
@@ -164,7 +191,12 @@ let sysreg t sr =
           | Sysreg.PMEVCNTR0_EL0 -> Telemetry.Counters.live_pac_ops c
           | Sysreg.PMEVCNTR1_EL0 -> Telemetry.Counters.live_aut_ops c
           | _ -> Telemetry.Counters.live_auth_failures c))
-  | _ -> ( match Hashtbl.find_opt t.sysregs sr with Some v -> v | None -> 0L)
+  | _ (* CNTVCT_EL0, PMCCNTR_EL0 *) -> Int64.of_int t.cycles
+
+(* A register never written reads 0: its slot starts at 0 and a
+   restore puts the captured 0 back. *)
+let sysreg t sr =
+  if is_counter sr then counter t sr else A.unsafe_get t.st (sysreg_slot sr)
 
 (* Writes to the MMU-control registers (TTBR0/TTBR1/SCTLR) or the ASID
    register flush the decoded-instruction cache: an address-space or
@@ -172,12 +204,16 @@ let sysreg t sr =
    key registers are deliberately exempt — keys affect execution, never
    decode or translation, and the XOM setter rewrites them on every
    kernel entry. *)
+let flushes_on_write sr = Sysreg.is_mmu_control sr || sr = Sysreg.CONTEXTIDR_EL1
+
+let flush_caches t =
+  Icache.flush t.icache;
+  match t.traces with Some tr -> Traces.flush tr | None -> ()
+
 let set_sysreg t sr v =
-  Hashtbl.replace t.sysregs sr v;
-  if Sysreg.is_mmu_control sr || sr = Sysreg.CONTEXTIDR_EL1 then begin
-    Icache.flush t.icache;
-    match t.traces with Some tr -> Traces.flush tr | None -> ()
-  end
+  A.unsafe_set t.st (sysreg_slot sr) v;
+  t.written <- t.written lor written_bit sr;
+  if flushes_on_write sr then flush_caches t
 
 let flags_bits t =
   (if t.flags.n then 8 else 0)
@@ -191,8 +227,6 @@ let set_flags_bits t bits =
   t.flags.c <- bits land 2 <> 0;
   t.flags.v <- bits land 1 <> 0
 
-let pc t = t.pc
-let set_pc t v = t.pc <- v
 let el t = t.el
 let set_el t e = t.el <- e
 let cycles t = Int64.of_int t.cycles
@@ -206,7 +240,10 @@ let telemetry t = t.sink
 
 let pac_key t k =
   let hi_reg, lo_reg = Sysreg.key_halves k in
-  Pac.{ hi = sysreg t hi_reg; lo = sysreg t lo_reg }
+  Pac.{
+    hi = A.unsafe_get t.st (sysreg_slot hi_reg);
+    lo = A.unsafe_get t.st (sysreg_slot lo_reg);
+  }
 
 let pauth_enabled t k =
   t.has_pauth
@@ -214,7 +251,8 @@ let pauth_enabled t k =
   match k with
   | Sysreg.GA -> true
   | Sysreg.IA | Sysreg.IB | Sysreg.DA | Sysreg.DB ->
-      Val64.bit (Sysreg.sctlr_enable_bit k) (sysreg t Sysreg.SCTLR_EL1)
+      let enable = Int64.shift_left 1L (Sysreg.sctlr_enable_bit k) in
+      not (Int64.equal (Int64.logand (A.unsafe_get t.st sctlr_slot) enable) 0L)
 
 let cost_of t insn =
   let c = t.cost in
@@ -357,18 +395,18 @@ let op_addr el m =
   match m with
   | Insn.Off (base, off) ->
       let b = read_slot el base and o = Int64.of_int off in
-      fun t -> Int64.add (Array.unsafe_get t.regs b) o
+      fun t -> Int64.add (A.unsafe_get t.st b) o
   | Insn.Pre (base, off) ->
       let b = read_slot el base and w = write_slot el base and o = Int64.of_int off in
       fun t ->
-        let a = Int64.add (Array.unsafe_get t.regs b) o in
-        Array.unsafe_set t.regs w a;
+        let a = Int64.add (A.unsafe_get t.st b) o in
+        A.unsafe_set t.st w a;
         a
   | Insn.Post (base, off) ->
       let b = read_slot el base and w = write_slot el base and o = Int64.of_int off in
       fun t ->
-        let a = Array.unsafe_get t.regs b in
-        Array.unsafe_set t.regs w (Int64.add a o);
+        let a = A.unsafe_get t.st b in
+        A.unsafe_set t.st w (Int64.add a o);
         a
 
 (* Per-op single-entry data TLB for memory ops: the frame bytes backing
@@ -408,311 +446,336 @@ let[@inline] cached t el access c va =
   let page = page_of va in
   page = c.pg_page || fill_page_cache t el access c page va
 
-let el_denied sr t = raise (Stop (Fault { fault = El_denied sr; pc = t.pc }))
+let el_denied sr t = raise (Stop (Fault { fault = El_denied sr; pc = pc t }))
 
 let stop_after ~next stop =
   let e = Stop stop in
   fun t ->
-    t.pc <- next;
+    set_pc t next;
     raise e
 
 let rec op_of insn ~el ~next : op =
   let src = read_slot el and dst = write_slot el in
   match insn with
-  | Insn.Nop | Insn.Isb -> fun t -> t.pc <- next
+  | Insn.Nop | Insn.Isb -> fun t -> set_pc t next
   | Insn.Movz (rd, imm, sh) ->
       let d = dst rd and v = Int64.shift_left (Int64.of_int imm) sh in
       fun t ->
-        Array.unsafe_set t.regs d v;
-        t.pc <- next
+        A.unsafe_set t.st d v;
+        set_pc t next
   | Insn.Movk (rd, imm, sh) ->
-      let d = dst rd and s = src rd and field = Int64.of_int imm in
+      (* decoded, so [imm] fits 16 bits and [sh] is 0, 16, 32 or 48 *)
+      let d = dst rd and s = src rd in
+      let keep = Int64.lognot (Int64.shift_left 0xffffL sh)
+      and field = Int64.shift_left (Int64.of_int imm) sh in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Val64.insert ~lo:sh ~width:16 ~field (Array.unsafe_get r s));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.logor (Int64.logand (A.unsafe_get r s) keep) field);
+        set_pc t next
   | Insn.Mov (rd, rn) ->
       let d = dst rd and n = src rn in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Array.unsafe_get r n);
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (A.unsafe_get r n);
+        set_pc t next
   | Insn.Add_imm (rd, rn, imm) ->
       let d = dst rd and n = src rn and i = Int64.of_int imm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.add (Array.unsafe_get r n) i);
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.add (A.unsafe_get r n) i);
+        set_pc t next
   | Insn.Sub_imm (rd, rn, imm) ->
       let d = dst rd and n = src rn and i = Int64.of_int imm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.sub (Array.unsafe_get r n) i);
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.sub (A.unsafe_get r n) i);
+        set_pc t next
   | Insn.Add_reg (rd, rn, rm) ->
       let d = dst rd and n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.add (Array.unsafe_get r n) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.add (A.unsafe_get r n) (A.unsafe_get r m));
+        set_pc t next
   | Insn.Sub_reg (rd, rn, rm) ->
       let d = dst rd and n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.sub (Array.unsafe_get r n) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.sub (A.unsafe_get r n) (A.unsafe_get r m));
+        set_pc t next
   | Insn.And_reg (rd, rn, rm) ->
       let d = dst rd and n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.logand (Array.unsafe_get r n) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.logand (A.unsafe_get r n) (A.unsafe_get r m));
+        set_pc t next
   | Insn.Orr_reg (rd, rn, rm) ->
       let d = dst rd and n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.logor (Array.unsafe_get r n) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.logor (A.unsafe_get r n) (A.unsafe_get r m));
+        set_pc t next
   | Insn.Eor_reg (rd, rn, rm) ->
       let d = dst rd and n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.logxor (Array.unsafe_get r n) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.logxor (A.unsafe_get r n) (A.unsafe_get r m));
+        set_pc t next
   | Insn.Subs_reg (rd, rn, rm) ->
       let d = dst rd and n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (set_flags_sub t (Array.unsafe_get r n) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (set_flags_sub t (A.unsafe_get r n) (A.unsafe_get r m));
+        set_pc t next
   | Insn.Subs_imm (rd, rn, imm) ->
       let d = dst rd and n = src rn and i = Int64.of_int imm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (set_flags_sub t (Array.unsafe_get r n) i);
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (set_flags_sub t (A.unsafe_get r n) i);
+        set_pc t next
   | Insn.Lsl_imm (rd, rn, sh) ->
       let d = dst rd and n = src rn in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.shift_left (Array.unsafe_get r n) sh);
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.shift_left (A.unsafe_get r n) sh);
+        set_pc t next
   | Insn.Lsr_imm (rd, rn, sh) ->
       let d = dst rd and n = src rn in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Int64.shift_right_logical (Array.unsafe_get r n) sh);
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Int64.shift_right_logical (A.unsafe_get r n) sh);
+        set_pc t next
   | Insn.Bfi (rd, rn, lo, width) ->
       let d = dst rd and s = src rd and n = src rn in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d
-          (Val64.insert ~lo ~width ~field:(Array.unsafe_get r n) (Array.unsafe_get r s));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d
+          (Val64.insert ~lo ~width ~field:(A.unsafe_get r n) (A.unsafe_get r s));
+        set_pc t next
   | Insn.Ubfx (rd, rn, lo, width) ->
       let d = dst rd and n = src rn in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (Val64.extract ~lo ~width (Array.unsafe_get r n));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (Val64.extract ~lo ~width (A.unsafe_get r n));
+        set_pc t next
   | Insn.Adr (rd, target) ->
       let d = dst rd in
       fun t ->
-        Array.unsafe_set t.regs d target;
-        t.pc <- next
+        A.unsafe_set t.st d target;
+        set_pc t next
   | Insn.Ldr (rd, m) ->
       let addr = op_addr el m and d = dst rd and c = fresh_page_cache () in
       fun t ->
         let a = addr t in
         count_walk t;
         let off = Int64.to_int a land 0xfff in
-        Array.unsafe_set t.regs d
+        A.unsafe_set t.st d
           (if cached t el Mmu.Read c a && off <= 4088 then Bytes.get_int64_le c.pg_bytes off
            else Mem.read64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a));
-        t.pc <- next
+        set_pc t next
   | Insn.Str (rs, m) ->
       let addr = op_addr el m and s = src rs and c = fresh_page_cache () in
       fun t ->
         let a = addr t in
         count_walk t;
-        let off = Int64.to_int a land 0xfff and v = Array.unsafe_get t.regs s in
+        let off = Int64.to_int a land 0xfff and v = A.unsafe_get t.st s in
         if cached t el Mmu.Write c a && off <= 4088 then begin
           Bytes.set_int64_le c.pg_bytes off v;
           Mem.notify_store t.mem c.pg_frame
         end
         else Mem.write64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a) v;
-        t.pc <- next
+        set_pc t next
   | Insn.Ldrb (rd, m) ->
       let addr = op_addr el m and d = dst rd and c = fresh_page_cache () in
       fun t ->
         let a = addr t in
         count_walk t;
-        Array.unsafe_set t.regs d
+        A.unsafe_set t.st d
           (Int64.of_int
              (if cached t el Mmu.Read c a then
                 Char.code (Bytes.get c.pg_bytes (Int64.to_int a land 0xfff))
               else Mem.read8 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a)));
-        t.pc <- next
+        set_pc t next
   | Insn.Strb (rs, m) ->
       let addr = op_addr el m and s = src rs and c = fresh_page_cache () in
       fun t ->
         let a = addr t in
         count_walk t;
-        let byte = Int64.to_int (Int64.logand (Array.unsafe_get t.regs s) 0xffL) in
+        let byte = Int64.to_int (Int64.logand (A.unsafe_get t.st s) 0xffL) in
         if cached t el Mmu.Write c a then begin
           Bytes.set c.pg_bytes (Int64.to_int a land 0xfff) (Char.chr byte);
           Mem.notify_store t.mem c.pg_frame
         end
         else Mem.write8 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a) byte;
-        t.pc <- next
+        set_pc t next
   | Insn.Ldp (r1, r2, m) ->
       let addr = op_addr el m and d1 = dst r1 and d2 = dst r2 in
       let c = fresh_page_cache () in
       fun t ->
         let a = addr t in
-        let off = Int64.to_int a land 0xfff and r = t.regs in
+        let off = Int64.to_int a land 0xfff and r = t.st in
         if cached t el Mmu.Read c a && off <= 4080 then begin
           count_walk t;
           count_walk t;
-          Array.unsafe_set r d1 (Bytes.get_int64_le c.pg_bytes off);
-          Array.unsafe_set r d2 (Bytes.get_int64_le c.pg_bytes (off + 8))
+          A.unsafe_set r d1 (Bytes.get_int64_le c.pg_bytes off);
+          A.unsafe_set r d2 (Bytes.get_int64_le c.pg_bytes (off + 8))
         end
         else begin
           count_walk t;
-          Array.unsafe_set r d1
+          A.unsafe_set r d1
             (Mem.read64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a));
           count_walk t;
           let a = Int64.add a 8L in
-          Array.unsafe_set r d2
+          A.unsafe_set r d2
             (Mem.read64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a))
         end;
-        t.pc <- next
+        set_pc t next
   | Insn.Stp (r1, r2, m) ->
       let addr = op_addr el m and s1 = src r1 and s2 = src r2 in
       let c = fresh_page_cache () in
       fun t ->
         let a = addr t in
-        let off = Int64.to_int a land 0xfff and r = t.regs in
+        let off = Int64.to_int a land 0xfff and r = t.st in
         if cached t el Mmu.Write c a && off <= 4080 then begin
           count_walk t;
           count_walk t;
-          Bytes.set_int64_le c.pg_bytes off (Array.unsafe_get r s1);
-          Bytes.set_int64_le c.pg_bytes (off + 8) (Array.unsafe_get r s2);
+          Bytes.set_int64_le c.pg_bytes off (A.unsafe_get r s1);
+          Bytes.set_int64_le c.pg_bytes (off + 8) (A.unsafe_get r s2);
           Mem.notify_store t.mem c.pg_frame
         end
         else begin
           count_walk t;
           Mem.write64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a)
-            (Array.unsafe_get r s1);
+            (A.unsafe_get r s1);
           count_walk t;
           let a = Int64.add a 8L in
           Mem.write64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a)
-            (Array.unsafe_get r s2)
+            (A.unsafe_get r s2)
         end;
-        t.pc <- next
-  | Insn.B target -> fun t -> t.pc <- target
+        set_pc t next
+  | Insn.B target -> fun t -> set_pc t target
   | Insn.Bl target ->
       fun t ->
-        Array.unsafe_set t.regs 30 next;
-        t.pc <- target
+        A.unsafe_set t.st 30 next;
+        set_pc t target
   | Insn.Br rn ->
       let n = src rn in
-      fun t -> t.pc <- Array.unsafe_get t.regs n
+      fun t -> set_pc t (A.unsafe_get t.st n)
   | Insn.Blr rn ->
       let n = src rn in
       fun t ->
         (* read the target before writing lr: Blr x30 branches to the
            old link register *)
-        let target = Array.unsafe_get t.regs n in
-        Array.unsafe_set t.regs 30 next;
-        t.pc <- target
-  | Insn.Ret -> fun t -> t.pc <- Array.unsafe_get t.regs 30
+        let target = A.unsafe_get t.st n in
+        A.unsafe_set t.st 30 next;
+        set_pc t target
+  | Insn.Ret -> fun t -> set_pc t (A.unsafe_get t.st 30)
   | Insn.Cbz (rn, target) ->
       let n = src rn in
-      fun t -> t.pc <- (if is_zero64 (Array.unsafe_get t.regs n) then target else next)
+      fun t -> set_pc t (if is_zero64 (A.unsafe_get t.st n) then target else next)
   | Insn.Cbnz (rn, target) ->
       let n = src rn in
-      fun t -> t.pc <- (if is_zero64 (Array.unsafe_get t.regs n) then next else target)
-  | Insn.Bcond (c, target) -> fun t -> t.pc <- (if cond_holds t c then target else next)
+      fun t -> set_pc t (if is_zero64 (A.unsafe_get t.st n) then next else target)
+  | Insn.Bcond (c, target) -> fun t -> set_pc t (if cond_holds t c then target else next)
   | Insn.Pac (k, rd, rm) ->
       let d = dst rd and s = src rd and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (do_pac t k (Array.unsafe_get r s) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (do_pac t k (A.unsafe_get r s) (A.unsafe_get r m));
+        set_pc t next
   | Insn.Aut (k, rd, rm) ->
       let d = dst rd and s = src rd and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d (do_aut t k (Array.unsafe_get r s) (Array.unsafe_get r m));
-        t.pc <- next
+        let r = t.st in
+        A.unsafe_set r d (do_aut t k (A.unsafe_get r s) (A.unsafe_get r m));
+        set_pc t next
   | Insn.Pac1716 k -> op_of (Insn.Pac (k, Insn.ip1, Insn.ip0)) ~el ~next
   | Insn.Aut1716 k -> op_of (Insn.Aut (k, Insn.ip1, Insn.ip0)) ~el ~next
   | Insn.Xpac rd ->
       let d = dst rd and s = src rd in
       fun t ->
-        let v = Array.unsafe_get t.regs s in
-        Array.unsafe_set t.regs d (Vaddr.strip_pac (pointer_cfg t v) v);
-        t.pc <- next
+        let v = A.unsafe_get t.st s in
+        A.unsafe_set t.st d (Vaddr.strip_pac (pointer_cfg t v) v);
+        set_pc t next
   | Insn.Pacga (rd, rn, rm) ->
       let d = dst rd and n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        Array.unsafe_set r d
+        let r = t.st in
+        A.unsafe_set r d
           (Pac.generic ~cipher:t.cipher ~key:(pac_key t Sysreg.GA)
-             ~value:(Array.unsafe_get r n) ~modifier:(Array.unsafe_get r m));
-        t.pc <- next
+             ~value:(A.unsafe_get r n) ~modifier:(A.unsafe_get r m));
+        set_pc t next
   | Insn.Blra (k, rn, rm) ->
       let n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        let target = do_aut t k (Array.unsafe_get r n) (Array.unsafe_get r m) in
-        Array.unsafe_set r 30 next;
-        t.pc <- target
+        let r = t.st in
+        let target = do_aut t k (A.unsafe_get r n) (A.unsafe_get r m) in
+        A.unsafe_set r 30 next;
+        set_pc t target
   | Insn.Bra (k, rn, rm) ->
       let n = src rn and m = src rm in
       fun t ->
-        let r = t.regs in
-        t.pc <- do_aut t k (Array.unsafe_get r n) (Array.unsafe_get r m)
+        let r = t.st in
+        set_pc t (do_aut t k (A.unsafe_get r n) (A.unsafe_get r m))
   | Insn.Reta k ->
       let sp = sp_slot el in
       fun t ->
-        let r = t.regs in
-        t.pc <- do_aut t k (Array.unsafe_get r 30) (Array.unsafe_get r sp)
+        let r = t.st in
+        set_pc t (do_aut t k (A.unsafe_get r 30) (A.unsafe_get r sp))
   | Insn.Mrs (_, sr) when el = El.El0 && not (Sysreg.el0_readable sr) -> el_denied sr
-  | Insn.Mrs (rd, sr) ->
+  | Insn.Mrs (rd, sr) when is_counter sr ->
       let d = dst rd in
       fun t ->
-        Array.unsafe_set t.regs d (sysreg t sr);
-        t.pc <- next
+        A.unsafe_set t.st d (counter t sr);
+        set_pc t next
+  | Insn.Mrs (rd, sr) ->
+      let d = dst rd and s = sysreg_slot sr in
+      fun t ->
+        let r = t.st in
+        A.unsafe_set r d (A.unsafe_get r s);
+        set_pc t next
   | Insn.Msr (sr, _) when el = El.El0 -> el_denied sr
   | Insn.Msr (sr, rn) ->
-      let n = src rn in
+      (* [set_sysreg] with the slot, mask bit and flush bound here *)
+      let n = src rn and s = sysreg_slot sr and bit = written_bit sr
+      and flushes = flushes_on_write sr in
       fun t ->
         if el = El.El1 && t.sysreg_locked sr then
-          raise (Stop (Fault { fault = Hyp_denied sr; pc = t.pc }));
-        set_sysreg t sr (Array.unsafe_get t.regs n);
-        t.pc <- next
+          raise (Stop (Fault { fault = Hyp_denied sr; pc = pc t }));
+        let r = t.st in
+        A.unsafe_set r s (A.unsafe_get r n);
+        t.written <- t.written lor bit;
+        if flushes then flush_caches t;
+        set_pc t next
   | Insn.Svc imm ->
       let stop = Stop (Svc imm) in
       fun t ->
-        t.pc <- next;
+        set_pc t next;
         (match t.sink with
         | Some s -> Telemetry.Counters.count_exception_entry (Telemetry.Sink.counters s)
         | None -> ());
         raise stop
   | Insn.Eret ->
       fun t ->
-        let spsr = sysreg t Sysreg.SPSR_EL1 in
+        let r = t.st in
+        let spsr = A.unsafe_get r spsr_slot in
         t.el <- (if Val64.extract ~lo:2 ~width:2 spsr = 0L then El.El0 else El.El1);
-        t.pc <- sysreg t Sysreg.ELR_EL1;
+        set_pc t (A.unsafe_get r elr_slot);
         (match t.sink with
         | Some s -> Telemetry.Counters.count_exception_return (Telemetry.Sink.counters s)
         | None -> ());
         raise (Stop Eret_done)
   | Insn.Brk imm -> stop_after ~next (Brk imm)
   | Insn.Hlt imm -> stop_after ~next (Hlt imm)
+
+let zeroed n =
+  let a = A.create Bigarray.Int64 Bigarray.C_layout n in
+  A.fill a 0L;
+  a
+
+let copy_words a =
+  let b = A.create Bigarray.Int64 Bigarray.C_layout (A.dim a) in
+  A.blit a b;
+  b
 
 let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     ?(cipher = Qarma.Block.create ()) ?mem ?mmu ?icache ?(tier = Icache)
@@ -729,11 +792,10 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     match tier with Traces -> Some (Traces.create ~mem ~mmu ()) | _ -> None
   in
   {
-    regs = Array.make (sink_slot + 1) 0L;
-    pc = 0L;
+    st = zeroed (sysreg_base + List.length Sysreg.all);
+    written = 0;
     el = El.El1;
     flags = { n = false; z = false; v = false; c = false };
-    sysregs = Hashtbl.create 32;
     mem;
     mmu;
     icache;
@@ -745,10 +807,7 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     insns_retired = 0;
     has_pauth;
     sysreg_locked = (fun _ -> false);
-    trace_pc =
-      (let a = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout trace_depth in
-       Bigarray.Array1.fill a 0L;
-       a);
+    trace_pc = zeroed trace_depth;
     trace_insn = Array.make trace_depth Insn.Nop;
     trace_pos = 0;
     id;
@@ -764,7 +823,7 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
 let retire t insn cost =
   t.cycles <- t.cycles + cost;
   t.insns_retired <- t.insns_retired + 1;
-  Bigarray.Array1.unsafe_set t.trace_pc t.trace_pos t.pc;
+  A.unsafe_set t.trace_pc t.trace_pos (pc t);
   Array.unsafe_set t.trace_insn t.trace_pos insn;
   (* compare-and-wrap instead of [mod]: the ring advance sits on every
      retired instruction and an integer divide is the single most
@@ -772,7 +831,7 @@ let retire t insn cost =
   let p = t.trace_pos + 1 in
   t.trace_pos <- (if p = Array.length t.trace_insn then 0 else p)
 
-let skip_op t = t.pc <- Int64.add t.pc 4L
+let skip_op t = set_pc t (Int64.add (pc t) 4L)
 
 (* The single-step path: the one place an instruction is fetched,
    hooked, costed, retired, shown to a sink and executed outside a
@@ -787,7 +846,8 @@ let skip_op t = t.pc <- Int64.add t.pc 4L
    so the unobserved inlined copy tests neither. *)
 let[@inline] step_insn t ~observed =
   if observed then count_walk t;
-  let line = Icache.fetch_exn t.icache ~el:t.el t.pc in
+  let pc = pc t in
+  let line = Icache.fetch_exn t.icache ~el:t.el pc in
   let insn = line.Icache.insn in
   let op =
     if not observed then line.Icache.op
@@ -796,10 +856,10 @@ let[@inline] step_insn t ~observed =
       | None -> line.Icache.op
       | Some h -> (
           let gen = Mmu.generation t.mmu in
-          match h t ~pc:t.pc insn with
+          match h t ~pc insn with
           | Skip -> skip_op
           | Exec when Mmu.generation t.mmu = gen -> line.Icache.op
-          | Exec -> op_of insn ~el:t.el ~next:(Int64.add t.pc 4L))
+          | Exec -> op_of insn ~el:t.el ~next:(Int64.add pc 4L))
   in
   let cost = cost_of t insn in
   retire t insn cost;
@@ -807,7 +867,7 @@ let[@inline] step_insn t ~observed =
      match t.sink with
      | None -> ()
      | Some s ->
-         Telemetry.Sink.retire s ~pc:t.pc ~cls:(class_of_insn insn)
+         Telemetry.Sink.retire s ~pc ~cls:(class_of_insn insn)
            ~origin:(origin_of_insn insn) ~cycles:cost);
   op t;
   insn
@@ -822,9 +882,9 @@ let[@inline] step_insn t ~observed =
    to the interpreter.
 
    Invariants that make that hold:
-   - at every op's start, [t.pc] is that op's instruction address (the
+   - at every op's start, [pc t] is that op's instruction address (the
      previous op set it, and the dispatcher only enters a block when
-     [t.pc] equals its entry), so [retire]'s ring write and a faulting
+     [pc t] equals its entry), so [retire]'s ring write and a faulting
      access both see the exact PC;
    - every link retires first and runs its op second, like
      [step_insn], so a faulting instruction is still retired and
@@ -920,7 +980,7 @@ let max_block_len = 256
    fires again. *)
 let compile_block t tr =
   let el = t.el in
-  let entry = t.pc in
+  let entry = pc t in
   (* back-patched with the installed block so store links can check
      [bk_live] mid-chain *)
   let self = ref None in
@@ -952,14 +1012,14 @@ let compile_block t tr =
             | Insn.Ret when rstack <> [] ->
                 let expected = List.hd rstack in
                 let cost = cost_of t insn in
-                let regs = t.regs in
+                let st = t.st in
                 (* mispredicted return: PC is already set from the
                    real LR, so ending the chain here re-dispatches
                    from the right place *)
                 let mk k () =
                   retire t insn cost;
-                  let dest = Array.unsafe_get regs 30 in
-                  t.pc <- dest;
+                  let dest = A.unsafe_get st 30 in
+                  A.unsafe_set st pc_slot dest;
                   if Int64.equal dest expected then k ()
                 in
                 walk expected (List.tl rstack) (mk :: mks) (len + 1) frames
@@ -985,15 +1045,16 @@ let compile_block t tr =
    can be found. *)
 let find_block t tr =
   Traces.sync tr;
-  match Traces.lookup tr ~el:t.el t.pc with
+  let pc = pc t in
+  match Traces.lookup tr ~el:t.el pc with
   | Some _ as found -> found
-  | None -> if Traces.bump tr ~el:t.el t.pc then compile_block t tr else None
+  | None -> if Traces.bump tr ~el:t.el pc then compile_block t tr else None
 
 (* Without a trace cache: one test of [observed] per step picks an
    inlined copy of [step_insn]. *)
 let rec step_loop t ~observed budget =
   if budget <= 0 then Insn_limit
-  else if is_sentinel t.pc then Sentinel_return
+  else if is_sentinel (pc t) then Sentinel_return
   else begin
     if observed then ignore (step_insn t ~observed:true : Insn.t)
     else ignore (step_insn t ~observed:false : Insn.t);
@@ -1015,7 +1076,7 @@ let block_loop t tr max_insns =
      stat accounting are direct field accesses. *)
   let rec go_boundary budget boundary =
     if budget <= 0 then Insn_limit
-    else if is_sentinel t.pc then Sentinel_return
+    else if is_sentinel (pc t) then Sentinel_return
     else
       match if boundary then find_block t tr else None with
       | Some b when b.Traces.bk_len <= budget -> dispatch budget b
@@ -1023,14 +1084,14 @@ let block_loop t tr max_insns =
   (* after a fully completed block: try its chained successor first *)
   and go_chained budget pb =
     if budget <= 0 then Insn_limit
-    else if is_sentinel t.pc then Sentinel_return
+    else if is_sentinel (pc t) then Sentinel_return
     else
       let blk =
         match pb.Traces.bk_next with
         | Some nb
           when nb.Traces.bk_live
                && nb.Traces.bk_el = t.el
-               && Int64.equal nb.Traces.bk_entry t.pc ->
+               && Int64.equal nb.Traces.bk_entry (pc t) ->
             tc.Traces.c_chain_follows <- tc.Traces.c_chain_follows + 1;
             Some nb
         | _ -> (
@@ -1067,9 +1128,9 @@ let block_loop t tr max_insns =
        AUT boundary still becomes a block). The 63-bit compare is
        exact enough: the flag only decides where blocks are looked
        up, never what executes. *)
-    let pc = Int64.to_int t.pc in
+    let before = Int64.to_int (pc t) in
     let insn = step_insn t ~observed:false in
-    go_boundary (budget - 1) (is_cut insn || Int64.to_int t.pc <> pc + 4)
+    go_boundary (budget - 1) (is_cut insn || Int64.to_int (pc t) <> before + 4)
   in
   go_boundary max_insns true
 
@@ -1088,17 +1149,17 @@ let run ?(max_insns = 10_000_000) t =
     | None -> step_loop t ~observed max_insns
   with
   | Stop s -> s
-  | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = t.pc }
+  | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = pc t }
   | Icache.Fetch_stop (Icache.Fetch_fault f) ->
-      Fault { fault = Mmu_fault f; pc = t.pc }
+      Fault { fault = Mmu_fault f; pc = pc t }
   | Icache.Fetch_stop (Icache.Fetch_undefined word) ->
-      Fault { fault = Undefined_instruction word; pc = t.pc }
+      Fault { fault = Undefined_instruction word; pc = pc t }
 
 let last_run_tier t = t.last_run_tier
 
 let call ?max_insns t addr =
   set_reg t Insn.lr sentinel;
-  t.pc <- addr;
+  set_pc t addr;
   run ?max_insns t
 
 let recent_trace ?(limit = 16) t =
@@ -1109,39 +1170,44 @@ let recent_trace ?(limit = 16) t =
     else
       let i = (idx + n) mod n in
       collect
-        ((Bigarray.Array1.get t.trace_pc i, t.trace_insn.(i)) :: acc)
+        ((A.get t.trace_pc i, t.trace_insn.(i)) :: acc)
         (idx - 1) (remaining - 1)
   in
   collect [] (t.trace_pos - 1) (min limit valid)
 
+(* [Sysreg.all] is in declaration order, the order a sort of the
+   written registers gives. *)
 let fold_sysregs t f acc =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.sysregs [] in
-  let keys = List.sort compare keys in
-  List.fold_left (fun acc k -> f acc k (Hashtbl.find t.sysregs k)) acc keys
+  List.fold_left
+    (fun acc sr ->
+      if t.written land written_bit sr = 0 then acc
+      else f acc sr (A.unsafe_get t.st (sysreg_slot sr)))
+    acc Sysreg.all
 
 (* Per-core state capture for machine snapshots. Everything mutable is
    copied, including host-side attachment state (step hook, sysreg lock,
    telemetry sink binding): a restore must drop hooks installed after
    the capture — fault injectors armed for one trial must not leak into
-   the next. The sysreg table is written back directly rather than
-   through [set_sysreg], so restoring the MMU-control registers flushes
-   nothing: ops read sysregs only at run time, the costs a block binds
-   depend on none (MRS, MSR and the PAC family are trace cuts), and
-   {!Machine.restore}
-   relies on the [Mem] and generation channels for the rest. *)
+   the next. Registers, PC and system registers come back as one blit
+   of the state array plus the written mask, so a register first
+   written after the capture reads 0 and leaves [fold_sysregs] again.
+   The blit bypasses [set_sysreg], so restoring the MMU-control
+   registers flushes nothing: ops read sysregs only at run time, the
+   costs a block binds depend on none (MRS, MSR and the PAC family are
+   trace cuts), and {!Machine.restore} relies on the [Mem] and
+   generation channels for the rest. *)
 type captured = {
-  c_regs : int64 array;
-  c_pc : int64;
+  c_st : words;
+  c_written : int;
   c_el : El.t;
   c_n : bool;
   c_z : bool;
   c_v : bool;
   c_c : bool;
-  c_sysregs : (Sysreg.t, int64) Hashtbl.t;
   c_cycles : int;
   c_insns_retired : int;
   c_sysreg_locked : Sysreg.t -> bool;
-  c_trace_pc : int64 array;
+  c_trace_pc : words;
   c_trace_insn : Insn.t array;
   c_trace_pos : int;
   c_step_hook : (t -> pc:int64 -> Insn.t -> hook_action) option;
@@ -1150,19 +1216,17 @@ type captured = {
 
 let capture t =
   {
-    c_regs = Array.copy t.regs;
-    c_pc = t.pc;
+    c_st = copy_words t.st;
+    c_written = t.written;
     c_el = t.el;
     c_n = t.flags.n;
     c_z = t.flags.z;
     c_v = t.flags.v;
     c_c = t.flags.c;
-    c_sysregs = Hashtbl.copy t.sysregs;
     c_cycles = t.cycles;
     c_insns_retired = t.insns_retired;
     c_sysreg_locked = t.sysreg_locked;
-    c_trace_pc =
-      Array.init (Bigarray.Array1.dim t.trace_pc) (Bigarray.Array1.get t.trace_pc);
+    c_trace_pc = copy_words t.trace_pc;
     c_trace_insn = Array.copy t.trace_insn;
     c_trace_pos = t.trace_pos;
     c_step_hook = t.step_hook;
@@ -1170,19 +1234,17 @@ let capture t =
   }
 
 let restore t c =
-  Array.blit c.c_regs 0 t.regs 0 (Array.length t.regs);
-  t.pc <- c.c_pc;
+  A.blit c.c_st t.st;
+  t.written <- c.c_written;
   t.el <- c.c_el;
   t.flags.n <- c.c_n;
   t.flags.z <- c.c_z;
   t.flags.v <- c.c_v;
   t.flags.c <- c.c_c;
-  Hashtbl.reset t.sysregs;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.sysregs k v) c.c_sysregs;
   t.cycles <- c.c_cycles;
   t.insns_retired <- c.c_insns_retired;
   t.sysreg_locked <- c.c_sysreg_locked;
-  Array.iteri (fun i v -> Bigarray.Array1.set t.trace_pc i v) c.c_trace_pc;
+  A.blit c.c_trace_pc t.trace_pc;
   Array.blit c.c_trace_insn 0 t.trace_insn 0 (Array.length t.trace_insn);
   t.trace_pos <- c.c_trace_pos;
   t.step_hook <- c.c_step_hook;
@@ -1202,14 +1264,14 @@ let dump_state ?trace_limit t =
   in
   let b = Buffer.create 512 in
   Buffer.add_string b
-    (Printf.sprintf "cpu%d: pc=0x%Lx el=%s cycles=%d insns=%d\n" t.id t.pc
+    (Printf.sprintf "cpu%d: pc=0x%Lx el=%s cycles=%d insns=%d\n" t.id (pc t)
        (El.name t.el) t.cycles t.insns_retired);
   for row = 0 to 7 do
     Buffer.add_string b " ";
     for col = 0 to 3 do
       let n = (row * 4) + col in
       if n < 31 then
-        Buffer.add_string b (Printf.sprintf " x%-2d=%016Lx" n t.regs.(n))
+        Buffer.add_string b (Printf.sprintf " x%-2d=%016Lx" n (A.get t.st n))
     done;
     Buffer.add_char b '\n'
   done;

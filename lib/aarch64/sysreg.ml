@@ -88,14 +88,36 @@ let all =
     PMEVCNTR0_EL0; PMEVCNTR1_EL0; PMEVCNTR2_EL0;
   ]
 
-let to_id r =
-  let rec index i = function
-    | [] -> assert false
-    | x :: rest -> if x = r then i else index (i + 1) rest
-  in
-  index 0 all
+let to_id = function
+  | APIAKeyLo_EL1 -> 0
+  | APIAKeyHi_EL1 -> 1
+  | APIBKeyLo_EL1 -> 2
+  | APIBKeyHi_EL1 -> 3
+  | APDAKeyLo_EL1 -> 4
+  | APDAKeyHi_EL1 -> 5
+  | APDBKeyLo_EL1 -> 6
+  | APDBKeyHi_EL1 -> 7
+  | APGAKeyLo_EL1 -> 8
+  | APGAKeyHi_EL1 -> 9
+  | SCTLR_EL1 -> 10
+  | CONTEXTIDR_EL1 -> 11
+  | TTBR0_EL1 -> 12
+  | TTBR1_EL1 -> 13
+  | VBAR_EL1 -> 14
+  | ELR_EL1 -> 15
+  | SPSR_EL1 -> 16
+  | ESR_EL1 -> 17
+  | FAR_EL1 -> 18
+  | TPIDR_EL1 -> 19
+  | CNTVCT_EL0 -> 20
+  | PMCCNTR_EL0 -> 21
+  | PMICNTR_EL0 -> 22
+  | PMEVCNTR0_EL0 -> 23
+  | PMEVCNTR1_EL0 -> 24
+  | PMEVCNTR2_EL0 -> 25
 
-let of_id i = List.nth_opt all i
+let by_id = Array.of_list all
+let of_id i = if i >= 0 && i < Array.length by_id then Some by_id.(i) else None
 
 let name = function
   | APIAKeyLo_EL1 -> "APIAKeyLo_EL1"

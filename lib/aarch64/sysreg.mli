@@ -56,8 +56,9 @@ val el0_readable : t -> bool
     [Invalid_argument] for [GA], which has no enable bit. *)
 val sctlr_enable_bit : pauth_key -> int
 
-(** Stable numeric id used by the instruction encoding; [of_id] inverts
-    it. *)
+(** Stable numeric id, the register's position in {!all}: the
+    instruction encoding's field and the register's offset among a
+    core's system-register slots. Constant time; [of_id] inverts it. *)
 val to_id : t -> int
 
 val of_id : int -> t option

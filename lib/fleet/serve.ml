@@ -239,14 +239,19 @@ let submit_faults t obj =
 let submit_bruteforce t obj =
   let config, _ = parse_config obj in
   let seed = dflt 42L (int64_field obj "seed") in
+  let in_range name (lo, hi) = bounded name lo hi in
   let machines =
-    bounded "machines" 1 1_000_000 (dflt 8 (int_field obj "machines"))
+    in_range "machines" Sweep.machines_range (dflt 8 (int_field obj "machines"))
   in
-  let attempts = bounded "attempts" 1 100_000 (dflt 8 (int_field obj "attempts")) in
+  let attempts =
+    in_range "attempts" Sweep.attempts_range (dflt 8 (int_field obj "attempts"))
+  in
   let workers =
     bounded "workers" 1 64 (dflt (Pool.default_workers ()) (int_field obj "workers"))
   in
-  let threshold = Option.map (bounded "threshold" 1 1_000_000) (int_field obj "threshold") in
+  let threshold =
+    Option.map (in_range "threshold" Sweep.threshold_range) (int_field obj "threshold")
+  in
   let retries = Option.map (bounded "retries" 0 100) (int_field obj "retries") in
   let timeout_ms =
     Option.map (bounded "timeout_ms" 1 86_400_000) (int_field obj "timeout_ms")

@@ -89,6 +89,10 @@ let run_machine ~config ~seed ~telemetry ~attempts index =
     },
     hists )
 
+let machines_range = (1, 1_000_000)
+let attempts_range = (1, 100_000)
+let threshold_range = (1, 1_000_000)
+
 let run ?(config = C.Config.full) ?threshold ?workers ?retries
     ?(telemetry = false) ?progress ?should_stop ~seed ~machines ~attempts () =
   let config =

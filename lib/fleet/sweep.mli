@@ -42,6 +42,15 @@ type report = {
           all-empty unless [run] was given [~telemetry:true] *)
 }
 
+(** The inclusive ranges of [run]'s [machines], [attempts] and
+    [threshold] that every front end of a sweep accepts (the CLI and
+    [serve] requests): 1–1,000,000, 1–100,000 and 1–1,000,000. [run]
+    itself does not check them. *)
+val machines_range : int * int
+
+val attempts_range : int * int
+val threshold_range : int * int
+
 (** [run ~seed ~machines ~attempts ()] — the sweep. [threshold]
     overrides the config's brute-force panic threshold. Deterministic:
     the same arguments give the same report for every worker count.

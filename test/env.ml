@@ -34,8 +34,8 @@ let install_test_keys cpu =
       Cpu.set_sysreg cpu lo (Camo_util.Rng.next rng))
     Sysreg.[ IA; IB; DA; DB; GA ]
 
-let fresh_cpu ?(has_pauth = true) () =
-  let cpu = Cpu.create ~has_pauth () in
+let fresh_cpu ?(has_pauth = true) ?tier () =
+  let cpu = Cpu.create ~has_pauth ?tier () in
   map_region cpu ~base:code_base ~pages:16 Mmu.rx;
   map_region cpu ~base:(Int64.sub stack_top 0x20000L) ~pages:32 Mmu.rw;
   map_region cpu ~base:data_base ~pages:4 Mmu.rw;

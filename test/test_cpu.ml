@@ -198,6 +198,112 @@ let test_cycle_accounting () =
     ((2 * c.Cost.alu) + c.Cost.pauth + c.Cost.branch)
     elapsed
 
+(* The written system registers in [fold_sysregs] order, by name. *)
+let listed cpu =
+  List.rev (Cpu.fold_sysregs cpu (fun acc sr v -> (Sysreg.name sr, v) :: acc) [])
+
+let by_name = List.map (fun (sr, v) -> (Sysreg.name sr, v))
+
+(* [Cpu.restore] gives [fold_sysregs] back exactly, on every tier: a
+   register overwritten after the capture has its captured value again,
+   and one first written after it, by the host or by MSR, is absent
+   again and reads 0. *)
+let test_restore_written_sysregs () =
+  List.iter
+    (fun tier ->
+      let cpu = Cpu.create ~tier () in
+      map_region cpu ~base:code_base ~pages:4 Mmu.rx;
+      Cpu.set_sysreg cpu Sysreg.TPIDR_EL1 0x11L;
+      Cpu.set_sysreg cpu Sysreg.APIBKeyHi_EL1 0x22L;
+      (* a register written as 0 is still listed *)
+      Cpu.set_sysreg cpu Sysreg.CONTEXTIDR_EL1 0L;
+      let captured = listed cpu in
+      Alcotest.(check (list (pair string int64)))
+        "written registers in Sysreg.all order"
+        (by_name Sysreg.[ (APIBKeyHi_EL1, 0x22L); (CONTEXTIDR_EL1, 0L); (TPIDR_EL1, 0x11L) ])
+        captured;
+      let snap = Cpu.capture cpu in
+      let prog = Asm.create () in
+      Asm.add_function prog ~name:"msr"
+        [
+          Asm.ins (Insn.Msr (Sysreg.TPIDR_EL1, Insn.R 0));
+          Asm.ins (Insn.Msr (Sysreg.VBAR_EL1, Insn.R 1));
+          Asm.ins (Insn.Msr (Sysreg.ESR_EL1, Insn.XZR));
+          Asm.ins Insn.Ret;
+        ];
+      let layout = load_program cpu prog in
+      Cpu.set_reg cpu (Insn.R 0) 0x33L;
+      Cpu.set_reg cpu (Insn.R 1) 0x44L;
+      Cpu.set_sysreg cpu Sysreg.FAR_EL1 0x55L;
+      Env.expect_return cpu layout "msr";
+      Alcotest.(check (list (pair string int64)))
+        "the run wrote two more and overwrote one"
+        (by_name
+           Sysreg.
+             [
+               (APIBKeyHi_EL1, 0x22L); (CONTEXTIDR_EL1, 0L); (VBAR_EL1, 0x44L);
+               (ESR_EL1, 0L); (FAR_EL1, 0x55L); (TPIDR_EL1, 0x33L);
+             ])
+        (listed cpu);
+      Cpu.restore cpu snap;
+      Alcotest.(check (list (pair string int64)))
+        (Cpu.tier_name tier ^ ": restore gives back fold_sysregs") captured (listed cpu);
+      List.iter
+        (fun sr ->
+          Alcotest.(check int64) (Sysreg.name sr ^ " reads 0 again") 0L (Cpu.sysreg cpu sr))
+        Sysreg.[ VBAR_EL1; FAR_EL1 ])
+    Cpu.all_tiers
+
+(* Every register, the PC and every system register has a slot of its
+   own: a distinct value written to each system register reads back
+   through [Cpu.sysreg] and through MRS on every tier, [fold_sysregs]
+   lists all of them in [Sysreg.all] order, and writes to XZR, x30 and
+   each SP bank, beside the sink slot, move neither the PC nor any
+   system register. *)
+let test_state_slots () =
+  let all =
+    List.mapi
+      (fun i sr -> (sr, Int64.logor (Int64.shift_left (Int64.of_int (i + 1)) 48) 0x5a5aL))
+      Sysreg.all
+  in
+  (* the counter and PMU registers read live values, not their slots *)
+  let stored = List.filter (fun (sr, _) -> not (Sysreg.el0_readable sr)) all in
+  List.iter
+    (fun tier ->
+      let what s = Cpu.tier_name tier ^ ": " ^ s in
+      let cpu = Env.fresh_cpu ~tier () in
+      List.iter (fun (sr, v) -> Cpu.set_sysreg cpu sr v) all;
+      Alcotest.(check (list (pair string int64)))
+        (what "fold_sysregs lists every register in Sysreg.all order")
+        (by_name all) (listed cpu);
+      List.iter
+        (fun (sr, v) ->
+          Alcotest.(check int64) (what (Sysreg.name sr ^ " reads back")) v (Cpu.sysreg cpu sr))
+        stored;
+      let prog = Asm.create () in
+      Asm.add_function prog ~name:"mrs"
+        (List.mapi (fun i (sr, _) -> Asm.ins (Insn.Mrs (Insn.R i, sr))) stored
+        @ [ Asm.ins Insn.Ret ]);
+      let layout = load_program cpu prog in
+      Env.expect_return cpu layout "mrs";
+      List.iteri
+        (fun i (sr, v) ->
+          Alcotest.(check int64)
+            (what (Printf.sprintf "MRS x%d, %s" i (Sysreg.name sr)))
+            v
+            (Cpu.reg cpu (Insn.R i)))
+        stored;
+      let pc = Cpu.pc cpu in
+      Cpu.set_reg cpu Insn.XZR 0x1111L;
+      Cpu.set_reg cpu (Insn.R 30) 0x2222L;
+      List.iter (fun el -> Cpu.set_sp_of cpu el 0x3333L) El.[ El0; El1; El2 ];
+      Alcotest.(check int64) (what "the PC is unchanged") pc (Cpu.pc cpu);
+      Alcotest.(check (list (pair string int64)))
+        (what "the system registers are unchanged")
+        (by_name all) (listed cpu);
+      Alcotest.(check int64) (what "XZR reads 0") 0L (Cpu.reg cpu Insn.XZR))
+    Cpu.all_tiers
+
 let suite =
   [
     Alcotest.test_case "arithmetic loop" `Quick test_arith_loop;
@@ -210,4 +316,7 @@ let suite =
     Alcotest.test_case "XOM enforced by stage 2" `Quick test_xom_enforcement;
     Alcotest.test_case "ARMv8.0 compatibility behaviour" `Quick test_pauthless_cpu;
     Alcotest.test_case "cycle accounting" `Quick test_cycle_accounting;
+    Alcotest.test_case "restore gives back the written sysregs" `Quick
+      test_restore_written_sysregs;
+    Alcotest.test_case "every state slot is its own" `Quick test_state_slots;
   ]

@@ -34,13 +34,16 @@ let test_insn_rendering () =
   check (Insn.Svc 3) "svc #3"
 
 let test_sysreg_ids () =
-  List.iter
-    (fun sr ->
+  (* the id is the position in [all]: the encoding keeps its fields *)
+  List.iteri
+    (fun i sr ->
+      Alcotest.(check int) (Sysreg.name sr ^ " id") i (Sysreg.to_id sr);
       match Sysreg.of_id (Sysreg.to_id sr) with
       | Some sr' -> Alcotest.(check string) "id roundtrip" (Sysreg.name sr) (Sysreg.name sr')
       | None -> Alcotest.failf "no id for %s" (Sysreg.name sr))
     Sysreg.all;
   Alcotest.(check bool) "invalid id" true (Sysreg.of_id 999 = None);
+  Alcotest.(check bool) "negative id" true (Sysreg.of_id (-1) = None);
   Alcotest.(check int) "ten key halves" 10
     (List.length (List.filter Sysreg.is_pauth_key Sysreg.all))
 
