@@ -53,13 +53,15 @@ let cpus_arg =
   let cpus = count_conv ~what:"cpu count" ~lo:1 ~hi:16 in
   Arg.(value & opt cpus 1 & info [ "cpus" ] ~docv:"N" ~doc)
 
-(* The range [serve] accepts for a job's ["workers"]. *)
 let workers_arg =
+  let lo, hi = Fleet.Pool.workers_range in
   let doc =
-    "Fleet worker domains (1-64). Output is byte-identical for every worker \
-     count; only wall-clock time changes."
+    Printf.sprintf
+      "Fleet worker domains (%d-%d). Output is byte-identical for every worker \
+       count; only wall-clock time changes."
+      lo hi
   in
-  let workers = count_conv ~what:"worker count" ~lo:1 ~hi:64 in
+  let workers = count_conv ~what:"worker count" ~lo ~hi in
   Arg.(value & opt workers 1 & info [ "workers" ] ~docv:"N" ~doc)
 
 (* An output file, refused while parsing unless its directory exists

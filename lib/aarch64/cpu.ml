@@ -843,10 +843,12 @@ let skip_op t = set_pc t (Int64.add (pc t) 4L)
    generation; the next fetch would flush it, but this instruction is
    already fetched, so it runs a freshly compiled op instead. [observed]
    (a hook or sink may be attached) is a constant at every call site,
-   so the unobserved inlined copy tests neither. *)
+   so the unobserved inlined copy tests neither. The PC is boxed once
+   ([opaque_identity]) and the box shared by the fetch, the hook and the
+   sink; left unboxed, each of them would box it again. *)
 let[@inline] step_insn t ~observed =
   if observed then count_walk t;
-  let pc = pc t in
+  let pc = Sys.opaque_identity (pc t) in
   let line = Icache.fetch_exn t.icache ~el:t.el pc in
   let insn = line.Icache.insn in
   let op =

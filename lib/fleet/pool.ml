@@ -14,6 +14,7 @@ type 'a outcome = {
 }
 
 let default_workers () = min 8 (max 1 (Domain.recommended_domain_count ()))
+let workers_range = (1, 64)
 let default_retries = 2
 
 (* Bounded backoff between attempts: 1ms, 2ms, 4ms ... capped at 50ms.

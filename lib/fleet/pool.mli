@@ -52,6 +52,11 @@ type 'a outcome = {
     domain count, clamped to [1 .. 8]. *)
 val default_workers : unit -> int
 
+(** The inclusive range of worker counts that every front end of the
+    pool accepts (the CLI's [--workers] and a [serve] job's
+    ["workers"]): 1–64. [run] itself does not check it. *)
+val workers_range : int * int
+
 (** [run ?workers ?retries ?progress ?should_stop ~jobs f] — execute
     the job stream. [progress] is invoked once per completed job — also
     for quarantined ones — {e from worker domains} (it must be

@@ -7,21 +7,25 @@ type job_state =
   | Cancelled
   | Failed of string
 
+(* The mutable cells one campaign domain reports through, sampled by
+   the server loop without touching the workers. *)
+type cells = {
+  c_completed : int Atomic.t;
+  c_stop : bool Atomic.t;
+  c_state : job_state Atomic.t;
+  c_failures : string Atomic.t;  (* rendered JSON array of quarantined jobs *)
+  c_finished : float Atomic.t;  (* 0.0 while running *)
+  c_retries : int Atomic.t;  (* attempts burned by quarantined jobs *)
+  c_quarantined : int Atomic.t;
+  c_hists : (Telemetry.Span.kind * Telemetry.Hist.t) list Atomic.t;
+}
+
 type entry = {
   e_id : int;
   e_kind : string;
   e_total : int;
-  e_completed : int Atomic.t;
-  e_stop : bool Atomic.t;
-  e_state : job_state Atomic.t;
-  e_failures : string Atomic.t;  (* rendered JSON array of quarantined jobs *)
-  (* metrics plane: all written by the campaign domain, sampled by the
-     server loop without touching the workers *)
+  e_cells : cells;
   e_started : float;
-  e_finished : float Atomic.t;  (* 0.0 while running *)
-  e_retries : int Atomic.t;  (* attempts burned by quarantined jobs *)
-  e_quarantined : int Atomic.t;
-  e_hists : (Telemetry.Span.kind * Telemetry.Hist.t) list Atomic.t;
   e_domain : unit Domain.t;
   mutable e_joined : bool;
 }
@@ -74,9 +78,19 @@ exception Bad_request of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad_request m)) fmt
 
-let bounded name lo hi v =
+let in_range name (lo, hi) v =
   if v < lo || v > hi then bad "%s %d out of range (%d-%d)" name v lo hi;
   v
+
+(* The pool fields both job kinds take. *)
+let workers_field obj =
+  in_range "workers" Pool.workers_range
+    (dflt (Pool.default_workers ()) (int_field obj "workers"))
+
+let retries_field obj = Option.map (in_range "retries" (0, 100)) (int_field obj "retries")
+
+let timeout_ms_field obj =
+  Option.map (in_range "timeout_ms" (1, 86_400_000)) (int_field obj "timeout_ms")
 
 (* Both job kinds boot the kernel, so a configuration it cannot boot is
    refused here rather than failing every trial. *)
@@ -92,19 +106,6 @@ let parse_config obj =
           | Error m -> bad "config %S: %s" name m))
 
 (* --- job bookkeeping *)
-
-(* The mutable cells one campaign domain reports through; [register]
-   wires them into the entry the server samples. *)
-type cells = {
-  c_completed : int Atomic.t;
-  c_stop : bool Atomic.t;
-  c_state : job_state Atomic.t;
-  c_failures : string Atomic.t;
-  c_finished : float Atomic.t;
-  c_retries : int Atomic.t;
-  c_quarantined : int Atomic.t;
-  c_hists : (Telemetry.Span.kind * Telemetry.Hist.t) list Atomic.t;
-}
 
 (* Campaign epilogue shared by both kinds: failure bookkeeping,
    retry/quarantine counts and the finish timestamp. *)
@@ -136,15 +137,8 @@ let register t ~kind ~total spawn =
       e_id = id;
       e_kind = kind;
       e_total = total;
-      e_completed = cells.c_completed;
-      e_stop = cells.c_stop;
-      e_state = cells.c_state;
-      e_failures = cells.c_failures;
+      e_cells = cells;
       e_started = Unix.gettimeofday ();
-      e_finished = cells.c_finished;
-      e_retries = cells.c_retries;
-      e_quarantined = cells.c_quarantined;
-      e_hists = cells.c_hists;
       e_domain = domain;
       e_joined = false;
     };
@@ -183,9 +177,7 @@ let submit_faults t obj =
   let config, config_name = parse_config obj in
   let seed = dflt 42L (int64_field obj "seed") in
   let trials = dflt 16 (int_field obj "trials") in
-  let workers =
-    bounded "workers" 1 64 (dflt (Pool.default_workers ()) (int_field obj "workers"))
-  in
+  let workers = workers_field obj in
   (* absent shape fields stay omitted: the campaign session's defaults *)
   let cpus = int_field obj "cpus" in
   let tasks = int_field obj "tasks" in
@@ -198,7 +190,7 @@ let submit_faults t obj =
    with
   | Ok () -> ()
   | Error m -> bad "%s" m);
-  let retries = Option.map (bounded "retries" 0 100) (int_field obj "retries") in
+  let retries = retries_field obj in
   let tier =
     match str_field obj "tier" with
     | None -> None
@@ -207,9 +199,7 @@ let submit_faults t obj =
         | Some _ as t -> t
         | None -> bad "unknown tier %S (interp|icache|traces)" name)
   in
-  let timeout_ms =
-    Option.map (bounded "timeout_ms" 1 86_400_000) (int_field obj "timeout_ms")
-  in
+  let timeout_ms = timeout_ms_field obj in
   register t ~kind:"faults" ~total:trials (fun cells ->
       Domain.spawn (fun () ->
           let should_stop, timed_out =
@@ -239,23 +229,18 @@ let submit_faults t obj =
 let submit_bruteforce t obj =
   let config, _ = parse_config obj in
   let seed = dflt 42L (int64_field obj "seed") in
-  let in_range name (lo, hi) = bounded name lo hi in
   let machines =
     in_range "machines" Sweep.machines_range (dflt 8 (int_field obj "machines"))
   in
   let attempts =
     in_range "attempts" Sweep.attempts_range (dflt 8 (int_field obj "attempts"))
   in
-  let workers =
-    bounded "workers" 1 64 (dflt (Pool.default_workers ()) (int_field obj "workers"))
-  in
+  let workers = workers_field obj in
   let threshold =
     Option.map (in_range "threshold" Sweep.threshold_range) (int_field obj "threshold")
   in
-  let retries = Option.map (bounded "retries" 0 100) (int_field obj "retries") in
-  let timeout_ms =
-    Option.map (bounded "timeout_ms" 1 86_400_000) (int_field obj "timeout_ms")
-  in
+  let retries = retries_field obj in
+  let timeout_ms = timeout_ms_field obj in
   register t ~kind:"bruteforce" ~total:machines (fun cells ->
       Domain.spawn (fun () ->
           let should_stop, timed_out =
@@ -285,7 +270,7 @@ let find t obj =
       | None -> bad "unknown id %d" id)
 
 let status_response e =
-  let state = Atomic.get e.e_state in
+  let state = Atomic.get e.e_cells.c_state in
   let extra =
     match state with
     | Failed m -> Printf.sprintf ", \"error\": \"%s\"" (Json.escape m)
@@ -295,11 +280,11 @@ let status_response e =
     "{\"ok\": true, \"id\": %d, \"kind\": \"%s\", \"state\": \"%s\", \
      \"completed\": %d, \"total\": %d, \"failures\": %s%s}"
     e.e_id e.e_kind (state_name state)
-    (min (Atomic.get e.e_completed) e.e_total)
-    e.e_total (Atomic.get e.e_failures) extra
+    (min (Atomic.get e.e_cells.c_completed) e.e_total)
+    e.e_total (Atomic.get e.e_cells.c_failures) extra
 
 let report_response e =
-  match Atomic.get e.e_state with
+  match Atomic.get e.e_cells.c_state with
   | Done report ->
       Printf.sprintf
         "{\"ok\": true, \"id\": %d, \"kind\": \"%s\", \"state\": \"done\", \
@@ -321,7 +306,7 @@ let metrics_response t =
     List.length
       (List.filter
          (fun e ->
-           match (Atomic.get e.e_state, want) with
+           match (Atomic.get e.e_cells.c_state, want) with
            | Running, `Running | Done _, `Done | Cancelled, `Cancelled
            | Failed _, `Failed ->
                true
@@ -329,21 +314,21 @@ let metrics_response t =
          entries)
   in
   let sum f = List.fold_left (fun acc e -> acc + f e) 0 entries in
-  let completed = sum (fun e -> min (Atomic.get e.e_completed) e.e_total) in
+  let completed = sum (fun e -> min (Atomic.get e.e_cells.c_completed) e.e_total) in
   let total = sum (fun e -> e.e_total) in
   (* job runtimes, not wall uptime: jobs overlap, so this is aggregate
      throughput over busy time *)
   let busy =
     List.fold_left
       (fun acc e ->
-        let fin = Atomic.get e.e_finished in
+        let fin = Atomic.get e.e_cells.c_finished in
         acc +. ((if fin > 0.0 then fin else now) -. e.e_started))
       0.0 entries
   in
   let per_sec = if busy > 0.0 then float_of_int completed /. busy else 0.0 in
   let hists =
     List.fold_left
-      (fun acc e -> Telemetry.Span.merge_histograms acc (Atomic.get e.e_hists))
+      (fun acc e -> Telemetry.Span.merge_histograms acc (Atomic.get e.e_cells.c_hists))
       (Telemetry.Span.empty_histograms ())
       entries
   in
@@ -357,14 +342,14 @@ let metrics_response t =
     (List.length entries)
     (state_count `Running) (state_count `Done) (state_count `Cancelled)
     (state_count `Failed) completed total per_sec
-    (sum (fun e -> Atomic.get e.e_retries))
-    (sum (fun e -> Atomic.get e.e_quarantined))
+    (sum (fun e -> Atomic.get e.e_cells.c_retries))
+    (sum (fun e -> Atomic.get e.e_cells.c_quarantined))
     (Telemetry.Span.histograms_to_json hists)
 
 let cancel_response e =
-  Atomic.set e.e_stop true;
+  Atomic.set e.e_cells.c_stop true;
   Printf.sprintf "{\"ok\": true, \"id\": %d, \"state\": \"%s\"}" e.e_id
-    (match Atomic.get e.e_state with
+    (match Atomic.get e.e_cells.c_state with
     | Running -> "cancelling"
     | s -> state_name s)
 
@@ -382,7 +367,7 @@ let drain t =
    trials finish (workers poll the stop flag between jobs); queued work
    is shed. *)
 let shutdown t =
-  Hashtbl.iter (fun _ e -> Atomic.set e.e_stop true) t.entries;
+  Hashtbl.iter (fun _ e -> Atomic.set e.e_cells.c_stop true) t.entries;
   drain t
 
 let handle t line =

@@ -35,16 +35,6 @@ type error =
 
 exception Load_error of error
 
-(* Lay out blobs sequentially from [base], 8-byte aligned words. *)
-let place_blobs base blobs =
-  let addr = ref base in
-  List.map
-    (fun b ->
-      let this = !addr in
-      addr := Int64.add !addr (Int64.of_int (8 * List.length b.Object_file.words));
-      (b, this))
-    blobs
-
 (* The lookup table behind [symbol]: text symbols, then data symbols,
    and the first binding of a name wins. *)
 let symbol_table ~text ~data =
@@ -73,8 +63,8 @@ let load ~cpu ~config ~registry ~env (obj : Object_file.t) =
     let data_bytes = Object_file.data_size_bytes obj in
     let text_base, rodata_base, data_base = env.place ~text_bytes ~rodata_bytes ~data_bytes in
     (* Text: assemble against kernel exports + this object's data symbols. *)
-    let placed_ro = place_blobs rodata_base obj.Object_file.rodata in
-    let placed_rw = place_blobs data_base obj.Object_file.data in
+    let placed_ro = Object_file.place_blobs rodata_base obj.Object_file.rodata in
+    let placed_rw = Object_file.place_blobs data_base obj.Object_file.data in
     let blob_symbols =
       List.map (fun (b, a) -> (b.Object_file.blob_name, a)) (placed_ro @ placed_rw)
     in

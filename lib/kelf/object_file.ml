@@ -36,6 +36,12 @@ let blob_bytes blobs =
 let data_size_bytes t = blob_bytes t.data
 let rodata_size_bytes t = blob_bytes t.rodata
 
+let place_blobs base blobs =
+  snd
+    (List.fold_left_map
+       (fun addr b -> (Int64.add addr (Int64.of_int (8 * List.length b.words)), (b, addr)))
+       base blobs)
+
 (* On-disk .kelf form: magic line + Marshal with closures (fixup items
    carry relocation functions). Closure marshalling is only valid
    within the binary that wrote it — exactly the modgen/lint --module

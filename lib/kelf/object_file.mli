@@ -50,6 +50,12 @@ val data_size_bytes : t -> int
 
 val rodata_size_bytes : t -> int
 
+(** [place_blobs base blobs] — each blob with its address, laid out back
+    to back from [base] at 8 bytes a word: how the loader places an
+    object's rodata and data, and how the image and module lints mirror
+    that placement. *)
+val place_blobs : int64 -> blob list -> (blob * int64) list
+
 (** [write_file path t] — serialize to a [.kelf] file (magic line +
     marshalled object). Function items carry relocation closures, so a
     [.kelf] file is only readable by the binary that wrote it (the

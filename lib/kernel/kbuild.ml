@@ -786,41 +786,19 @@ type lint_report = {
   census : Paclint.Census.t;
 }
 
-let lint_report ?(par = Paclint.Lint.seq_par) ?scheme config =
-  let registry = C.Pointer_integrity.create_registry () in
-  Kobject.register_protected_members registry;
-  let obj = build config registry in
-  (* Mirror the boot-time placement: blobs sequential from the rodata
-     and data bases, the audited bootloader routines linked like
-     firmware calls from the XOM page. *)
-  let place base blobs =
-    let addr = ref base in
-    List.map
-      (fun b ->
-        let this = !addr in
-        addr := Int64.add !addr (Int64.of_int (8 * List.length b.O.words));
-        (b.O.blob_name, this))
-      blobs
-  in
-  let blob_symbols =
-    place Layout.rodata_base obj.O.rodata @ place Layout.data_base obj.O.data
-  in
-  let xom_symbols =
-    [
-      ("kernel_key_setter", Layout.xom_base);
-      ("user_key_restore", Int64.add Layout.xom_base 0x100L);
-      ("uaccess_authda", Int64.add Layout.xom_base 0x200L);
-    ]
-  in
+(* The tail the image and module lints share: assemble [obj]'s text at
+   [base] against its placed [blobs] and [extra_symbols], then the
+   whole-image interprocedural pass (call graph, per-function summaries
+   to fixpoint), the gadget census and the scheme's rule pack, under the
+   policy [config] promises. Only text-resident symbols partition
+   functions; blob, XOM and export symbols lie outside the code array
+   and are ignored by Callgraph. [extra] adds findings that need the
+   assembled layout. *)
+let lint_object ~par ?scheme config (obj : O.t) ~base ~blobs ~extra_symbols ~extra =
+  let blob_symbols = List.map (fun (b, addr) -> (b.O.blob_name, addr)) blobs in
   let prog = Asm.create () in
   List.iter (fun (name, items) -> Asm.add_function prog ~name items) obj.O.functions;
-  let layout =
-    Asm.assemble prog ~base:Layout.text_base ~extra_symbols:(blob_symbols @ xom_symbols)
-  in
-  (* Whole-image interprocedural pass: call graph, per-function
-     summaries to fixpoint, gadget census, then the scheme's rule pack.
-     Only text-resident symbols partition functions; blob and XOM
-     symbols lie outside the code array and are ignored by Callgraph. *)
+  let layout = Asm.assemble prog ~base ~extra_symbols:(blob_symbols @ extra_symbols) in
   let policy = C.Verifier.policy config in
   let summary =
     Paclint.Summary.analyze_image ~par ~symbols:layout.Asm.symbols ~policy
@@ -831,11 +809,34 @@ let lint_report ?(par = Paclint.Lint.seq_par) ?scheme config =
     match scheme with Some s -> s | None -> C.Verifier.rules_scheme config
   in
   let rules = Paclint.Rules.run { Paclint.Rules.scheme; summary; census } in
+  {
+    diags = Paclint.Diag.normalize (summary.Paclint.Summary.diags @ rules @ extra layout);
+    summary;
+    census;
+  }
+
+let lint_report ?(par = Paclint.Lint.seq_par) ?scheme config =
+  let registry = C.Pointer_integrity.create_registry () in
+  Kobject.register_protected_members registry;
+  let obj = build config registry in
+  (* Mirror the boot-time placement: blobs sequential from the rodata
+     and data bases, the audited bootloader routines linked like
+     firmware calls from the XOM page. *)
+  let blobs =
+    O.place_blobs Layout.rodata_base obj.O.rodata @ O.place_blobs Layout.data_base obj.O.data
+  in
+  let xom_symbols =
+    [
+      ("kernel_key_setter", Layout.xom_base);
+      ("user_key_restore", Int64.add Layout.xom_base 0x100L);
+      ("uaccess_authda", Int64.add Layout.xom_base 0x200L);
+    ]
+  in
   (* Reserved-register convention over the raw bodies (the instrumented
      stream legitimately uses the scratch registers). Body diagnostics
      are re-based onto the function's image address, shifted by the
      prologue the body itself cannot see. *)
-  let bodies =
+  let bodies layout =
     List.concat_map
       (fun (_, name, body) ->
         let rebase =
@@ -846,11 +847,8 @@ let lint_report ?(par = Paclint.Lint.seq_par) ?scheme config =
         List.map rebase (Paclint.Lint.check_body body))
       (kernel_bodies config registry)
   in
-  {
-    diags = Paclint.Diag.normalize (summary.Paclint.Summary.diags @ rules @ bodies);
-    summary;
-    census;
-  }
+  lint_object ~par ?scheme config obj ~base:Layout.text_base ~blobs
+    ~extra_symbols:xom_symbols ~extra:bodies
 
 (* Lint a standalone module object against the kernel export surface:
    the module's text is assembled at the module area base, its own blobs
@@ -861,43 +859,15 @@ let lint_report ?(par = Paclint.Lint.seq_par) ?scheme config =
    exist for a serialized object, so the reserved-register body check
    does not apply here (the loader never ran it either). *)
 let lint_module ?(par = Paclint.Lint.seq_par) ?scheme config (obj : O.t) =
+  let base = Layout.module_area_base in
   let text_bytes = 4 * O.text_instruction_count obj in
-  let blob_base area blobs =
-    let addr = ref area in
-    List.map
-      (fun b ->
-        let this = !addr in
-        addr := Int64.add !addr (Int64.of_int (8 * List.length b.O.words));
-        (b.O.blob_name, this))
-      blobs
-  in
-  let text_base = Layout.module_area_base in
-  let data_area =
-    Int64.add text_base (Int64.of_int (Layout.round_pages text_bytes + 4096))
-  in
-  let blob_symbols = blob_base data_area (obj.O.rodata @ obj.O.data) in
+  let data_area = Int64.add base (Int64.of_int (Layout.round_pages text_bytes + 4096)) in
   let export_symbols =
     List.mapi
       (fun i s -> (s, Int64.add Layout.text_base (Int64.of_int (i * 0x40))))
       exported_symbols
   in
-  let prog = Asm.create () in
-  List.iter (fun (name, items) -> Asm.add_function prog ~name items) obj.O.functions;
-  let layout =
-    Asm.assemble prog ~base:text_base ~extra_symbols:(blob_symbols @ export_symbols)
-  in
-  let policy = C.Verifier.policy config in
-  let summary =
-    Paclint.Summary.analyze_image ~par ~symbols:layout.Asm.symbols ~policy
-      layout.Asm.code
-  in
-  let census = Paclint.Census.run ~par summary.Paclint.Summary.cg in
-  let scheme =
-    match scheme with Some s -> s | None -> C.Verifier.rules_scheme config
-  in
-  let rules = Paclint.Rules.run { Paclint.Rules.scheme; summary; census } in
-  {
-    diags = Paclint.Diag.normalize (summary.Paclint.Summary.diags @ rules);
-    summary;
-    census;
-  }
+  lint_object ~par ?scheme config obj ~base
+    ~blobs:(O.place_blobs data_area (obj.O.rodata @ obj.O.data))
+    ~extra_symbols:export_symbols
+    ~extra:(fun _ -> [])

@@ -52,7 +52,7 @@ val code_of : t -> int -> (int64 * Insn.t) array
 
 (** [hints t va] — resolved targets of the indirect branch at [va]
     (empty for direct branches and unresolved sites). Feed to
-    {!Cfg.build} and {!Lint.hooks.indirect_resolved}. *)
+    {!Cfg.build} and to {!Lint.analyze}'s [indirect_resolved]. *)
 val hints : t -> int64 -> int64 list
 
 (** Indices of functions with a resolved call edge into function [i],

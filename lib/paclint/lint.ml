@@ -124,28 +124,16 @@ let clobber_call st =
     st.regs.(i) <- Top
   done
 
+(* What one pass of [step] reports to: the fixpoint pass drops
+   diagnostics and PAC sites, the reporting pass collects them; both
+   apply the caller's [call] and [indirect_resolved]. *)
 type hooks = {
   emit : Diag.t -> unit;
   sign_site : int64 -> Insn.t -> int option -> unit;
   auth_site : int64 -> Insn.t -> int option -> unit;
   call : int64 -> Insn.t -> state -> bool;
-      (** interprocedural call transfer: return [true] if the hook
-          applied a callee summary to [state]; [false] falls back to the
-          conservative clobber (x0-x18 and LR to [Top]) *)
   indirect_resolved : int64 -> bool;
-      (** [true] when the BR/BRA at this address has statically resolved
-          targets (Callgraph hints made them CFG edges), suppressing the
-          unresolved-indirect diagnostic *)
 }
-
-let no_hooks =
-  {
-    emit = (fun _ -> ());
-    sign_site = (fun _ _ _ -> ());
-    auth_site = (fun _ _ _ -> ());
-    call = (fun _ _ _ -> false);
-    indirect_resolved = (fun _ -> false);
-  }
 
 let step policy hooks st (va, insn) =
   let emit kind = hooks.emit { Diag.va; insn; kind } in
@@ -267,18 +255,24 @@ let step policy hooks st (va, insn) =
 
 (* ----- driver ----- *)
 
-let analyze ?hints ?(call = no_hooks.call) ?(indirect_resolved = no_hooks.indirect_resolved)
-    ?(entry = entry_state) policy code ~entries =
-  let cfg = Cfg.build ~entries ?hints code in
-  let quiet = { no_hooks with call; indirect_resolved } in
+let analyze policy (cfg : Cfg.t) ~entry ~call ~indirect_resolved ~visit =
   let nb = Array.length cfg.Cfg.blocks in
   let instate = Array.make nb None in
   let work = Queue.create () in
   List.iter
     (fun e ->
-      instate.(e) <- Some (entry ());
+      instate.(e) <- Some (copy entry);
       Queue.add e work)
     cfg.Cfg.entries;
+  let quiet =
+    {
+      emit = ignore;
+      sign_site = (fun _ _ _ -> ());
+      auth_site = (fun _ _ _ -> ());
+      call;
+      indirect_resolved;
+    }
+  in
   while not (Queue.is_empty work) do
     let b = Queue.pop work in
     match instate.(b) with
@@ -298,14 +292,15 @@ let analyze ?hints ?(call = no_hooks.call) ?(indirect_resolved = no_hooks.indire
                 Queue.add s work)
           cfg.Cfg.blocks.(b).Cfg.succs
   done;
-  (* Deterministic reporting pass over the fixed point. Unreachable
-     blocks (data that happened to decode, dead code) still get the
-     flow-insensitive key rule: MSR words are dangerous wherever they
-     sit, which is exactly the old linear scan's coverage. *)
+  (* Deterministic reporting pass over the fixed point, which is also
+     the one pass [visit] sees. Unreachable blocks (data that happened
+     to decode, dead code) still get the flow-insensitive key rule: MSR
+     words are dangerous wherever they sit, which is exactly the old
+     linear scan's coverage. *)
   let diags = ref [] in
   let signs = ref [] and auths = ref [] in
   let current_block = ref 0 in
-  let hooks =
+  let report =
     {
       emit = (fun d -> diags := d :: !diags);
       sign_site = (fun va insn d -> signs := (!current_block, va, insn, d) :: !signs);
@@ -320,7 +315,11 @@ let analyze ?hints ?(call = no_hooks.call) ?(indirect_resolved = no_hooks.indire
       match instate.(b) with
       | Some st0 ->
           let st = copy st0 in
-          Array.iter (step policy hooks st) blk.Cfg.insns
+          Array.iter
+            (fun ((va, insn) as i) ->
+              visit va insn st;
+              step policy report st i)
+            blk.Cfg.insns
       | None ->
           Array.iter
             (fun (va, insn) ->
@@ -331,9 +330,10 @@ let analyze ?hints ?(call = no_hooks.call) ?(indirect_resolved = no_hooks.indire
     cfg.Cfg.blocks;
   (* SP-modifier pairing, grouped by entry reachability (≈ function).
      Only judged when every signing site in the group has a known SP
-     delta — an unknown modifier disables the rule rather than guess. *)
-  if policy.sp_modifier then begin
-    let flagged = Hashtbl.create 8 in
+     delta — an unknown modifier disables the rule rather than guess.
+     An authentication reached from several entries is judged in each
+     group; [Diag.normalize] keeps one copy of a repeated finding. *)
+  if policy.sp_modifier then
     List.iter
       (fun e ->
         let r = Cfg.reachable cfg e in
@@ -344,14 +344,11 @@ let analyze ?hints ?(call = no_hooks.call) ?(indirect_resolved = no_hooks.indire
           List.iter
             (fun (_, va, insn, d) ->
               match d with
-              | Some d when (not (List.mem d sign_deltas)) && not (Hashtbl.mem flagged va)
-                ->
-                  Hashtbl.replace flagged va ();
+              | Some d when not (List.mem d sign_deltas) ->
                   diags := { Diag.va; insn; kind = Diag.Modifier_sp_mismatch d } :: !diags
               | _ -> ())
             auths_e)
-      cfg.Cfg.entries
-  end;
+      cfg.Cfg.entries;
   Diag.normalize !diags
 
 (* ----- entry points ----- *)
@@ -378,7 +375,10 @@ let lint_insns ~policy ?entries insns =
     | Some e -> e
     | None -> if Array.length code = 0 then [] else [ fst code.(0) ]
   in
-  analyze policy code ~entries
+  analyze policy (Cfg.build ~entries code) ~entry:(entry_state ())
+    ~call:(fun _ _ _ -> false)
+    ~indirect_resolved:(fun _ -> false)
+    ~visit:(fun _ _ _ -> ())
 
 let check_body items =
   let insns = Array.of_list (List.filter_map Asm.item_insn items) in

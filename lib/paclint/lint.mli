@@ -50,8 +50,8 @@ val seq_par : par
 
 (** {1 Abstract domain}
 
-    Exposed so {!Summary} and {!Census} can reuse the transfer function
-    across call boundaries. *)
+    Exposed so {!Summary} can seed entry states, join exit states and
+    translate states across call boundaries. *)
 
 (** Provenance of a register value. The join order is by attacker reach:
     [Raw] (loaded from writable memory, never authenticated) dominates
@@ -77,29 +77,32 @@ val copy : state -> state
 val equal_state : state -> state -> bool
 val join_state : state -> state -> state
 
-(** Analysis callbacks. [emit] receives diagnostics; [sign_site] and
-    [auth_site] fire at PAC/AUT instructions with the modifier's SP
-    delta when known; [call] and [indirect_resolved] are the
-    interprocedural extension points (see each field). *)
-type hooks = {
-  emit : Diag.t -> unit;
-  sign_site : int64 -> Insn.t -> int option -> unit;
-  auth_site : int64 -> Insn.t -> int option -> unit;
-  call : int64 -> Insn.t -> state -> bool;
-      (** fired at BL/BLR/BLRA before the conservative clobber; return
-          [true] after applying a callee summary to the state to
-          suppress the clobber *)
-  indirect_resolved : int64 -> bool;
-      (** [true] when the BR/BRA at this address has statically resolved
-          targets, suppressing the unresolved-indirect diagnostic *)
-}
+(** [analyze policy cfg ~entry ~call ~indirect_resolved ~visit] — the
+    one dataflow driver: the worklist fixpoint of the transfer function
+    over [cfg] from [entry] (copied) at each of [cfg.entries], then one
+    reporting pass over the fixed point in block order. Returns the
+    normalized diagnostics: the transfer function's findings on reached
+    blocks, the key rule ({!key_access}) on unreached ones, and — under
+    [policy.sp_modifier] — the SP-modifier pairing, judged per entry
+    over the blocks it reaches.
 
-(** Inert hooks: drop diagnostics, no summaries, nothing resolved. *)
-val no_hooks : hooks
-
-(** [step policy hooks st (va, insn)] — one instruction of the abstract
-    transfer function, mutating [st]. *)
-val step : policy -> hooks -> state -> int64 * Insn.t -> unit
+    - [call va insn st] fires at BL/BLR/BLRA before the conservative
+      clobber; return [true] after applying a callee summary to [st] to
+      suppress the clobber.
+    - [indirect_resolved va] is [true] when the BR/BRA at [va] has
+      statically resolved targets, suppressing the unresolved-indirect
+      diagnostic.
+    - [visit va insn st] sees each reached instruction once, in the
+      reporting pass, with the state before it; [st] is the driver's own
+      and changes after the call, so copy what must outlive it. *)
+val analyze :
+  policy ->
+  Cfg.t ->
+  entry:state ->
+  call:(int64 -> Insn.t -> state -> bool) ->
+  indirect_resolved:(int64 -> bool) ->
+  visit:(int64 -> Insn.t -> state -> unit) ->
+  Diag.t list
 
 (** [key_access ~allowed va insn] — the flow-insensitive key-register
     rule on one instruction: key reads are always flagged, key and

@@ -72,9 +72,19 @@ let apply_summary (s : fn_summary) (st : Lint.state) =
 
 (* ----- per-function analysis ----- *)
 
+(* The function a call or tail site of [fn] resolves to, if any (the
+   last call record for the site wins). *)
+let callee cg fn site =
+  let target =
+    List.fold_left
+      (fun acc c -> if c.Callgraph.site = site then c.Callgraph.target else acc)
+      None fn.Callgraph.calls
+  in
+  Option.bind target (Callgraph.fn_index cg)
+
 (* May-write set: local defs plus callee writes (caller-saved set and LR
    for calls without a usable summary). Flow-insensitive by design. *)
-let compute_writes cg lookup fidx =
+let compute_writes cg summaries fidx =
   let writes = Array.make 31 false in
   let clobber_callersaved () =
     for i = 0 to 18 do
@@ -89,16 +99,9 @@ let compute_writes cg lookup fidx =
     List.iter (function Insn.R n -> writes.(n) <- true | _ -> ()) defs;
     match insn with
     | Insn.Bl _ | Insn.Blr _ | Insn.Blra _ | Insn.Svc _ -> (
-        let site = fst cg.Callgraph.code.(i) in
-        let target =
-          List.fold_left
-            (fun acc c ->
-              if c.Callgraph.site = site then c.Callgraph.target else acc)
-            None fn.Callgraph.calls
-        in
-        match Option.bind target lookup with
-        | Some (callee : fn_summary) when callee.exit <> None ->
-            Array.iteri (fun n w -> if w then writes.(n) <- true) callee.writes
+        match callee cg fn (fst cg.Callgraph.code.(i)) with
+        | Some j when summaries.(j).exit <> None ->
+            Array.iteri (fun n w -> if w then writes.(n) <- true) summaries.(j).writes
         | _ -> clobber_callersaved ())
     | _ -> ()
   done;
@@ -111,34 +114,28 @@ type fn_result = {
 }
 
 (* One round of analysis for function [fidx] from entry state [entry_st]
-   against frozen [summaries]. [collect] adds the diagnostic pass. *)
-let analyze_fn ~policy ~cg ~summaries ~collect fidx entry_st =
+   against frozen [summaries]: [Lint.analyze] with callee summaries
+   applied at calls, collecting exit states and caller->callee flows
+   (calls and resolved tail calls) from its reporting pass. *)
+let analyze_fn ~policy ~cg ~summaries fidx entry_st =
   let fn = cg.Callgraph.fns.(fidx) in
-  let code = Callgraph.code_of cg fidx in
-  let lookup va =
-    match Callgraph.fn_index cg va with
-    | Some i -> Some summaries.(i)
-    | None -> None
-  in
-  let target_of site =
-    List.fold_left
-      (fun acc c -> if c.Callgraph.site = site then c.Callgraph.target else acc)
-      None fn.Callgraph.calls
-  in
-  let flows = ref [] in
-  let record_flow va st =
-    match Option.bind (target_of va) (Callgraph.fn_index cg) with
-    | Some i ->
-        flows := (cg.Callgraph.fns.(i).Callgraph.entry, to_callee_frame st.Lint.delta st) :: !flows
-    | None -> ()
-  in
   let call va _insn st =
-    record_flow va st;
-    match Option.bind (target_of va) lookup with
-    | Some s -> apply_summary s st
-    | None -> false
+    match callee cg fn va with Some i -> apply_summary summaries.(i) st | None -> false
   in
-  let indirect_resolved va = Callgraph.hints cg va <> [] in
+  let flows = ref [] and exit = ref None in
+  let visit va insn (st : Lint.state) =
+    match insn with
+    | Insn.Ret | Insn.Reta _ ->
+        exit := Some (match !exit with None -> Lint.copy st | Some e -> Lint.join_state e st)
+    | Insn.Bl _ | Insn.Blr _ | Insn.Blra _ | Insn.B _ | Insn.Br _ | Insn.Bra _ -> (
+        match callee cg fn va with
+        | Some i ->
+            flows :=
+              (cg.Callgraph.fns.(i).Callgraph.entry, to_callee_frame st.Lint.delta st)
+              :: !flows
+        | None -> ())
+    | _ -> ()
+  in
   let hints va =
     (* keep only hints that land inside this function: cross-function
        targets are call/tail edges, not CFG edges *)
@@ -148,92 +145,13 @@ let analyze_fn ~policy ~cg ~summaries ~collect fidx entry_st =
         && Int64.compare t (fst cg.Callgraph.code.(fn.Callgraph.hi - 1)) <= 0)
       (Callgraph.hints cg va)
   in
-  let cfg = Cfg.build ~entries:[ fn.Callgraph.entry ] ~hints code in
-  let nb = Array.length cfg.Cfg.blocks in
-  let instate = Array.make nb None in
-  let quiet = { Lint.no_hooks with call; indirect_resolved } in
-  let work = Queue.create () in
-  List.iter
-    (fun e ->
-      instate.(e) <- Some (Lint.copy entry_st);
-      Queue.add e work)
-    cfg.Cfg.entries;
-  while not (Queue.is_empty work) do
-    let b = Queue.pop work in
-    match instate.(b) with
-    | None -> ()
-    | Some st0 ->
-        let st = Lint.copy st0 in
-        Array.iter (Lint.step policy quiet st) cfg.Cfg.blocks.(b).Cfg.insns;
-        List.iter
-          (fun s ->
-            let joined =
-              match instate.(s) with
-              | None -> Lint.copy st
-              | Some cur -> Lint.join_state cur st
-            in
-            match instate.(s) with
-            | Some cur when Lint.equal_state cur joined -> ()
-            | _ ->
-                instate.(s) <- Some joined;
-                Queue.add s work)
-          cfg.Cfg.blocks.(b).Cfg.succs
-  done;
-  (* Collection pass over the fixed point: exit states, caller->callee
-     flows (including tail calls), and — on the final round —
-     diagnostics and SP-modifier pairing scoped to this function. *)
-  flows := [];
-  let exit = ref None in
-  let join_exit st =
-    exit := Some (match !exit with None -> Lint.copy st | Some e -> Lint.join_state e st)
+  let cfg = Cfg.build ~entries:[ fn.Callgraph.entry ] ~hints (Callgraph.code_of cg fidx) in
+  let r_diags =
+    Lint.analyze policy cfg ~entry:entry_st ~call
+      ~indirect_resolved:(fun va -> Callgraph.hints cg va <> [])
+      ~visit
   in
-  let diags = ref [] in
-  let signs = ref [] and auths = ref [] in
-  let hooks =
-    {
-      Lint.emit = (fun d -> if collect then diags := d :: !diags);
-      sign_site = (fun va insn d -> signs := (va, insn, d) :: !signs);
-      auth_site = (fun va insn d -> auths := (va, insn, d) :: !auths);
-      call;
-      indirect_resolved;
-    }
-  in
-  Array.iteri
-    (fun b blk ->
-      match instate.(b) with
-      | Some st0 ->
-          let st = Lint.copy st0 in
-          Array.iter
-            (fun (va, insn) ->
-              (match insn with
-              | Insn.Ret | Insn.Reta _ -> join_exit st
-              | Insn.Br _ | Insn.Bra _ | Insn.B _ -> (
-                  (* resolved tail call: state flows to the target *)
-                  match target_of va with Some _ -> record_flow va st | None -> ())
-              | _ -> ());
-              Lint.step policy hooks st (va, insn))
-            blk.Cfg.insns
-      | None ->
-          if collect then
-            Array.iter
-              (fun (va, insn) ->
-                match Lint.key_access ~allowed:policy.Lint.allowed_key_writer va insn with
-                | Some d -> diags := d :: !diags
-                | None -> ())
-              blk.Cfg.insns)
-    cfg.Cfg.blocks;
-  if collect && policy.Lint.sp_modifier then begin
-    let sign_deltas = List.filter_map (fun (_, _, d) -> d) !signs in
-    if !signs <> [] && List.length sign_deltas = List.length !signs then
-      List.iter
-        (fun (va, insn, d) ->
-          match d with
-          | Some d when not (List.mem d sign_deltas) ->
-              diags := { Diag.va; insn; kind = Diag.Modifier_sp_mismatch d } :: !diags
-          | _ -> ())
-        !auths
-  end;
-  { r_exit = !exit; r_flows = !flows; r_diags = !diags }
+  { r_exit = !exit; r_flows = !flows; r_diags }
 
 (* ----- whole-image driver ----- *)
 
@@ -265,12 +183,12 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
       cg.Callgraph.fns
   in
   let rounds = ref 0 in
-  let run_round ~collect =
+  let run_round () =
     incr rounds;
     par.Lint.pmap ~jobs:nf (fun i ->
         match entry_in.(i) with
         | None -> None
-        | Some st -> Some (analyze_fn ~policy ~cg ~summaries ~collect i st))
+        | Some st -> Some (analyze_fn ~policy ~cg ~summaries i st))
   in
   let merge results =
     let changed = ref false in
@@ -280,12 +198,7 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
         match res with
         | None -> ()
         | Some r ->
-            let writes =
-              compute_writes cg
-                (fun va ->
-                  Option.map (fun j -> summaries.(j)) (Callgraph.fn_index cg va))
-                i
-            in
+            let writes = compute_writes cg summaries i in
             let sp_net =
               Option.bind r.r_exit (fun (e : Lint.state) -> e.Lint.delta)
             in
@@ -330,10 +243,12 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
   in
   let rec iterate () =
     if !rounds >= max_rounds then ()
-    else if merge (run_round ~collect:false) then iterate ()
+    else if merge (run_round ()) then iterate ()
   in
   iterate ();
-  let final = run_round ~collect:true in
+  (* the diagnostics come from one more round over the settled
+     summaries *)
+  let final = run_round () in
   ignore (merge final);
   let diags = ref [] in
   Array.iter

@@ -304,6 +304,41 @@ let test_state_slots () =
       Alcotest.(check int64) (what "XZR reads 0") 0L (Cpu.reg cpu Insn.XZR))
     Cpu.all_tiers
 
+(* ----- a step hook allocates nothing of its own ----- *)
+
+(* Minor words per retired instruction of a 20,000-iteration ALU loop on
+   the icache tier, after a warm-up run that fills the icache. The step
+   path boxes the PC once per instruction for the icache lookup; a hook
+   that lets every instruction run must reuse that box, not add its
+   own. The margin (a hundredth of a word) covers the per-call set-up,
+   not a box per instruction. *)
+let test_hook_allocation () =
+  let words_per_insn hooked =
+    let cpu = Env.fresh_cpu ~tier:Cpu.Icache () in
+    let prog = Asm.create () in
+    Asm.add_function prog ~name:"spin"
+      [
+        Asm.ins (Insn.Movz (Insn.R 1, 20_000, 0));
+        Asm.label "loop";
+        Asm.ins (Insn.Add_reg (Insn.R 0, Insn.R 0, Insn.R 1));
+        Asm.ins (Insn.Sub_imm (Insn.R 1, Insn.R 1, 1));
+        Asm.cbnz_to (Insn.R 1) "loop";
+        Asm.ins Insn.Ret;
+      ];
+    let layout = load_program cpu prog in
+    if hooked then Cpu.set_step_hook cpu (Some (fun _ ~pc:_ _ -> Cpu.Exec));
+    Env.expect_return cpu layout "spin";
+    let insns0 = Cpu.insns_retired cpu in
+    let words0 = Gc.minor_words () in
+    Env.expect_return cpu layout "spin";
+    let words = Gc.minor_words () -. words0 in
+    words /. Int64.to_float (Int64.sub (Cpu.insns_retired cpu) insns0)
+  in
+  let plain = words_per_insn false and hooked = words_per_insn true in
+  if hooked > plain +. 0.01 then
+    Alcotest.failf "hooked core: %.2f minor words per instruction, unhooked %.2f" hooked
+      plain
+
 let suite =
   [
     Alcotest.test_case "arithmetic loop" `Quick test_arith_loop;
@@ -319,4 +354,6 @@ let suite =
     Alcotest.test_case "restore gives back the written sysregs" `Quick
       test_restore_written_sysregs;
     Alcotest.test_case "every state slot is its own" `Quick test_state_slots;
+    Alcotest.test_case "a step hook allocates nothing per instruction" `Quick
+      test_hook_allocation;
   ]

@@ -612,6 +612,76 @@ let prop_scan_matches_reference =
       let want = List.filter_map (fun (va, i) -> reference_check ~allowed va i) stream in
       got = want)
 
+(* ----- the summaries of every kernel image, pinned ----- *)
+
+(* MD5 of [Summary.summaries_to_json] for each configuration's kernel
+   image: entry and exit provenance, may-write sets, SP displacement and
+   the round count per function. A change to the dataflow driver that
+   moves any summary byte fails here; a deliberate analyzer change
+   re-pins these digests. *)
+let summary_digests =
+  [
+    ("full", "55fcc505c6d16d5ac0a24342b97bffaf");
+    ("backward", "1cb766eb68b8d1b28bd7d2eb43dfd93b");
+    ("compat", "bb81b6bfa313f02d0ef33ab1e5a88458");
+    ("none", "05f9fcb871b47b43662f3c3a5764bae2");
+    ("sp-only", "511cdb9ea26d7a4a1b28868c50b15007");
+    ("parts", "0efe04b1085e189e6be8de8fccd9c75d");
+    ("chained", "319617e3b0ba5e59e7f434d113c8497f");
+  ]
+
+let test_summary_digests () =
+  List.iter
+    (fun (name, config) ->
+      let r = K.Kbuild.lint_report config in
+      Alcotest.(check string)
+        (Printf.sprintf "%s image summaries" name)
+        (List.assoc name summary_digests)
+        (Digest.to_hex
+           (Digest.string (Paclint.Summary.summaries_to_json r.K.Kbuild.summary))))
+    C.Config.named
+
+(* ----- SP-modifier pairing is judged per entry ----- *)
+
+(* Function [b] signs LR 16 bytes below its entry SP and authenticates
+   it at the entry SP: a mismatch whatever sits beside it. A function
+   listed before it that signs at depth 0, or under a modifier of
+   unknown depth, must neither excuse nor silence the finding. *)
+let test_sp_pairing_per_entry () =
+  let b =
+    [
+      Insn.Sub_imm (Insn.SP, Insn.SP, 16);
+      Insn.Mov (x 9, Insn.SP);
+      Insn.Pac (Sysreg.IB, Insn.lr, x 9);
+      Insn.Add_imm (Insn.SP, Insn.SP, 16);
+      Insn.Mov (x 9, Insn.SP);
+      Insn.Aut (Sysreg.IB, Insn.lr, x 9);
+      Insn.Ret;
+    ]
+  in
+  let mismatches a =
+    let entries = [ base; Int64.add base (Int64.of_int (4 * List.length a)) ] in
+    List.filter_map
+      (fun d ->
+        match d.D.kind with D.Modifier_sp_mismatch delta -> Some delta | _ -> None)
+      (L.lint_insns ~policy:strict_policy ~entries (listing (a @ b)))
+  in
+  let at_depth_0 =
+    [
+      Insn.Mov (x 9, Insn.SP);
+      Insn.Pac (Sysreg.IB, Insn.lr, x 9);
+      Insn.Mov (x 9, Insn.SP);
+      Insn.Aut (Sysreg.IB, Insn.lr, x 9);
+      Insn.Ret;
+    ]
+  in
+  let unknown_depth =
+    [ Insn.Ldr (x 9, Insn.Off (x 0, 0)); Insn.Pac (Sysreg.IB, Insn.lr, x 9); Insn.Ret ]
+  in
+  Alcotest.(check (list int)) "alone" [ 0 ] (mismatches []);
+  Alcotest.(check (list int)) "beside a depth-0 signer" [ 0 ] (mismatches at_depth_0);
+  Alcotest.(check (list int)) "beside an unknown modifier" [ 0 ] (mismatches unknown_depth)
+
 let suite =
   [
     Alcotest.test_case "wrapped functions clean (mode x scheme)" `Quick test_wrapped_clean;
@@ -629,4 +699,6 @@ let suite =
     Alcotest.test_case "census vs live replay (both ways)" `Quick test_census_cross_validation;
     QCheck_alcotest.to_alcotest prop_interprocedural_matches_inlined;
     QCheck_alcotest.to_alcotest prop_scan_matches_reference;
+    Alcotest.test_case "kernel image summaries pinned" `Quick test_summary_digests;
+    Alcotest.test_case "SP pairing judged per entry" `Quick test_sp_pairing_per_entry;
   ]
