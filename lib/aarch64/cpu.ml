@@ -890,29 +890,32 @@ let[@inline] step_insn t ~observed =
      access both see the exact PC;
    - every link retires first and runs its op second, like
      [step_insn], so a faulting instruction is still retired and
-     charged;
-   - blocks are cut at branches (compiled as terminators), PAC/AUT
-     boundaries and exception-raising instructions, so every chained
-     instruction has a statically known cost and can never change EL;
+     charged, and an MRS of a cycle or instruction counter reads the
+     totals the step path would;
+   - blocks end at branches (compiled as terminators) and before the
+     instructions in [is_cut], so no chained instruction changes EL or
+     flushes the caches; a chained instruction's cost is a constant,
+     except the PAC family's, which its link reads when it runs;
    - the driver re-checks [bk_live] after stores: a store that lands in
      the block's own code pages (the Bloom-screened [Mem] hook) kills
      the block mid-flight and the remaining links are abandoned,
      exactly as the interpreter would re-fetch the patched word. *)
 
-(* Instructions that end a block *before* themselves: dynamic cost
-   (PAC family), EL/sysreg traffic, or a raise. They execute via the
-   single-step path. *)
+(* Instructions that end a block *before* themselves and execute via
+   the single-step path: the exception instructions, which change EL
+   or end the run, and an MSR whose write flushes the caches, the
+   running block among them. PAC, AUT, MRS and the other MSRs chain:
+   their ops read keys, SCTLR and system registers when they run. *)
 let is_cut = function
-  | Insn.Pac _ | Insn.Aut _ | Insn.Pac1716 _ | Insn.Aut1716 _ | Insn.Xpac _
-  | Insn.Pacga _ | Insn.Blra _ | Insn.Bra _ | Insn.Reta _ | Insn.Mrs _
-  | Insn.Msr _ | Insn.Svc _ | Insn.Eret | Insn.Brk _ | Insn.Hlt _ ->
-      true
+  | Insn.Svc _ | Insn.Eret | Insn.Brk _ | Insn.Hlt _ -> true
+  | Insn.Msr (sr, _) -> flushes_on_write sr
   | _ -> false
 
-(* Branches compile (as a block's last op) and seed chaining. *)
+(* Branches, the authenticated ones included, compile (as a block's
+   last op) and seed chaining. *)
 let is_terminator = function
   | Insn.B _ | Insn.Bl _ | Insn.Br _ | Insn.Blr _ | Insn.Ret | Insn.Cbz _
-  | Insn.Cbnz _ | Insn.Bcond _ ->
+  | Insn.Cbnz _ | Insn.Bcond _ | Insn.Blra _ | Insn.Bra _ | Insn.Reta _ ->
       true
   | _ -> false
 
@@ -936,18 +939,26 @@ let block_end () = ()
 let[@inline] block_alive self =
   match !self with Some b -> b.Traces.bk_live | None -> true
 
-(* One block link: retire at the cost bound when the block was built
-   (constant for every chained class — the dynamic-cost instructions
-   are all in [is_cut]), run the line op, continue. *)
+(* One block link: retire, run the line op, continue. The cost is
+   bound when the block is built, except for the PAC family: an SCTLR
+   enable bit prices it, and [restore] puts back a captured SCTLR
+   without flushing, so its link reads the cost when it runs. *)
 let link t insn (op : op) ~self k =
-  let cost = cost_of t insn in
   match insn with
   | Insn.Str _ | Insn.Strb _ | Insn.Stp _ ->
+      let cost = cost_of t insn in
       fun () ->
         retire t insn cost;
         op t;
         if block_alive self then k ()
+  | Insn.Pac _ | Insn.Aut _ | Insn.Pac1716 _ | Insn.Aut1716 _ | Insn.Blra _
+  | Insn.Bra _ | Insn.Reta _ ->
+      fun () ->
+        retire t insn (cost_of t insn);
+        op t;
+        k ()
   | _ ->
+      let cost = cost_of t insn in
       fun () ->
         retire t insn cost;
         op t;
@@ -972,10 +983,11 @@ let max_block_len = 256
      PC already set from the real LR — when it does not. The walk then
      continues at the predicted return site, so a call-heavy loop body
      becomes one block instead of three;
-   Conditional and indirect branches still terminate the block (an
-   unrolling variant that followed predicted conditional edges measured
-   {e slower}: the unrolled copies defeat the cache residency of a
-   short block's closures re-run every iteration). The physical frames
+   Conditional and indirect branches, authenticated ones included,
+   still terminate the block (an unrolling variant that followed
+   predicted conditional edges measured {e slower}: the unrolled copies
+   defeat the cache residency of a short block's closures re-run every
+   iteration). The physical frames
    the code was fetched from (callee pages included) become the block's
    store-invalidation key set. An entry whose first instruction is
    already a cut point is blacklisted so its hotness counter never
@@ -1126,8 +1138,8 @@ let block_loop t tr max_insns =
   and step_once budget =
     (* cold or cut code: one [step_insn]. The next PC is a
        compilation candidate when control transferred or when we
-       just crossed a cut instruction (so the region after a PAC/
-       AUT boundary still becomes a block). The 63-bit compare is
+       just crossed a cut instruction (so the region after a
+       flushing MSR still becomes a block). The 63-bit compare is
        exact enough: the flag only decides where blocks are looked
        up, never what executes. *)
     let before = Int64.to_int (pc t) in
@@ -1194,10 +1206,11 @@ let fold_sysregs t f acc =
    of the state array plus the written mask, so a register first
    written after the capture reads 0 and leaves [fold_sysregs] again.
    The blit bypasses [set_sysreg], so restoring the MMU-control
-   registers flushes nothing: ops read sysregs only at run time, the
-   costs a block binds depend on none (MRS, MSR and the PAC family are
-   trace cuts), and {!Machine.restore} relies on the [Mem] and
-   generation channels for the rest. *)
+   registers flushes nothing: ops read sysregs only at run time, a
+   block binds no cost that depends on one (the PAC family's links,
+   whose cost an SCTLR enable bit sets, read it when they run), and
+   {!Machine.restore} relies on the [Mem] and generation channels for
+   the rest. *)
 type captured = {
   c_st : words;
   c_written : int;

@@ -28,12 +28,13 @@
 type 'code t
 
 (** A compiled superblock: straight-line code starting at [bk_entry],
-    cut at PAC/AUT boundaries and exception-raising instructions (the
-    compiler may walk through unconditional direct branches, so a block
-    can span calls). Blocks die in place ([bk_live] turns false) rather
-    than being removed, so a driver mid-block can observe invalidation
-    after every instruction — the self-patching-store-inside-an-active-
-    superblock case.
+    ending at a branch or before an exception instruction or an MSR
+    whose write flushes this cache (the compiler may walk through
+    unconditional direct branches, so a block can span calls). PAC,
+    AUT, MRS and the other MSRs run inside blocks. Blocks die in place
+    ([bk_live] turns false) rather than being removed, so a driver
+    mid-block can observe invalidation after every instruction — the
+    self-patching-store-inside-an-active-superblock case.
 
     The record is exposed so the dispatch loop reads [bk_live],
     [bk_next] and the entry guards as direct field loads (they sit on

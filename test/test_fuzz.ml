@@ -150,9 +150,10 @@ let prop_no_benign_panic =
    compiler could introduce — wrong retirement count, stale code after
    a self-patch, a mis-costed instruction — fails the property.
 
-   System-register and PAuth items cover every path a trace block may
-   one day absorb: MSR/MRS round trips to a key half, TPIDR_EL1 and
-   CONTEXTIDR_EL1; MRS of the cycle, instruction and virtual counters;
+   System-register and PAuth items cover what trace blocks chain and
+   what still ends one: MSR/MRS round trips to a key half, TPIDR_EL1,
+   CONTEXTIDR_EL1, the TTBRs and the exception registers; MRS of the
+   cycle, instruction and virtual counters;
    an SCTLR enable-bit flip (MRS, EOR, MSR); XPAC of a pointer signed
    under an instruction or a data key (the model's one XPAC form is
    XPACI and XPACD); the PAC/AUT 1716 pair; and BRAA and BLRAA to a
@@ -233,9 +234,15 @@ let gen_arith =
       ])
 
 (* The system registers a round trip draws besides the key halves.
-   The TTBRs stay out because writing one remaps. *)
+   [Mmu] never reads a TTBR, so writing one remaps nothing; like a
+   CONTEXTIDR_EL1 write it only flushes the icache and the trace
+   cache, and is one of the MSRs that still end a block. *)
 let plain_sysregs =
-  Sysreg.[ TPIDR_EL1; CONTEXTIDR_EL1; VBAR_EL1; ELR_EL1; SPSR_EL1; ESR_EL1; FAR_EL1 ]
+  Sysreg.
+    [
+      TPIDR_EL1; CONTEXTIDR_EL1; TTBR0_EL1; TTBR1_EL1; VBAR_EL1; ELR_EL1; SPSR_EL1;
+      ESR_EL1; FAR_EL1;
+    ]
 
 let gen_fitem =
   QCheck2.Gen.(

@@ -93,9 +93,9 @@ let test_diff_hot_loop () =
 
 (* ---------- differential: call-heavy instrumented workload ---------- *)
 
-let run_calls config ~tier =
+let run_calls ~calls config ~tier =
   let cpu = Bare.machine ~seed:9L ~tier () in
-  let obj = Workloads.Calls.calls_object config ~calls:400 in
+  let obj = Workloads.Calls.calls_object config ~calls in
   let prog = Asm.create () in
   List.iter
     (fun (name, items) -> Asm.add_function prog ~name items)
@@ -109,10 +109,10 @@ let run_calls config ~tier =
 let test_diff_call_workload () =
   List.iter
     (fun config ->
-      let base = fingerprint (run_calls config ~tier:Cpu.Interp) in
+      let base = fingerprint (run_calls ~calls:400 config ~tier:Cpu.Interp) in
       List.iter
         (fun tier ->
-          let cpu = run_calls config ~tier in
+          let cpu = run_calls ~calls:400 config ~tier in
           Alcotest.(check string)
             (C.Config.name config ^ ": " ^ Cpu.tier_name tier ^ " = interp")
             base (fingerprint cpu);
@@ -599,6 +599,124 @@ let test_hook_moves_generation () =
       Alcotest.(check string) (Cpu.tier_name tier ^ " state = interp state") base (run tier))
     all_tiers
 
+(* ---------- PAC links read their cost when they run ---------- *)
+
+(* A hot loop signs and authenticates under IA, so its block chains a
+   PAC and an AUT link. The core is captured with SCTLR's EnIA clear,
+   and the bit is set again before the loop runs hot and compiles.
+   Restoring the capture writes the clear bit back without a flush, so
+   the rerun dispatches the block compiled under PAuth enabled while
+   IA is disabled: its PAC and AUT must cost an ALU op, as on interp.
+   A link that bound the enabled cost when the block was built charges
+   the rerun 2 * 63 * (pauth - alu) cycles too many. *)
+let pac_loop_prog () =
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"pacloop"
+    (mov_abs (Insn.R 10) Bare.data_base
+    @ [
+        Asm.ins (Insn.Movz (Insn.R 11, 64, 0));
+        Asm.ins (Insn.Movz (Insn.R 1, 0, 0));
+        Asm.label "loop";
+        Asm.ins (Insn.Mov (Insn.R 12, Insn.R 10));
+        Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 12, Insn.R 11));
+        Asm.ins (Insn.Eor_reg (Insn.R 1, Insn.R 1, Insn.R 12));
+        Asm.ins (Insn.Aut (Sysreg.IA, Insn.R 12, Insn.R 11));
+        Asm.ins (Insn.Add_reg (Insn.R 1, Insn.R 1, Insn.R 12));
+        Asm.ins (Insn.Sub_imm (Insn.R 11, Insn.R 11, 1));
+        Asm.cbnz_to (Insn.R 11) "loop";
+        Asm.ins (Insn.Mov (Insn.R 0, Insn.R 1));
+        Asm.ins Insn.Ret;
+      ]);
+  prog
+
+let test_pac_cost_after_restore () =
+  let run tier =
+    let cpu = Bare.machine ~seed:6L ~tier () in
+    let layout = Bare.load cpu (pac_loop_prog ()) in
+    let sctlr = Cpu.sysreg cpu Sysreg.SCTLR_EL1 in
+    let enia = Int64.shift_left 1L (Sysreg.sctlr_enable_bit Sysreg.IA) in
+    Cpu.set_sysreg cpu Sysreg.SCTLR_EL1 (Int64.logand sctlr (Int64.lognot enia));
+    let disabled = Cpu.capture cpu in
+    Cpu.set_sysreg cpu Sysreg.SCTLR_EL1 sctlr;
+    let call () =
+      match Bare.call cpu layout "pacloop" with
+      | Cpu.Sentinel_return -> Cpu.reg cpu (Insn.R 0)
+      | s -> Alcotest.failf "pacloop stopped: %s" (Cpu.stop_to_string s)
+    in
+    let signed = call () in
+    Cpu.restore cpu disabled;
+    let blocks_before = Option.map (fun s -> s.Traces.block_insns) (Cpu.trace_stats cpu) in
+    let plain = call () in
+    Alcotest.(check bool)
+      (Cpu.tier_name tier ^ ": the restored SCTLR disables IA")
+      true
+      (not (Int64.equal signed plain));
+    (match (blocks_before, Cpu.trace_stats cpu) with
+    | Some b0, Some s ->
+        (* 63 trips of the 7-insn loop body, the first one stepped *)
+        Alcotest.(check bool) "the rerun ran the PAC block compiled before the restore"
+          true
+          (s.Traces.block_insns - b0 >= 63 * 7)
+    | _ -> ());
+    fingerprint ~probe:[ Bare.data_base ] cpu
+  in
+  let base = run Cpu.Interp in
+  List.iter
+    (fun tier ->
+      Alcotest.(check string)
+        (Cpu.tier_name tier ^ " state, cycles and retired = interp")
+        base (run tier))
+    all_tiers
+
+(* ---------- the paper's kernel path runs inside blocks ---------- *)
+
+(* A warm getpid under full Camouflage is the XOM key setter's
+   MOVZ/MOVK/MSR stream, the handler's signed frame and the user-key
+   restore; a warm timer_set adds an MRS of the virtual counter. Every
+   instruction of either must retire inside compiled blocks. Cutting
+   blocks again at PAC/AUT, at MRS or at a key-register MSR sends part
+   of them back to the single-step path. The E2 probe under
+   backward-edge Camouflage signs and authenticates on every call, and
+   must run 99% of its instructions in blocks (the rest is the cold
+   first trips). Warming takes 128 calls: the step path looks up no
+   block after a conditional branch that falls through, so each of
+   timer_set's four bounds checks delays the code after it by the 16
+   calls that make its own block hot. *)
+let test_kernel_path_in_blocks () =
+  let sys = K.System.boot ~config:C.Config.full ~seed:42L ~tier:Cpu.Traces () in
+  let cpu = K.System.cpu sys in
+  let warm_calls name ~nr ~args =
+    let call () =
+      match K.System.syscall sys ~nr ~args with
+      | K.System.Ok _ -> ()
+      | K.System.Killed m | K.System.Panicked m -> Alcotest.failf "%s: %s" name m
+    in
+    for _ = 1 to 128 do
+      call ()
+    done;
+    let r0 = Cpu.insns_retired cpu and b0 = (tstats cpu).Traces.block_insns in
+    for _ = 1 to 8 do
+      call ()
+    done;
+    let retired = Int64.to_int (Int64.sub (Cpu.insns_retired cpu) r0) in
+    Alcotest.(check int)
+      ("warm " ^ name ^ ": every instruction retired inside a block")
+      retired
+      ((tstats cpu).Traces.block_insns - b0);
+    retired
+  in
+  Alcotest.(check int) "warm getpid: 8 calls of 69 instructions" (8 * 69)
+    (warm_calls "getpid" ~nr:K.Kbuild.sys_getpid ~args:[]);
+  Alcotest.(check bool) "warm timer_set ran" true
+    (warm_calls "timer_set" ~nr:K.Kbuild.sys_timer_set ~args:[ 0L; 1000L; 0L ] > 0);
+  let cpu = run_calls ~calls:2000 C.Config.backward_only ~tier:Cpu.Traces in
+  let share =
+    float_of_int (tstats cpu).Traces.block_insns /. Int64.to_float (Cpu.insns_retired cpu)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "E2 backward-edge probe: %.4f of instructions in blocks >= 0.99" share)
+    true (share >= 0.99)
+
 let suite =
   [
     Alcotest.test_case "differential: hot loop across tiers" `Quick
@@ -626,4 +744,8 @@ let suite =
       (test_bit63_alias (Insn.Str (Insn.R 11, Insn.Off (Insn.R 0, 0))) "write");
     Alcotest.test_case "step hook moving the MMU generation: fresh op" `Quick
       test_hook_moves_generation;
+    Alcotest.test_case "PAC links read their cost after a restore clears SCTLR" `Quick
+      test_pac_cost_after_restore;
+    Alcotest.test_case "the warm full kernel path retires inside blocks" `Quick
+      test_kernel_path_in_blocks;
   ]
