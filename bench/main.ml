@@ -954,13 +954,7 @@ let sim () =
   row
     "\nacceptance floor (baseline): icache >= 3x interp (got %.2fx), traces \
      >= 2x icache (got %.2fx); traces over interp: %.2fx\n"
-    icache_speedup traces_icache traces_interp;
-  metric ~experiment:"sim" ~name:"icache-speedup" ~value:icache_speedup
-    ~unit_:"ratio";
-  metric ~experiment:"sim" ~name:"traces-speedup-over-interp"
-    ~value:traces_interp ~unit_:"ratio";
-  metric ~experiment:"sim" ~name:"traces-speedup-over-icache"
-    ~value:traces_icache ~unit_:"ratio"
+    icache_speedup traces_icache traces_interp
 
 let experiments =
   [

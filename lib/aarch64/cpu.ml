@@ -53,17 +53,18 @@ type t = {
   flags : flags;
   mem : Mem.t;
   mmu : Mmu.t;
-  (* decoded-instruction cache + micro-TLB over (mem, mmu); possibly
-     shared with sibling cores. Its lines hold this module's ops, which
-     take the core as an argument. Purely host-speed: never
-     guest-visible. *)
+  (* decoded-instruction cache over (mem, mmu), possibly shared with
+     sibling cores, and the one owner of code-cache coherence. Its lines
+     hold this module's ops, which take the core as an argument. Purely
+     host-speed: never guest-visible. *)
   icache : op Icache.t;
   (* requested execution tier; fixed at creation *)
   tier : tier;
   (* superblock trace cache, present iff [tier = Traces]. Per-core,
-     unlike the shared icache: a block's chain captures this core.
-     Invalidation still crosses cores because every trace cache hooks
-     the one shared [Mem]. *)
+     unlike the shared icache: a block's chain captures this core. Its
+     [flush] is one of the icache's stale hooks, so a store to code,
+     a moved MMU generation or a flushing MSR on any core kills every
+     core's blocks. *)
   traces : (unit -> unit) Traces.t option;
   cipher : Qarma.Block.t;
   cost : Cost.profile;
@@ -206,9 +207,8 @@ let sysreg t sr =
    kernel entry. *)
 let flushes_on_write sr = Sysreg.is_mmu_control sr || sr = Sysreg.CONTEXTIDR_EL1
 
-let flush_caches t =
-  Icache.flush t.icache;
-  match t.traces with Some tr -> Traces.flush tr | None -> ()
+(* The icache's stale hooks flush every trace cache built from it. *)
+let flush_caches t = Icache.flush t.icache
 
 let set_sysreg t sr v =
   A.unsafe_set t.st (sysreg_slot sr) v;
@@ -390,24 +390,24 @@ let[@inline] count_walk t =
    sees the instruction's own address, and [Icache.Translate_fault]
    propagates to the run loop, which turns it into a [Stop]. *)
 
-(* Addressing modes: writeback happens before the access. *)
-let op_addr el m =
-  match m with
-  | Insn.Off (base, off) ->
-      let b = read_slot el base and o = Int64.of_int off in
-      fun t -> Int64.add (A.unsafe_get t.st b) o
+(* Every addressing mode is one formula over four compile-time
+   bindings: the base slot [b], the write-back slot [w], the offset
+   [pre] added for the access and the offset [wb] added for the
+   write-back. [Off] writes back to XZR's sink slot, which nothing
+   reads, so all three modes run the same code, and an op computes its
+   address with no closure call and no box. Write-back happens before
+   the access. *)
+let addr_mode el = function
+  | Insn.Off (base, off) -> (read_slot el base, sink_slot, Int64.of_int off, 0L)
   | Insn.Pre (base, off) ->
-      let b = read_slot el base and w = write_slot el base and o = Int64.of_int off in
-      fun t ->
-        let a = Int64.add (A.unsafe_get t.st b) o in
-        A.unsafe_set t.st w a;
-        a
-  | Insn.Post (base, off) ->
-      let b = read_slot el base and w = write_slot el base and o = Int64.of_int off in
-      fun t ->
-        let a = A.unsafe_get t.st b in
-        A.unsafe_set t.st w (Int64.add a o);
-        a
+      let o = Int64.of_int off in
+      (read_slot el base, write_slot el base, o, o)
+  | Insn.Post (base, off) -> (read_slot el base, write_slot el base, 0L, Int64.of_int off)
+
+let[@inline] op_addr t b w pre wb =
+  let v = A.unsafe_get t.st b in
+  A.unsafe_set t.st w (Int64.add v wb);
+  Int64.add v pre
 
 (* Per-op single-entry data TLB for memory ops: the frame bytes backing
    the last page the op touched, so the steady state is an int compare
@@ -563,9 +563,9 @@ let rec op_of insn ~el ~next : op =
         A.unsafe_set t.st d target;
         set_pc t next
   | Insn.Ldr (rd, m) ->
-      let addr = op_addr el m and d = dst rd and c = fresh_page_cache () in
+      let b, w, pre, wb = addr_mode el m and d = dst rd and c = fresh_page_cache () in
       fun t ->
-        let a = addr t in
+        let a = op_addr t b w pre wb in
         count_walk t;
         let off = Int64.to_int a land 0xfff in
         A.unsafe_set t.st d
@@ -573,9 +573,9 @@ let rec op_of insn ~el ~next : op =
            else Mem.read64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a));
         set_pc t next
   | Insn.Str (rs, m) ->
-      let addr = op_addr el m and s = src rs and c = fresh_page_cache () in
+      let b, w, pre, wb = addr_mode el m and s = src rs and c = fresh_page_cache () in
       fun t ->
-        let a = addr t in
+        let a = op_addr t b w pre wb in
         count_walk t;
         let off = Int64.to_int a land 0xfff and v = A.unsafe_get t.st s in
         if cached t el Mmu.Write c a && off <= 4088 then begin
@@ -585,9 +585,9 @@ let rec op_of insn ~el ~next : op =
         else Mem.write64 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a) v;
         set_pc t next
   | Insn.Ldrb (rd, m) ->
-      let addr = op_addr el m and d = dst rd and c = fresh_page_cache () in
+      let b, w, pre, wb = addr_mode el m and d = dst rd and c = fresh_page_cache () in
       fun t ->
-        let a = addr t in
+        let a = op_addr t b w pre wb in
         count_walk t;
         A.unsafe_set t.st d
           (Int64.of_int
@@ -596,9 +596,9 @@ let rec op_of insn ~el ~next : op =
               else Mem.read8 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Read a)));
         set_pc t next
   | Insn.Strb (rs, m) ->
-      let addr = op_addr el m and s = src rs and c = fresh_page_cache () in
+      let b, w, pre, wb = addr_mode el m and s = src rs and c = fresh_page_cache () in
       fun t ->
-        let a = addr t in
+        let a = op_addr t b w pre wb in
         count_walk t;
         let byte = Int64.to_int (Int64.logand (A.unsafe_get t.st s) 0xffL) in
         if cached t el Mmu.Write c a then begin
@@ -608,10 +608,10 @@ let rec op_of insn ~el ~next : op =
         else Mem.write8 t.mem (Icache.translate_exn t.icache ~el ~access:Mmu.Write a) byte;
         set_pc t next
   | Insn.Ldp (r1, r2, m) ->
-      let addr = op_addr el m and d1 = dst r1 and d2 = dst r2 in
+      let b, w, pre, wb = addr_mode el m and d1 = dst r1 and d2 = dst r2 in
       let c = fresh_page_cache () in
       fun t ->
-        let a = addr t in
+        let a = op_addr t b w pre wb in
         let off = Int64.to_int a land 0xfff and r = t.st in
         if cached t el Mmu.Read c a && off <= 4080 then begin
           count_walk t;
@@ -630,10 +630,10 @@ let rec op_of insn ~el ~next : op =
         end;
         set_pc t next
   | Insn.Stp (r1, r2, m) ->
-      let addr = op_addr el m and s1 = src r1 and s2 = src r2 in
+      let b, w, pre, wb = addr_mode el m and s1 = src r1 and s2 = src r2 in
       let c = fresh_page_cache () in
       fun t ->
-        let a = addr t in
+        let a = op_addr t b w pre wb in
         let off = Int64.to_int a land 0xfff and r = t.st in
         if cached t el Mmu.Write c a && off <= 4080 then begin
           count_walk t;
@@ -789,7 +789,15 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     | None -> Icache.create ~enabled:(tier <> Interp) ~compile:op_of ~mem ~mmu ()
   in
   let traces =
-    match tier with Traces -> Some (Traces.create ~mem ~mmu ()) | _ -> None
+    match tier with
+    | Traces ->
+        (* a disabled icache registers no frame, so it could not tell
+           the blocks of a store to their code *)
+        if not (Icache.enabled icache) then invalid_arg "Cpu.create: disabled icache";
+        let tr = Traces.create () in
+        Icache.on_stale icache (fun () -> Traces.flush tr);
+        Some tr
+    | _ -> None
   in
   {
     st = zeroed (sysreg_base + List.length Sysreg.all);
@@ -896,10 +904,11 @@ let[@inline] step_insn t ~observed =
      instructions in [is_cut], so no chained instruction changes EL or
      flushes the caches; a chained instruction's cost is a constant,
      except the PAC family's, which its link reads when it runs;
-   - the driver re-checks [bk_live] after stores: a store that lands in
-     the block's own code pages (the Bloom-screened [Mem] hook) kills
-     the block mid-flight and the remaining links are abandoned,
-     exactly as the interpreter would re-fetch the patched word. *)
+   - the driver re-checks [bk_live] after stores: a store to a frame
+     holding decoded lines runs the icache's stale hooks, which kill
+     every block, the running one included, and the remaining links are
+     abandoned, exactly as the interpreter would re-fetch the patched
+     word. *)
 
 (* Instructions that end a block *before* themselves and execute via
    the single-step path: the exception instructions, which change EL
@@ -912,7 +921,8 @@ let is_cut = function
   | _ -> false
 
 (* Branches, the authenticated ones included, compile (as a block's
-   last op) and seed chaining. *)
+   last op) and seed chaining; on the step path, the PC after one,
+   taken or not, is a block boundary. *)
 let is_terminator = function
   | Insn.B _ | Insn.Bl _ | Insn.Br _ | Insn.Blr _ | Insn.Ret | Insn.Cbz _
   | Insn.Cbnz _ | Insn.Bcond _ | Insn.Blra _ | Insn.Bra _ | Insn.Reta _ ->
@@ -929,8 +939,8 @@ let is_terminator = function
    [insns_retired] delta. [block_end] terminates every chain. *)
 let block_end () = ()
 
-(* Only stores can flip [bk_live] mid-block (the [Mem] write hook:
-   self-modifying code, or data sharing a frame with block code);
+(* Only stores can flip [bk_live] mid-block (the icache's stale hooks:
+   self-modifying code, or data sharing a frame with decoded code);
    everything else that invalidates — MSR flush matrix, MMU generation,
    slot eviction — runs at block boundaries. So stores re-check
    liveness before tail-calling the rest of the chain, and other links
@@ -987,11 +997,11 @@ let max_block_len = 256
    still terminate the block (an unrolling variant that followed
    predicted conditional edges measured {e slower}: the unrolled copies
    defeat the cache residency of a short block's closures re-run every
-   iteration). The physical frames
-   the code was fetched from (callee pages included) become the block's
-   store-invalidation key set. An entry whose first instruction is
-   already a cut point is blacklisted so its hotness counter never
-   fires again. *)
+   iteration). Every instruction comes from an icache line, so the
+   icache registered every frame the block was built from (callee
+   pages included), and a store to any of them flushes the block. An
+   entry whose first instruction is already a cut point is blacklisted
+   so its hotness counter never fires again. *)
 let compile_block t tr =
   let el = t.el in
   let entry = pc t in
@@ -1002,27 +1012,19 @@ let compile_block t tr =
      last instruction) because a link captures the *next* one, which
      does not exist yet on a forward walk; the final fold threads
      [block_end] backwards through the list. *)
-  let rec walk pc rstack mks len frames =
-    if len >= max_block_len then (mks, len, frames)
+  let rec walk pc rstack mks len =
+    if len >= max_block_len then (mks, len)
     else
       match Icache.fetch t.icache ~el pc with
-      | Error _ -> (mks, len, frames)
+      | Error _ -> (mks, len)
       | Ok { Icache.insn; op } ->
-          if is_cut insn then (mks, len, frames)
+          if is_cut insn then (mks, len)
           else begin
-            let frames =
-              match Mmu.translate t.mmu ~el ~access:Mmu.Exec pc with
-              | Ok pa ->
-                  let f = Int64.to_int (Int64.shift_right_logical pa 12) in
-                  if List.mem f frames then frames else f :: frames
-              | Error _ -> frames
-            in
             let next = Int64.add pc 4L in
             match insn with
-            | Insn.B target ->
-                walk target rstack (link t insn op ~self :: mks) (len + 1) frames
+            | Insn.B target -> walk target rstack (link t insn op ~self :: mks) (len + 1)
             | Insn.Bl target ->
-                walk target (next :: rstack) (link t insn op ~self :: mks) (len + 1) frames
+                walk target (next :: rstack) (link t insn op ~self :: mks) (len + 1)
             | Insn.Ret when rstack <> [] ->
                 let expected = List.hd rstack in
                 let cost = cost_of t insn in
@@ -1036,29 +1038,29 @@ let compile_block t tr =
                   A.unsafe_set st pc_slot dest;
                   if Int64.equal dest expected then k ()
                 in
-                walk expected (List.tl rstack) (mk :: mks) (len + 1) frames
+                walk expected (List.tl rstack) (mk :: mks) (len + 1)
             | _ ->
                 let mks = link t insn op ~self :: mks in
-                if is_terminator insn then (mks, len + 1, frames)
-                else walk next rstack mks (len + 1) frames
+                if is_terminator insn then (mks, len + 1)
+                else walk next rstack mks (len + 1)
           end
   in
-  match walk entry [] [] 0 [] with
-  | [], _, _ ->
+  match walk entry [] [] 0 with
+  | [], _ ->
       Traces.blacklist tr ~el entry;
       None
-  | mks, len, frames ->
+  | mks, len ->
       let code = List.fold_left (fun k mk -> mk k) block_end mks in
-      let b = Traces.install tr ~el ~entry ~len ~frames code in
+      let b = Traces.install tr ~el ~entry ~len code in
       self := Some b;
       Some b
 
-(* Lookup-or-compile at a control-flow boundary. [sync] first: any
-   map/unmap/stage-2 flip, or a snapshot restore that refilled the
-   tables, moved the MMU generation and must flush before a stale block
-   can be found. *)
+(* Lookup-or-compile at a control-flow boundary. Sync the icache first:
+   any map/unmap/stage-2 flip, or a snapshot restore that refilled the
+   tables, moved the MMU generation, and the icache's flush must kill
+   the blocks before a stale one can be found. *)
 let find_block t tr =
-  Traces.sync tr;
+  Icache.sync t.icache;
   let pc = pc t in
   match Traces.lookup tr ~el:t.el pc with
   | Some _ as found -> found
@@ -1077,8 +1079,8 @@ let rec step_loop t ~observed budget =
 
 (* With a trace cache: hot code runs as compiled blocks, cold and cut
    code through [step_insn]. Guard checks at block entry are liveness
-   (store hooks + MSR flush matrix), the MMU generation (via
-   [find_block]'s sync), EL and exact entry PC. A completed block is
+   (the icache's stale hooks), the MMU generation (via [find_block]'s
+   icache sync), EL and exact entry PC. A completed block is
    linked to the next lookup result as its chained successor; a valid
    chain skips both the sync and the slot probe, which is sound because
    every in-run invalidation source (stores, executed MSRs) kills blocks
@@ -1106,7 +1108,7 @@ let block_loop t tr max_insns =
           when nb.Traces.bk_live
                && nb.Traces.bk_el = t.el
                && Int64.equal nb.Traces.bk_entry (pc t) ->
-            tc.Traces.c_chain_follows <- tc.Traces.c_chain_follows + 1;
+            tc.Traces.chain_follows <- tc.Traces.chain_follows + 1;
             Some nb
         | _ -> (
             match find_block t tr with
@@ -1127,8 +1129,8 @@ let block_loop t tr max_insns =
     let r0 = t.insns_retired in
     b.Traces.bk_code ();
     let ran = t.insns_retired - r0 in
-    tc.Traces.c_executed <- tc.Traces.c_executed + 1;
-    tc.Traces.c_block_insns <- tc.Traces.c_block_insns + ran;
+    tc.Traces.executed <- tc.Traces.executed + 1;
+    tc.Traces.block_insns <- tc.Traces.block_insns + ran;
     (* an aborted block left the PC just past the last retired
        instruction; re-dispatch from there without chaining. A full
        run is fine to chain through even if its last op was a guard:
@@ -1137,14 +1139,13 @@ let block_loop t tr max_insns =
     else go_boundary (budget - ran) true
   and step_once budget =
     (* cold or cut code: one [step_insn]. The next PC is a
-       compilation candidate when control transferred or when we
-       just crossed a cut instruction (so the region after a
-       flushing MSR still becomes a block). The 63-bit compare is
-       exact enough: the flag only decides where blocks are looked
-       up, never what executes. *)
-    let before = Int64.to_int (pc t) in
+       compilation candidate after every instruction that ends a
+       block, a branch whether taken or not and a cut (so the region
+       after a flushing MSR or a not-taken branch becomes a block at
+       once). The flag only decides where blocks are looked up, never
+       what executes. *)
     let insn = step_insn t ~observed:false in
-    go_boundary (budget - 1) (is_cut insn || Int64.to_int (pc t) <> before + 4)
+    go_boundary (budget - 1) (is_cut insn || is_terminator insn)
   in
   go_boundary max_insns true
 

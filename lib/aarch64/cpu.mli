@@ -80,9 +80,12 @@ val all_tiers : tier list
     it on or off is bit-identical, including cycles and telemetry.
 
     [tier] selects the execution tier (default [Icache]). A [Traces]
-    core creates a private superblock trace cache over its memory/MMU
-    pair — traces are per-core (a block's chain captures this core),
-    unlike the shared icache.
+    core creates a private superblock trace cache — traces are per-core
+    (a block's chain captures this core), unlike the shared icache —
+    and registers its flush with {!Icache.on_stale}: a store to code, a
+    moved MMU generation or a flushing MSR on any core sharing the
+    icache kills this core's blocks. Its icache must be enabled
+    ([Invalid_argument] otherwise), or no store would reach them.
 
     [trace_depth] sizes the retired-instruction ring buffer behind
     {!recent_trace} (default 32); deep call chains in oops dumps may

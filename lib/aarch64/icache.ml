@@ -1,4 +1,5 @@
-(* Decoded-instruction cache + micro-TLB for the single-step path.
+(* Decoded-instruction cache for the single-step path, and the one
+   owner of code-cache coherence.
 
    Purely a host-speed structure: nothing here is guest-visible. Cycle
    charges, telemetry counters, fault kinds and all architectural state
@@ -12,8 +13,8 @@
    decoded instruction and the op the CPU's compiler built for it at
    fill, for the entry's EL and the line's address; the cache never
    looks inside an op. Each entry also memoizes the combined two-stage
-   permission triple, so it doubles as a micro-TLB for data-side
-   translations of the same page.
+   permission triple and the frame's bytes, which the ops' page caches
+   refill from ([data_page]).
 
    Coherence has three channels:
    - a [Mem] write hook drops every entry whose decoded lines shadow
@@ -26,8 +27,15 @@
    - an explicit [flush] the CPU issues on writes to the MMU-control
      system registers (TTBR0/TTBR1/SCTLR) and CONTEXTIDR (ASID rolls).
 
+   Trace blocks are built only from this cache's lines, so every event
+   that can make a block stale passes through here first: the [on_stale]
+   hooks (each traces core's flush) run on every flush and on every
+   store to a frame that has held decoded lines since the last flush.
+   Slot eviction therefore keeps the evicted entry's frame registered —
+   a block can outlive the entry it was built from.
+
    A snapshot restore adds no flush of its own: the first two channels
-   cover everything it reverts, so the cache stays warm across fault
+   cover everything it reverts, so the caches stay warm across fault
    trials.
 
    PAuth key-register writes deliberately do NOT flush: keys affect
@@ -58,37 +66,31 @@ type 'op entry = {
 let no_frame = Bytes.create 0
 
 type stats = {
-  fetch_hits : int;
-  fetch_misses : int;
-  fills : int;
-  invalidations : int;
-  flushes : int;
-}
-
-type counters = {
-  mutable c_fetch_hits : int;
-  mutable c_fetch_misses : int;
-  mutable c_fills : int;
-  mutable c_invalidations : int;
-  mutable c_flushes : int;
+  mutable fetch_hits : int;
+  mutable fetch_misses : int;
+  mutable fills : int;
+  mutable invalidations : int;
+  mutable flushes : int;
 }
 
 type 'op t = {
   enabled : bool;
   compile : Insn.t -> el:El.t -> next:int64 -> 'op;
   slots : 'op entry option array;  (* direct-mapped on (EL, VA page) *)
-  (* frame index -> entries whose decoded lines shadow that frame;
-     only entries with allocated lines are registered here *)
+  (* frame index -> entries whose decoded lines shadow that frame. A
+     frame stays registered, possibly with no entries left, from its
+     first decoded line until a store to it or a flush. *)
   by_frame : (int, 'op entry list) Hashtbl.t;
   (* Bloom filter over the registered frame indices: a store whose
      frame bit is clear definitely shadows no decoded lines and skips
      the [by_frame] lookup. Registration sets bits; only [flush]
-     clears them (unregistration leaves stale bits — conservative). *)
+     clears them. *)
   mutable reg_mask : int;
   mutable gen : int;  (* Mmu generation observed at the last lookup *)
+  mutable stale_hooks : (unit -> unit) list;
   mem : Mem.t;
   mmu : Mmu.t;
-  c : counters;
+  c : stats;
 }
 
 type fetch_error = Fetch_fault of Mmu.fault | Fetch_undefined of int32
@@ -115,19 +117,22 @@ let slot_of ~el va_page =
 (* Golden-ratio spread of a frame index onto one of 32 filter bits. *)
 let[@inline] bloom_bit frame = 1 lsl ((frame * 0x61C8_8647) lsr 5 land 31)
 
+let run_stale_hooks t = List.iter (fun h -> h ()) t.stale_hooks
+
 let flush t =
   Array.fill t.slots 0 slot_count None;
   Hashtbl.reset t.by_frame;
   t.reg_mask <- 0;
-  t.c.c_flushes <- t.c.c_flushes + 1
+  t.c.flushes <- t.c.flushes + 1;
+  run_stale_hooks t
 
-(* Drop one entry: clear its slot (unless already evicted) and its
-   frame registration. Called from the store hook. *)
+(* Drop one entry: clear its slot (unless already evicted). Called from
+   the store hook. *)
 let drop t e =
   (match t.slots.(e.e_slot) with
   | Some e' when e' == e -> t.slots.(e.e_slot) <- None
   | _ -> ());
-  t.c.c_invalidations <- t.c.c_invalidations + 1
+  t.c.invalidations <- t.c.invalidations + 1
 
 (* Runs on every store; almost always a miss, so the Bloom filter
    screens out frames that never held decoded lines before paying the
@@ -137,7 +142,8 @@ let on_store t frame =
     match Hashtbl.find t.by_frame frame with
     | entries ->
         Hashtbl.remove t.by_frame frame;
-        List.iter (drop t) entries
+        List.iter (drop t) entries;
+        run_stale_hooks t
     | exception Not_found -> ()
 
 let create ?(enabled = true) ~compile ~mem ~mmu () =
@@ -149,51 +155,40 @@ let create ?(enabled = true) ~compile ~mem ~mmu () =
       by_frame = Hashtbl.create 64;
       reg_mask = 0;
       gen = Mmu.generation mmu;
+      stale_hooks = [];
       mem;
       mmu;
-      c =
-        {
-          c_fetch_hits = 0;
-          c_fetch_misses = 0;
-          c_fills = 0;
-          c_invalidations = 0;
-          c_flushes = 0;
-        };
+      c = { fetch_hits = 0; fetch_misses = 0; fills = 0; invalidations = 0; flushes = 0 };
     }
   in
   Mem.add_write_hook mem (fun frame -> on_store t frame);
   t
 
 let enabled t = t.enabled
+let on_stale t h = t.stale_hooks <- t.stale_hooks @ [ h ]
 
-let stats t =
-  {
-    fetch_hits = t.c.c_fetch_hits;
-    fetch_misses = t.c.c_fetch_misses;
-    fills = t.c.c_fills;
-    invalidations = t.c.c_invalidations;
-    flushes = t.c.c_flushes;
-  }
+(* a copy: the live record keeps counting *)
+let stats t = { t.c with fetch_hits = t.c.fetch_hits }
 
-(* Discard everything when translation tables changed underneath us. *)
+(* Discard everything when translation tables changed underneath us.
+   The generation is recorded first, so a stale hook that looks
+   something up finds the cache in sync. *)
 let sync t =
   let g = Mmu.generation t.mmu in
   if g <> t.gen then begin
-    flush t;
-    t.gen <- g
+    t.gen <- g;
+    flush t
   end
 
-(* Remove an entry's frame registration (slot eviction path). *)
+(* Take an evicted entry off its frame's list (slot eviction path). The
+   frame itself stays registered: a trace block built from the entry's
+   lines outlives it, and a store to the frame must still reach the
+   stale hooks. *)
 let unregister t e =
-  if Array.length e.e_lines > 0 then begin
-    let f = e.e_frame_idx in
-    match Hashtbl.find_opt t.by_frame f with
+  if Array.length e.e_lines > 0 then
+    match Hashtbl.find_opt t.by_frame e.e_frame_idx with
     | None -> ()
-    | Some l -> (
-        match List.filter (fun x -> x != e) l with
-        | [] -> Hashtbl.remove t.by_frame f
-        | l' -> Hashtbl.replace t.by_frame f l')
-  end
+    | Some l -> Hashtbl.replace t.by_frame e.e_frame_idx (List.filter (fun x -> x != e) l)
 
 let install t ~el ~va_page ~pa_page ~perm =
   let slot = slot_of ~el va_page in
@@ -251,10 +246,10 @@ let line_fetch_exn t e pc off =
   let i = off lsr 2 in
   match Array.unsafe_get lines i with
   | Some line ->
-      t.c.c_fetch_hits <- t.c.c_fetch_hits + 1;
+      t.c.fetch_hits <- t.c.fetch_hits + 1;
       line
   | None ->
-      t.c.c_fills <- t.c.c_fills + 1;
+      t.c.fills <- t.c.fills + 1;
       let pa = Int64.logor (Int64.shift_left e.e_pa_page 12) (Int64.of_int off) in
       let line = decode_line_exn t ~el:e.e_el pc (Mem.read32 t.mem pa) in
       Array.unsafe_set lines i (Some line);
@@ -272,7 +267,7 @@ let fetch_exn t ~el pc =
            && off land 3 = 0 ->
         line_fetch_exn t e pc off
     | _ -> (
-        t.c.c_fetch_misses <- t.c.c_fetch_misses + 1;
+        t.c.fetch_misses <- t.c.fetch_misses + 1;
         match Mmu.probe t.mmu ~el (Int64.of_int va_page) with
         | Some (pa_page, perm) when perm.Mmu.x && off land 3 = 0 ->
             let e = install t ~el ~va_page ~pa_page ~perm in
@@ -291,28 +286,9 @@ let fetch t ~el pc =
 exception Translate_fault of Mmu.fault
 
 let translate_exn t ~el ~access va =
-  if (not t.enabled) || el = El.El2 then
-    match Mmu.translate t.mmu ~el ~access va with
-    | Ok pa -> pa
-    | Error f -> raise (Translate_fault f)
-  else begin
-    sync t;
-    let va_page = Int64.to_int (Int64.shift_right_logical va 12) in
-    match t.slots.(slot_of ~el va_page) with
-    | Some e
-      when e.e_va_page = va_page && e.e_el = el && Mmu.allows e.e_perm access ->
-        Int64.logor (Int64.shift_left e.e_pa_page 12) (Int64.logand va 0xfffL)
-    | _ -> (
-        match Mmu.probe t.mmu ~el (Int64.of_int va_page) with
-        | Some (pa_page, perm) when Mmu.allows perm access ->
-            ignore (install t ~el ~va_page ~pa_page ~perm : _ entry);
-            Int64.logor (Int64.shift_left pa_page 12) (Int64.logand va 0xfffL)
-        | _ -> (
-            (* denied or unmapped: real walk for the exact fault kind *)
-            match Mmu.translate t.mmu ~el ~access va with
-            | Ok pa -> pa
-            | Error f -> raise (Translate_fault f)))
-  end
+  match Mmu.translate t.mmu ~el ~access va with
+  | Ok pa -> pa
+  | Error f -> raise (Translate_fault f)
 
 (* Fill path for the per-op page caches: resolve the page backing [va]
    for [access] and hand out its frame bytes and frame index. Frame

@@ -1,4 +1,5 @@
-(** Decoded-instruction cache + micro-TLB for the single-step path.
+(** Decoded-instruction cache for the single-step path, and the one
+    owner of code-cache coherence.
 
     A host-speed optimization, not a modeled structure: caching changes
     neither guest-visible state, nor cycle charges, nor telemetry
@@ -12,13 +13,18 @@
     every machine). Entries are keyed by (EL, VA page) because decoded
     instructions and their ops embed absolute PC-relative targets and
     the EL's SP bank, and each entry memoizes the combined two-stage
-    permission triple so it also serves data-side translations. Coherence: a {!Mem} write hook drops entries shadowed
-    by any store (guest, host or fault-injector), the {!Mmu} generation
-    counter flushes on any translation-table change, and {!flush} is
+    permission triple and the frame's bytes for the ops' page caches
+    ({!data_page}).
+
+    Coherence: a {!Mem} write hook drops entries shadowed by any store
+    (guest, host or fault-injector), the {!Mmu} generation counter
+    flushes on any translation-table change ({!sync}), and {!flush} is
     issued explicitly on MMU-control/CONTEXTIDR system-register writes.
     PAuth key-register writes do not flush — keys affect execution, not
     decode or translation, and the XOM setter rewrites them on every
-    kernel entry. *)
+    kernel entry. Caches built from this one's lines, the trace caches,
+    keep no coherence machinery of their own: they register with
+    {!on_stale}. *)
 
 type 'op t
 
@@ -47,8 +53,24 @@ val create :
 
 val enabled : _ t -> bool
 
-(** [flush t] drops every entry (the TTBR/SCTLR/ASID-write path). *)
+(** [flush t] drops every entry (the TTBR/SCTLR/ASID-write path) and
+    runs the {!on_stale} hooks. *)
 val flush : _ t -> unit
+
+(** [sync t] flushes iff the MMU generation moved since the cache last
+    looked: map/unmap/stage-2 permission flips and snapshot restores
+    that refill the tables all advance it. Every lookup syncs first;
+    a cache built from this one's lines calls it before trusting its
+    own entries. *)
+val sync : _ t -> unit
+
+(** [on_stale t h] adds [h] to the hooks that run on every {!flush},
+    explicit or from a moved MMU generation, and on every store to a
+    frame that has held decoded lines since the last flush. Slot
+    eviction keeps the evicted entry's frame registered, so anything
+    built from a line hears of every store that could make it stale,
+    even after the line's entry is gone. Hooks must not write memory. *)
+val on_stale : _ t -> (unit -> unit) -> unit
 
 (** [fetch t ~el pc] — the line at [pc], from the cache when possible.
     Misses fall through to the real two-stage walk and [Encode.decode],
@@ -68,11 +90,11 @@ val fetch_exn : 'op t -> el:El.t -> int64 -> 'op line
 (** Raised by {!translate_exn} on a translation or permission fault. *)
 exception Translate_fault of Mmu.fault
 
-(** [translate_exn t ~el ~access va] — micro-TLB front end for
-    [Mmu.translate]: hits resolve from the memoized permission triple,
-    misses and denials take the real walk. Bit-identical results,
-    including fault kinds; a fault raises {!Translate_fault} instead of
-    allocating a [result] per memory access. *)
+(** [translate_exn t ~el ~access va] — [Mmu.translate] raising
+    {!Translate_fault} instead of returning [Error], the exact path of
+    an op whose page cache cannot serve the access: a straddle, a
+    denied or unmapped page, or a disabled cache. Hits and refills go
+    through {!data_page}. *)
 val translate_exn : _ t -> el:El.t -> access:Mmu.access -> int64 -> int64
 
 (** [data_page t ~el ~access va] — the frame bytes and frame index
@@ -86,11 +108,12 @@ val data_page :
 
 (** Host-side effectiveness counters (not guest-visible). *)
 type stats = {
-  fetch_hits : int;
-  fetch_misses : int;
-  fills : int;  (** lines decoded into an installed page entry *)
-  invalidations : int;  (** entries dropped by the store hook *)
-  flushes : int;
+  mutable fetch_hits : int;
+  mutable fetch_misses : int;
+  mutable fills : int;  (** lines decoded into an installed page entry *)
+  mutable invalidations : int;  (** entries dropped by the store hook *)
+  mutable flushes : int;
 }
 
+(** [stats t] — a copy of the counters. *)
 val stats : _ t -> stats

@@ -39,7 +39,8 @@ let create ?cost ?has_pauth ?cipher ?trace_depth ?(telemetry = false)
      each other's fills — and the single-threaded interleaved execution
      model means there is no concurrent access to protect against.
      Trace caches, by contrast, are per-core (a block's chain captures
-     its core) and are created inside Cpu.create. *)
+     its core); Cpu.create makes each one and registers its flush with
+     this cache, which keeps them all coherent. *)
   let ic = Icache.create ~enabled:(tier <> Cpu.Interp) ~compile:Cpu.op_of ~mem ~mmu () in
   let cores =
     Array.init cpus (fun id ->
@@ -135,11 +136,12 @@ let max_cycles t =
    observed restore is bit-identical to an observed boot). The icache
    and the trace caches are deliberately NOT captured — they are
    host-speed caches, never guest-visible — and restore keeps them warm.
-   Their two invalidation channels already cover everything a restore
-   changes: [Mem.restore] notifies every frame it reverts, which drops
-   the decoded lines and compiled blocks shadowing it, and a refill in
-   [Mmu.restore] advances the generation, which flushes both caches at
-   their next lookup. *)
+   The icache's two invalidation channels already cover everything a
+   restore changes, and its stale hooks pass both on to the trace
+   caches: [Mem.restore] notifies every frame it reverts, which drops
+   the decoded lines shadowing it and kills the compiled blocks, and a
+   refill in [Mmu.restore] advances the generation, which flushes the
+   icache, and so the trace caches, at its next lookup. *)
 type snapshot = {
   s_mem : Mem.snapshot;
   s_mmu : Mmu.snapshot;

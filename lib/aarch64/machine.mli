@@ -29,8 +29,9 @@ type t
     [tier] selects the execution tier for every core (default
     [Cpu.Icache]). [Cpu.Interp] creates the shared cache disabled;
     [Cpu.Traces] keeps it enabled and gives each core a private
-    superblock trace cache. Execution is bit-identical under every
-    tier, only host speed changes. *)
+    superblock trace cache, which the shared cache flushes with its
+    own (see {!Icache.on_stale}). Execution is bit-identical under
+    every tier, only host speed changes. *)
 val create :
   ?cost:Cost.profile ->
   ?has_pauth:bool ->
@@ -85,9 +86,11 @@ val max_cycles : t -> int64
     booted-and-observed one. The decoded-instruction cache and the
     trace caches are not captured: they are host-speed state, invisible
     to the guest, and [restore] keeps them. [Mem.restore] notifies every
-    frame it reverts, which drops the cached code shadowing it; a
+    frame it reverts, which drops the decoded lines shadowing it and,
+    through the icache's stale hooks, every compiled block; a
     translation change since the snapshot makes [Mmu.restore] refill and
-    advance the generation, which flushes both caches. One snapshot
+    advance the generation, which flushes the icache and with it the
+    trace caches. One snapshot
     supports any number of successive restores. *)
 type snapshot
 

@@ -241,15 +241,21 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
       results;
     !changed
   in
+  (* A round whose merge changes nothing ran on the settled summaries
+     and entry states, so its results are final. When [max_rounds] cuts
+     the fixpoint off, the diagnostics come from one more round over
+     the last summaries. *)
   let rec iterate () =
-    if !rounds >= max_rounds then ()
-    else if merge (run_round ()) then iterate ()
+    let results = run_round () in
+    if not (merge results) then results
+    else if !rounds >= max_rounds then begin
+      let final = run_round () in
+      ignore (merge final);
+      final
+    end
+    else iterate ()
   in
-  iterate ();
-  (* the diagnostics come from one more round over the settled
-     summaries *)
-  let final = run_round () in
-  ignore (merge final);
+  let final = iterate () in
   let diags = ref [] in
   Array.iter
     (fun res ->

@@ -339,6 +339,63 @@ let test_hook_allocation () =
     Alcotest.failf "hooked core: %.2f minor words per instruction, unhooked %.2f" hooked
       plain
 
+(* ----- a memory op allocates no more than an ALU op ----- *)
+
+(* Minor words per retired instruction of a warm 20,000-iteration loop
+   on the icache and traces tiers, for two bodies of the same length:
+   loads and stores in every addressing mode, or ALU ops. Every access
+   hits its op's page cache, so the memory body may allocate no more
+   than the ALU body; an address computed by a closure that returns a
+   boxed int64 costs a box per access. *)
+let test_memory_op_allocation () =
+  let words_per_insn tier body =
+    let cpu = Env.fresh_cpu ~tier () in
+    let prog = Asm.create () in
+    Asm.add_function prog ~name:"spin"
+      ([ Asm.ins (Insn.Movz (Insn.R 1, 20_000, 0)); Asm.label "loop" ]
+      @ List.map Asm.ins body
+      @ [
+          Asm.ins (Insn.Sub_imm (Insn.R 1, Insn.R 1, 1));
+          Asm.cbnz_to (Insn.R 1) "loop";
+          Asm.ins Insn.Ret;
+        ]);
+    let layout = load_program cpu prog in
+    Env.expect_return cpu layout "spin";
+    let insns0 = Cpu.insns_retired cpu in
+    let words0 = Gc.minor_words () in
+    Env.expect_return cpu layout "spin";
+    let words = Gc.minor_words () -. words0 in
+    words /. Int64.to_float (Int64.sub (Cpu.insns_retired cpu) insns0)
+  in
+  let memory =
+    Insn.
+      [
+        Str (R 1, Pre (SP, -16));
+        Ldr (R 2, Post (SP, 16));
+        Stp (R 1, R 2, Off (SP, -32));
+        Ldp (R 3, R 4, Off (SP, -32));
+        Strb (R 1, Off (SP, -40));
+        Ldrb (R 5, Off (SP, -40));
+      ]
+  and alu =
+    Insn.
+      [
+        Add_reg (R 2, R 2, R 1);
+        Eor_reg (R 3, R 3, R 1);
+        Sub_reg (R 4, R 4, R 1);
+        Orr_reg (R 5, R 5, R 1);
+        Add_imm (R 6, R 6, 3);
+        And_reg (R 7, R 7, R 1);
+      ]
+  in
+  List.iter
+    (fun tier ->
+      let mem = words_per_insn tier memory and alu = words_per_insn tier alu in
+      if mem > alu +. 0.01 then
+        Alcotest.failf "%s: memory loop %.2f minor words per instruction, ALU loop %.2f"
+          (Cpu.tier_name tier) mem alu)
+    [ Cpu.Icache; Cpu.Traces ]
+
 let suite =
   [
     Alcotest.test_case "arithmetic loop" `Quick test_arith_loop;
@@ -356,4 +413,6 @@ let suite =
     Alcotest.test_case "every state slot is its own" `Quick test_state_slots;
     Alcotest.test_case "a step hook allocates nothing per instruction" `Quick
       test_hook_allocation;
+    Alcotest.test_case "a memory op allocates no more than an ALU op" `Quick
+      test_memory_op_allocation;
   ]

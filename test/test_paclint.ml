@@ -621,13 +621,13 @@ let prop_scan_matches_reference =
    re-pins these digests. *)
 let summary_digests =
   [
-    ("full", "55fcc505c6d16d5ac0a24342b97bffaf");
-    ("backward", "1cb766eb68b8d1b28bd7d2eb43dfd93b");
-    ("compat", "bb81b6bfa313f02d0ef33ab1e5a88458");
-    ("none", "05f9fcb871b47b43662f3c3a5764bae2");
-    ("sp-only", "511cdb9ea26d7a4a1b28868c50b15007");
-    ("parts", "0efe04b1085e189e6be8de8fccd9c75d");
-    ("chained", "319617e3b0ba5e59e7f434d113c8497f");
+    ("full", "db949c90e4289f1967f81ba8705e4613");
+    ("backward", "63831dc05ea4ebe7a7a0a9d53874a4e4");
+    ("compat", "f1dfbe4e8c0038c2da21c378ea611acb");
+    ("none", "64d9bff6f536f6153b33a80e81fde707");
+    ("sp-only", "b6ec000b4909670bd8e5edd5a70237d5");
+    ("parts", "fec02be46fd79055225660051430f523");
+    ("chained", "bda155d025e723814712fcf56891f83b");
   ]
 
 let test_summary_digests () =

@@ -678,10 +678,11 @@ let test_pac_cost_after_restore () =
    of them back to the single-step path. The E2 probe under
    backward-edge Camouflage signs and authenticates on every call, and
    must run 99% of its instructions in blocks (the rest is the cold
-   first trips). Warming takes 128 calls: the step path looks up no
-   block after a conditional branch that falls through, so each of
-   timer_set's four bounds checks delays the code after it by the 16
-   calls that make its own block hot. *)
+   first trips). Warming takes 64 calls: the step path looks up a block
+   after every branch, taken or not, so the code after each of
+   timer_set's four bounds checks heats up alongside the checks; a
+   step path that looks blocks up only where control transfers leaves
+   the 23 instructions after the last check stepping after 64 calls. *)
 let test_kernel_path_in_blocks () =
   let sys = K.System.boot ~config:C.Config.full ~seed:42L ~tier:Cpu.Traces () in
   let cpu = K.System.cpu sys in
@@ -691,7 +692,7 @@ let test_kernel_path_in_blocks () =
       | K.System.Ok _ -> ()
       | K.System.Killed m | K.System.Panicked m -> Alcotest.failf "%s: %s" name m
     in
-    for _ = 1 to 128 do
+    for _ = 1 to 64 do
       call ()
     done;
     let r0 = Cpu.insns_retired cpu and b0 = (tstats cpu).Traces.block_insns in
@@ -716,6 +717,88 @@ let test_kernel_path_in_blocks () =
   Alcotest.(check bool)
     (Printf.sprintf "E2 backward-edge probe: %.4f of instructions in blocks >= 0.99" share)
     true (share >= 0.99)
+
+(* ---------- one coherence owner: the icache ---------- *)
+
+let ret_const_prog v =
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"f" [ Asm.ins (Insn.Movz (Insn.R 0, v, 0)); Asm.ins Insn.Ret ];
+  prog
+
+(* Rewrite [f]'s first instruction from the host, through [Mem]. *)
+let patch_f cpu layout v =
+  let f = Asm.symbol layout "f" in
+  Mem.write32 (Cpu.mem cpu) (Env.pa_of_va f)
+    (Encode.encode ~pc:f (Insn.Movz (Insn.R 0, v, 0)))
+
+let result_of_f cpu layout =
+  match Bare.call cpu layout "f" with
+  | Cpu.Sentinel_return -> Cpu.reg cpu (Insn.R 0)
+  | s -> Alcotest.failf "f stopped: %s" (Cpu.stop_to_string s)
+
+(* Trace blocks are built from icache lines but outlive them: here the
+   data page of a load evicts the entry [f]'s block was built from,
+   and a store to [f]'s frame must still kill the block. The 2048 pages
+   are mapped before [f] heats up, so the search for a colliding page
+   moves no MMU generation and the block compiled while heating is the
+   one live when the patch lands. *)
+let test_block_outlives_entry () =
+  let cpu = Bare.machine ~seed:8L ~tier:Cpu.Traces () in
+  let layout = Bare.load cpu (ret_const_prog 7) in
+  let f = Asm.symbol layout "f" in
+  let base = 0xffff000001000000L in
+  Env.map_region cpu ~base ~pages:2048 Mmu.rw;
+  for _ = 1 to 24 do
+    ignore (result_of_f cpu layout : int64)
+  done;
+  let compiled = (tstats cpu).Traces.compiled in
+  Alcotest.(check bool) "f was compiled" true (compiled > 0);
+  let ic = Cpu.icache cpu in
+  let misses () = (Icache.stats ic).Icache.fetch_misses in
+  let load va = ignore (Icache.data_page ic ~el:El.El1 ~access:Mmu.Read va) in
+  let evicts_f va =
+    ignore (Icache.fetch ic ~el:El.El1 f);
+    load va;
+    let m0 = misses () in
+    ignore (Icache.fetch ic ~el:El.El1 f);
+    misses () > m0
+  in
+  let rec find i =
+    if i = 2048 then Alcotest.fail "no mapped page shares f's icache slot"
+    else
+      let va = Int64.add base (Int64.of_int (i * 4096)) in
+      if evicts_f va then va else find (i + 1)
+  in
+  load (find 0);
+  Alcotest.(check int) "no recompile since f heated up" compiled (tstats cpu).Traces.compiled;
+  patch_f cpu layout 8;
+  Alcotest.(check int64) "the patched f runs" 8L (result_of_f cpu layout)
+
+(* Every core's trace cache registers with the one shared icache, so a
+   host store to code that two cores have compiled kills both cores'
+   blocks. *)
+let test_store_kills_every_core () =
+  let m = Machine.create ~tier:Cpu.Traces ~cpus:2 () in
+  let cores = Machine.cores m in
+  Env.map_region (Machine.boot_core m) ~base:Env.code_base ~pages:1 Mmu.rx;
+  let layout = Env.load_program (Machine.boot_core m) (ret_const_prog 7) in
+  List.iter
+    (fun cpu ->
+      for _ = 1 to 24 do
+        ignore (result_of_f cpu layout : int64)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "core %d compiled f" (Cpu.id cpu))
+        true
+        ((tstats cpu).Traces.compiled > 0))
+    cores;
+  patch_f (Machine.boot_core m) layout 8;
+  List.iter
+    (fun cpu ->
+      Alcotest.(check int64)
+        (Printf.sprintf "core %d runs the patched f" (Cpu.id cpu))
+        8L (result_of_f cpu layout))
+    cores
 
 let suite =
   [
@@ -748,4 +831,8 @@ let suite =
       test_pac_cost_after_restore;
     Alcotest.test_case "the warm full kernel path retires inside blocks" `Quick
       test_kernel_path_in_blocks;
+    Alcotest.test_case "a block outlives its evicted icache entry" `Quick
+      test_block_outlives_entry;
+    Alcotest.test_case "a store to code kills every core's blocks" `Quick
+      test_store_kills_every_core;
   ]
