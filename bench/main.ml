@@ -940,21 +940,21 @@ let sim () =
     metric ~experiment:"sim"
       ~name:("trace-block-insn-share-" ^ label)
       ~value:block_share ~unit_:"ratio";
-    (icache_speedup, traces_over_interp, traces_over_icache)
+    (icache_speedup, traces_over_interp)
   in
   (* Headline: the baseline (no-CFI) variant, where the interpreter loop
      is the whole cost and the tier machinery's effect is visible. *)
-  let icache_speedup, traces_interp, traces_icache =
-    variant "baseline" C.Config.none ~calls:300_000 ~reps:3
-  in
+  let baseline_icache, _ = variant "baseline" C.Config.none ~calls:300_000 ~reps:3 in
   (* Companion: the Camouflage-instrumented variant of the same probe,
      the workload the paper measures: every call signs and authenticates
      its return address. *)
-  let _ = variant "camouflage" C.Config.backward_only ~calls:300_000 ~reps:3 in
+  let _, camouflage_traces =
+    variant "camouflage" C.Config.backward_only ~calls:300_000 ~reps:3
+  in
   row
-    "\nacceptance floor (baseline): icache >= 3x interp (got %.2fx), traces \
-     >= 2x icache (got %.2fx); traces over interp: %.2fx\n"
-    icache_speedup traces_icache traces_interp
+    "\nfloors CI asserts: icache-speedup-baseline >= 1 (got %.2fx), \
+     traces-speedup-over-interp-camouflage >= 1 (got %.2fx)\n"
+    baseline_icache camouflage_traces
 
 let experiments =
   [

@@ -121,10 +121,10 @@ let run_workers n worker =
   Option.iter (fun (_, e, bt) -> Printexc.raise_with_backtrace e bt) !failed
 
 (* Each results slot is written by exactly one worker (each index is
-   handed out once by the deques) and read only after every worker has
-   finished (the completion lock orders the writes before the read), so
-   the plain array needs no synchronisation of its own. The same argument
-   covers the per-worker failure lists. *)
+   claimed once from its block's cursor) and read only after every
+   worker has finished (the completion lock orders the writes before the
+   read), so the plain array needs no synchronisation of its own. The
+   same argument covers the per-worker failure lists and counters. *)
 let run ?workers ?(retries = default_retries) ?progress ?should_stop ~jobs f =
   if jobs < 0 then invalid_arg "Pool.run: negative job count";
   if retries < 0 then invalid_arg "Pool.run: negative retry count";
@@ -135,12 +135,11 @@ let run ?workers ?(retries = default_retries) ?progress ?should_stop ~jobs f =
     | None -> min (default_workers ()) (max 1 jobs)
   in
   let results = Array.make jobs None in
-  let deques = Array.init workers (fun _ -> Deque.create ()) in
-  (* block partition: worker w owns the contiguous index range
-     [w*jobs/workers, (w+1)*jobs/workers) *)
-  for i = 0 to jobs - 1 do
-    Deque.push deques.(i * workers / jobs) i
-  done;
+  (* block partition: block v is the contiguous index range
+     [v*jobs/workers, (v+1)*jobs/workers), and its cursor is the next
+     index to hand out *)
+  let block_end v = (v + 1) * jobs / workers in
+  let cursors = Array.init workers (fun v -> Atomic.make (v * jobs / workers)) in
   let jobs_run = Array.make workers 0 in
   let steals = Array.make workers 0 in
   let failures_per = Array.make workers [] in
@@ -175,31 +174,25 @@ let run ?workers ?(retries = default_retries) ?progress ?should_stop ~jobs f =
     jobs_run.(w) <- jobs_run.(w) + 1;
     match progress with Some p -> p () | None -> ()
   in
-  let rec steal_from w v tried =
-    if tried >= workers then None
-    else
-      match Deque.steal deques.(v) with
-      | Some i ->
-          steals.(w) <- steals.(w) + 1;
-          Some i
-      | None -> steal_from w ((v + 1) mod workers) (tried + 1)
-  in
-  let rec worker w =
-    if stopping () then ()
-    else
-      match Deque.pop deques.(w) with
-      | Some i ->
-          exec w i;
-          worker w
-      | None -> (
-          match steal_from w ((w + 1) mod workers) 0 with
-          | Some i ->
-              exec w i;
-              worker w
-          | None -> ())
+  (* Worker w claims from its own block, then from each other block in
+     turn, starting with the next worker up. A cursor only grows, so a
+     claim at or past its block's end means the block is drained for
+     good and the worker moves on. *)
+  let rec worker w v =
+    if not (stopping ()) then begin
+      let i = Atomic.fetch_and_add cursors.(v) 1 in
+      if i < block_end v then begin
+        if v <> w then steals.(w) <- steals.(w) + 1;
+        exec w i;
+        worker w v
+      end
+      else
+        let next = (v + 1) mod workers in
+        if next <> w then worker w next
+    end
   in
   (* worker 0 is the calling domain: workers = 1 starts no helper *)
-  run_workers workers worker;
+  run_workers workers (fun w -> worker w w);
   let failures =
     List.sort
       (fun a b -> compare a.job b.job)

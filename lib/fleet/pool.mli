@@ -1,14 +1,18 @@
-(** Domain-pool executor with per-worker deques, work-stealing and
-    fault-tolerant job execution (PR 6 tentpole, layer 2; retry and
-    quarantine added in PR 8).
+(** Domain-pool executor: claimed job indices and fault-tolerant job
+    execution.
 
     [run ~jobs f] evaluates [f i] for every [i] in [0 .. jobs-1] across
-    a pool of OCaml domains. Job indices are block-partitioned onto
-    per-worker {!Deque}s; an idle worker steals from the cold end of its
-    neighbours. Results land in a slot array {e at their job index}, so
-    the caller always sees index order — completion order, worker count
-    and steal pattern are invisible, which is what makes fleet reports
-    byte-stable regardless of parallelism.
+    a pool of OCaml domains. Job indices are block-partitioned: worker
+    [w]'s block runs from [w*jobs/workers] up to [(w+1)*jobs/workers],
+    and one atomic cursor per block hands its indices out in order.
+    Every claim, by the block's owner or by another worker, is one
+    [Atomic.fetch_and_add], so no job takes a lock. A worker whose block
+    is drained claims from the other blocks, starting with the next
+    worker up, until every block is drained. Results land in a slot
+    array {e at their job index}, so the caller always sees index order
+    — completion order, worker count and which worker claimed which
+    index are invisible, which is what makes fleet reports byte-stable
+    regardless of parallelism.
 
     [f] runs on worker domains: it must not share mutable state across
     jobs (each fleet job boots — or snapshot-forks — its own machine).
@@ -29,7 +33,8 @@
 type stats = {
   workers : int;
   jobs_run : int array;  (** jobs executed, per worker *)
-  steals : int array;  (** jobs a worker obtained by stealing, per worker *)
+  steals : int array;
+      (** jobs a worker claimed from another worker's block, per worker *)
   stopped : bool;  (** [should_stop] fired before every job ran *)
 }
 
@@ -62,11 +67,11 @@ val workers_range : int * int
     for quarantined ones — {e from worker domains} (it must be
     thread-safe; an [Atomic] counter is the intended use). An exception
     raised by [progress] or [should_stop] reaches the caller once every
-    worker has finished. [should_stop]
-    is polled by every worker between jobs; once it returns [true] no
-    further job starts, in-flight jobs finish, and unreached slots stay
-    [None]. [retries] is the number of re-attempts after a first
-    failure; [retries = 0] quarantines on the first raise. *)
+    worker has finished. [should_stop] is polled by every worker before
+    every claim; once it returns [true] no further job starts, in-flight
+    jobs finish, and unreached slots stay [None]. [retries] is the
+    number of re-attempts after a first failure; [retries = 0]
+    quarantines on the first raise. *)
 val run :
   ?workers:int ->
   ?retries:int ->

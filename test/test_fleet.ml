@@ -1,4 +1,4 @@
-(* PR 6: the fleet engine. Deque semantics, pool determinism and
+(* The fleet engine: claiming from other blocks, pool determinism and
    cancellation, campaign/sweep byte-stability across worker counts
    (including against every trial run on a session of its own),
    telemetry merging, and the serve control-plane protocol. *)
@@ -7,23 +7,39 @@ module F = Fleet
 module FC = Faultinj.Campaign
 module J = Camo_util.Json
 
-(* --- deque -------------------------------------------------------- *)
-
-let test_deque_semantics () =
-  let d = F.Deque.create () in
-  Alcotest.(check (option int)) "pop on empty" None (F.Deque.pop d);
-  Alcotest.(check (option int)) "steal on empty" None (F.Deque.steal d);
-  List.iter (fun i -> F.Deque.push d i) [ 1; 2; 3; 4 ];
-  (* owner pops the hot (most recent) end... *)
-  Alcotest.(check (option int)) "pop is LIFO" (Some 4) (F.Deque.pop d);
-  (* ...thieves take the cold (oldest) end *)
-  Alcotest.(check (option int)) "steal is FIFO" (Some 1) (F.Deque.steal d);
-  Alcotest.(check (option int)) "steal again" (Some 2) (F.Deque.steal d);
-  Alcotest.(check (option int)) "pop the rest" (Some 3) (F.Deque.pop d);
-  Alcotest.(check (option int)) "drained" None (F.Deque.pop d);
-  Alcotest.(check (option int)) "drained for thieves too" None (F.Deque.steal d)
-
 (* --- pool --------------------------------------------------------- *)
+
+let domain_id () = (Domain.self () :> int)
+
+(* The helper's block (jobs 20-39) waits until the caller's domain has
+   run one of its jobs, which it can only do by claiming from the
+   helper's block once its own is drained. The first waiting job gives
+   up after 2 s and later ones stop waiting, so a pool whose drained
+   worker stops fails here in seconds instead of hanging. *)
+let test_drained_worker_claims () =
+  let caller = domain_id () in
+  let claimed = Atomic.make false and gave_up = Atomic.make false in
+  let outcome =
+    F.Pool.run ~workers:2 ~retries:0 ~jobs:40 (fun i ->
+        (if i < 20 then ()
+         else if domain_id () = caller then Atomic.set claimed true
+         else
+           let deadline = Unix.gettimeofday () +. 2.0 in
+           while not (Atomic.get claimed || Atomic.get gave_up) do
+             if Unix.gettimeofday () > deadline then Atomic.set gave_up true
+             else Unix.sleepf 0.0005
+           done);
+        i)
+  in
+  let stats = outcome.F.Pool.stats in
+  Alcotest.(check (list int)) "no failures" []
+    (List.map (fun f -> f.F.Pool.job) outcome.F.Pool.failures);
+  Alcotest.(check bool) "the caller ran a job of the helper's block" true
+    (Atomic.get claimed);
+  Alcotest.(check bool) "the claim is counted as a steal" true
+    (stats.F.Pool.steals.(0) >= 1);
+  Alcotest.(check int) "40 jobs ran" 40
+    (Array.fold_left ( + ) 0 stats.F.Pool.jobs_run)
 
 let test_pool_map_matches_sequential () =
   let f i = (i * i) + 7 in
@@ -36,19 +52,22 @@ let test_pool_map_matches_sequential () =
         (F.Pool.map ~workers ~jobs:40 f))
     [ 1; 2; 3; 8 ]
 
+(* 33 jobs on 4 workers; 0 jobs on 8 run one worker with no slots; 3
+   jobs on 8 clamp to 3 workers, whose blocks hold one job each. *)
 let test_pool_accounts_every_job () =
-  let outcome = F.Pool.run ~workers:4 ~jobs:33 (fun i -> i) in
-  Alcotest.(check int) "worker count recorded" 4
-    outcome.F.Pool.stats.F.Pool.workers;
-  Alcotest.(check int) "every job ran exactly once" 33
-    (Array.fold_left ( + ) 0 outcome.F.Pool.stats.F.Pool.jobs_run);
-  Alcotest.(check bool) "not stopped" false outcome.F.Pool.stats.F.Pool.stopped;
-  Array.iteri
-    (fun i slot ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "slot %d filled in index order" i)
-        (Some i) slot)
-    outcome.F.Pool.results
+  List.iter
+    (fun (workers, jobs, expected_workers) ->
+      let outcome = F.Pool.run ~workers ~jobs (fun i -> i) in
+      let label what = Printf.sprintf "%d jobs on %d workers: %s" jobs workers what in
+      Alcotest.(check int) (label "worker count recorded") expected_workers
+        outcome.F.Pool.stats.F.Pool.workers;
+      Alcotest.(check int) (label "every job ran exactly once") jobs
+        (Array.fold_left ( + ) 0 outcome.F.Pool.stats.F.Pool.jobs_run);
+      Alcotest.(check bool) (label "not stopped") false
+        outcome.F.Pool.stats.F.Pool.stopped;
+      Alcotest.(check (array (option int))) (label "slots filled in index order")
+        (Array.init jobs Option.some) outcome.F.Pool.results)
+    [ (4, 33, 4); (8, 0, 1); (8, 3, 3) ]
 
 let test_pool_cancellation () =
   let completed = Atomic.make 0 in
@@ -129,8 +148,6 @@ let test_pool_retry_recovers_transient_failure () =
 let slow_job i =
   Unix.sleepf 0.001;
   i
-
-let domain_id () = (Domain.self () :> int)
 
 (* the domains other than the caller's that ran a two-worker run *)
 let helper_domains () =
@@ -474,8 +491,8 @@ let test_serve_refuses_chained () =
 
 let suite =
   [
-    Alcotest.test_case "deque: owner LIFO, thief FIFO" `Quick
-      test_deque_semantics;
+    Alcotest.test_case "a drained worker claims from another block" `Quick
+      test_drained_worker_claims;
     Alcotest.test_case "pool map = sequential at any width" `Quick
       test_pool_map_matches_sequential;
     Alcotest.test_case "pool runs every job exactly once" `Quick

@@ -150,25 +150,40 @@ let prop_total_on_json_alphabet =
        QCheck.Gen.(string_size ~gen:(oneofl alphabet) (int_bound 64)))
     total
 
+(* One damage to a document, at a position taken modulo its length
+   plus one: cut it there, or overwrite, insert or delete one byte.
+   The replay-log property in [Test_snapshot] draws the same damage. *)
+type damage = Truncate | Overwrite | Insert | Delete
+
+let damage_gen =
+  QCheck.Gen.(
+    triple (oneofl [ Truncate; Overwrite; Insert; Delete ]) (int_bound 1_000_000) char)
+
+let print_damage (kind, pos, c) =
+  match kind with
+  | Truncate -> Printf.sprintf "truncated at %d" pos
+  | Overwrite -> Printf.sprintf "byte %C written at %d" c pos
+  | Insert -> Printf.sprintf "byte %C inserted at %d" c pos
+  | Delete -> Printf.sprintf "byte deleted at %d" pos
+
+let damage doc (kind, pos, c) =
+  let n = String.length doc in
+  let pos = pos mod (n + 1) in
+  let rest from = String.sub doc from (n - from) in
+  match kind with
+  | Truncate -> String.sub doc 0 pos
+  | Overwrite when pos < n -> String.sub doc 0 pos ^ String.make 1 c ^ rest (pos + 1)
+  | Overwrite | Insert -> String.sub doc 0 pos ^ String.make 1 c ^ rest pos
+  | Delete when pos < n -> String.sub doc 0 pos ^ rest (pos + 1)
+  | Delete -> doc
+
 let prop_total_on_damaged_documents =
-  let gen = QCheck.Gen.(quad (int_bound 2) bool (int_bound 1_000_000) char) in
-  let print (d, cut, pos, c) =
-    Printf.sprintf "document %d, %s at %d" d
-      (if cut then "truncated" else Printf.sprintf "byte %C written" c)
-      pos
-  in
+  let gen = QCheck.Gen.pair (QCheck.Gen.int_bound 2) damage_gen in
+  let print (d, dmg) = Printf.sprintf "document %d, %s" d (print_damage dmg) in
   QCheck.Test.make ~count:600
     ~name:"parse is total on truncated and mutated documents"
     (QCheck.make ~print gen)
-    (fun (d, cut, pos, c) ->
-      let doc = (documents ()).(d) in
-      let pos = pos mod (String.length doc + 1) in
-      let damaged =
-        if cut then String.sub doc 0 pos
-        else if pos = String.length doc then doc ^ String.make 1 c
-        else String.mapi (fun i b -> if i = pos then c else b) doc
-      in
-      total damaged)
+    (fun (d, dmg) -> total (damage (documents ()).(d) dmg))
 
 let test_documents_parse () =
   Array.iter (fun doc -> ignore (parse_ok doc)) (documents ())

@@ -292,12 +292,11 @@ let tmpdir =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   dir
 
-let record ~workers ~sub =
+let record ?(trials = 6) ~workers ~sub () =
   let dir = Filename.concat tmpdir sub in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let result =
-    Option.get
-      (Fleet.Campaign.run ~workers ~record_dir:dir ~seed:21L ~trials:6 ())
+    Option.get (Fleet.Campaign.run ~workers ~record_dir:dir ~seed:21L ~trials ())
   in
   Option.get result.Fleet.Campaign.record_path
 
@@ -309,9 +308,9 @@ let read_file path =
   s
 
 let test_replay_log_byte_identical_across_workers () =
-  let p1 = record ~workers:1 ~sub:"w1" in
-  let p2 = record ~workers:2 ~sub:"w2" in
-  let p8 = record ~workers:8 ~sub:"w8" in
+  let p1 = record ~workers:1 ~sub:"w1" () in
+  let p2 = record ~workers:2 ~sub:"w2" () in
+  let p8 = record ~workers:8 ~sub:"w8" () in
   let b1 = read_file p1 in
   Alcotest.(check string) "log bytes: 1 worker = 2 workers" b1 (read_file p2);
   Alcotest.(check string) "log bytes: 1 worker = 8 workers" b1 (read_file p8);
@@ -325,7 +324,7 @@ let test_replay_log_byte_identical_across_workers () =
       Alcotest.(check int) "one entry per trial" 6 (List.length log.L.entries)
 
 let test_replay_matches_recording () =
-  let log = Result.get_ok (L.read ~path:(record ~workers:2 ~sub:"replay")) in
+  let log = Result.get_ok (L.read ~path:(record ~workers:2 ~sub:"replay" ())) in
   match Faultinj.Replay.replay log with
   | Error e -> Alcotest.fail ("replay refused: " ^ e)
   | Ok verdicts ->
@@ -339,7 +338,7 @@ let test_replay_matches_recording () =
         verdicts
 
 let test_replay_detects_divergence () =
-  let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"diverge")) in
+  let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"diverge" ())) in
   (* corrupt one recorded fingerprint: replay must flag exactly that
      trial and leave the others clean *)
   let mangle e =
@@ -374,7 +373,7 @@ let test_replay_detects_divergence () =
    with an error naming the field before anything boots, never an
    exception from System.boot or a clean replay. *)
 let test_replay_rejects_malformed () =
-  let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"hostile")) in
+  let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"hostile" ())) in
   let h = log.L.header in
   let first = [ List.hd log.L.entries ] in
   let refused label field bad =
@@ -411,6 +410,19 @@ let test_replay_rejects_malformed () =
   | Ok vs ->
       Alcotest.(check (list bool)) "partial log replays clean" [ true ]
         (List.map Faultinj.Replay.verdict_ok vs)
+
+(* Damaged logs: a recorded log cut short, or with one byte
+   overwritten, inserted or deleted, must read back as [Ok] or [Error],
+   never raise. Only the reader runs; the 4-trial log is recorded once. *)
+let prop_damaged_log_reads_total =
+  let log = lazy (read_file (record ~trials:4 ~workers:1 ~sub:"damaged" ())) in
+  let path = Filename.concat tmpdir "damaged.replay" in
+  QCheck.Test.make ~count:200 ~name:"a damaged replay log reads as Ok or Error"
+    (QCheck.make ~print:Test_json.print_damage Test_json.damage_gen)
+    (fun dmg ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Test_json.damage (Lazy.force log) dmg));
+      match L.read ~path with Ok _ | Error _ -> true)
 
 (* A campaign recorded under telemetry logs the bytes of a plain
    recording and replays clean. Seed 7's first 16 trials include
@@ -574,4 +586,5 @@ let suite =
       test_fingerprint_on_request;
     Alcotest.test_case "a panicked trial does not leak into the next" `Quick
       test_panicked_trial_does_not_leak;
+    QCheck_alcotest.to_alcotest prop_damaged_log_reads_total;
   ]
