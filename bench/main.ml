@@ -900,6 +900,13 @@ let sim () =
     let block_share =
       if insns = 0.0 then 0.0 else float_of_int ts.Traces.block_insns /. insns
     in
+    (* the PAC memo: both cached tiers run the same ops in the same
+       order, so they look up the same MACs; 0 with no lookups *)
+    let memo_of tier = Cpu.pac_memo_stats (cpu_of tier) in
+    let memo_hit_ratio (m : Cpu.pac_memo_stats) =
+      if m.Cpu.lookups = 0 then 0.0
+      else float_of_int m.Cpu.hits /. float_of_int m.Cpu.lookups
+    in
     row "\n[%s] E2 call probe, %d calls, %s; %.1f M instructions retired\n"
       label calls (C.Config.name config) (insns /. 1e6);
     row "%-28s" "";
@@ -918,6 +925,14 @@ let sim () =
        %d chain follows\n"
       ts.Traces.compiled ts.Traces.executed (100. *. block_share)
       ts.Traces.chain_follows;
+    row "pac memo: %s\n"
+      (String.concat ", "
+         (List.map
+            (fun tier ->
+              let m = memo_of tier in
+              Printf.sprintf "%s %d lookups, %d hits" (Cpu.tier_name tier) m.Cpu.lookups
+                m.Cpu.hits)
+            Cpu.all_tiers));
     metric ~experiment:"sim" ~name:("retired-insns-" ^ label) ~value:insns
       ~unit_:"insns";
     metric ~experiment:"sim"
@@ -940,6 +955,10 @@ let sim () =
     metric ~experiment:"sim"
       ~name:("trace-block-insn-share-" ^ label)
       ~value:block_share ~unit_:"ratio";
+    metric ~experiment:"sim"
+      ~name:("pac-memo-hit-ratio-" ^ label)
+      ~value:(memo_hit_ratio (memo_of Cpu.Traces))
+      ~unit_:"ratio";
     (icache_speedup, traces_over_interp)
   in
   (* Headline: the baseline (no-CFI) variant, where the interpreter loop

@@ -41,6 +41,11 @@ module A = Bigarray.Array1
 
 type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) A.t
 
+let zeroed n =
+  let a = A.create Bigarray.Int64 Bigarray.C_layout n in
+  A.fill a 0L;
+  a
+
 type t = {
   (* every register an operand can name, the PC and the system
      registers, one unboxed slot each (see [pc_slot]): a read is a
@@ -67,6 +72,11 @@ type t = {
      core's blocks. *)
   traces : (unit -> unit) Traces.t option;
   cipher : Qarma.Block.t;
+  (* this core's PAC memo, and the MAC source its ops sign and
+     authenticate with: the memo on the cached tiers, the plain cipher
+     on [Interp] (see [memo_mac]) *)
+  memo : memo;
+  mac : Pac.mac;
   cost : Cost.profile;
   (* native ints, not Int64: these are bumped once per retired
      instruction on the interpreter hot path and a boxed Int64
@@ -98,6 +108,10 @@ type t = {
 (* An instruction compiled for one EL and one address, applied to
    whichever core executes it; see [op_of]. *)
 and op = t -> unit
+
+and memo = { entries : words; mutable n_lookups : int; mutable n_hits : int }
+
+type pac_memo_stats = { lookups : int; hits : int }
 
 (* A canonical kernel address that is never mapped: it survives PAC/AUT
    round trips (host-called protected functions sign it as their return
@@ -322,18 +336,85 @@ let origin_of_insn insn =
       if List.exists reserved defs || List.exists reserved uses then Cfi_modifier
       else Baseline
 
+(* --- The PAC memo. ---
+
+   A cached-tier core looks every MAC its ops need up in a
+   direct-mapped table of the MACs it last computed before it runs the
+   cipher. An entry is keyed on the cipher's whole 256-bit input: key
+   hi, key lo, tweak (the modifier) and plaintext (the canonical
+   pointer, or PACGA's value). It holds a MAC, not a verdict: AUT still
+   compares the pointer it is given with the MAC of that pointer's
+   canonical form, so a flipped PAC bit, a forged pointer or a flipped
+   key fails exactly as it would without the memo. Every entry starts
+   as a true fact, the all-zero input and its MAC, so no entry needs a
+   valid bit and none can answer for an input it was not computed
+   from. Keys are compared by value, so key installs, key flips and
+   restores need no flush. The memo belongs to one core: a core runs
+   on one domain at a time, and a memo two domains shared could be
+   torn mid-entry. An [Interp] core calls the cipher directly, so the
+   tier comparisons check the memo against the uncached path. *)
+
+let memo_bits = 8
+
+(* words per entry: key hi, key lo, tweak, plaintext, MAC *)
+let memo_width = 5
+let memo_mult = 0x9E3779B97F4A7C15L
+
+(* A multiplicative hash of all four words, top [memo_bits] bits (an
+   xor-fold of the words lets modifier and pointer bits cancel). *)
+let[@inline] memo_slot hi lo tweak data =
+  let step h w = Int64.mul (Int64.logxor h w) memo_mult in
+  let h = step (step (step (Int64.mul hi memo_mult) lo) tweak) data in
+  memo_width * Int64.to_int (Int64.shift_right_logical h (64 - memo_bits))
+
+let memo_create cipher =
+  let zero = Pac.{ hi = 0L; lo = 0L } in
+  let zero_mac = Pac.cipher_mac cipher zero ~modifier:0L 0L in
+  let entries = zeroed (memo_width lsl memo_bits) in
+  for i = 0 to (1 lsl memo_bits) - 1 do
+    A.unsafe_set entries ((memo_width * i) + 4) zero_mac
+  done;
+  { entries; n_lookups = 0; n_hits = 0 }
+
+let memo_mac cipher m : Pac.mac =
+ fun key ~modifier data ->
+  let hi = key.Pac.hi and lo = key.Pac.lo and e = m.entries in
+  let i = memo_slot hi lo modifier data in
+  m.n_lookups <- m.n_lookups + 1;
+  let differ j w = Int64.logxor (A.unsafe_get e (i + j)) w in
+  if
+    is_zero64
+      (Int64.logor
+         (Int64.logor (differ 0 hi) (differ 1 lo))
+         (Int64.logor (differ 2 modifier) (differ 3 data)))
+  then begin
+    m.n_hits <- m.n_hits + 1;
+    A.unsafe_get e (i + 4)
+  end
+  else begin
+    let mac = Pac.cipher_mac cipher key ~modifier data in
+    A.unsafe_set e i hi;
+    A.unsafe_set e (i + 1) lo;
+    A.unsafe_set e (i + 2) modifier;
+    A.unsafe_set e (i + 3) data;
+    A.unsafe_set e (i + 4) mac;
+    mac
+  end
+
+let pac_memo_stats t = { lookups = t.memo.n_lookups; hits = t.memo.n_hits }
+
 (* PAC helpers used by the instruction semantics. *)
 
 let do_pac t key ptr modifier =
   if pauth_enabled t key then
     let cfg = pointer_cfg t ptr in
-    Pac.compute ~cipher:t.cipher ~key:(pac_key t key) ~cfg ~modifier ptr
+    Pac.compute_with ~mac:t.mac ~key:(pac_key t key) ~cfg ~modifier ptr
   else ptr
 
 let do_aut t key ptr modifier =
   if pauth_enabled t key then begin
     let cfg = pointer_cfg t ptr in
-    match Pac.auth ~cipher:t.cipher ~key:(pac_key t key) ~cfg ~modifier ptr with
+    match Pac.auth_with ~mac:t.mac ~key:(pac_key t key) ~cfg ~modifier ptr with
     | Ok stripped -> stripped
     | Error poisoned ->
         (match t.sink with
@@ -701,7 +782,7 @@ let rec op_of insn ~el ~next : op =
       fun t ->
         let r = t.st in
         A.unsafe_set r d
-          (Pac.generic ~cipher:t.cipher ~key:(pac_key t Sysreg.GA)
+          (Pac.generic_with ~mac:t.mac ~key:(pac_key t Sysreg.GA)
              ~value:(A.unsafe_get r n) ~modifier:(A.unsafe_get r m));
         set_pc t next
   | Insn.Blra (k, rn, rm) ->
@@ -767,11 +848,6 @@ let rec op_of insn ~el ~next : op =
   | Insn.Brk imm -> stop_after ~next (Brk imm)
   | Insn.Hlt imm -> stop_after ~next (Hlt imm)
 
-let zeroed n =
-  let a = A.create Bigarray.Int64 Bigarray.C_layout n in
-  A.fill a 0L;
-  a
-
 let copy_words a =
   let b = A.create Bigarray.Int64 Bigarray.C_layout (A.dim a) in
   A.blit a b;
@@ -799,6 +875,7 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
         Some tr
     | _ -> None
   in
+  let memo = memo_create cipher in
   {
     st = zeroed (sysreg_base + List.length Sysreg.all);
     written = 0;
@@ -810,6 +887,11 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     tier;
     traces;
     cipher;
+    memo;
+    mac =
+      (match tier with
+      | Interp -> Pac.cipher_mac cipher
+      | Icache | Traces -> memo_mac cipher memo);
     cost;
     cycles = 0;
     insns_retired = 0;

@@ -43,10 +43,11 @@ type hook_action = Exec | Skip
     Every tier runs the same {!op_of} ops:
 
     - [Interp]: fetch, decode, compile and run once per instruction,
-      the decoded-instruction cache disabled;
+      the decoded-instruction cache disabled, and every MAC from the
+      cipher itself;
     - [Icache]: the decoded-instruction cache + micro-TLB (the
       default); a line holds its op, compiled at fill, so a hit runs
-      it directly;
+      it directly, and PAC ops look MACs up in the core's PAC memo;
     - [Traces]: hot straight-line regions additionally chain their
       lines' ops into superblocks with block-to-block chaining; cold
       and cut code still takes the single-step path through the
@@ -78,6 +79,16 @@ val all_tiers : tier list
     created over this core's memory and MMU, disabled on an [Interp]
     core. The cache is a host-speed optimization only: execution with
     it on or off is bit-identical, including cycles and telemetry.
+
+    Each core keeps a PAC memo: a direct-mapped table of 256 MACs,
+    keyed on the cipher's whole input (key hi, key lo, modifier and
+    canonical pointer or PACGA value). On the [Icache] and [Traces]
+    tiers every PAC, AUT and PACGA op, the 1716 forms and the
+    authenticated branches included, looks its MAC up there before it
+    runs [cipher]; an [Interp] core runs [cipher] directly. Entries
+    start as the all-zero input and its MAC, and are keyed on values,
+    so key writes and {!restore} leave the memo warm. It caches MACs,
+    not verdicts: a wrong PAC fails AUT on every tier alike.
 
     [tier] selects the execution tier (default [Icache]). A [Traces]
     core creates a private superblock trace cache — traces are per-core
@@ -127,6 +138,15 @@ val tier : t -> tier
 
 (** Superblock trace-cache counters, when this is a [Traces] core. *)
 val trace_stats : t -> Traces.stats option
+
+(** PAC memo counters: MACs the core's ops looked up, and how many of
+    them the memo answered without running the cipher. Host-side only:
+    they reach no fingerprint, replay log or report. *)
+type pac_memo_stats = { lookups : int; hits : int }
+
+(** [pac_memo_stats t] — a copy of the counters. An [Interp] core
+    makes no lookups. *)
+val pac_memo_stats : t -> pac_memo_stats
 
 (** [id t] — the core number given at {!create} (0 on a uniprocessor). *)
 val id : t -> int
@@ -262,9 +282,11 @@ val fold_sysregs : t -> ('a -> Sysreg.t -> int64 -> 'a) -> 'a -> 'a
     [restore] writes the sysreg table back directly without the
     per-write cache flush of {!set_sysreg}, and flushes neither the
     icache nor the trace cache: ops read sysregs only at run time, and
-    the costs a block binds depend on none. Callers restoring code or
-    translation tables invalidate through [Mem] and the [Mmu]
-    generation, as {!Machine.restore} does. *)
+    the costs a block binds depend on none. The PAC memo is neither
+    captured nor restored: it is keyed on key values, so every MAC it
+    holds stays true whatever keys a restore writes back. Callers
+    restoring code or translation tables invalidate through [Mem] and
+    the [Mmu] generation, as {!Machine.restore} does. *)
 type captured
 
 val capture : t -> captured

@@ -396,6 +396,172 @@ let test_memory_op_allocation () =
           (Cpu.tier_name tier) mem alu)
     [ Cpu.Icache; Cpu.Traces ]
 
+(* --- The PAC memo: exact and invisible. ---
+
+   A cached-tier core looks every MAC up in its PAC memo before it runs
+   the cipher, keyed on key hi, key lo, modifier and canonical pointer.
+   Each family below first signs a base input, so it sits in its memo
+   slot, then a variant differing in one of those words only. A memo
+   that compared fewer words would answer a variant sharing the base's
+   slot with the base's MAC; with 4096 variants per word, about 16
+   share a slot. Every result must equal the interp core's, which
+   calls the cipher directly, and [Pac.compute]'s. *)
+
+let memo_program () =
+  let prog = Asm.create () in
+  let fn name insn = Asm.add_function prog ~name [ Asm.ins insn; Asm.ins Insn.Ret ] in
+  fn "pacia" (Insn.Pac (Sysreg.IA, Insn.R 0, Insn.R 1));
+  fn "autia" (Insn.Aut (Sysreg.IA, Insn.R 0, Insn.R 1));
+  fn "pacga" (Insn.Pacga (Insn.R 0, Insn.R 0, Insn.R 1));
+  prog
+
+(* interp first: the reference the cached tiers are held to *)
+let memo_cores () =
+  List.map
+    (fun tier ->
+      let cpu = Env.fresh_cpu ~tier () in
+      (cpu, load_program cpu (memo_program ())))
+    Cpu.all_tiers
+
+(* [memo_op (cpu, layout) fn k key x0 x1] installs [key] as key [k],
+   runs [fn] on x0 and x1 and returns x0. *)
+let memo_op (cpu, layout) fn k (key : Pac.key) x0 x1 =
+  let hi, lo = Sysreg.key_halves k in
+  Cpu.set_sysreg cpu hi key.hi;
+  Cpu.set_sysreg cpu lo key.lo;
+  Cpu.set_reg cpu (Insn.R 0) x0;
+  Cpu.set_reg cpu (Insn.R 1) x1;
+  Env.expect_return cpu layout fn;
+  Cpu.reg cpu (Insn.R 0)
+
+let test_pac_memo_exact () =
+  let cores = memo_cores () in
+  let cipher = Cpu.cipher (fst (List.hd cores)) in
+  let wrong = ref 0 and first = ref "" in
+  (* every core's result for one input, against [expect] *)
+  let check what fn k key x0 x1 expect =
+    List.iter
+      (fun ((cpu, _) as core) ->
+        let got = memo_op core fn k key x0 x1 in
+        if got <> expect then begin
+          if !wrong = 0 then
+            first :=
+              Printf.sprintf "%s on %s: %Lx, expected %Lx (key %Lx:%Lx, x0 %Lx, x1 %Lx)"
+                what (Cpu.tier_name (Cpu.tier cpu)) got expect key.Pac.hi key.Pac.lo x0 x1;
+          incr wrong
+        end)
+      cores
+  in
+  let sign what (key : Pac.key) ~modifier ptr =
+    let cfg = Cpu.pointer_cfg (fst (List.hd cores)) ptr in
+    check what "pacia" Sysreg.IA key ptr modifier
+      (Pac.compute ~cipher ~key ~cfg ~modifier ptr)
+  in
+  let rng = Camo_util.Rng.create 0x4D454D4FL in
+  let r64 () = Camo_util.Rng.next rng in
+  let bit b = Int64.shift_left 1L b in
+  let user_ptr () = Int64.logand (r64 ()) 0x0000_ffff_ffff_fff0L in
+  let bases = List.init 64 (fun _ -> (Pac.{ hi = r64 (); lo = r64 () }, r64 (), user_ptr ())) in
+  let family what vary =
+    List.iter
+      (fun (key, modifier, ptr) ->
+        for b = 0 to 63 do
+          sign what key ~modifier ptr;
+          let key', modifier', ptr' = vary (key, modifier, ptr) (bit b) in
+          sign what key' ~modifier:modifier' ptr'
+        done)
+      bases
+  in
+  family "keys differing in the hi half" (fun (k, m, p) d ->
+      (Pac.{ k with hi = Int64.logxor k.hi d }, m, p));
+  family "keys differing in the lo half" (fun (k, m, p) d ->
+      (Pac.{ k with lo = Int64.logxor k.lo d }, m, p));
+  family "modifiers one bit apart" (fun (k, m, p) d -> (k, Int64.logxor m d, p));
+  (* bit 55 selects the kernel or the user PAC layout *)
+  List.iter
+    (fun (key, modifier, ptr) ->
+      sign "a user pointer" key ~modifier ptr;
+      sign "its bit-55 twin" key ~modifier (Int64.logxor ptr (bit 55)))
+    bases;
+  (* PACGA, under GA keys one bit apart *)
+  List.iter
+    (fun (key, modifier, value) ->
+      for b = 0 to 63 do
+        List.iter
+          (fun (key : Pac.key) ->
+            check "PACGA" "pacga" Sysreg.GA key value modifier
+              (Pac.generic ~cipher ~key ~value ~modifier))
+          [ key; Pac.{ key with lo = Int64.logxor key.lo (bit b) } ]
+      done)
+    bases;
+  (* the all-zero input on fresh cores: their first lookup *)
+  let zero = Pac.{ hi = 0L; lo = 0L } in
+  List.iter
+    (fun ((cpu, _) as core) ->
+      let got = memo_op core "pacia" Sysreg.IA zero 0L 0L in
+      Alcotest.(check int64)
+        ("the all-zero input on a fresh " ^ Cpu.tier_name (Cpu.tier cpu) ^ " core")
+        (Pac.compute ~cipher ~key:zero ~cfg:Vaddr.linux_user ~modifier:0L 0L)
+        got)
+    (memo_cores ());
+  if !wrong > 0 then Alcotest.failf "%d wrong results; the first: %s" !wrong !first;
+  (* after a memo hit on a valid pointer, one flipped PAC bit fails AUT,
+     and a sink counts that failure once *)
+  let key, modifier, ptr = List.hd bases in
+  let cfg = Vaddr.linux_user in
+  let signed = Pac.compute ~cipher ~key ~cfg ~modifier ptr in
+  let lo, _ = List.hd (Vaddr.pac_field cfg) in
+  let flipped = Int64.logxor signed (bit lo) in
+  List.iter
+    (fun ((cpu, _) as core) ->
+      let tier = Cpu.tier_name (Cpu.tier cpu) in
+      Alcotest.(check int64) (tier ^ ": signed") signed
+        (memo_op core "pacia" Sysreg.IA key ptr modifier);
+      Alcotest.(check int64) (tier ^ ": the valid pointer authenticates") ptr
+        (memo_op core "autia" Sysreg.IA key signed modifier);
+      let before = Cpu.pac_memo_stats cpu in
+      let sink = Telemetry.Sink.create ~cpu:0 () in
+      Cpu.attach_telemetry cpu sink;
+      Alcotest.(check int64) (tier ^ ": one flipped PAC bit fails AUT")
+        (Vaddr.poison cfg flipped)
+        (memo_op core "autia" Sysreg.IA key flipped modifier);
+      Cpu.detach_telemetry cpu;
+      let after = Cpu.pac_memo_stats cpu in
+      Alcotest.(check int64) (tier ^ ": the sink counts the failure once") 1L
+        (Telemetry.Counters.live_auth_failures (Telemetry.Sink.counters sink));
+      Alcotest.(check int)
+        (tier ^ ": the failing AUT was a memo hit")
+        (if Cpu.tier cpu = Cpu.Interp then 0 else 1)
+        (after.Cpu.hits - before.Cpu.hits))
+    cores
+
+(* The memo's counters: every lookup of a warm [full] getpid hits on the
+   cached tiers, and an interp core looks nothing up. *)
+let test_pac_memo_stats () =
+  List.iter
+    (fun tier ->
+      let sys = Kernel.System.boot ~config:Camouflage.Config.full ~seed:7L ~tier () in
+      let getpids n =
+        for _ = 1 to n do
+          ignore (Kernel.System.syscall sys ~nr:Kernel.Kbuild.sys_getpid ~args:[])
+        done
+      in
+      getpids 10;
+      let cpu = Kernel.System.cpu sys in
+      let before = Cpu.pac_memo_stats cpu in
+      getpids 1000;
+      let after = Cpu.pac_memo_stats cpu in
+      let lookups = after.Cpu.lookups - before.Cpu.lookups
+      and hits = after.Cpu.hits - before.Cpu.hits in
+      let name = Cpu.tier_name tier in
+      match tier with
+      | Cpu.Interp ->
+          Alcotest.(check int) (name ^ ": no lookups") 0 after.Cpu.lookups
+      | Cpu.Icache | Cpu.Traces ->
+          Alcotest.(check bool) (name ^ ": getpid looks MACs up") true (lookups >= 1000);
+          Alcotest.(check int) (name ^ ": every warm lookup hits") lookups hits)
+    Cpu.all_tiers
+
 let suite =
   [
     Alcotest.test_case "arithmetic loop" `Quick test_arith_loop;
@@ -415,4 +581,7 @@ let suite =
       test_hook_allocation;
     Alcotest.test_case "a memory op allocates no more than an ALU op" `Quick
       test_memory_op_allocation;
+    Alcotest.test_case "the PAC memo is exact on every tier" `Quick test_pac_memo_exact;
+    Alcotest.test_case "PAC memo counters: warm getpids hit, interp looks nothing up"
+      `Quick test_pac_memo_stats;
   ]

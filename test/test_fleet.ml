@@ -489,6 +489,70 @@ let test_serve_refuses_chained () =
     (Option.bind (J.member "submitted" (Option.get (J.member "jobs" metrics))) J.to_int);
   F.Serve.drain srv
 
+(* serve is total: a random line, or a line of a request corpus with one
+   byte cut, overwritten, inserted or deleted, gets one single-line JSON
+   response on a fresh server, with "ok" true or a non-empty "error",
+   and never an exception, within 5 s. Every submit in the corpus asks
+   for one trial on one worker, so one damaged byte starts at most one
+   small campaign (a damaged "trials" key falls back to the default
+   16); each case drains its server, so none leaves a domain running. *)
+let serve_corpus =
+  [|
+    {|{"req": "ping"}|};
+    {|{"req": "metrics"}|};
+    {|{"req": "status", "id": 1}|};
+    {|{"req": "report", "id": 1}|};
+    {|{"req": "cancel", "id": 1}|};
+    {|{"req": "shutdown"}|};
+    {|{"req": "submit", "kind": "faults", "seed": 5, "trials": 1, "workers": 1}|};
+    {|{"req": "submit", "kind": "faults", "config": "parts", "tier": "traces", "trials": 1, "workers": 1, "timeout_ms": 60000}|};
+  |]
+
+type serve_line = Noise of string | Damaged of int * Test_json.damage * int * char
+
+let serve_line_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Noise s) string;
+        map2
+          (fun i (kind, pos, c) -> Damaged (i, kind, pos, c))
+          (int_bound (Array.length serve_corpus - 1))
+          Test_json.damage_gen;
+      ])
+
+let serve_line = function
+  | Noise s -> s
+  | Damaged (i, kind, pos, c) -> Test_json.damage serve_corpus.(i) (kind, pos, c)
+
+let print_serve_line = function
+  | Noise s -> Printf.sprintf "random line %S" s
+  | Damaged (i, kind, pos, c) ->
+      Printf.sprintf "request %d, %s: %S" i
+        (Test_json.print_damage (kind, pos, c))
+        (serve_line (Damaged (i, kind, pos, c)))
+
+let prop_serve_total =
+  QCheck.Test.make ~count:300
+    ~name:"serve answers random and damaged lines with ok or an error"
+    (QCheck.make ~print:print_serve_line serve_line_gen)
+    (fun l ->
+      let srv = F.Serve.create () in
+      let t0 = Unix.gettimeofday () in
+      let response, _ = F.Serve.handle srv (serve_line l) in
+      let took = Unix.gettimeofday () -. t0 in
+      F.Serve.drain srv;
+      if took > 5.0 then QCheck.Test.fail_reportf "answered after %.1f s" took;
+      if String.contains response '\n' then
+        QCheck.Test.fail_reportf "a multi-line response: %S" response;
+      match J.parse response with
+      | Error e -> QCheck.Test.fail_reportf "response %S is not JSON: %s" response e
+      | Ok v -> (
+          match (Option.bind (J.member "ok" v) J.to_bool, str_of v "error") with
+          | Some true, _ -> true
+          | Some false, Some e when e <> "" -> true
+          | _ -> QCheck.Test.fail_reportf "neither ok nor an error: %S" response))
+
 let suite =
   [
     Alcotest.test_case "a drained worker claims from another block" `Quick
@@ -533,4 +597,5 @@ let suite =
       test_pool_helper_exception_reaches_caller;
     Alcotest.test_case "pool: nested runs do not deadlock" `Quick
       test_pool_nested_runs;
+    QCheck_alcotest.to_alcotest prop_serve_total;
   ]
