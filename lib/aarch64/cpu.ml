@@ -96,6 +96,10 @@ type t = {
   id : int;
   (* pre-execute observation point; see set_step_hook *)
   mutable step_hook : (t -> pc:int64 -> Insn.t -> hook_action) option;
+  (* the hook acts on no instruction that starts below this cycle
+     count, so a traces core runs blocks until then (see
+     [horizon_loop]); 0 when the hook acts from the first one *)
+  mutable horizon : int;
   (* telemetry endpoint; None (the default) must leave execution
      bit-identical to a build without telemetry *)
   mutable sink : Telemetry.Sink.t option;
@@ -247,7 +251,16 @@ let cycles t = Int64.of_int t.cycles
 let insns_retired t = Int64.of_int t.insns_retired
 let charge t n = t.cycles <- t.cycles + n
 let set_sysreg_lock t f = t.sysreg_locked <- f
-let set_step_hook t h = t.step_hook <- h
+
+let set_step_hook t h =
+  t.step_hook <- h;
+  t.horizon <- 0
+
+(* [Int64.to_int] keeps the low 63 bits, so a horizon past 2^62 cycles
+   reads as an earlier one (or a negative one, which no cycle count is
+   below): the hook is then called sooner than it asked, never later. *)
+let set_step_horizon t c = t.horizon <- Int64.to_int c
+
 let attach_telemetry t s = t.sink <- Some s
 let detach_telemetry t = t.sink <- None
 let telemetry t = t.sink
@@ -296,6 +309,13 @@ let cost_of t insn =
   | Insn.Eret -> c.eret
   | Insn.Isb -> c.isb
 
+(* The most cycles [cost_of] charges an instruction that lets the run
+   go on: SVC and ERET end it (BRK and HLT too, at [alu]), so they are
+   left out. 5 on cortex-a53, for BLRA, BRA and RETA. *)
+let max_cost (c : Cost.profile) =
+  max (max (max c.alu (c.load + 1)) (max (c.store + 1) (c.branch + c.pauth)))
+    (max (max c.pauth c.mrs) (max c.msr (max c.isb 1)))
+
 (* Telemetry classification. Retirement class mirrors the cost_of
    grouping; the origin distinguishes CFI-added instructions (PAC
    construction, authentication, modifier arithmetic on the reserved
@@ -338,10 +358,10 @@ let origin_of_insn insn =
 
 (* --- The PAC memo. ---
 
-   A cached-tier core looks every MAC its ops need up in a
-   direct-mapped table of the MACs it last computed before it runs the
-   cipher. An entry is keyed on the cipher's whole 256-bit input: key
-   hi, key lo, tweak (the modifier) and plaintext (the canonical
+   A cached-tier core looks every MAC its ops need up in a 2-way
+   set-associative table of the MACs it last computed before it runs
+   the cipher. An entry is keyed on the cipher's whole 256-bit input:
+   key hi, key lo, tweak (the modifier) and plaintext (the canonical
    pointer, or PACGA's value). It holds a MAC, not a verdict: AUT still
    compares the pointer it is given with the MAC of that pointer's
    canonical form, so a flipped PAC bit, a forged pointer or a flipped
@@ -352,47 +372,72 @@ let origin_of_insn insn =
    restores need no flush. The memo belongs to one core: a core runs
    on one domain at a time, and a memo two domains shared could be
    torn mid-entry. An [Interp] core calls the cipher directly, so the
-   tier comparisons check the memo against the uncached path. *)
+   tier comparisons check the memo against the uncached path.
 
-let memo_bits = 8
+   A set holds its most recently used entry first. A hit on the second
+   swaps the two, and a miss moves the first entry to the second place
+   (evicting the least recently used one) and fills the first, so two
+   hot inputs whose hash picks one set both stay. *)
+
+let memo_set_bits = 8
 
 (* words per entry: key hi, key lo, tweak, plaintext, MAC *)
 let memo_width = 5
+
+(* words per set: two entries *)
+let memo_set_width = 2 * memo_width
 let memo_mult = 0x9E3779B97F4A7C15L
 
-(* A multiplicative hash of all four words, top [memo_bits] bits (an
-   xor-fold of the words lets modifier and pointer bits cancel). *)
-let[@inline] memo_slot hi lo tweak data =
+(* A multiplicative hash of all four words, top [memo_set_bits] bits
+   (an xor-fold of the words lets modifier and pointer bits cancel):
+   the first word of the set. *)
+let[@inline] memo_set hi lo tweak data =
   let step h w = Int64.mul (Int64.logxor h w) memo_mult in
   let h = step (step (step (Int64.mul hi memo_mult) lo) tweak) data in
-  memo_width * Int64.to_int (Int64.shift_right_logical h (64 - memo_bits))
+  memo_set_width * Int64.to_int (Int64.shift_right_logical h (64 - memo_set_bits))
 
 let memo_create cipher =
   let zero = Pac.{ hi = 0L; lo = 0L } in
   let zero_mac = Pac.cipher_mac cipher zero ~modifier:0L 0L in
-  let entries = zeroed (memo_width lsl memo_bits) in
-  for i = 0 to (1 lsl memo_bits) - 1 do
+  let entries = zeroed (memo_set_width lsl memo_set_bits) in
+  for i = 0 to (2 lsl memo_set_bits) - 1 do
     A.unsafe_set entries ((memo_width * i) + 4) zero_mac
   done;
   { entries; n_lookups = 0; n_hits = 0 }
 
+(* Move the entry at word [src] to word [dst] of the memo. *)
+let[@inline] memo_move e ~src ~dst =
+  for j = 0 to memo_width - 1 do
+    A.unsafe_set e (dst + j) (A.unsafe_get e (src + j))
+  done
+
 let memo_mac cipher m : Pac.mac =
  fun key ~modifier data ->
   let hi = key.Pac.hi and lo = key.Pac.lo and e = m.entries in
-  let i = memo_slot hi lo modifier data in
+  let i = memo_set hi lo modifier data in
+  let i' = i + memo_width in
   m.n_lookups <- m.n_lookups + 1;
-  let differ j w = Int64.logxor (A.unsafe_get e (i + j)) w in
-  if
+  let[@inline] holds i =
+    let differ j w = Int64.logxor (A.unsafe_get e (i + j)) w in
     is_zero64
       (Int64.logor
          (Int64.logor (differ 0 hi) (differ 1 lo))
          (Int64.logor (differ 2 modifier) (differ 3 data)))
-  then begin
+  in
+  if holds i then begin
     m.n_hits <- m.n_hits + 1;
     A.unsafe_get e (i + 4)
   end
   else begin
-    let mac = Pac.cipher_mac cipher key ~modifier data in
+    let mac =
+      if holds i' then begin
+        m.n_hits <- m.n_hits + 1;
+        A.unsafe_get e (i' + 4)
+      end
+      else Pac.cipher_mac cipher key ~modifier data
+    in
+    (* the first entry becomes the second, evicting it on a miss *)
+    memo_move e ~src:i ~dst:i';
     A.unsafe_set e i hi;
     A.unsafe_set e (i + 1) lo;
     A.unsafe_set e (i + 2) modifier;
@@ -902,6 +947,7 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     trace_pos = 0;
     id;
     step_hook = None;
+    horizon = 0;
     sink = None;
     last_run_tier = tier;
   }
@@ -1166,14 +1212,16 @@ let rec step_loop t ~observed budget =
    linked to the next lookup result as its chained successor; a valid
    chain skips both the sync and the slot probe, which is sound because
    every in-run invalidation source (stores, executed MSRs) kills blocks
-   in place and the liveness check still runs. *)
-let block_loop t tr max_insns =
+   in place and the liveness check still runs. When the budget runs out
+   the loop hands [limit] whether the PC is a block boundary, so a
+   caller that ran it under a shorter budget can go on from there. *)
+let block_loop t tr ~limit ~boundary max_insns =
   let tc = Traces.counters tr in
   (* Three mutually tail-recursive states instead of one [prev] option:
      no [Some] allocation per dispatch, and the chain-follow guard and
      stat accounting are direct field accesses. *)
   let rec go_boundary budget boundary =
-    if budget <= 0 then Insn_limit
+    if budget <= 0 then limit boundary
     else if is_sentinel (pc t) then Sentinel_return
     else
       match if boundary then find_block t tr else None with
@@ -1181,7 +1229,7 @@ let block_loop t tr max_insns =
       | _ -> step_once budget
   (* after a fully completed block: try its chained successor first *)
   and go_chained budget pb =
-    if budget <= 0 then Insn_limit
+    if budget <= 0 then limit true
     else if is_sentinel (pc t) then Sentinel_return
     else
       let blk =
@@ -1229,21 +1277,52 @@ let block_loop t tr max_insns =
     let insn = step_insn t ~observed:false in
     go_boundary (budget - 1) (is_cut insn || is_terminator insn)
   in
-  go_boundary max_insns true
+  go_boundary max_insns boundary
+
+let insn_limit (_ : bool) = Insn_limit
+
+(* A hooked [Traces] core with no sink. Its hook acts on no instruction
+   that starts below [t.horizon] cycles, and no instruction that lets
+   the run go on charges more than [max_cost], so a block loop under
+   a budget of ceil((horizon - cycles) / max_cost) instructions starts
+   every one of them below the horizon. From the horizon on the core
+   single-steps with the hook; it goes back to blocks once the hook is
+   gone or its horizon moves ahead. A run that reaches the block loop
+   reports [Traces]. *)
+let horizon_loop t tr max_insns =
+  let c_max = max_cost t.cost in
+  let rec go budget boundary =
+    if budget <= 0 then Insn_limit
+    else
+      match t.step_hook with
+      | None ->
+          t.last_run_tier <- Traces;
+          block_loop t tr ~limit:insn_limit ~boundary budget
+      | Some _ when t.cycles < t.horizon ->
+          t.last_run_tier <- Traces;
+          let n = min budget (((t.horizon - t.cycles - 1) / c_max) + 1) in
+          block_loop t tr ~limit:(go (budget - n)) ~boundary n
+      | Some _ ->
+          if is_sentinel (pc t) then Sentinel_return
+          else
+            let insn = step_insn t ~observed:true in
+            go (budget - 1) (is_cut insn || is_terminator insn)
+  in
+  go max_insns true
 
 (* The run loop, and the only one: every tier, hooked, observed or
    neither, runs here under one exception frame. Compiled blocks call
-   no hook and report to no sink, so only an unobserved [Traces] core
-   runs them. *)
+   no hook and report to no sink, so a [Traces] core runs them only
+   with no sink, and with a hook only below its horizon. *)
 let run ?(max_insns = 10_000_000) t =
   let observed = Option.is_some t.step_hook || Option.is_some t.sink in
-  let tr = if observed then None else t.traces in
-  t.last_run_tier <-
-    (match (t.tier, tr) with Traces, None -> Icache | tier, _ -> tier);
+  t.last_run_tier <- (if observed && t.tier = Traces then Icache else t.tier);
   try
-    match tr with
-    | Some tr -> block_loop t tr max_insns
-    | None -> step_loop t ~observed max_insns
+    match t.traces with
+    | Some tr when not observed ->
+        block_loop t tr ~limit:insn_limit ~boundary:true max_insns
+    | Some tr when Option.is_none t.sink -> horizon_loop t tr max_insns
+    | _ -> step_loop t ~observed max_insns
   with
   | Stop s -> s
   | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = pc t }
@@ -1309,6 +1388,7 @@ type captured = {
   c_trace_insn : Insn.t array;
   c_trace_pos : int;
   c_step_hook : (t -> pc:int64 -> Insn.t -> hook_action) option;
+  c_horizon : int;
   c_last_run_tier : tier;
 }
 
@@ -1328,6 +1408,7 @@ let capture t =
     c_trace_insn = Array.copy t.trace_insn;
     c_trace_pos = t.trace_pos;
     c_step_hook = t.step_hook;
+    c_horizon = t.horizon;
     c_last_run_tier = t.last_run_tier;
   }
 
@@ -1346,6 +1427,7 @@ let restore t c =
   Array.blit c.c_trace_insn 0 t.trace_insn 0 (Array.length t.trace_insn);
   t.trace_pos <- c.c_trace_pos;
   t.step_hook <- c.c_step_hook;
+  t.horizon <- c.c_horizon;
   t.last_run_tier <- c.c_last_run_tier
 
 let fault_to_string = function

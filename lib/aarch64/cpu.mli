@@ -80,9 +80,10 @@ val all_tiers : tier list
     core. The cache is a host-speed optimization only: execution with
     it on or off is bit-identical, including cycles and telemetry.
 
-    Each core keeps a PAC memo: a direct-mapped table of 256 MACs,
-    keyed on the cipher's whole input (key hi, key lo, modifier and
-    canonical pointer or PACGA value). On the [Icache] and [Traces]
+    Each core keeps a PAC memo: a 2-way set-associative table of 512
+    MACs in 256 sets, keyed on the cipher's whole input (key hi, key lo,
+    modifier and canonical pointer or PACGA value), each set holding its
+    most recently used entry first. On the [Icache] and [Traces]
     tiers every PAC, AUT and PACGA op, the 1716 forms and the
     authenticated branches included, looks its MAC up there before it
     runs [cipher]; an [Interp] core runs [cipher] directly. Entries
@@ -208,8 +209,23 @@ val set_sysreg_lock : t -> (Sysreg.t -> bool) -> unit
     hook moved the MMU generation it runs a freshly compiled op, so no
     stale page cache outlives the hook. The hook must not change the
     core's EL or PC (the fetched op is bound to both) and must not call
-    {!run} reentrantly. *)
+    {!run} reentrantly. It may install or remove the step hook of any
+    core, this one included, and set their horizons. Installing or
+    removing a hook resets the core's horizon to 0. *)
 val set_step_hook : t -> (t -> pc:int64 -> Insn.t -> hook_action) option -> unit
+
+(** [set_step_horizon t c] records the step hook's promise that it acts
+    on no instruction that starts (is hooked) below cycle [c] of this
+    core: called there, it would return [Exec] and change no machine
+    state. A [Traces] core with no sink then runs compiled blocks while
+    its cycle count is below [c] and calls the hook on no instruction
+    there (see {!run}). A horizon of 0 (the default, and what
+    {!set_step_hook} sets) or one the cycle count has passed asks for
+    the hook on every instruction; one at or past 2^62 cycles may read
+    as an earlier one, so the hook is called sooner than it asked, never
+    later. The horizon belongs to the hook: {!capture} and {!restore}
+    carry it along with it. *)
+val set_step_horizon : t -> int64 -> unit
 
 (** [attach_telemetry t sink] connects a per-core telemetry endpoint:
     every retired instruction is classified into the sink's counter
@@ -230,15 +246,26 @@ val sentinel : int64
 
 (** [run ?max_insns t] executes until a stop (default limit 10 million
     instructions) in the one run loop every tier shares. Hot code on a
-    [Traces] core with neither a step hook nor a telemetry sink runs as
-    chained blocks; every other instruction takes the single-step path
-    (fetch, hook, charge, retire, sink, run the line's op). *)
+    [Traces] core with no telemetry sink runs as chained blocks, with
+    no step hook at all or while the cycle count is below the hook's
+    horizon ({!set_step_horizon}). There the blocks run under an
+    instruction budget of ceil((horizon - cycles) / c) instructions,
+    where c is the most cycles an instruction that does not stop the
+    run charges (5 on cortex-a53, for BLRA, BRA and RETA), so no
+    instruction that skips the hook starts at or past the horizon. From
+    the horizon on the core single-steps with the hook, and it goes back
+    to blocks within the same run once the hook is removed or its
+    horizon moves ahead. Every other instruction takes the single-step
+    path (fetch, hook, charge, retire, sink, run the line's op). *)
 val run : ?max_insns:int -> t -> stop
 
 (** [last_run_tier t] — the tier the most recent {!run} actually
-    executed under: a [Traces] core with a step hook or telemetry sink
-    attached runs no compiled blocks and reports [Icache]. Before any
-    run it reports the configured tier. *)
+    executed under. A [Traces] core reports [Traces] for a run that ran
+    under its trace cache, with no sink and either no step hook or one
+    whose horizon lay ahead for part of the run, and [Icache] for a run
+    that only single-stepped: one with a telemetry sink, or with a hook
+    whose horizon it had passed and that stayed attached. Other tiers
+    report their own. Before any run it reports the configured tier. *)
 val last_run_tier : t -> tier
 
 (** [call ?max_insns t addr] sets LR to {!sentinel}, jumps to [addr] and
@@ -278,7 +305,8 @@ val fold_sysregs : t -> ('a -> Sysreg.t -> int64 -> 'a) -> 'a -> 'a
 (** Full per-core mutable state capture for {!Machine} snapshots:
     registers, banked SPs, PC, EL, flags, system registers (PAuth keys
     included), cycle/retirement counters, the trace ring, and host-side
-    attachments (step hook, hypervisor lock predicate, last run tier).
+    attachments (step hook and its horizon, hypervisor lock predicate,
+    last run tier).
     [restore] writes the sysreg table back directly without the
     per-write cache flush of {!set_sysreg}, and flushes neither the
     icache nor the trace cache: ops read sysregs only at run time, and

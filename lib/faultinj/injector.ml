@@ -29,10 +29,20 @@ type t = {
   (* for [Stuck] faults: re-force the flipped bits on every subsequent
      hooked instruction (a stuck-at defect outlives any rewrite) *)
   mutable force : (Cpu.t -> unit) option;
+  (* the cores this injector is armed on, newest first *)
+  mutable cores : Cpu.t list;
 }
 
 let create spec =
-  { spec; steps_seen = 0; has_fired = false; injection_count = 0; first = None; force = None }
+  {
+    spec;
+    steps_seen = 0;
+    has_fired = false;
+    injection_count = 0;
+    first = None;
+    force = None;
+    cores = [];
+  }
 
 let fired t = t.has_fired
 let injections t = t.injection_count
@@ -186,6 +196,14 @@ let spec_to_string s =
     (model_to_string s.model)
     (match s.persistence with Transient -> "transient" | Stuck -> "stuck")
 
+(* After the first strike a [Transient] fault is spent, so its hook
+   leaves every core it is armed on; a [Stuck] fault re-forces on
+   whichever core runs next, so every core hooks every instruction. *)
+let after_strike t =
+  match t.spec.persistence with
+  | Transient -> List.iter (fun c -> Cpu.set_step_hook c None) t.cores
+  | Stuck -> List.iter (fun c -> Cpu.set_step_horizon c 0L) t.cores
+
 let hook t cpu ~pc insn =
   t.steps_seen <- t.steps_seen + 1;
   if not t.has_fired then begin
@@ -200,6 +218,7 @@ let hook t cpu ~pc insn =
       | None -> ());
       let verdict, force = strike t cpu in
       if t.spec.persistence = Stuck then t.force <- force;
+      after_strike t;
       verdict
     end
     else Cpu.Exec
@@ -219,8 +238,17 @@ let hook t cpu ~pc insn =
             match t.force with
             | Some f ->
                 f cpu;
+                t.injection_count <- t.injection_count + 1;
                 Cpu.Exec
             | None -> Cpu.Exec))
 
-let arm t cpu = Cpu.set_step_hook cpu (Some (fun cpu ~pc insn -> hook t cpu ~pc insn))
+(* A cycle window's trigger cannot be due below [lo], so until the
+   fault strikes the hook acts on no instruction that starts below it. *)
+let arm t cpu =
+  Cpu.set_step_hook cpu (Some (fun cpu ~pc insn -> hook t cpu ~pc insn));
+  t.cores <- cpu :: t.cores;
+  match t.spec.trigger with
+  | At_cycle_window { lo; _ } when not t.has_fired -> Cpu.set_step_horizon cpu lo
+  | _ -> ()
+
 let arm_all t machine = List.iter (arm t) (Machine.cores machine)

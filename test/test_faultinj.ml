@@ -107,7 +107,11 @@ let test_mem_flip_stuck_survives_store () =
   FI.Injector.arm inj (K.System.cpu sys);
   expect_exit "bit 0 stuck at 1 through the store" 5L
     (K.System.run_user sys ~entry:(Asm.symbol layout "main"));
-  Alcotest.(check bool) "many forcings" true (FI.Injector.injections inj >= 1);
+  (* the strike, then one forcing before each of the 28 hooked
+     instructions that follow it (the rest of the program and the exit
+     path) *)
+  Alcotest.(check int) "one injection per hooked instruction from the strike on" 29
+    (FI.Injector.injections inj);
   Cpu.set_step_hook (K.System.cpu sys) None
 
 let test_skip_insn () =
@@ -383,6 +387,32 @@ let test_campaign_reproducible () =
   Alcotest.(check string) "same seed, same bytes" r1 (json 5L);
   Alcotest.(check bool) "different seed, different trials" true (r1 <> json 6L)
 
+(* One injector armed on both cores shares its state between them:
+   a transient strike on one core unhooks both, and a stuck strike
+   brings every core's horizon down to 0, since the fault is re-forced
+   on whichever core runs next. A traces core runs blocks below its
+   horizon, so a core left with a stale horizon would skip forcings
+   that interp and icache make: the 2-core reports must be
+   byte-identical on every tier. *)
+let test_campaign_two_cores_every_tier () =
+  List.iter
+    (fun seed ->
+      let json tier =
+        let r = Option.get (Fleet.Campaign.run ~workers:1 ~cpus:2 ~tier ~seed ~trials:48 ()) in
+        FI.Campaign.report_to_json r.Fleet.Campaign.report
+      in
+      let interp = String.split_on_char '\n' (json Cpu.Interp) in
+      List.iter
+        (fun tier ->
+          let lines = String.split_on_char '\n' (json tier) in
+          let what = Printf.sprintf "seed %Ld, %s" seed (Cpu.tier_name tier) in
+          Alcotest.(check int) (what ^ ": report lines") (List.length interp)
+            (List.length lines);
+          Alcotest.(check (list string)) (what ^ ": lines that differ from interp") []
+            (List.concat (List.map2 (fun a b -> if a = b then [] else [ b ]) interp lines)))
+        [ Cpu.Icache; Cpu.Traces ])
+    [ 41L; 80L ]
+
 (* Zero-fault equivalence: an armed injector whose trigger never fires
    leaves the run cycle-for-cycle identical to an uninstrumented one. *)
 let fingerprint ~armed seed =
@@ -461,4 +491,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_zero_fault_campaign_is_identity;
     Alcotest.test_case "quarantine demo: baseline panics, quarantine survives" `Quick
       test_quarantine_demo;
+    Alcotest.test_case "campaign: 2-core reports equal on every tier" `Quick
+      test_campaign_two_cores_every_tier;
   ]

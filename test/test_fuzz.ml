@@ -576,14 +576,85 @@ let prop_three_tier =
      fingerprint, on every tier, except that under a sink an MRS of an
      event counter reads the sink's count (the observed runs then equal
      the observed interp run);
-   - an injector that does fire (an instruction skip after a random
-     number of steps) changes the run identically on every tier;
+   - an injector that does fire changes the run identically on every
+     tier: an instruction skip after a random number of steps, or a
+     fault in a cycle window whose [lo] falls inside the program's
+     cycle span, a transient GPR flip or a stuck key flip. A window
+     sets the armed core's horizon, so a traces core runs blocks up to
+     it; a transient strike unhooks the core and a stuck one hooks
+     every later instruction;
    - observed runs count the same counter file on every tier. *)
 let arm spec cpu = Faultinj.Injector.arm (Faultinj.Injector.create spec) cpu
 
 let never =
   Faultinj.Injector.
     { trigger = After_steps max_int; model = Skip_insn; persistence = Transient }
+
+(* The faults [prop_observed_armed] draws. A window's [lo] is drawn in
+   thousandths of the program's cycle span, from the cycle count at
+   the call. *)
+type fault =
+  | Skip_after of int
+  | Window_gpr of { permille : int; reg : int; bit : int }  (* transient *)
+  | Window_key of { permille : int; key : Sysreg.pauth_key; high : bool; bit : int }
+      (* stuck *)
+
+let gen_fault =
+  QCheck2.Gen.(
+    let permille = int_range 0 999 and bit = int_range 0 63 in
+    frequency
+      [
+        (2, map (fun n -> Skip_after n) (int_range 0 2000));
+        ( 1,
+          map3
+            (fun permille reg bit -> Window_gpr { permille; reg; bit })
+            permille (int_range 0 5) bit );
+        ( 1,
+          map3
+            (fun permille (key, high) bit -> Window_key { permille; key; high; bit })
+            permille
+            (pair (oneofl Sysreg.[ IA; IB; DA; DB ]) bool)
+            bit );
+      ])
+
+let fault_to_string = function
+  | Skip_after n -> Printf.sprintf "skip-after=%d" n
+  | Window_gpr { permille; reg; bit } ->
+      Printf.sprintf "window@%d/1000 gpr-flip x%d bit %d (transient)" permille reg bit
+  | Window_key { permille; key; high; bit } ->
+      Printf.sprintf "window@%d/1000 key-flip %s bit %d (stuck)" permille
+        (Sysreg.name ((if high then fst else snd) (Sysreg.key_halves key)))
+        bit
+
+(* [arm_fault f ~span] arms [f] on the core it is attached to, a window
+   starting [span * permille / 1000] cycles after the core's count. *)
+let arm_fault f ~span cpu =
+  let window permille =
+    let lo =
+      Int64.add (Cpu.cycles cpu) (Int64.div (Int64.mul span (Int64.of_int permille)) 1000L)
+    in
+    Faultinj.Injector.At_cycle_window { lo; hi = Int64.max_int }
+  in
+  arm
+    (match f with
+    | Skip_after n ->
+        Faultinj.Injector.
+          { trigger = After_steps n; model = Skip_insn; persistence = Transient }
+    | Window_gpr { permille; reg; bit } ->
+        Faultinj.Injector.
+          {
+            trigger = window permille;
+            model = Gpr_flip { reg; bits = [ bit ] };
+            persistence = Transient;
+          }
+    | Window_key { permille; key; high; bit } ->
+        Faultinj.Injector.
+          {
+            trigger = window permille;
+            model = Key_flip { key; high_half = high; bit };
+            persistence = Stuck;
+          })
+    cpu
 
 let counters_json sink =
   Telemetry.Counters.to_json
@@ -598,15 +669,14 @@ let prop_observed_armed =
   QCheck2.Test.make
     ~name:"random programs: armed and observed runs agree on every tier"
     ~count:150
-    ~print:(fun (p, n) -> Printf.sprintf "%s skip-after=%d" (print_fprog p) n)
-    QCheck2.Gen.(pair gen_fprog (int_range 0 2000))
-    (fun (p, n) ->
-      let plain = run_fprog ~tier:Cpu.Interp p in
-      let skip =
-        Faultinj.Injector.
-          { trigger = After_steps n; model = Skip_insn; persistence = Transient }
-      in
-      let skipped = run_fprog ~attach:(arm skip) ~tier:Cpu.Interp p in
+    ~print:(fun (p, f) -> Printf.sprintf "%s %s" (print_fprog p) (fault_to_string f))
+    QCheck2.Gen.(pair gen_fprog gen_fault)
+    (fun (p, f) ->
+      let ((_, cpu, _) as loaded) = load_fprog ~tier:Cpu.Interp p in
+      let c0 = Cpu.cycles cpu in
+      let plain = call_fprog loaded in
+      let span = Int64.sub (Cpu.cycles cpu) c0 in
+      let faulted = run_fprog ~attach:(arm_fault f ~span) ~tier:Cpu.Interp p in
       let observed_interp = observed ~tier:Cpu.Interp p in
       let reads_event_counter =
         List.exists
@@ -618,7 +688,7 @@ let prop_observed_armed =
            (fun tier ->
              run_fprog ~attach:(arm never) ~tier p = plain
              && observed ~tier p = observed_interp
-             && run_fprog ~attach:(arm skip) ~tier p = skipped)
+             && run_fprog ~attach:(arm_fault f ~span) ~tier p = faulted)
            Cpu.all_tiers)
 
 (* Snapshot/restore joins the matrix. The snapshot is taken after the
@@ -767,7 +837,16 @@ let test_generator_coverage () =
     @ List.map
         (fun k ->
           ("SCTLR flip of " ^ Sysreg.name (fst (Sysreg.key_halves k)), ( = ) (Sctlr_flip k)))
-        Sysreg.[ IA; IB; DA; DB ])
+        Sysreg.[ IA; IB; DA; DB ]);
+  let faults = List.init 200 (fun _ -> QCheck2.Gen.generate1 ~rand gen_fault) in
+  List.iter
+    (fun (what, drawn_as) ->
+      Alcotest.(check bool) (what ^ " is drawn") true (List.exists drawn_as faults))
+    [
+      ("an instruction skip after n steps", function Skip_after _ -> true | _ -> false);
+      ("a transient GPR flip in a cycle window", function Window_gpr _ -> true | _ -> false);
+      ("a stuck key flip in a cycle window", function Window_key _ -> true | _ -> false);
+    ]
 
 let suite =
   [

@@ -463,6 +463,14 @@ let test_fast_path_without_hooks () =
   call "hooked";
   Alcotest.(check tier) "a step hook forces the icache loop" Cpu.Icache
     (Cpu.last_run_tier cpu);
+  Cpu.set_step_horizon cpu (Int64.add (Cpu.cycles cpu) 1_000L);
+  call "hooked, horizon ahead";
+  Alcotest.(check tier) "a hook whose horizon lies ahead keeps the traces loop"
+    Cpu.Traces (Cpu.last_run_tier cpu);
+  Cpu.set_step_horizon cpu (Cpu.cycles cpu);
+  call "hooked, horizon passed";
+  Alcotest.(check tier) "a hook whose horizon has passed forces the icache loop"
+    Cpu.Icache (Cpu.last_run_tier cpu);
   Cpu.set_step_hook cpu None;
   call "unhooked";
   Alcotest.(check tier) "removing the hook restores the traces loop"

@@ -472,6 +472,17 @@ let test_last_run_tier () =
       Alcotest.(check tier_testable)
         (Cpu.tier_name tier ^ ": hooked run reports the stepping tier")
         expected (Cpu.last_run_tier cpu);
+      (* below its hook's horizon a traces core runs its trace cache *)
+      Cpu.set_step_horizon cpu (Int64.add (Cpu.cycles cpu) 1_000L);
+      call_f cpu layout;
+      Alcotest.(check tier_testable)
+        (Cpu.tier_name tier ^ ": a hook whose horizon lies ahead keeps the tier")
+        tier (Cpu.last_run_tier cpu);
+      Cpu.set_step_horizon cpu (Cpu.cycles cpu);
+      call_f cpu layout;
+      Alcotest.(check tier_testable)
+        (Cpu.tier_name tier ^ ": a hook whose horizon has passed steps")
+        expected (Cpu.last_run_tier cpu);
       Cpu.set_step_hook cpu None;
       call_f cpu layout;
       Alcotest.(check tier_testable)
@@ -668,6 +679,91 @@ let test_pac_cost_after_restore () =
         base (run tier))
     all_tiers
 
+(* ---------- a hook's horizon is invisible ---------- *)
+
+(* A warm loop of 1- to 5-cycle instructions: LDR (2), ISB (4), PAC and
+   AUT (4), STR (1), ALU ops (1) and a BRAA (5) to the next instruction,
+   30 cycles a trip. The accumulator x5 shifts left once a trip, so a
+   flip of its bit 0 lands in a different final bit for every
+   instruction it can strike before. *)
+let horizon_prog () =
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"mix"
+    (mov_abs (Insn.R 10) Bare.data_base
+    @ [
+        Asm.ins (Insn.Movz (Insn.R 11, 40, 0));
+        Asm.ins (Insn.Movz (Insn.R 5, 1, 0));
+        Asm.label "loop";
+        Asm.ins (Insn.Ldr (Insn.R 3, Insn.Off (Insn.R 10, 0)));
+        Asm.ins Insn.Isb;
+        Asm.ins (Insn.Mov (Insn.R 12, Insn.R 10));
+        Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 12, Insn.R 11));
+        Asm.ins (Insn.Aut (Sysreg.IA, Insn.R 12, Insn.R 11));
+        Asm.ins (Insn.Str (Insn.R 3, Insn.Off (Insn.R 12, 8)));
+        Asm.ins (Insn.Lsl_imm (Insn.R 5, Insn.R 5, 1));
+        Asm.ins (Insn.Eor_reg (Insn.R 5, Insn.R 5, Insn.R 3));
+        Asm.adr_of (Insn.R 13) "next";
+        Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 13, Insn.R 11));
+        Asm.ins (Insn.Bra (Sysreg.IA, Insn.R 13, Insn.R 11));
+        Asm.label "next";
+        Asm.ins (Insn.Sub_imm (Insn.R 11, Insn.R 11, 1));
+        Asm.cbnz_to (Insn.R 11) "loop";
+        Asm.ins (Insn.Mov (Insn.R 0, Insn.R 5));
+        Asm.ins Insn.Ret;
+      ]);
+  prog
+
+(* An injector armed with a cycle window sets its core's horizon to the
+   window's [lo], and a traces core runs blocks until then under a
+   budget that no instruction can carry past it. For every [lo] over
+   600 cycles of the warm loop, a transient flip of x5 must strike the
+   same instruction and leave the same result, cycles and stop as on
+   interp, which hooks every instruction. A budget one instruction too
+   large lets a block run the first instruction at or past [lo], and
+   the flip lands later. *)
+let test_horizon_boundary () =
+  let module I = Faultinj.Injector in
+  let warm tier =
+    let cpu = Bare.machine ~seed:12L ~tier () in
+    let layout = Bare.load cpu (horizon_prog ()) in
+    Bare.write64 cpu Bare.data_base 0x5a5aL;
+    let call () = Bare.call cpu layout "mix" in
+    (match call () with
+    | Cpu.Sentinel_return -> ()
+    | s -> Alcotest.failf "mix stopped: %s" (Cpu.stop_to_string s));
+    (cpu, call, Cpu.capture cpu)
+  in
+  let strike (cpu, call, warmed) k =
+    Cpu.restore cpu warmed;
+    let lo = Int64.add (Cpu.cycles cpu) (Int64.of_int k) in
+    let inj =
+      I.create
+        {
+          I.trigger = I.At_cycle_window { lo; hi = Int64.max_int };
+          model = I.Gpr_flip { reg = 5; bits = [ 0 ] };
+          persistence = I.Transient;
+        }
+    in
+    I.arm inj cpu;
+    let stop = Cpu.stop_to_string (call ()) in
+    (I.first_strike inj, Cpu.reg cpu (Insn.R 0), Cpu.cycles cpu, stop)
+  in
+  let interp = warm Cpu.Interp and traces = warm Cpu.Traces in
+  let tcpu, _, _ = traces in
+  let b0 = (tstats tcpu).Traces.block_insns in
+  let runs = List.init 601 (fun k -> (k, strike interp k, strike traces k)) in
+  Alcotest.(check (list int)) "every lo struck" []
+    (List.filter_map (fun (k, (s, _, _, _), _) -> if s = None then Some k else None) runs);
+  let differ = List.filter_map (fun (k, i, t) -> if i = t then None else Some k) runs in
+  Alcotest.(check int)
+    (Printf.sprintf "lo values where traces differs from interp (from +%s cycles)"
+       (match differ with k :: _ -> string_of_int k | [] -> "-"))
+    0 (List.length differ);
+  Alcotest.(check bool) "the armed runs retired instructions in blocks" true
+    ((tstats tcpu).Traces.block_insns > b0);
+  Alcotest.(check tier_testable) "an armed run below its horizon reports traces"
+    Cpu.Traces (Cpu.last_run_tier tcpu)
+
 (* ---------- the paper's kernel path runs inside blocks ---------- *)
 
 (* A warm getpid under full Camouflage is the XOM key setter's
@@ -835,4 +931,6 @@ let suite =
       test_block_outlives_entry;
     Alcotest.test_case "a store to code kills every core's blocks" `Quick
       test_store_kills_every_core;
+    Alcotest.test_case "a cycle-window strike lands where interp's does" `Quick
+      test_horizon_boundary;
   ]
