@@ -1069,11 +1069,11 @@ let block_end () = ()
 
 (* Only stores can flip [bk_live] mid-block (the icache's stale hooks:
    self-modifying code, or data sharing a frame with decoded code);
-   everything else that invalidates — MSR flush matrix, MMU generation,
-   slot eviction — runs at block boundaries. So stores re-check
-   liveness before tail-calling the rest of the chain, and other links
-   skip the check entirely. [self] is back-patched right after
-   [Traces.install]. *)
+   everything else that invalidates — the MSR flush matrix, the MMU
+   generation, the trace table's size bound — runs at block boundaries.
+   So stores re-check liveness before tail-calling the rest of the
+   chain, and other links skip the check entirely. [self] is
+   back-patched right after [Traces.install]. *)
 let[@inline] block_alive self =
   match !self with Some b -> b.Traces.bk_live | None -> true
 
@@ -1186,7 +1186,8 @@ let compile_block t tr =
 (* Lookup-or-compile at a control-flow boundary. Sync the icache first:
    any map/unmap/stage-2 flip, or a snapshot restore that refilled the
    tables, moved the MMU generation, and the icache's flush must kill
-   the blocks before a stale one can be found. *)
+   the blocks before a stale one can be found. Every block in the
+   trace table is live, so a hit needs no liveness check. *)
 let find_block t tr =
   Icache.sync t.icache;
   let pc = pc t in
@@ -1210,7 +1211,7 @@ let rec step_loop t ~observed budget =
    (the icache's stale hooks), the MMU generation (via [find_block]'s
    icache sync), EL and exact entry PC. A completed block is
    linked to the next lookup result as its chained successor; a valid
-   chain skips both the sync and the slot probe, which is sound because
+   chain skips both the sync and the table lookup, which is sound because
    every in-run invalidation source (stores, executed MSRs) kills blocks
    in place and the liveness check still runs. When the budget runs out
    the loop hands [limit] whether the PC is a block boundary, so a

@@ -16,6 +16,10 @@
    permission triple and the frame's bytes, which the ops' page caches
    refill from ([data_page]).
 
+   The entries live in one keyed table and nothing evicts them: an
+   entry leaves only through a store to its frame (entries that hold
+   decoded lines) or a flush, and both run the [on_stale] hooks.
+
    Coherence has three channels:
    - a [Mem] write hook drops every entry whose decoded lines shadow
      the written frame (guest stores, host [Kmem] writes,
@@ -30,9 +34,7 @@
    Trace blocks are built only from this cache's lines, so every event
    that can make a block stale passes through here first: the [on_stale]
    hooks (each traces core's flush) run on every flush and on every
-   store to a frame that has held decoded lines since the last flush.
-   Slot eviction therefore keeps the evicted entry's frame registered —
-   a block can outlive the entry it was built from.
+   store to a frame whose decoded lines are cached.
 
    A snapshot restore adds no flush of its own: the first two channels
    cover everything it reverts, so the caches stay warm across fault
@@ -47,12 +49,9 @@
 type 'op line = { insn : Insn.t; op : 'op }
 
 type 'op entry = {
-  e_el : El.t;
-  e_va_page : int;  (* va lsr 12 — exact, top 12 bits of the VA are shifted out *)
-  e_pa_page : int64;
+  e_key : int;  (* its key in [entries] *)
   e_perm : Mmu.perm;  (* combined stage-1 AND stage-2 permissions *)
-  e_slot : int;
-  e_frame_idx : int;  (* [Int64.to_int e_pa_page] — exact, 52 bits *)
+  e_frame_idx : int;  (* the physical frame number — exact, 52 bits *)
   (* the physical frame's backing bytes, memoized on the first data
      access so cached loads/stores skip both PA reconstruction and the
      frame table (the same trick a real TLB plays by caching the host
@@ -73,14 +72,20 @@ type stats = {
   mutable flushes : int;
 }
 
+(* Exact int keys, spread by a golden-ratio multiply: the product's
+   high half mixes every key bit into the low bits a table indexes by. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash k = (k * 0x61C8_8646_80B5_83EB) lsr 31
+end)
+
 type 'op t = {
   enabled : bool;
   compile : Insn.t -> el:El.t -> next:int64 -> 'op;
-  slots : 'op entry option array;  (* direct-mapped on (EL, VA page) *)
-  (* frame index -> entries whose decoded lines shadow that frame. A
-     frame stays registered, possibly with no entries left, from its
-     first decoded line until a store to it or a flush. *)
-  by_frame : (int, 'op entry list) Hashtbl.t;
+  entries : 'op entry Tbl.t;  (* exact on (EL, VA page) *)
+  (* frame index -> the entries whose decoded lines shadow that frame *)
+  by_frame : 'op entry list Tbl.t;
   (* Bloom filter over the registered frame indices: a store whose
      frame bit is clear definitely shadows no decoded lines and skips
      the [by_frame] lookup. Registration sets bits; only [flush]
@@ -100,19 +105,13 @@ type fetch_error = Fetch_fault of Mmu.fault | Fetch_undefined of int32
    instruction. Faults are rare, so they pay the exception instead. *)
 exception Fetch_stop of fetch_error
 
-let slot_count = 1024
 let lines_per_page = 1024  (* 4 KiB / 4-byte instructions *)
 
 let el_index = function El.El0 -> 0 | El.El1 -> 1 | El.El2 -> 2
 
-(* Fibonacci-multiply slot hash: plain xor-folding maps the common
-   code/stack/data layouts (pages a power-of-two distance apart) onto
-   one slot, so a loop's data page evicts its own code page every
-   iteration. The golden-ratio multiply spreads those deltas. [lsr] is
-   logical, so a product truncated to a negative native int still
-   indexes safely. *)
-let slot_of ~el va_page =
-  (((va_page * 0x61C8_8647) lsr 13) * 2 + el_index el) land (slot_count - 1)
+(* A VA page is 52 bits, so the EL fits beside it and the key is
+   exact. *)
+let[@inline] key ~el va_page = (va_page lsl 2) lor el_index el
 
 (* Golden-ratio spread of a frame index onto one of 32 filter bits. *)
 let[@inline] bloom_bit frame = 1 lsl ((frame * 0x61C8_8647) lsr 5 land 31)
@@ -120,29 +119,22 @@ let[@inline] bloom_bit frame = 1 lsl ((frame * 0x61C8_8647) lsr 5 land 31)
 let run_stale_hooks t = List.iter (fun h -> h ()) t.stale_hooks
 
 let flush t =
-  Array.fill t.slots 0 slot_count None;
-  Hashtbl.reset t.by_frame;
+  Tbl.reset t.entries;
+  Tbl.reset t.by_frame;
   t.reg_mask <- 0;
   t.c.flushes <- t.c.flushes + 1;
   run_stale_hooks t
-
-(* Drop one entry: clear its slot (unless already evicted). Called from
-   the store hook. *)
-let drop t e =
-  (match t.slots.(e.e_slot) with
-  | Some e' when e' == e -> t.slots.(e.e_slot) <- None
-  | _ -> ());
-  t.c.invalidations <- t.c.invalidations + 1
 
 (* Runs on every store; almost always a miss, so the Bloom filter
    screens out frames that never held decoded lines before paying the
    table lookup. *)
 let on_store t frame =
   if t.reg_mask land bloom_bit frame <> 0 then
-    match Hashtbl.find t.by_frame frame with
+    match Tbl.find t.by_frame frame with
     | entries ->
-        Hashtbl.remove t.by_frame frame;
-        List.iter (drop t) entries;
+        Tbl.remove t.by_frame frame;
+        List.iter (fun e -> Tbl.remove t.entries e.e_key) entries;
+        t.c.invalidations <- t.c.invalidations + List.length entries;
         run_stale_hooks t
     | exception Not_found -> ()
 
@@ -151,8 +143,8 @@ let create ?(enabled = true) ~compile ~mem ~mmu () =
     {
       enabled;
       compile;
-      slots = Array.make slot_count None;
-      by_frame = Hashtbl.create 64;
+      entries = Tbl.create 64;
+      by_frame = Tbl.create 64;
       reg_mask = 0;
       gen = Mmu.generation mmu;
       stale_hooks = [];
@@ -180,26 +172,20 @@ let sync t =
     flush t
   end
 
-(* Take an evicted entry off its frame's list (slot eviction path). The
-   frame itself stays registered: a trace block built from the entry's
-   lines outlives it, and a store to the frame must still reach the
-   stale hooks. *)
-let unregister t e =
-  if Array.length e.e_lines > 0 then
-    match Hashtbl.find_opt t.by_frame e.e_frame_idx with
-    | None -> ()
-    | Some l -> Hashtbl.replace t.by_frame e.e_frame_idx (List.filter (fun x -> x != e) l)
-
-let install t ~el ~va_page ~pa_page ~perm =
-  let slot = slot_of ~el va_page in
-  (match t.slots.(slot) with Some old -> unregister t old | None -> ());
-  let e =
-    { e_el = el; e_va_page = va_page; e_pa_page = pa_page; e_perm = perm;
-      e_slot = slot; e_frame_idx = Int64.to_int pa_page; e_frame = no_frame;
-      e_lines = [||] }
-  in
-  t.slots.(slot) <- Some e;
-  e
+(* The entry of a page no lookup has found since the last flush,
+   probed and kept. An unmapped page gets a denied entry that is not
+   kept, so a fault on it takes the real walk. *)
+let fill t ~el k va_page =
+  match Mmu.probe t.mmu ~el (Int64.of_int va_page) with
+  | Some (pa_page, perm) ->
+      let e =
+        { e_key = k; e_perm = perm; e_frame_idx = Int64.to_int pa_page; e_frame = no_frame;
+          e_lines = [||] }
+      in
+      Tbl.replace t.entries k e;
+      e
+  | None ->
+      { e_key = k; e_perm = Mmu.no_access; e_frame_idx = 0; e_frame = no_frame; e_lines = [||] }
 
 (* Memoize the frame's bytes on first data use. Frames are never
    replaced by [Mem], so the pointer stays valid for the entry's life. *)
@@ -214,13 +200,13 @@ let[@inline] frame_of_entry t e =
 (* Allocate the decoded-line array on first instruction use and register
    the entry for store invalidation from that moment on. Data-only
    entries stay unregistered: their translation does not depend on the
-   frame's contents, so stores must not evict them. *)
+   frame's contents, so stores must not drop them. *)
 let lines_of t e =
   if Array.length e.e_lines = 0 then begin
     e.e_lines <- Array.make lines_per_page None;
     let f = e.e_frame_idx in
-    let prev = match Hashtbl.find_opt t.by_frame f with Some l -> l | None -> [] in
-    Hashtbl.replace t.by_frame f (e :: prev);
+    let prev = match Tbl.find t.by_frame f with l -> l | exception Not_found -> [] in
+    Tbl.replace t.by_frame f (e :: prev);
     t.reg_mask <- t.reg_mask lor bloom_bit f
   end;
   e.e_lines
@@ -238,10 +224,10 @@ let uncached_fetch_exn t ~el pc =
   | Error f -> raise (Fetch_stop (Fetch_fault f))
   | Ok pa -> decode_line_exn t ~el pc (Mem.read32 t.mem pa)
 
-(* Fill or hit one line of an installed executable entry. [off] is the
-   page offset of the PC as a native int (low 12 bits are unaffected by
-   the 63-bit truncation). *)
-let line_fetch_exn t e pc off =
+(* Fill or hit one line of an executable entry. [off] is the page
+   offset of the PC as a native int (low 12 bits are unaffected by the
+   63-bit truncation). *)
+let line_fetch_exn t ~el e pc off =
   let lines = lines_of t e in
   let i = off lsr 2 in
   match Array.unsafe_get lines i with
@@ -250,8 +236,8 @@ let line_fetch_exn t e pc off =
       line
   | None ->
       t.c.fills <- t.c.fills + 1;
-      let pa = Int64.logor (Int64.shift_left e.e_pa_page 12) (Int64.of_int off) in
-      let line = decode_line_exn t ~el:e.e_el pc (Mem.read32 t.mem pa) in
+      let pa = Int64.logor (Int64.shift_left (Int64.of_int e.e_frame_idx) 12) (Int64.of_int off) in
+      let line = decode_line_exn t ~el pc (Mem.read32 t.mem pa) in
       Array.unsafe_set lines i (Some line);
       line
 
@@ -261,21 +247,19 @@ let fetch_exn t ~el pc =
     sync t;
     let va_page = Int64.to_int (Int64.shift_right_logical pc 12) in
     let off = Int64.to_int pc land 0xfff in
-    match t.slots.(slot_of ~el va_page) with
-    | Some e
-      when e.e_va_page = va_page && e.e_el = el && e.e_perm.Mmu.x
-           && off land 3 = 0 ->
-        line_fetch_exn t e pc off
-    | _ -> (
-        t.c.fetch_misses <- t.c.fetch_misses + 1;
-        match Mmu.probe t.mmu ~el (Int64.of_int va_page) with
-        | Some (pa_page, perm) when perm.Mmu.x && off land 3 = 0 ->
-            let e = install t ~el ~va_page ~pa_page ~perm in
-            line_fetch_exn t e pc off
-        | _ ->
-            (* unmapped, not executable, or a misaligned PC: take the
-               real walk so the fault kind is exact *)
-            uncached_fetch_exn t ~el pc)
+    let k = key ~el va_page in
+    let e =
+      match Tbl.find t.entries k with
+      | e -> e
+      | exception Not_found ->
+          t.c.fetch_misses <- t.c.fetch_misses + 1;
+          fill t ~el k va_page
+    in
+    if e.e_perm.Mmu.x && off land 3 = 0 then line_fetch_exn t ~el e pc off
+    else
+      (* unmapped, not executable, or a misaligned PC: take the real
+         walk so the fault kind is exact *)
+      uncached_fetch_exn t ~el pc
   end
 
 let fetch t ~el pc =
@@ -302,15 +286,7 @@ let data_page t ~el ~access va =
   else begin
     sync t;
     let va_page = Int64.to_int (Int64.shift_right_logical va 12) in
-    match t.slots.(slot_of ~el va_page) with
-    | Some e
-      when e.e_va_page = va_page && e.e_el = el && Mmu.allows e.e_perm access
-      ->
-        Some (frame_of_entry t e, e.e_frame_idx)
-    | _ -> (
-        match Mmu.probe t.mmu ~el (Int64.of_int va_page) with
-        | Some (pa_page, perm) when Mmu.allows perm access ->
-            let e = install t ~el ~va_page ~pa_page ~perm in
-            Some (frame_of_entry t e, e.e_frame_idx)
-        | _ -> None)
+    let k = key ~el va_page in
+    let e = match Tbl.find t.entries k with e -> e | exception Not_found -> fill t ~el k va_page in
+    if Mmu.allows e.e_perm access then Some (frame_of_entry t e, e.e_frame_idx) else None
   end

@@ -14,7 +14,10 @@
     instructions and their ops embed absolute PC-relative targets and
     the EL's SP bank, and each entry memoizes the combined two-stage
     permission triple and the frame's bytes for the ops' page caches
-    ({!data_page}).
+    ({!data_page}). The entries live in one table keyed exactly by (EL,
+    VA page), and nothing evicts them: an entry leaves only through a
+    store to its frame (if it holds decoded lines) or a flush, and both
+    run the {!on_stale} hooks.
 
     Coherence: a {!Mem} write hook drops entries shadowed by any store
     (guest, host or fault-injector), the {!Mmu} generation counter
@@ -27,6 +30,10 @@
     {!on_stale}. *)
 
 type 'op t
+
+(** The table both code caches keep their entries in: exact int keys,
+    spread by a golden-ratio multiply. *)
+module Tbl : Hashtbl.S with type key = int
 
 (** One decoded line: the instruction and its op, compiled for the
     entry's EL with [next] = the line's address + 4. *)
@@ -66,10 +73,9 @@ val sync : _ t -> unit
 
 (** [on_stale t h] adds [h] to the hooks that run on every {!flush},
     explicit or from a moved MMU generation, and on every store to a
-    frame that has held decoded lines since the last flush. Slot
-    eviction keeps the evicted entry's frame registered, so anything
-    built from a line hears of every store that could make it stale,
-    even after the line's entry is gone. Hooks must not write memory. *)
+    frame whose decoded lines are cached. Those are the only ways a
+    line leaves the cache, so anything built from lines hears of every
+    event that could make it stale. Hooks must not write memory. *)
 val on_stale : _ t -> (unit -> unit) -> unit
 
 (** [fetch t ~el pc] — the line at [pc], from the cache when possible.
@@ -111,7 +117,9 @@ type stats = {
   mutable fetch_hits : int;
   mutable fetch_misses : int;
   mutable fills : int;  (** lines decoded into an installed page entry *)
-  mutable invalidations : int;  (** entries dropped by the store hook *)
+  mutable invalidations : int;
+      (** entries dropped by the store hook, the only way an entry
+          leaves the cache between flushes *)
   mutable flushes : int;
 }
 

@@ -9,6 +9,11 @@
    make a block stale (a store to a frame holding decoded lines, a
    moved MMU generation, an MSR that flushes) kills every block here.
 
+   One table holds one state per (EL, entry PC). Nothing evicts a
+   block: only a flush or the size bound kills it, and both take it out
+   of the table, so a block in the table is live and a live block is in
+   the table, where the next flush finds it.
+
    Blocks die in place (bk_live <- false) instead of being unlinked:
    the driver re-checks liveness after stores, which is what makes a
    store *inside* an active superblock abort the rest of the block —
@@ -34,38 +39,35 @@ type stats = {
   mutable blacklisted : int;
 }
 
-type 'code t = {
-  slots : 'code block option array;  (* direct-mapped on (EL, entry PC) *)
-  (* per-entry execution counters, keyed by EL-tagged entry PC; the
-     blacklist shares the table as a sentinel value *)
-  counts : (int64, int) Hashtbl.t;
-  c : stats;
-}
+(* An entry's heat until it is hot, then its block or the mark that
+   it cannot start one. *)
+type 'code state = Heat of { mutable heat : int } | Block of 'code block | Black
 
-let slot_count = 1024
+module Tbl = Icache.Tbl
+
+type 'code t = { states : 'code state Tbl.t; c : stats }
+
 let el_index = function El.El0 -> 0 | El.El1 -> 1 | El.El2 -> 2
 
-(* Same Fibonacci-multiply spread as the icache's slot hash: entry PCs
-   are 4-aligned and cluster at power-of-two distances, which plain
-   masking would collide. *)
-let slot_of ~el pc =
-  ((((Int64.to_int pc lsr 2) * 0x61C8_8647) lsr 13) * 3 + el_index el)
-  land (slot_count - 1)
+(* A 4-aligned PC whose bit 63 equals bit 62 is exact as a native int,
+   with its low two bits free for the EL. Every other PC gets [no_key],
+   under which no state is ever stored: a misaligned PC cannot be
+   fetched, and the bit-63 twin of a keyed PC must neither find its
+   block nor touch its heat. *)
+let no_key = 3
 
-(* Entry PCs are instruction-aligned, so the low two bits are free to
-   carry the EL tag — no tuple allocation per hotness bump. *)
-let[@inline] key ~el pc = Int64.logor pc (Int64.of_int (el_index el))
-
-(* Counter value marking an entry as uncompilable. *)
-let black = min_int
+let[@inline] key ~el pc =
+  let i = Int64.to_int pc in
+  if i land 3 = 0 && Int64.equal (Int64.of_int i) pc then i lor el_index el else no_key
 
 (* Boundary executions of an entry PC before it counts as hot. *)
 let hot_threshold = 16
 
+let max_states = 16384
+
 let create () =
   {
-    slots = Array.make slot_count None;
-    counts = Hashtbl.create 256;
+    states = Tbl.create 256;
     c =
       {
         compiled = 0;
@@ -83,57 +85,49 @@ let kill t b =
   b.bk_live <- false;
   t.c.invalidations <- t.c.invalidations + 1
 
-(* The hotness counters survive: a flush runs on every store to code,
-   and a self-patching loop must still heat up and compile. *)
+(* Heat and blacklist marks survive: a flush runs on every store to
+   code, and a self-patching loop must still heat up and compile. *)
 let flush t =
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some b ->
-          kill t b;
-          t.slots.(i) <- None
-      | None -> ())
-    t.slots;
+  Tbl.filter_map_inplace
+    (fun _ s -> match s with Block b -> kill t b; None | Heat _ | Black -> Some s)
+    t.states;
   t.c.flushes <- t.c.flushes + 1
 
 let lookup t ~el pc =
-  match t.slots.(slot_of ~el pc) with
-  | Some b when b.bk_live && b.bk_el = el && Int64.equal b.bk_entry pc -> Some b
-  | _ -> None
+  match Tbl.find t.states (key ~el pc) with
+  | Block b -> Some b
+  | Heat _ | Black | (exception Not_found) -> None
 
 let bump t ~el pc =
   let k = key ~el pc in
-  match Hashtbl.find_opt t.counts k with
-  | Some n when n = black -> false
-  | Some n ->
-      if n + 1 >= hot_threshold then begin
-        Hashtbl.remove t.counts k;
-        true
-      end
-      else begin
-        Hashtbl.replace t.counts k (n + 1);
-        false
-      end
-  | None ->
-      (* bound the table so pathological entry churn (a fuzzer walking
-         fresh addresses forever) cannot grow it without limit; losing
-         warm counts only delays compilation, never breaks it *)
-      if Hashtbl.length t.counts >= 16384 then Hashtbl.reset t.counts;
-      Hashtbl.add t.counts k 1;
+  match Tbl.find t.states k with
+  | Heat h ->
+      h.heat <- h.heat + 1;
+      h.heat >= hot_threshold
+  | Block _ | Black -> false
+  | exception Not_found ->
+      if k <> no_key then begin
+        (* bound the table so pathological entry churn (a fuzzer walking
+           fresh addresses forever) cannot grow it without limit; every
+           block dies before the table starts over *)
+        if Tbl.length t.states >= max_states then begin
+          Tbl.iter (fun _ s -> match s with Block b -> kill t b | Heat _ | Black -> ()) t.states;
+          Tbl.reset t.states
+        end;
+        Tbl.add t.states k (Heat { heat = 1 })
+      end;
       false
 
 let blacklist t ~el pc =
-  Hashtbl.replace t.counts (key ~el pc) black;
+  Tbl.replace t.states (key ~el pc) Black;
   t.c.blacklisted <- t.c.blacklisted + 1
 
 let install t ~el ~entry ~len code =
-  let slot = slot_of ~el entry in
-  (match t.slots.(slot) with Some old -> kill t old | None -> ());
   let b =
     { bk_el = el; bk_entry = entry; bk_len = len; bk_code = code; bk_live = true;
       bk_next = None }
   in
-  t.slots.(slot) <- Some b;
+  Tbl.replace t.states (key ~el entry) (Block b);
   t.c.compiled <- t.c.compiled + 1;
   b
 

@@ -1,13 +1,14 @@
 (** Superblock trace cache for the interpreter's top execution tier.
 
-    Detects hot straight-line regions by per-entry execution counters
-    (keyed by (EL, entry PC), mirroring the icache's (EL, VA page)
-    keying) and stores the compiled form the CPU layer produces for
-    them. The cache is parametric in the compiled representation
-    (['code]) so that this module carries no dependency on the
-    interpreter: {!Cpu} chains its icache lines' ops into continuation-
-    threaded closures and drives them; this module owns hotness, block
-    lookup and block-to-block chaining metadata.
+    One table, keyed exactly by (EL, entry PC) like the icache's (EL,
+    VA page), holds one state per entry: its heat, its compiled block,
+    or the mark that it cannot start one. Nothing evicts a block: it
+    leaves the table only when {!flush} or the size bound kills it. A
+    misaligned PC, or one whose bit 63 differs from bit 62, gets no
+    state and always single-steps, so an entry PC's bit-63 twin neither
+    finds its block nor touches its heat. The cache is parametric in the
+    compiled representation (['code]): {!Cpu} chains its icache lines'
+    ops into continuation-threaded closures and drives them.
 
     It owns no coherence machinery: blocks are built only from
     {!Icache} lines, so the icache sees every event that can make a
@@ -27,8 +28,8 @@ type 'code t
     ending at a branch or before an exception instruction or an MSR
     whose write flushes the caches (the compiler may walk through
     unconditional direct branches, so a block can span calls). PAC,
-    AUT, MRS and the other MSRs run inside blocks. Blocks die in place
-    ([bk_live] turns false) rather than being removed, so a driver
+    AUT, MRS and the other MSRs run inside blocks. A block dies in place
+    ([bk_live] turns false) as it leaves the table, so a dispatch loop
     mid-block can observe invalidation after every store — the
     self-patching-store-inside-an-active-superblock case.
 
@@ -47,12 +48,13 @@ type 'code block = {
 
 (** [create ()] — an empty cache. A block's chain captures the CPU that
     compiled it, so unlike the icache a trace cache is per-core. An
-    entry PC is hot after 16 boundary executions. *)
+    entry PC is hot after 16 boundary executions. A new entry past
+    16,384 states kills every block and starts the table over. *)
 val create : unit -> 'code t
 
-(** [flush t] kills every block, counting each as an invalidation. The
-    hotness counters survive: flushes follow every store to code, and a
-    self-patching loop must still heat up and compile. *)
+(** [flush t] kills every block, counting each as an invalidation, and
+    drops it from the table; heat and blacklist marks survive, so a
+    self-patching loop, flushed on every pass, still compiles. *)
 val flush : 'code t -> unit
 
 (** [lookup t ~el pc] — the live block entered at exactly [(el, pc)],
@@ -62,22 +64,21 @@ val flush : 'code t -> unit
 val lookup : 'code t -> el:El.t -> int64 -> 'code block option
 
 (** [bump t ~el pc] — count one boundary execution of [(el, pc)];
-    [true] when the counter crosses the hot threshold and the entry is
-    not blacklisted, i.e. the caller should compile now. *)
+    [true] when its heat reaches the hot threshold: the caller compiles
+    now and must {!install} or {!blacklist} the entry. *)
 val bump : 'code t -> el:El.t -> int64 -> bool
 
-(** [blacklist t ~el pc] — mark an entry uncompilable (its first
-    instruction is a cut point); {!bump} returns [false] for it until
-    the hotness table's size bound resets the table. *)
+(** [blacklist t ~el pc] — mark a hot entry uncompilable (its first
+    instruction is a cut point or cannot be fetched); {!bump} returns
+    [false] for it until the table starts over. *)
 val blacklist : 'code t -> el:El.t -> int64 -> unit
 
-(** [install t ~el ~entry ~len code] — publish a compiled block: [len]
-    is the number of guest instructions it retires. Evicts (kills) any
-    block already in the slot. *)
+(** [install t ~el ~entry ~len code] — publish the compiled block of a
+    hot entry: [len] is the number of guest instructions it retires. *)
 val install : 'code t -> el:El.t -> entry:int64 -> len:int -> 'code -> 'code block
 
 (** [link t b succ] — record [succ] as [b]'s chained successor, so the
-    driver skips the slot lookup when the same block-to-block edge
+    dispatch loop skips the table lookup when the same block-to-block edge
     repeats. Chains are hints: the driver must still check [bk_live],
     the EL and the entry PC before following one. *)
 val link : 'code t -> 'code block -> 'code block -> unit
@@ -87,10 +88,10 @@ type stats = {
   mutable compiled : int;  (** blocks compiled and installed *)
   mutable executed : int;  (** block dispatches *)
   mutable block_insns : int;  (** guest instructions retired inside blocks *)
-  mutable invalidations : int;  (** live blocks killed by a flush or eviction *)
+  mutable invalidations : int;  (** blocks killed by a flush or the bound *)
   mutable flushes : int;
   mutable chain_links : int;  (** block-to-block edges recorded *)
-  mutable chain_follows : int;  (** dispatches that skipped the slot lookup *)
+  mutable chain_follows : int;  (** dispatches that skipped the table lookup *)
   mutable blacklisted : int;  (** entries found uncompilable *)
 }
 

@@ -51,16 +51,9 @@ let first_strike t = t.first
 let insn_matches cls insn =
   match cls with
   | Any_insn -> true
-  | Branch_insn -> (
-      match insn with
-      | Insn.B _ | Insn.Bl _ | Insn.Br _ | Insn.Blr _ | Insn.Ret | Insn.Cbz _
-      | Insn.Cbnz _ | Insn.Bcond _ | Insn.Blra _ | Insn.Bra _ | Insn.Reta _ ->
-          true
-      | _ -> false)
-  | Load_insn -> (
-      match insn with Insn.Ldr _ | Insn.Ldrb _ | Insn.Ldp _ -> true | _ -> false)
-  | Store_insn -> (
-      match insn with Insn.Str _ | Insn.Strb _ | Insn.Stp _ -> true | _ -> false)
+  | Branch_insn -> Cpu.is_terminator insn
+  | Load_insn -> Cpu.class_of_insn insn = Telemetry.Counters.Load
+  | Store_insn -> Cpu.class_of_insn insn = Telemetry.Counters.Store
   | Pauth_insn -> Insn.is_pauth insn
 
 let trigger_due t cpu ~pc insn =

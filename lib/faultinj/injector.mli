@@ -32,6 +32,10 @@
 
 open Aarch64
 
+(** [Branch_insn] is every branch {!Cpu.is_terminator} names, the
+    authenticated ones included; [Load_insn] and [Store_insn] are what
+    {!Cpu.class_of_insn} counts as loads and stores; [Pauth_insn] is
+    {!Insn.is_pauth}. *)
 type insn_class = Any_insn | Branch_insn | Load_insn | Store_insn | Pauth_insn
 
 type trigger =

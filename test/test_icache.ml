@@ -548,6 +548,31 @@ let test_diff_smp_unobserved () =
              (Machine.cores (K.System.machine sys))))
     [ Cpu.Icache; Cpu.Traces ]
 
+(* ---------- entries are keyed by (EL, VA page) ---------- *)
+
+(* One page the kernel may read, write and run, and user code may only
+   read: whichever EL fills its entry first, the other EL's accesses
+   must see their own permissions. A key that drops the EL hands one
+   EL's entry to the other. *)
+let test_entries_keep_els_apart () =
+  List.iter
+    (fun first ->
+      let cpu = Env.fresh_cpu ~tier:Cpu.Icache () in
+      let va = 0xffff000000400000L in
+      Env.map_region ~el0:Mmu.ro cpu ~base:va ~pages:1 Mmu.rwx;
+      Mem.write32 (Cpu.mem cpu) (Env.pa_of_va va) (Encode.encode ~pc:va Insn.Nop);
+      let ic = Cpu.icache cpu in
+      ignore (Icache.data_page ic ~el:first ~access:Mmu.Read va);
+      let label what = El.name first ^ " first: " ^ what in
+      let page el access = Option.is_some (Icache.data_page ic ~el ~access va) in
+      let fetches el = Result.is_ok (Icache.fetch ic ~el va) in
+      Alcotest.(check bool) (label "EL1 writes") true (page El.El1 Mmu.Write);
+      Alcotest.(check bool) (label "EL1 fetches") true (fetches El.El1);
+      Alcotest.(check bool) (label "EL0 reads") true (page El.El0 Mmu.Read);
+      Alcotest.(check bool) (label "EL0 may not write") false (page El.El0 Mmu.Write);
+      Alcotest.(check bool) (label "EL0 may not fetch") false (fetches El.El0))
+    [ El.El0; El.El1 ]
+
 let suite =
   [
     Alcotest.test_case "differential: call-heavy workload" `Quick
@@ -577,4 +602,6 @@ let suite =
       test_machine_shares_one_cache;
     Alcotest.test_case "differential: unobserved SMP schedule, all tiers" `Quick
       test_diff_smp_unobserved;
+    Alcotest.test_case "entries keep each EL's view of a page apart" `Quick
+      test_entries_keep_els_apart;
   ]

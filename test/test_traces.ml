@@ -832,13 +832,13 @@ let result_of_f cpu layout =
   | Cpu.Sentinel_return -> Cpu.reg cpu (Insn.R 0)
   | s -> Alcotest.failf "f stopped: %s" (Cpu.stop_to_string s)
 
-(* Trace blocks are built from icache lines but outlive them: here the
-   data page of a load evicts the entry [f]'s block was built from,
-   and a store to [f]'s frame must still kill the block. The 2048 pages
-   are mapped before [f] heats up, so the search for a colliding page
-   moves no MMU generation and the block compiled while heating is the
-   one live when the patch lands. *)
-let test_block_outlives_entry () =
+(* Nothing evicts a code page: [f] warms into a block, then the data
+   pages of 2,048 loads go through [Icache.data_page], which a table of
+   1,024 direct-mapped slots could not hold beside [f]'s entry. [f]'s
+   line must still be cached, and its block must run without a
+   recompile. The pages are mapped before [f] heats up, so no MMU
+   generation moves in between. *)
+let test_no_page_evicts_code () =
   let cpu = Bare.machine ~seed:8L ~tier:Cpu.Traces () in
   let layout = Bare.load cpu (ret_const_prog 7) in
   let f = Asm.symbol layout "f" in
@@ -850,25 +850,17 @@ let test_block_outlives_entry () =
   let compiled = (tstats cpu).Traces.compiled in
   Alcotest.(check bool) "f was compiled" true (compiled > 0);
   let ic = Cpu.icache cpu in
-  let misses () = (Icache.stats ic).Icache.fetch_misses in
-  let load va = ignore (Icache.data_page ic ~el:El.El1 ~access:Mmu.Read va) in
-  let evicts_f va =
-    ignore (Icache.fetch ic ~el:El.El1 f);
-    load va;
-    let m0 = misses () in
-    ignore (Icache.fetch ic ~el:El.El1 f);
-    misses () > m0
-  in
-  let rec find i =
-    if i = 2048 then Alcotest.fail "no mapped page shares f's icache slot"
-    else
-      let va = Int64.add base (Int64.of_int (i * 4096)) in
-      if evicts_f va then va else find (i + 1)
-  in
-  load (find 0);
-  Alcotest.(check int) "no recompile since f heated up" compiled (tstats cpu).Traces.compiled;
-  patch_f cpu layout 8;
-  Alcotest.(check int64) "the patched f runs" 8L (result_of_f cpu layout)
+  for i = 0 to 2047 do
+    let va = Int64.add base (Int64.of_int (i * 4096)) in
+    ignore (Icache.data_page ic ~el:El.El1 ~access:Mmu.Read va)
+  done;
+  let misses = (Icache.stats ic).Icache.fetch_misses in
+  ignore (Icache.fetch ic ~el:El.El1 f);
+  Alcotest.(check int) "f's line is still cached" misses (Icache.stats ic).Icache.fetch_misses;
+  let b0 = (tstats cpu).Traces.block_insns in
+  Alcotest.(check int64) "f runs" 7L (result_of_f cpu layout);
+  Alcotest.(check int) "no recompile" compiled (tstats cpu).Traces.compiled;
+  Alcotest.(check int) "f ran as its block" (b0 + 2) (tstats cpu).Traces.block_insns
 
 (* Every core's trace cache registers with the one shared icache, so a
    host store to code that two cores have compiled kills both cores'
@@ -895,6 +887,81 @@ let test_store_kills_every_core () =
         (Printf.sprintf "core %d runs the patched f" (Cpu.id cpu))
         8L (result_of_f cpu layout))
     cores
+
+(* ---------- an entry PC's bit-63 twin ---------- *)
+
+(* [f]'s address with bit 63 flipped is unmapped, and drops to the same
+   native int as [f] itself. Reached from a block boundary 16 times
+   while [f] is still heating, and 16 more once [f] is compiled, it
+   must fault on every tier exactly as on interp, and leave [f]'s
+   state alone: [f] compiles on its 16th call, not earlier and not
+   never, and its block then runs with no recompile. A trace key that
+   drops bit 63 lets the twin run [f]'s block, or heat and blacklist
+   [f]'s entry. *)
+let test_bit63_twin_entry () =
+  let run tier =
+    let cpu = Bare.machine ~seed:8L ~tier () in
+    let layout = Bare.load cpu (ret_const_prog 7) in
+    let twin = Int64.logxor (Asm.symbol layout "f") Int64.min_int in
+    let reach_twin () = List.init 16 (fun _ -> Cpu.stop_to_string (Cpu.call cpu twin)) in
+    let compiled () = Option.map (fun s -> s.Traces.compiled) (Cpu.trace_stats cpu) in
+    let call_f () = Alcotest.(check int64) "f returns 7" 7L (result_of_f cpu layout) in
+    for _ = 1 to 15 do
+      call_f ()
+    done;
+    let cold = reach_twin () in
+    let before = compiled () in
+    call_f ();
+    let after = compiled () in
+    let warm = reach_twin () in
+    let blocks () = Option.map (fun s -> s.Traces.block_insns) (Cpu.trace_stats cpu) in
+    let b0 = blocks () in
+    call_f ();
+    if tier = Cpu.Traces then begin
+      Alcotest.(check (option int)) "f is cold after 15 calls and 16 twins" (Some 0) before;
+      Alcotest.(check (option int)) "f compiles on its 16th call" (Some 1) after;
+      Alcotest.(check (option int)) "no recompile after the twins" (Some 1) (compiled ());
+      Alcotest.(check (option int)) "f ran as its block"
+        (Option.map (fun b -> b + 2) b0)
+        (blocks ())
+    end;
+    (cold @ warm, fingerprint cpu)
+  in
+  let base = run Cpu.Interp in
+  Alcotest.(check bool) "interp faults on the twin" true
+    (List.for_all
+       (fun s -> String.ends_with ~suffix:"translation fault on exec at 0x7fff000000100000" s)
+       (fst base));
+  List.iter
+    (fun tier ->
+      Alcotest.(check (pair (list string) string))
+        (Cpu.tier_name tier ^ " stops and state = interp")
+        base (run tier))
+    all_tiers
+
+(* ---------- the trace table's size bound ---------- *)
+
+(* A new entry past 16,384 states starts the table over, and must kill
+   every block first: a block left live outside the table is one no
+   later flush can find, and a chained successor would run it after a
+   store to its code. *)
+let test_bound_kills_blocks () =
+  let tr = Traces.create () in
+  let pc = Env.code_base in
+  for _ = 1 to 15 do
+    Alcotest.(check bool) "not hot yet" false (Traces.bump tr ~el:El.El1 pc)
+  done;
+  Alcotest.(check bool) "hot on the 16th boundary" true (Traces.bump tr ~el:El.El1 pc);
+  let b = Traces.install tr ~el:El.El1 ~entry:pc ~len:1 () in
+  for i = 1 to 16_383 do
+    ignore (Traces.bump tr ~el:El.El0 (Int64.of_int (4 * i)) : bool)
+  done;
+  Alcotest.(check bool) "16,384 states: the block lives" true b.Traces.bk_live;
+  ignore (Traces.bump tr ~el:El.El0 0L : bool);
+  Alcotest.(check bool) "the next entry kills the block" false b.Traces.bk_live;
+  Alcotest.(check bool) "and takes it out of the table" true
+    (Traces.lookup tr ~el:El.El1 pc = None);
+  Alcotest.(check int) "one invalidation" 1 (Traces.stats tr).Traces.invalidations
 
 let suite =
   [
@@ -927,10 +994,13 @@ let suite =
       test_pac_cost_after_restore;
     Alcotest.test_case "the warm full kernel path retires inside blocks" `Quick
       test_kernel_path_in_blocks;
-    Alcotest.test_case "a block outlives its evicted icache entry" `Quick
-      test_block_outlives_entry;
+    Alcotest.test_case "no page evicts a warm code page" `Quick test_no_page_evicts_code;
     Alcotest.test_case "a store to code kills every core's blocks" `Quick
       test_store_kills_every_core;
     Alcotest.test_case "a cycle-window strike lands where interp's does" `Quick
       test_horizon_boundary;
+    Alcotest.test_case "an entry PC's bit-63 twin faults and leaves its state" `Quick
+      test_bit63_twin_entry;
+    Alcotest.test_case "the size bound kills every block before starting over" `Quick
+      test_bound_kills_blocks;
   ]
