@@ -482,11 +482,12 @@ let lint_cmd =
               fn.Paclint.Callgraph.calls)
           cg.Paclint.Callgraph.fns;
         Printf.printf
-          "%s: %d functions, %d unresolved indirect call sites, %d summary rounds\n"
+          "%s: %d functions, %d unresolved indirect call sites, %d summary rounds, \
+           %d function analyses\n"
           subject
           (Array.length cg.Paclint.Callgraph.fns)
           (Paclint.Callgraph.unresolved_count cg)
-          summary.Paclint.Summary.rounds
+          summary.Paclint.Summary.rounds summary.Paclint.Summary.analyses
       end
     end
     else if gadgets then begin

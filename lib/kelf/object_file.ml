@@ -42,32 +42,43 @@ let place_blobs base blobs =
        (fun addr b -> (Int64.add addr (Int64.of_int (8 * List.length b.words)), (b, addr)))
        base blobs)
 
-(* On-disk .kelf form: magic line + Marshal with closures (fixup items
+(* On-disk .kelf form: magic line, a header line with the payload's
+   length and MD5, then the payload, Marshal with closures (fixup items
    carry relocation functions). Closure marshalling is only valid
    within the binary that wrote it — exactly the modgen/lint --module
-   workflow — so the magic names the format, not an ABI promise. *)
-let magic = "CAMOKELF1\n"
+   workflow — so the magic names the format, not an ABI promise. The
+   payload is unmarshalled only when its length and digest match the
+   header: a cut or altered file is refused before [Marshal] reads it.
+   The digest catches damage, not a crafted payload. *)
+let magic = "CAMOKELF2\n"
+
+let header payload =
+  Printf.sprintf "%d %s\n" (String.length payload) (Digest.to_hex (Digest.string payload))
 
 let write_file path t =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  let payload = Marshal.to_string t [ Marshal.Closures ] in
+  Out_channel.with_open_bin path (fun oc ->
       output_string oc magic;
-      Marshal.to_channel oc t [ Marshal.Closures ])
+      output_string oc (header payload);
+      output_string oc payload)
 
 let read_file path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (String.length magic) with
-          | exception End_of_file -> Error (path ^ ": not a .kelf object (truncated)")
-          | m when m <> magic -> Error (path ^ ": not a .kelf object (bad magic)")
-          | _ -> (
-              match (Marshal.from_channel ic : t) with
+  | file -> (
+      let m = String.length magic in
+      if String.length file < m then Error (path ^ ": not a .kelf object (truncated)")
+      else if String.sub file 0 m <> magic then
+        Error (path ^ ": not a .kelf object (bad magic)")
+      else
+        match String.index_from_opt file m '\n' with
+        | None -> Error (path ^ ": corrupt .kelf object (no header)")
+        | Some eol -> (
+            let payload = String.sub file (eol + 1) (String.length file - eol - 1) in
+            if String.sub file m (eol + 1 - m) <> header payload then
+              Error (path ^ ": corrupt .kelf object (length or digest mismatch)")
+            else
+              match (Marshal.from_string payload 0 : t) with
               | t -> Ok t
               | exception _ ->
                   Error (path ^ ": corrupt .kelf object (marshal payload unreadable)")))

@@ -56,12 +56,17 @@ val rodata_size_bytes : t -> int
     that placement. *)
 val place_blobs : int64 -> blob list -> (blob * int64) list
 
-(** [write_file path t] — serialize to a [.kelf] file (magic line +
-    marshalled object). Function items carry relocation closures, so a
+(** [write_file path t] — serialize to a [.kelf] file: the magic line
+    [CAMOKELF2], a line with the payload's byte length and MD5, then the
+    marshalled object. Function items carry relocation closures, so a
     [.kelf] file is only readable by the binary that wrote it (the
     [camouflage modgen] / [camouflage lint --module] workflow). *)
 val write_file : string -> t -> unit
 
 (** [read_file path] — load a [.kelf] file; [Error] carries a
-    human-readable reason (missing file, bad magic, corrupt payload). *)
+    human-readable reason (missing file, bad magic, a length or digest
+    that does not match the payload, an unreadable payload). Only a
+    payload whose length and MD5 match its header is unmarshalled, so a
+    cut or damaged file is an [Error], never a crash; the digest does
+    not defend against a deliberately crafted payload. *)
 val read_file : string -> (t, string) result

@@ -14,24 +14,27 @@ type fn = {
 
 type t = { code : (int64 * Insn.t) array; fns : fn array }
 
-(* Forward constant sweep over [lo, hi): absolute addresses reaching
-   each register at each instruction. Best-effort — straight-line only;
-   any unrecognized def kills the register, calls kill the caller-saved
-   set. Sufficient for the ADR / MOVZ+MOVK materialization idioms the
-   instrumentation emits. *)
-let const_sweep code lo hi =
-  let known : (int, int64) Hashtbl.t = Hashtbl.create 8 in
-  let kill r = match r with Insn.R n -> Hashtbl.remove known n | _ -> () in
-  let setk r v = match r with Insn.R n -> Hashtbl.replace known n v | _ -> () in
-  let getk r =
-    match r with Insn.R n -> Hashtbl.find_opt known n | _ -> None
+(* Forward constant sweep over [lo, hi): [found i v] for each indirect
+   branch at index [i] whose register holds the absolute address [v].
+   Best-effort — straight-line only; any unrecognized def kills the
+   register, calls kill the caller-saved set. Sufficient for the ADR /
+   MOVZ+MOVK materialization idioms the instrumentation emits. *)
+let const_sweep code lo hi found =
+  let known = Array.make 31 false and value = Array.make 31 0L in
+  let kill r = match r with Insn.R n -> known.(n) <- false | _ -> () in
+  let setk r v =
+    match r with
+    | Insn.R n ->
+        known.(n) <- true;
+        value.(n) <- v
+    | _ -> ()
   in
-  let at = Hashtbl.create 8 in
+  let getk r = match r with Insn.R n when known.(n) -> Some value.(n) | _ -> None in
   for i = lo to hi - 1 do
-    let va, insn = code.(i) in
+    let _, insn = code.(i) in
     (match insn with
     | Insn.Blr rn | Insn.Br rn | Insn.Blra (_, rn, _) | Insn.Bra (_, rn, _) -> (
-        match getk rn with Some v -> Hashtbl.replace at va v | None -> ())
+        match getk rn with Some v -> found i v | None -> ())
     | _ -> ());
     match insn with
     | Insn.Adr (rd, a) -> setk rd a
@@ -47,25 +50,22 @@ let const_sweep code lo hi =
     | Insn.Mov (rd, rn) -> (
         match getk rn with Some v -> setk rd v | None -> kill rd)
     | Insn.Bl _ | Insn.Blr _ | Insn.Blra _ | Insn.Svc _ ->
-        for n = 0 to 18 do
-          Hashtbl.remove known n
-        done;
-        Hashtbl.remove known 30
+        Array.fill known 0 19 false;
+        known.(30) <- false
     | insn ->
         let defs, _ = Insn.defs_uses insn in
         List.iter kill defs
-  done;
-  at
+  done
 
 let build ?(symbols = []) code =
   let n = Array.length code in
-  let idx = Hashtbl.create (max 16 (2 * n)) in
-  Array.iteri (fun i (va, _) -> Hashtbl.replace idx va i) code;
-  let in_code va = Hashtbl.mem idx va in
   (* Pass 1: entries from symbols and BL targets. *)
-  let entry_set = Hashtbl.create 16 in
-  let add_entry va = if in_code va then Hashtbl.replace entry_set va () in
-  if n > 0 then add_entry (fst code.(0));
+  let is_entry = Array.make n false in
+  let add_entry va =
+    let i = Cfg.index_of code va in
+    if i >= 0 then is_entry.(i) <- true
+  in
+  if n > 0 then is_entry.(0) <- true;
   List.iter (fun (_, va) -> add_entry va) symbols;
   Array.iter (function _, Insn.Bl t -> add_entry t | _ -> ()) code;
   (* Pass 2: resolve indirect targets per provisional function, then
@@ -73,29 +73,25 @@ let build ?(symbols = []) code =
      enough in practice: a target discovered in round 2 rarely changes
      resolution, and determinism matters more than closure here. *)
   let partition () =
-    let es = Hashtbl.fold (fun va () acc -> va :: acc) entry_set [] in
-    let es = List.sort Int64.compare es in
-    Array.of_list (List.map (fun va -> Hashtbl.find idx va) es)
+    let starts = ref [] in
+    for i = n - 1 downto 0 do
+      if is_entry.(i) then starts := i :: !starts
+    done;
+    Array.of_list !starts
   in
-  let resolved : (int64, int64) Hashtbl.t = Hashtbl.create 16 in
+  let resolved = Array.make n None in
   let resolve_round () =
     let starts = partition () in
     let nf = Array.length starts in
     for f = 0 to nf - 1 do
       let lo = starts.(f) and hi = if f + 1 < nf then starts.(f + 1) else n in
-      let at = const_sweep code lo hi in
-      Hashtbl.iter
-        (fun va target ->
-          if in_code target then begin
-            Hashtbl.replace resolved va target;
-            match Hashtbl.find_opt idx va with
-            | Some _ -> (
-                match snd code.(Hashtbl.find idx va) with
-                | Insn.Blr _ | Insn.Blra _ -> add_entry target
-                | _ -> ())
-            | None -> ()
+      const_sweep code lo hi (fun i target ->
+          if Cfg.index_of code target >= 0 then begin
+            resolved.(i) <- Some target;
+            match snd code.(i) with
+            | Insn.Blr _ | Insn.Blra _ -> add_entry target
+            | _ -> ()
           end)
-        at
     done
   in
   resolve_round ();
@@ -116,10 +112,11 @@ let build ?(symbols = []) code =
     Array.init nf (fun f ->
         let lo = starts.(f) and hi = if f + 1 < nf then starts.(f + 1) else n in
         let entry = fst code.(lo) in
+        (* one record per site, gathered in ascending site order *)
         let calls = ref [] in
         for i = hi - 1 downto lo do
           let va, insn = code.(i) in
-          let r = Hashtbl.find_opt resolved va in
+          let r = resolved.(i) in
           match insn with
           | Insn.Bl t -> calls := { site = va; target = Some t; kind = Direct } :: !calls
           | Insn.Blr _ | Insn.Blra _ ->
@@ -133,14 +130,7 @@ let build ?(symbols = []) code =
               calls := { site = va; target = Some tgt; kind = Tail } :: !calls
           | _ -> ()
         done;
-        let calls =
-          List.sort_uniq
-            (fun a b ->
-              let c = Int64.compare a.site b.site in
-              if c <> 0 then c else Stdlib.compare a b)
-            !calls
-        in
-        { entry; name = name_of entry; lo; hi; calls })
+        { entry; name = name_of entry; lo; hi; calls = !calls })
   in
   { code; fns }
 
@@ -184,14 +174,18 @@ let hints t va =
           if c.site = va && c.kind <> Direct then c.target else None)
         t.fns.(i).calls
 
-let callers t i =
-  let entry = t.fns.(i).entry in
-  let acc = ref [] in
-  Array.iteri
-    (fun j f ->
-      if List.exists (fun c -> c.target = Some entry) f.calls then acc := j :: !acc)
-    t.fns;
-  List.rev !acc
+let callers t =
+  let acc = Array.make (Array.length t.fns) [] in
+  for j = Array.length t.fns - 1 downto 0 do
+    List.iter
+      (fun c ->
+        match Option.bind c.target (fn_index t) with
+        | Some i -> (
+            match acc.(i) with k :: _ when k = j -> () | l -> acc.(i) <- j :: l)
+        | None -> ())
+      t.fns.(j).calls
+  done;
+  acc
 
 let unresolved_count t =
   Array.fold_left

@@ -52,12 +52,14 @@ val code_of : t -> int -> (int64 * Insn.t) array
 
 (** [hints t va] — resolved targets of the indirect branch at [va]
     (empty for direct branches and unresolved sites). Feed to
-    {!Cfg.build} and to {!Lint.analyze}'s [indirect_resolved]. *)
+    {!Cfg.build}; a non-empty list is what {!Lint.analyze}'s
+    [indirect_resolved] reports. *)
 val hints : t -> int64 -> int64 list
 
-(** Indices of functions with a resolved call edge into function [i],
-    ascending, deduplicated. *)
-val callers : t -> int -> int list
+(** [(callers t).(i)] — indices of the functions with a resolved call
+    edge into function [i], ascending, deduplicated; one pass over every
+    call site. *)
+val callers : t -> int list array
 
 (** Number of call sites whose indirect target could not be resolved. *)
 val unresolved_count : t -> int

@@ -35,16 +35,24 @@ let flow_hinted hints va insn =
   | Insn.Br _ | Insn.Bra _ -> (targets @ hints va, fall)
   | _ -> (targets, fall)
 
+let index_of code va =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = Int64.compare (fst code.(mid)) va in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length code)
+
 let build ?(entries = []) ?(hints = fun _ -> []) code =
   let n = Array.length code in
-  let idx = Hashtbl.create (max 16 (2 * n)) in
-  Array.iteri (fun i (va, _) -> Hashtbl.replace idx va i) code;
   let leader = Array.make (max n 1) false in
   if n > 0 then leader.(0) <- true;
-  let entry_vas = ref [] in
+  let is_entry = Array.make n false in
   let add_entry va =
-    if Hashtbl.mem idx va && not (List.mem va !entry_vas) then
-      entry_vas := va :: !entry_vas
+    let j = index_of code va in
+    if j >= 0 then is_entry.(j) <- true
   in
   List.iter add_entry entries;
   Array.iteri
@@ -55,22 +63,28 @@ let build ?(entries = []) ?(hints = fun _ -> []) code =
       let targets, _ = flow_hinted hints va insn in
       List.iter
         (fun t ->
-          match Hashtbl.find_opt idx t with Some j -> leader.(j) <- true | None -> ())
+          let j = index_of code t in
+          if j >= 0 then leader.(j) <- true)
         targets;
       match insn with
       | Insn.Bl t -> add_entry t
       | Insn.Blr _ | Insn.Blra _ -> List.iter add_entry (hints va)
       | _ -> ())
     code;
-  List.iter (fun va -> leader.(Hashtbl.find idx va) <- true) !entry_vas;
+  Array.iteri (fun j e -> if e then leader.(j) <- true) is_entry;
   let starts = ref [] in
   for i = n - 1 downto 0 do
     if leader.(i) then starts := i :: !starts
   done;
   let starts = Array.of_list !starts in
   let nb = Array.length starts in
-  let block_of_va = Hashtbl.create (max 16 (2 * nb)) in
-  Array.iteri (fun b s -> Hashtbl.replace block_of_va (fst code.(s)) b) starts;
+  (* block number of each leader's index, [-1] inside a block *)
+  let block_of = Array.make n (-1) in
+  Array.iteri (fun b s -> block_of.(s) <- b) starts;
+  let block_at va =
+    let j = index_of code va in
+    if j >= 0 && block_of.(j) >= 0 then Some block_of.(j) else None
+  in
   let blocks =
     Array.init nb (fun b ->
         let s = starts.(b) in
@@ -79,20 +93,17 @@ let build ?(entries = []) ?(hints = fun _ -> []) code =
         let last_va, last = insns.(Array.length insns - 1) in
         let targets, fall = flow_hinted hints last_va last in
         let falls = if is_terminator last then fall else true in
-        let succ_vas =
-          let ft = Int64.add last_va 4L in
-          (if falls && Hashtbl.mem idx ft then [ ft ] else [])
-          @ List.filter (Hashtbl.mem idx) targets
-        in
         let succs =
-          List.sort_uniq compare (List.filter_map (Hashtbl.find_opt block_of_va) succ_vas)
+          List.filter_map block_at
+            (if falls then Int64.add last_va 4L :: targets else targets)
         in
-        { start = fst code.(s); insns; succs })
+        { start = fst code.(s); insns; succs = List.sort_uniq compare succs })
   in
-  let entry_blocks =
-    List.sort_uniq compare (List.filter_map (Hashtbl.find_opt block_of_va) !entry_vas)
-  in
-  { blocks; entries = entry_blocks }
+  let entry_blocks = ref [] in
+  for j = n - 1 downto 0 do
+    if is_entry.(j) then entry_blocks := block_of.(j) :: !entry_blocks
+  done;
+  { blocks; entries = !entry_blocks }
 
 let reachable t b =
   let seen = Array.make (Array.length t.blocks) false in

@@ -32,6 +32,10 @@ type t = {
 val build :
   ?entries:int64 list -> ?hints:(int64 -> int64 list) -> (int64 * Insn.t) array -> t
 
+(** [index_of code va] — index of the instruction at [va] in [code]
+    (sorted by ascending address), or [-1]: a binary search. *)
+val index_of : (int64 * Insn.t) array -> int64 -> int
+
 (** [reachable t b] — per-block reachability from block [b] along CFG
     edges (calls excluded, as in {!build}). *)
 val reachable : t -> int -> bool array

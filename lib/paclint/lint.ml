@@ -59,10 +59,24 @@ let entry_state () =
 
 let copy st = { regs = Array.copy st.regs; delta = st.delta }
 
-let equal_state a b = a.delta = b.delta && a.regs = b.regs
+(* Structural equality without the polymorphic compare: the fixpoint
+   and the summary merge test states for equality on every join. *)
+let equal_pv a b =
+  a == b
+  ||
+  match (a, b) with
+  | Sp_snap x, Sp_snap y -> x = y
+  | Signed k, Signed l -> k == l
+  | _ -> false
+
+let equal_state a b =
+  a.delta = b.delta
+  &&
+  let rec go i = i > 30 || (equal_pv a.regs.(i) b.regs.(i) && go (i + 1)) in
+  go 0
 
 let join_pv a b =
-  if a = b then a
+  if equal_pv a b then a
   else
     match (a, b) with
     | Raw, _ | _, Raw -> Raw

@@ -14,6 +14,7 @@ type report = {
   summaries : fn_summary array;
   diags : Diag.t list;
   rounds : int;
+  analyses : int;
 }
 
 let signed_regs (st : Lint.state) =
@@ -70,87 +71,142 @@ let apply_summary (s : fn_summary) (st : Lint.state) =
          | _ -> None));
       true
 
-(* ----- per-function analysis ----- *)
+(* ----- per-image tables ----- *)
 
-(* The function a call or tail site of [fn] resolves to, if any (the
-   last call record for the site wins). *)
-let callee cg fn site =
-  let target =
-    List.fold_left
-      (fun acc c -> if c.Callgraph.site = site then c.Callgraph.target else acc)
-      None fn.Callgraph.calls
+(* A resolved call or tail site: its byte offset from the function's
+   entry, the function its target enters ([-1] when the target is no
+   function entry), and whether an indirect branch there has a resolved
+   target (what {!Callgraph.hints} reports). *)
+type site = { off : int; callee : int; resolved : bool }
+
+(* Everything one function's analysis and may-write set read besides
+   the summaries and its entry state, built once per image: its CFG with
+   its in-function hints, its sites in ascending offset order, and its
+   write plan — the registers its own instructions define, and the
+   functions whose summary writes its calls (BL, BLR, BLRA, SVC) add,
+   [-1] standing for the AAPCS clobber of a call with no callee. *)
+type plan = {
+  entry : int64;
+  cfg : Cfg.t;
+  sites : site array;
+  local_writes : bool array;
+  call_writes : int array;  (** ascending, deduplicated *)
+}
+
+(* Index into [sites] (those of the function entered at [entry]) of the
+   site at [va], or [-1]. *)
+let site_at entry sites va =
+  let off = Int64.to_int (Int64.sub va entry) in
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let o = sites.(mid).off in
+      if o = off then mid else if o < off then go (mid + 1) hi else go lo mid
   in
-  Option.bind target (Callgraph.fn_index cg)
+  go 0 (Array.length sites)
+
+(* The function the call or tail site at [va] enters, or [-1]. *)
+let callee entry sites va =
+  let k = site_at entry sites va in
+  if k < 0 then -1 else sites.(k).callee
+
+let plan cg fidx =
+  let fn = cg.Callgraph.fns.(fidx) in
+  let code = cg.Callgraph.code in
+  let last_va = fst code.(fn.Callgraph.hi - 1) in
+  let sites =
+    Array.of_list
+      (List.map
+         (fun c ->
+           {
+             off = Int64.to_int (Int64.sub c.Callgraph.site fn.Callgraph.entry);
+             callee =
+               (match Option.bind c.Callgraph.target (Callgraph.fn_index cg) with
+               | Some j -> j
+               | None -> -1);
+             resolved = c.Callgraph.kind <> Callgraph.Direct && c.Callgraph.target <> None;
+           })
+         fn.Callgraph.calls)
+  in
+  (* keep only hints that land inside this function: cross-function
+     targets are call/tail edges, not CFG edges *)
+  let hints va =
+    List.filter
+      (fun t -> Int64.compare t fn.Callgraph.entry >= 0 && Int64.compare t last_va <= 0)
+      (Callgraph.hints cg va)
+  in
+  let local_writes = Array.make 31 false and calls = ref [] in
+  for i = fn.Callgraph.lo to fn.Callgraph.hi - 1 do
+    let va, insn = code.(i) in
+    let defs, _ = Insn.defs_uses insn in
+    List.iter (function Insn.R n -> local_writes.(n) <- true | _ -> ()) defs;
+    match insn with
+    | Insn.Bl _ | Insn.Blr _ | Insn.Blra _ | Insn.Svc _ ->
+        calls := callee fn.Callgraph.entry sites va :: !calls
+    | _ -> ()
+  done;
+  {
+    entry = fn.Callgraph.entry;
+    cfg = Cfg.build ~entries:[ fn.Callgraph.entry ] ~hints (Callgraph.code_of cg fidx);
+    sites;
+    local_writes;
+    call_writes = Array.of_list (List.sort_uniq compare !calls);
+  }
 
 (* May-write set: local defs plus callee writes (caller-saved set and LR
    for calls without a usable summary). Flow-insensitive by design. *)
-let compute_writes cg summaries fidx =
-  let writes = Array.make 31 false in
-  let clobber_callersaved () =
-    for i = 0 to 18 do
-      writes.(i) <- true
-    done;
-    writes.(30) <- true
-  in
-  let fn = cg.Callgraph.fns.(fidx) in
-  for i = fn.Callgraph.lo to fn.Callgraph.hi - 1 do
-    let _, insn = cg.Callgraph.code.(i) in
-    let defs, _ = Insn.defs_uses insn in
-    List.iter (function Insn.R n -> writes.(n) <- true | _ -> ()) defs;
-    match insn with
-    | Insn.Bl _ | Insn.Blr _ | Insn.Blra _ | Insn.Svc _ -> (
-        match callee cg fn (fst cg.Callgraph.code.(i)) with
-        | Some j when summaries.(j).exit <> None ->
-            Array.iteri (fun n w -> if w then writes.(n) <- true) summaries.(j).writes
-        | _ -> clobber_callersaved ())
-    | _ -> ()
-  done;
+let compute_writes summaries p =
+  let writes = Array.copy p.local_writes in
+  Array.iter
+    (fun j ->
+      if j >= 0 && summaries.(j).exit <> None then
+        Array.iteri (fun n w -> if w then writes.(n) <- true) summaries.(j).writes
+      else begin
+        for i = 0 to 18 do
+          writes.(i) <- true
+        done;
+        writes.(30) <- true
+      end)
+    p.call_writes;
   writes
+
+(* ----- per-function analysis ----- *)
 
 type fn_result = {
   r_exit : Lint.state option;
-  r_flows : (int64 * Lint.state) list;  (** callee entry, contributed state *)
+  r_flows : (int * Lint.state) list;  (** callee index, contributed state *)
   r_diags : Diag.t list;
 }
 
-(* One round of analysis for function [fidx] from entry state [entry_st]
-   against frozen [summaries]: [Lint.analyze] with callee summaries
-   applied at calls, collecting exit states and caller->callee flows
-   (calls and resolved tail calls) from its reporting pass. *)
-let analyze_fn ~policy ~cg ~summaries fidx entry_st =
-  let fn = cg.Callgraph.fns.(fidx) in
+(* One analysis of function [fidx] from entry state [entry_st] against
+   frozen [summaries]: [Lint.analyze] with callee summaries applied at
+   calls, collecting exit states and caller->callee flows (calls and
+   resolved tail calls) from its reporting pass. A pure function of
+   [entry_st] and the exit, writes and sp_net of the summaries its calls
+   apply. *)
+let analyze_fn ~policy ~plans ~summaries fidx entry_st =
+  let p = plans.(fidx) in
+  let callee = callee p.entry p.sites in
   let call va _insn st =
-    match callee cg fn va with Some i -> apply_summary summaries.(i) st | None -> false
+    let j = callee va in
+    j >= 0 && apply_summary summaries.(j) st
+  in
+  let indirect_resolved va =
+    let k = site_at p.entry p.sites va in
+    k >= 0 && p.sites.(k).resolved
   in
   let flows = ref [] and exit = ref None in
   let visit va insn (st : Lint.state) =
     match insn with
     | Insn.Ret | Insn.Reta _ ->
         exit := Some (match !exit with None -> Lint.copy st | Some e -> Lint.join_state e st)
-    | Insn.Bl _ | Insn.Blr _ | Insn.Blra _ | Insn.B _ | Insn.Br _ | Insn.Bra _ -> (
-        match callee cg fn va with
-        | Some i ->
-            flows :=
-              (cg.Callgraph.fns.(i).Callgraph.entry, to_callee_frame st.Lint.delta st)
-              :: !flows
-        | None -> ())
+    | Insn.Bl _ | Insn.Blr _ | Insn.Blra _ | Insn.B _ | Insn.Br _ | Insn.Bra _ ->
+        let j = callee va in
+        if j >= 0 then flows := (j, to_callee_frame st.Lint.delta st) :: !flows
     | _ -> ()
   in
-  let hints va =
-    (* keep only hints that land inside this function: cross-function
-       targets are call/tail edges, not CFG edges *)
-    List.filter
-      (fun t ->
-        Int64.compare t fn.Callgraph.entry >= 0
-        && Int64.compare t (fst cg.Callgraph.code.(fn.Callgraph.hi - 1)) <= 0)
-      (Callgraph.hints cg va)
-  in
-  let cfg = Cfg.build ~entries:[ fn.Callgraph.entry ] ~hints (Callgraph.code_of cg fidx) in
-  let r_diags =
-    Lint.analyze policy cfg ~entry:entry_st ~call
-      ~indirect_resolved:(fun va -> Callgraph.hints cg va <> [])
-      ~visit
-  in
+  let r_diags = Lint.analyze policy p.cfg ~entry:entry_st ~call ~indirect_resolved ~visit in
   { r_exit = !exit; r_flows = !flows; r_diags }
 
 (* ----- whole-image driver ----- *)
@@ -160,15 +216,18 @@ let max_rounds = 32
 let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
   let cg = Callgraph.build ~symbols code in
   let nf = Array.length cg.Callgraph.fns in
-  let sym_vas = List.map snd symbols in
-  let is_root = Array.make nf false in
-  Array.iteri
-    (fun i fn ->
-      if List.mem fn.Callgraph.entry sym_vas || Callgraph.callers cg i = [] then
-        is_root.(i) <- true)
-    cg.Callgraph.fns;
+  let plans = Array.init nf (plan cg) in
+  (* [callers.(j)]: the functions with a resolved edge into [j] — every
+     function whose analysis applies [j]'s summary, and its tail callers *)
+  let callers = Callgraph.callers cg in
   let entry_in = Array.make nf None in
-  Array.iteri (fun i r -> if r then entry_in.(i) <- Some (Lint.entry_state ())) is_root;
+  Array.iteri (fun i l -> if l = [] then entry_in.(i) <- Some (Lint.entry_state ())) callers;
+  List.iter
+    (fun (_, va) ->
+      match Callgraph.fn_index cg va with
+      | Some i -> entry_in.(i) <- Some (Lint.entry_state ())
+      | None -> ())
+    symbols;
   let summaries =
     Array.map
       (fun fn ->
@@ -182,15 +241,30 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
         })
       cg.Callgraph.fns
   in
-  let rounds = ref 0 in
+  (* Change-driven rounds: [results.(i)] is function [i]'s last
+     analysis, rerun only while [dirty.(i)] — set by a merge that moved
+     its entry state or a callee's exit, writes or sp_net, the only
+     inputs of [analyze_fn]. Both arrays are written between rounds, on
+     this domain, and the merge still reads every result. *)
+  let results = Array.make nf None in
+  let dirty = Array.make nf true in
+  let rounds = ref 0 and analyses = ref 0 in
   let run_round () =
     incr rounds;
-    par.Lint.pmap ~jobs:nf (fun i ->
-        match entry_in.(i) with
-        | None -> None
-        | Some st -> Some (analyze_fn ~policy ~cg ~summaries i st))
+    let todo =
+      Array.of_list
+        (List.filter (fun i -> dirty.(i) && entry_in.(i) <> None) (List.init nf Fun.id))
+    in
+    let fresh =
+      par.Lint.pmap ~jobs:(Array.length todo) (fun k ->
+          let i = todo.(k) in
+          analyze_fn ~policy ~plans ~summaries i (Option.get entry_in.(i)))
+    in
+    analyses := !analyses + Array.length todo;
+    Array.iteri (fun k i -> results.(i) <- Some fresh.(k)) todo;
+    Array.fill dirty 0 nf false
   in
-  let merge results =
+  let merge () =
     let changed = ref false in
     (* summaries first (frozen lookup -> next round sees all of them) *)
     Array.iteri
@@ -198,7 +272,7 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
         match res with
         | None -> ()
         | Some r ->
-            let writes = compute_writes cg summaries i in
+            let writes = compute_writes summaries plans.(i) in
             let sp_net =
               Option.bind r.r_exit (fun (e : Lint.state) -> e.Lint.delta)
             in
@@ -213,7 +287,10 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
                  | Some a, Some b -> Lint.equal_state a b
                  | _ -> false)
             in
-            if not same then changed := true;
+            if not same then begin
+              changed := true;
+              List.iter (fun c -> dirty.(c) <- true) callers.(i)
+            end;
             summaries.(i) <- fresh)
       results;
     (* then entry-state contributions, joined in index order *)
@@ -223,20 +300,18 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
         | None -> ()
         | Some r ->
             List.iter
-              (fun (callee, st) ->
-                match Callgraph.fn_index cg callee with
-                | None -> ()
-                | Some j ->
-                    let joined =
-                      match entry_in.(j) with
-                      | None -> st
-                      | Some cur -> Lint.join_state cur st
-                    in
-                    (match entry_in.(j) with
-                    | Some cur when Lint.equal_state cur joined -> ()
-                    | _ ->
-                        entry_in.(j) <- Some joined;
-                        changed := true))
+              (fun (j, st) ->
+                let joined =
+                  match entry_in.(j) with
+                  | None -> st
+                  | Some cur -> Lint.join_state cur st
+                in
+                match entry_in.(j) with
+                | Some cur when Lint.equal_state cur joined -> ()
+                | _ ->
+                    entry_in.(j) <- Some joined;
+                    dirty.(j) <- true;
+                    changed := true)
               (List.rev r.r_flows))
       results;
     !changed
@@ -246,22 +321,27 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
      the fixpoint off, the diagnostics come from one more round over
      the last summaries. *)
   let rec iterate () =
-    let results = run_round () in
-    if not (merge results) then results
-    else if !rounds >= max_rounds then begin
-      let final = run_round () in
-      ignore (merge final);
-      final
-    end
-    else iterate ()
+    run_round ();
+    if merge () then
+      if !rounds >= max_rounds then begin
+        run_round ();
+        ignore (merge ())
+      end
+      else iterate ()
   in
-  let final = iterate () in
+  iterate ();
   let diags = ref [] in
   Array.iter
     (fun res ->
       match res with None -> () | Some r -> diags := List.rev_append r.r_diags !diags)
-    final;
-  { cg; summaries; diags = Diag.normalize !diags; rounds = !rounds }
+    results;
+  {
+    cg;
+    summaries;
+    diags = Diag.normalize !diags;
+    rounds = !rounds;
+    analyses = !analyses;
+  }
 
 (* ----- JSON ----- *)
 

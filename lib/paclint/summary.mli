@@ -10,12 +10,16 @@
     both directions (caller argument states flow into callee entry
     states).
 
-    The fixpoint is Jacobi-style: each round analyzes every live
+    The fixpoint is Jacobi-style: each round evaluates every live
     function against a frozen snapshot of the previous round's
     summaries, then merges new summaries and entry-state contributions
     sequentially in function-index order. Rounds are what make the
     result independent of how many workers {!Lint.par} runs a round on —
-    worker count changes only wall-clock, never output. *)
+    worker count changes only wall-clock, never output. Each function's
+    CFG, call sites and write plan are built once per image, and a round
+    reruns only the functions whose entry state or callee summaries the
+    previous merge moved; every other function keeps its last result,
+    which a rerun would reproduce byte for byte. *)
 
 open Aarch64
 
@@ -39,6 +43,10 @@ type report = {
   summaries : fn_summary array;  (** parallel to [cg.fns] *)
   diags : Diag.t list;  (** normalized (sorted, deduplicated) *)
   rounds : int;  (** Jacobi rounds until stabilization *)
+  analyses : int;
+      (** function analyses run over all rounds: a round reruns only the
+          functions whose entry state or callee summaries the previous
+          merge moved, and reuses the last result of every other *)
 }
 
 (** [analyze_image ~par ~symbols ~policy code] — build the call graph,

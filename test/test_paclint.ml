@@ -318,7 +318,7 @@ let test_callgraph () =
   (match Paclint.Callgraph.fn_index cg leaf_entry with
   | Some i ->
       Alcotest.(check (list int)) "leaf's only caller is root" [ 0 ]
-        (Paclint.Callgraph.callers cg i)
+        (Paclint.Callgraph.callers cg).(i)
   | None -> Alcotest.fail "leaf not partitioned at its entry");
   (* the resolved BLR site feeds hints; the unresolved one does not *)
   let hinted =
@@ -393,22 +393,28 @@ let test_rule_packs () =
 
 (* ----- worker-count independence (the fleet determinism contract) ----- *)
 
+(* Every named image: a round's reused results were computed on
+   whichever worker ran them, so each configuration's bytes must match
+   the sequential run's. *)
 let test_worker_determinism () =
-  let fingerprint par =
-    let r = K.Kbuild.lint_report ~par C.Config.full in
-    Paclint.Census.to_json r.K.Kbuild.census
-    ^ Paclint.Diag.list_to_json r.K.Kbuild.diags
-    ^ Paclint.Summary.summaries_to_json r.K.Kbuild.summary
-  in
-  let seq = fingerprint L.seq_par in
   List.iter
-    (fun workers ->
-      let par = { L.pmap = (fun ~jobs f -> Fleet.Pool.map ~workers ~jobs f) } in
-      Alcotest.(check bool)
-        (Printf.sprintf "byte-identical at %d workers" workers)
-        true
-        (String.equal seq (fingerprint par)))
-    [ 2; 8 ]
+    (fun (name, config) ->
+      let fingerprint par =
+        let r = K.Kbuild.lint_report ~par config in
+        Paclint.Census.to_json r.K.Kbuild.census
+        ^ Paclint.Diag.list_to_json r.K.Kbuild.diags
+        ^ Paclint.Summary.summaries_to_json r.K.Kbuild.summary
+      in
+      let seq = fingerprint L.seq_par in
+      List.iter
+        (fun workers ->
+          let par = { L.pmap = (fun ~jobs f -> Fleet.Pool.map ~workers ~jobs f) } in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s byte-identical at %d workers" name workers)
+            true
+            (String.equal seq (fingerprint par)))
+        [ 2; 8 ])
+    C.Config.named
 
 (* ----- .kelf round trip and the module lint gate ----- *)
 
@@ -682,6 +688,71 @@ let test_sp_pairing_per_entry () =
   Alcotest.(check (list int)) "beside a depth-0 signer" [ 0 ] (mismatches at_depth_0);
   Alcotest.(check (list int)) "beside an unknown modifier" [ 0 ] (mismatches unknown_depth)
 
+(* ----- change-driven rounds: fewer analyses, the same bytes ----- *)
+
+(* A round reruns only the functions whose entry state or callee
+   summaries the previous merge moved, so every named image needs fewer
+   analyses than one per live function per round. Two runs over the same
+   image count the same analyses and write the same bytes: no reuse
+   state outlives an [analyze_image] call. *)
+let test_reuse_counts () =
+  List.iter
+    (fun (name, config) ->
+      let run () = K.Kbuild.lint_report config in
+      let a = run () and b = run () in
+      let sa = a.K.Kbuild.summary and sb = b.K.Kbuild.summary in
+      let live =
+        Array.fold_left
+          (fun n s -> if s.Paclint.Summary.entry_in <> None then n + 1 else n)
+          0 sa.Paclint.Summary.summaries
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d analyses < %d rounds x %d live functions" name
+           sa.Paclint.Summary.analyses sa.Paclint.Summary.rounds live)
+        true
+        (sa.Paclint.Summary.analyses < sa.Paclint.Summary.rounds * live);
+      Alcotest.(check int)
+        (name ^ ": a second run counts the same analyses")
+        sa.Paclint.Summary.analyses sb.Paclint.Summary.analyses;
+      Alcotest.(check string)
+        (name ^ ": a second run writes the same summaries")
+        (Paclint.Summary.summaries_to_json sa)
+        (Paclint.Summary.summaries_to_json sb);
+      Alcotest.(check string)
+        (name ^ ": a second run writes the same diagnostics")
+        (Paclint.Diag.list_to_json a.K.Kbuild.diags)
+        (Paclint.Diag.list_to_json b.K.Kbuild.diags))
+    C.Config.named
+
+(* ----- damaged .kelf objects are refused ----- *)
+
+(* The clean sample module ([modgen -c full]'s clean.kelf) cut short, or
+   with one byte overwritten, inserted or deleted — the generator
+   [json 7] and [snapshot 19] share — must read back as [Error]: only a
+   payload whose length and MD5 match its header reaches [Marshal]. A
+   draw that leaves the file as it was is no damage and is discarded, so
+   200 damaged copies are read. *)
+let prop_damaged_kelf_refused =
+  let with_temp f =
+    let path = Filename.temp_file "damaged" ".kelf" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
+  let original =
+    lazy
+      (with_temp (fun path ->
+           Kelf.Object_file.write_file path
+             (List.assoc "clean" (Kelf.Samples.all C.Config.full));
+           In_channel.with_open_bin path In_channel.input_all))
+  in
+  QCheck.Test.make ~count:200 ~name:"a damaged .kelf object reads as Error"
+    (QCheck.make ~print:Test_json.print_damage Test_json.damage_gen)
+    (fun dmg ->
+      let file = Test_json.damage (Lazy.force original) dmg in
+      QCheck.assume (file <> Lazy.force original);
+      with_temp (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc file);
+          match Kelf.Object_file.read_file path with Error _ -> true | Ok _ -> false))
+
 let suite =
   [
     Alcotest.test_case "wrapped functions clean (mode x scheme)" `Quick test_wrapped_clean;
@@ -701,4 +772,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scan_matches_reference;
     Alcotest.test_case "kernel image summaries pinned" `Quick test_summary_digests;
     Alcotest.test_case "SP pairing judged per entry" `Quick test_sp_pairing_per_entry;
+    Alcotest.test_case "rounds rerun only moved functions" `Quick test_reuse_counts;
+    QCheck_alcotest.to_alcotest prop_damaged_kelf_refused;
   ]
