@@ -134,15 +134,6 @@ val icache : t -> op Icache.t
     as an exception that {!run} turns into a {!stop}. *)
 val op_of : Insn.t -> el:El.t -> next:int64 -> op
 
-(** [is_terminator insn] — [insn] is a branch, conditional, indirect or
-    authenticated included: it ends a trace block, and the PC after it
-    is a block boundary. *)
-val is_terminator : Insn.t -> bool
-
-(** [class_of_insn insn] — the retirement class a telemetry sink counts
-    [insn] under. *)
-val class_of_insn : Insn.t -> Telemetry.Counters.insn_class
-
 (** The execution tier this core was created with. *)
 val tier : t -> tier
 

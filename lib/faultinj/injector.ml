@@ -1,12 +1,9 @@
 open Aarch64
 
-type insn_class = Any_insn | Branch_insn | Load_insn | Store_insn | Pauth_insn
-
 type trigger =
   | Always
   | At_cycle_window of { lo : int64; hi : int64 }
   | In_pc_range of { lo : int64; hi : int64 }
-  | On_insn_class of insn_class
   | After_steps of int
 
 type model =
@@ -48,15 +45,7 @@ let fired t = t.has_fired
 let injections t = t.injection_count
 let first_strike t = t.first
 
-let insn_matches cls insn =
-  match cls with
-  | Any_insn -> true
-  | Branch_insn -> Cpu.is_terminator insn
-  | Load_insn -> Cpu.class_of_insn insn = Telemetry.Counters.Load
-  | Store_insn -> Cpu.class_of_insn insn = Telemetry.Counters.Store
-  | Pauth_insn -> Insn.is_pauth insn
-
-let trigger_due t cpu ~pc insn =
+let trigger_due t cpu ~pc =
   match t.spec.trigger with
   | Always -> true
   | At_cycle_window { lo; hi } ->
@@ -64,7 +53,6 @@ let trigger_due t cpu ~pc insn =
       Int64.unsigned_compare c lo >= 0 && Int64.unsigned_compare c hi <= 0
   | In_pc_range { lo; hi } ->
       Int64.unsigned_compare pc lo >= 0 && Int64.unsigned_compare pc hi <= 0
-  | On_insn_class cls -> insn_matches cls insn
   | After_steps n -> t.steps_seen > n
 
 let mask_of_bits bits =
@@ -148,18 +136,10 @@ let strike t cpu =
           (fun cpu' ->
             Cpu.set_sysreg cpu' sr (force_bits ~mask ~target (Cpu.sysreg cpu' sr))) )
 
-let insn_class_name = function
-  | Any_insn -> "any"
-  | Branch_insn -> "branch"
-  | Load_insn -> "load"
-  | Store_insn -> "store"
-  | Pauth_insn -> "pauth"
-
 let trigger_to_string = function
   | Always -> "always"
   | At_cycle_window { lo; hi } -> Printf.sprintf "cycles[%Ld,%Ld]" lo hi
   | In_pc_range { lo; hi } -> Printf.sprintf "pc[0x%Lx,0x%Lx]" lo hi
-  | On_insn_class cls -> "insn-class " ^ insn_class_name cls
   | After_steps n -> Printf.sprintf "after %d steps" n
 
 let key_name = function
@@ -197,10 +177,10 @@ let after_strike t =
   | Transient -> List.iter (fun c -> Cpu.set_step_hook c None) t.cores
   | Stuck -> List.iter (fun c -> Cpu.set_step_horizon c 0L) t.cores
 
-let hook t cpu ~pc insn =
+let hook t cpu ~pc =
   t.steps_seen <- t.steps_seen + 1;
   if not t.has_fired then begin
-    if trigger_due t cpu ~pc insn then begin
+    if trigger_due t cpu ~pc then begin
       t.has_fired <- true;
       t.first <- Some (Cpu.id cpu, pc);
       t.injection_count <- 1;
@@ -222,7 +202,7 @@ let hook t cpu ~pc insn =
     | Stuck -> (
         match t.spec.model with
         | Skip_insn ->
-            if trigger_due t cpu ~pc insn then begin
+            if trigger_due t cpu ~pc then begin
               t.injection_count <- t.injection_count + 1;
               Cpu.Skip
             end
@@ -238,7 +218,7 @@ let hook t cpu ~pc insn =
 (* A cycle window's trigger cannot be due below [lo], so until the
    fault strikes the hook acts on no instruction that starts below it. *)
 let arm t cpu =
-  Cpu.set_step_hook cpu (Some (fun cpu ~pc insn -> hook t cpu ~pc insn));
+  Cpu.set_step_hook cpu (Some (fun cpu ~pc _ -> hook t cpu ~pc));
   t.cores <- cpu :: t.cores;
   match t.spec.trigger with
   | At_cycle_window { lo; _ } when not t.has_fired -> Cpu.set_step_horizon cpu lo

@@ -1,7 +1,7 @@
 (** Deterministic fault injector.
 
     A fault specification pairs a {e trigger} (when to strike: a cycle
-    window, a PC range, an instruction class, a step count) with a
+    window, a PC range, a step count) with a
     {e model} (what breaks: bit flips in a memory word, a GPR, the PAC
     field of a signed pointer, or a PAuth key register; or skipping the
     triggered instruction) and a {e persistence} ([Transient] faults
@@ -32,19 +32,12 @@
 
 open Aarch64
 
-(** [Branch_insn] is every branch {!Cpu.is_terminator} names, the
-    authenticated ones included; [Load_insn] and [Store_insn] are what
-    {!Cpu.class_of_insn} counts as loads and stores; [Pauth_insn] is
-    {!Insn.is_pauth}. *)
-type insn_class = Any_insn | Branch_insn | Load_insn | Store_insn | Pauth_insn
-
 type trigger =
   | Always  (** strike at the first opportunity *)
   | At_cycle_window of { lo : int64; hi : int64 }
       (** strike at the first instruction whose core cycle counter lies
           in \[lo, hi\] *)
   | In_pc_range of { lo : int64; hi : int64 }  (** inclusive PC range *)
-  | On_insn_class of insn_class
   | After_steps of int  (** strike once [n] hooked instructions retired *)
 
 type model =

@@ -804,7 +804,7 @@ let lint_object ~par ?scheme config (obj : O.t) ~base ~blobs ~extra_symbols ~ext
     Paclint.Summary.analyze_image ~par ~symbols:layout.Asm.symbols ~policy
       layout.Asm.code
   in
-  let census = Paclint.Census.run ~par summary.Paclint.Summary.cg in
+  let census = Paclint.Census.run summary in
   let scheme =
     match scheme with Some s -> s | None -> C.Verifier.rules_scheme config
   in

@@ -77,10 +77,7 @@ let forgery_probability c = 2. ** Float.of_int (-c.dynamic_bits)
    materialization idioms (MOVZ/MOVK, ADR, MOV from SP, BFI) are
    straight-line, so resetting to all-[Dyn] at block boundaries loses
    nothing while keeping the scan trivially deterministic. *)
-let sites_of_fn cg fidx =
-  let f = cg.Callgraph.fns.(fidx) in
-  let code = Callgraph.code_of cg fidx in
-  let cfg = Cfg.build ~entries:[ f.Callgraph.entry ] code in
+let sites_of_fn (f : Callgraph.fn) (cfg : Cfg.t) =
   let out = ref [] in
   Array.iter
     (fun blk ->
@@ -171,9 +168,8 @@ let sites_of_fn cg fidx =
 
 let key_order k = match k with Sysreg.IA -> 0 | IB -> 1 | DA -> 2 | DB -> 3 | GA -> 4
 
-let run ?(par = Lint.seq_par) cg =
-  let nf = Array.length cg.Callgraph.fns in
-  let per_fn = par.Lint.pmap ~jobs:nf (fun i -> sites_of_fn cg i) in
+let run (summary : Summary.report) =
+  let per_fn = Array.map2 sites_of_fn summary.cg.Callgraph.fns summary.cfgs in
   let sites = List.concat (Array.to_list per_fn) in
   let sites = List.sort (fun a b -> Int64.compare a.va b.va) sites in
   (* partition by (key, class) *)

@@ -62,10 +62,9 @@ type t = {
     context. 1.0 for a static class. *)
 val forgery_probability : cls_report -> float
 
-(** [run ~par cg] — extract sites per function (parallel, index-merged)
-    and partition into classes. Output is byte-stable for any worker
-    count. *)
-val run : ?par:Lint.par -> Callgraph.t -> t
+(** [run summary] — extract sites per function from the CFGs
+    {!Summary.analyze_image} built, and partition them into classes. *)
+val run : Summary.report -> t
 
 (** Collision classes (sites in ≥ 2 functions, ≥ 1 gadget pair) as
     {!Diag.Modifier_collision} findings anchored at the class's lowest

@@ -11,6 +11,7 @@ type fn_summary = {
 
 type report = {
   cg : Callgraph.t;
+  cfgs : Cfg.t array;
   summaries : fn_summary array;
   diags : Diag.t list;
   rounds : int;
@@ -337,6 +338,7 @@ let analyze_image ?(par = Lint.seq_par) ?(symbols = []) ~policy code =
     results;
   {
     cg;
+    cfgs = Array.map (fun p -> p.cfg) plans;
     summaries;
     diags = Diag.normalize !diags;
     rounds = !rounds;

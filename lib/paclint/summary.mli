@@ -40,6 +40,9 @@ type fn_summary = {
 
 type report = {
   cg : Callgraph.t;
+  cfgs : Cfg.t array;
+      (** parallel to [cg.fns]: each function's CFG with its in-function
+          hints, as its analysis read it *)
   summaries : fn_summary array;  (** parallel to [cg.fns] *)
   diags : Diag.t list;  (** normalized (sorted, deduplicated) *)
   rounds : int;  (** Jacobi rounds until stabilization *)

@@ -5,60 +5,6 @@
 let core_pid = 0
 let task_pid = 1
 
-type item = Span of Event.t * Event.t | Instant of Event.t
-
-(* Pair begin/end markers within one track, first-in-first-out: syscall
-   enter/exit (same pid, nr and core, exit not before enter), context
-   switch begin/done (same pids and core) and the kernel->user key
-   residency window (same core). Everything unpaired is an instant. *)
-let pair evs =
-  let arr = Array.of_list evs in
-  let n = Array.length arr in
-  let consumed = Array.make n false in
-  let items = ref [] in
-  let find_end i matches =
-    let rec find j =
-      if j >= n then None
-      else if consumed.(j) then find (j + 1)
-      else if
-        matches arr.(j).Event.payload
-        && arr.(j).Event.cpu = arr.(i).Event.cpu
-        && arr.(j).Event.ts >= arr.(i).Event.ts
-      then Some j
-      else find (j + 1)
-    in
-    find (i + 1)
-  in
-  let close i = function
-    | Some j ->
-        consumed.(j) <- true;
-        items := Span (arr.(i), arr.(j)) :: !items
-    | None -> items := Instant arr.(i) :: !items
-  in
-  for i = 0 to n - 1 do
-    if not consumed.(i) then
-      match arr.(i).Event.payload with
-      | Event.Syscall_enter { nr; pid; _ } ->
-          close i
-            (find_end i (function
-              | Event.Syscall_exit { nr = nr'; pid = pid'; _ } ->
-                  nr' = nr && pid' = pid
-              | _ -> false))
-      | Event.Context_switch { from_pid; to_pid } ->
-          close i
-            (find_end i (function
-              | Event.Switch_done { from_pid = f; to_pid = t } ->
-                  f = from_pid && t = to_pid
-              | _ -> false))
-      | Event.Key_switch { domain = "kernel"; _ } ->
-          close i
-            (find_end i (function
-              | Event.Key_switch { domain = "user"; _ } -> true
-              | _ -> false))
-      | _ -> items := Instant arr.(i) :: !items
-  done;
-  List.rev !items
-
 let event_name (p : Event.payload) =
   match p with
   | Event.Syscall_enter { name; _ } | Event.Syscall_exit { name; _ } -> name
@@ -69,13 +15,6 @@ let span_name (p : Event.payload) =
   | Event.Syscall_enter { name; _ } -> name
   | Event.Context_switch _ -> "context-switch"
   | Event.Key_switch _ -> "kernel-keys"
-  | p -> Event.kind p
-
-let span_cat (p : Event.payload) =
-  match p with
-  | Event.Syscall_enter _ -> "syscall"
-  | Event.Context_switch _ -> "context-switch"
-  | Event.Key_switch _ -> "key-domain"
   | p -> Event.kind p
 
 let obj fields =
@@ -97,32 +36,17 @@ let instant_json ~pid ~tid (ev : Event.t) =
       ("args", obj [ ("desc", str (Event.describe ev.payload)) ]);
     ]
 
-let span_json ~pid ~tid (enter : Event.t) (exit_ : Event.t) =
+let span_json ~pid ~tid ~name ~desc (sp : Span.t) =
   obj
     [
-      ("name", str (span_name enter.payload));
-      ("cat", str (span_cat enter.payload));
-      ("ph", str "X");
-      ("ts", Printf.sprintf "%Ld" enter.ts);
-      ("dur", Printf.sprintf "%Ld" (Int64.sub exit_.ts enter.ts));
-      ("pid", string_of_int pid);
-      ("tid", string_of_int tid);
-      ("args", obj [ ("desc", str (Event.describe exit_.payload)) ]);
-    ]
-
-(* IPI spans live on the sender's core track but end on the receiver's
-   clock; they come from the global span pass, not per-track pairing. *)
-let ipi_span_json ~pid ~tid (sp : Span.t) =
-  obj
-    [
-      ("name", str sp.Span.sp_label);
-      ("cat", str "ipi");
+      ("name", str name);
+      ("cat", str (Span.kind_name sp.Span.sp_kind));
       ("ph", str "X");
       ("ts", Printf.sprintf "%Ld" sp.Span.sp_start);
       ("dur", Printf.sprintf "%Ld" sp.Span.sp_dur);
       ("pid", string_of_int pid);
       ("tid", string_of_int tid);
-      ("args", obj [ ("desc", str ("ipi " ^ sp.Span.sp_label)) ]);
+      ("args", obj [ ("desc", str desc) ]);
     ]
 
 let metadata_json ~pid ~tid ~meta ~name_ =
@@ -136,44 +60,63 @@ let metadata_json ~pid ~tid ~meta ~name_ =
       ("args", obj [ ("name", str name_) ]);
     ]
 
-(* A track is rendered as (ts, json) items so extra span sources (the
-   IPI pass) can be merged in and the whole track re-sorted: Perfetto
-   and {!validate} require ascending ts within a track. *)
-let track_items ~pid ~tid evs =
-  (* per-track ascending ts: task tracks can interleave cores whose
-     cycle counters differ, so sort locally before pairing *)
-  let evs =
-    List.stable_sort
-      (fun (a : Event.t) (b : Event.t) -> Int64.compare a.ts b.ts)
+(* [evs] with their {!Span.pairs} drawn in, as (tid, (ts, json)) in
+   event order: the begin of each pair but an IPI's becomes the pair's
+   X event and its end is dropped; every other event is an instant. *)
+let render ~pid ~tid evs pairs =
+  let items =
+    Array.map
+      (fun (ev : Event.t) -> Some (tid ev, (ev.ts, instant_json ~pid ~tid:(tid ev) ev)))
       evs
   in
-  pair evs
-  |> List.map (function
-       | Span (en, ex) -> (en.Event.ts, span_json ~pid ~tid en ex)
-       | Instant ev -> (ev.Event.ts, instant_json ~pid ~tid ev))
+  List.iter
+    (fun ((sp : Span.t), b, e) ->
+      if sp.sp_kind <> Span.Ipi then begin
+        let tid = tid evs.(b) in
+        let name = span_name evs.(b).Event.payload in
+        let desc = Event.describe evs.(e).Event.payload in
+        items.(b) <- Some (tid, (sp.sp_start, span_json ~pid ~tid ~name ~desc sp));
+        items.(e) <- None
+      end)
+    pairs;
+  List.filter_map Fun.id (Array.to_list items)
 
+(* Perfetto and {!validate} require ascending ts within a track. *)
 let finish_track items =
   List.stable_sort (fun (a, _) (b, _) -> Int64.compare a b) items
   |> List.map snd
 
-(* One process worth of per-core tracks for [events], with IPI spans
-   folded onto the sender core's track. *)
+(* One process worth of per-core tracks for [events]. Every key but an
+   IPI's names a core, so one pass over the whole stream pairs every
+   core track, and its IPI spans are drawn on the sender core's track
+   (they end on the receiver's clock). *)
 let core_tracks ~pid ~cpus events =
-  let ipi_spans =
-    List.filter (fun s -> s.Span.sp_kind = Span.Ipi) (Span.of_events events)
+  let evs = Array.of_list events in
+  let pairs = Span.pairs evs in
+  let ipis =
+    List.filter_map
+      (fun ((sp : Span.t), _, _) ->
+        if sp.sp_kind = Span.Ipi then
+          Some
+            ( sp.sp_cpu,
+              ( sp.sp_start,
+                span_json ~pid ~tid:sp.sp_cpu ~name:sp.sp_label
+                  ~desc:("ipi " ^ sp.sp_label) sp ) )
+        else None)
+      pairs
   in
+  let items = render ~pid ~tid:(fun (ev : Event.t) -> ev.cpu) evs pairs @ ipis in
   List.concat
     (List.init cpus (fun c ->
-         let evs = List.filter (fun (e : Event.t) -> e.cpu = c) events in
-         let ipis =
-           List.filter_map
-             (fun s ->
-               if s.Span.sp_cpu = c then
-                 Some (s.Span.sp_start, ipi_span_json ~pid ~tid:c s)
-               else None)
-             ipi_spans
-         in
-         finish_track (track_items ~pid ~tid:c evs @ ipis)))
+         finish_track
+           (List.filter_map (fun (t, item) -> if t = c then Some item else None) items)))
+
+(* A task track pairs its own events only: its kernel-key window runs
+   from the task's "kernel" key switch to its own next "user" one on
+   that core, whichever task the core switched to in between. *)
+let task_track ~pid ~tid events =
+  let evs = Array.of_list events in
+  finish_track (List.map snd (render ~pid ~tid:(fun _ -> tid) evs (Span.pairs evs)))
 
 let serialize hub =
   let events = Hub.events hub in
@@ -202,11 +145,8 @@ let serialize hub =
   let task_tracks =
     List.concat_map
       (fun p ->
-        finish_track
-          (track_items ~pid:task_pid ~tid:p
-             (List.filter
-                (fun (e : Event.t) -> Event.pid_of e.payload = Some p)
-                events)))
+        task_track ~pid:task_pid ~tid:p
+          (List.filter (fun (e : Event.t) -> Event.pid_of e.payload = Some p) events))
       task_pids
   in
   let all = metadata @ task_meta @ cores @ task_tracks in

@@ -1,21 +1,26 @@
 (** Chrome trace-event serialization (Perfetto / chrome://tracing).
 
     Layout: process 0 carries one thread ("track") per core, process 1
-    one track per task pid. Matched begin/end pairs — syscall
-    enter/exit, context-switch begin/done, the kernel->user key
-    residency window, and (on core tracks) IPI send/receive — become
-    complete ("X") duration events; everything else is an instant
-    ("i"). Events within a track are emitted in ascending [ts] order,
-    which Perfetto requires and {!validate} checks. Timestamps are
-    core-local cycle counts reported in the [ts] microsecond field —
-    at the model's 1-cycle granularity this gives a faithful relative
-    timeline. *)
+    one track per task pid. This module only renders {!Span.pairs}:
+    the begin of each pair — syscall enter/exit, context-switch
+    begin/done, the kernel->user key residency window — becomes a
+    complete ("X") duration event and the pair's end is dropped; each
+    IPI span is an X event on its sender's core track, beside the send
+    and receive instants; everything else is an instant ("i"). Core
+    tracks are paired by one pass over the whole stream, each task
+    track by a pass over its own events, so a task's key window ends at
+    its own next ["user"] key switch. Events within a track are emitted
+    in ascending [ts] order, which Perfetto requires and {!validate}
+    checks. Timestamps are core-local cycle counts reported in the
+    [ts] microsecond field — at the model's 1-cycle granularity this
+    gives a faithful relative timeline. *)
 
 (** Full trace-event JSON document for the hub's live events. *)
 val serialize : Hub.t -> string
 
 (** Fleet view: one process per [(label, events)] lane with one thread
-    per core, same span derivation as {!serialize}'s core tracks.
+    per core, same span derivation as {!serialize}'s core tracks; each
+    lane's [events] are in {!Hub.events} order.
     Lane order and labels come from the caller, so a fleet engine
     passing deterministic trial labels gets a byte-identical document
     regardless of how many workers produced the events. *)

@@ -1,10 +1,11 @@
 (* Spans are *derived*, never emitted: a pure pass over the event
    stream pairs the begin/end markers the kernel and machine already
    record, so observation stays bit-identical whether or not anyone
-   asks for latency. Pairing is first-in-first-out per key within one
-   core's clock domain (IPIs cross domains and are only paired when
-   the receive timestamp is not before the send, so durations are
-   always non-negative). *)
+   asks for latency. This is the only code that pairs events: the
+   histograms and every Chrome duration event read its pairs. Pairing
+   is first-in-first-out per key (IPIs cross clock domains and are only
+   paired when the receive timestamp is not before the send, so
+   durations are always non-negative). *)
 
 type kind = Syscall | Context_switch | Ipi | Key_domain
 
@@ -24,104 +25,86 @@ type t = {
   sp_label : string;
 }
 
-(* FIFO pending-match queues keyed by an arbitrary key. *)
-module Pending = struct
-  type 'a t = (string, 'a list) Hashtbl.t
+(* What a begin opens and an end closes. Every key but an IPI's names
+   the core both of its events come from. *)
+type key =
+  | Syscall_key of int * int * int  (* core, nr, pid *)
+  | Switch_key of int * int * int  (* core, from pid, to pid *)
+  | Keys_key of int  (* core *)
+  | Ipi_key of int * int * string  (* source, destination, IPI kind *)
 
-  let create () : 'a t = Hashtbl.create 16
-  let push (q : 'a t) key v =
-    Hashtbl.replace q key (Hashtbl.find_opt q key |> Option.value ~default:[] |> fun l -> l @ [ v ])
+let kind_of_key = function
+  | Syscall_key _ -> Syscall
+  | Switch_key _ -> Context_switch
+  | Keys_key _ -> Key_domain
+  | Ipi_key _ -> Ipi
 
-  (* pop the oldest entry satisfying [ok] *)
-  let pop (q : 'a t) key ok =
-    match Hashtbl.find_opt q key with
-    | None | Some [] -> None
-    | Some entries ->
-        let rec go acc = function
-          | [] -> None
-          | e :: rest when ok e ->
-              Hashtbl.replace q key (List.rev_append acc rest);
-              Some e
-          | e :: rest -> go (e :: acc) rest
-        in
-        go [] entries
-end
+type role = Opens of key | Closes of key list | Neither
 
-let key_syscall cpu nr pid = Printf.sprintf "s:%d:%d:%d" cpu nr pid
-let key_switch cpu f t = Printf.sprintf "c:%d:%d:%d" cpu f t
-let key_keys cpu = Printf.sprintf "k:%d" cpu
-let key_ipi src dst k = Printf.sprintf "i:%d:%d:%s" src dst k
+let role (e : Event.t) =
+  match e.payload with
+  | Event.Syscall_enter { nr; pid; _ } -> Opens (Syscall_key (e.cpu, nr, pid))
+  | Event.Syscall_exit { nr; pid; _ } -> Closes [ Syscall_key (e.cpu, nr, pid) ]
+  | Event.Context_switch { from_pid; to_pid } ->
+      Opens (Switch_key (e.cpu, from_pid, to_pid))
+  | Event.Switch_done { from_pid; to_pid } ->
+      Closes [ Switch_key (e.cpu, from_pid, to_pid) ]
+  (* kernel-key residency: the window the auth keys are live *)
+  | Event.Key_switch { domain = "kernel"; _ } -> Opens (Keys_key e.cpu)
+  | Event.Key_switch { domain = "user"; _ } -> Closes [ Keys_key e.cpu ]
+  | Event.Ipi_send { dst; kind } -> Opens (Ipi_key (e.cpu, dst, kind))
+  (* one coalesced receive acknowledges a send from every source it lists *)
+  | Event.Ipi_receive { srcs; kind } ->
+      Closes (List.map (fun src -> Ipi_key (src, e.cpu, kind)) srcs)
+  | _ -> Neither
 
-(* One forward scan over the (already deterministically sorted) event
-   list. Spans come out in end-event order, which is itself
-   deterministic. *)
-let of_events events =
-  let pending : Event.t Pending.t = Pending.create () in
-  let spans = ref [] in
-  let emit sk (b : Event.t) ~cpu ~end_ts ~label =
-    spans :=
-      {
-        sp_kind = sk;
-        sp_cpu = cpu;
-        sp_start = b.Event.ts;
-        sp_dur = Int64.sub end_ts b.Event.ts;
-        sp_label = label;
-      }
-      :: !spans
-  in
-  List.iter
-    (fun (e : Event.t) ->
-      match e.payload with
-      | Event.Syscall_enter { nr; pid; _ } ->
-          Pending.push pending (key_syscall e.cpu nr pid) e
-      | Event.Syscall_exit { nr; pid; name; _ } -> (
-          match
-            Pending.pop pending (key_syscall e.cpu nr pid) (fun (b : Event.t) ->
-                Int64.compare b.ts e.ts <= 0)
-          with
-          | Some b -> emit Syscall b ~cpu:e.cpu ~end_ts:e.ts ~label:name
-          | None -> ())
-      | Event.Context_switch { from_pid; to_pid } ->
-          Pending.push pending (key_switch e.cpu from_pid to_pid) e
-      | Event.Switch_done { from_pid; to_pid } -> (
-          match
-            Pending.pop pending
-              (key_switch e.cpu from_pid to_pid)
-              (fun (b : Event.t) -> Int64.compare b.ts e.ts <= 0)
-          with
-          | Some b ->
-              emit Context_switch b ~cpu:e.cpu ~end_ts:e.ts
-                ~label:(Printf.sprintf "pid %d -> %d" from_pid to_pid)
-          | None -> ())
-      | Event.Key_switch { domain = "kernel"; _ } ->
-          Pending.push pending (key_keys e.cpu) e
-      | Event.Key_switch { domain = "user"; _ } -> (
-          (* kernel-key residency: the window the auth keys are live *)
-          match
-            Pending.pop pending (key_keys e.cpu) (fun (b : Event.t) ->
-                Int64.compare b.ts e.ts <= 0)
-          with
-          | Some b -> emit Key_domain b ~cpu:e.cpu ~end_ts:e.ts ~label:"kernel-keys"
-          | None -> ())
-      | Event.Key_switch _ -> ()
-      | Event.Ipi_send { dst; kind } ->
-          Pending.push pending (key_ipi e.cpu dst kind) e
-      | Event.Ipi_receive { srcs; kind } ->
-          (* one coalesced receive acknowledges every pending send whose
-             source it lists; cores have independent cycle counters, so
-             only sends not after the receive pair up (no negative dur) *)
+let span (b : Event.t) (e : Event.t) sp_kind =
+  {
+    sp_kind;
+    sp_cpu = b.cpu;
+    sp_start = b.ts;
+    sp_dur = Int64.sub e.ts b.ts;
+    sp_label =
+      (match e.payload with
+      | Event.Syscall_exit { name; _ } -> name
+      | Event.Switch_done { from_pid; to_pid } ->
+          Printf.sprintf "pid %d -> %d" from_pid to_pid
+      | Event.Ipi_receive { kind; _ } -> kind
+      | _ (* a "user" key switch *) -> "kernel-keys");
+  }
+
+(* The one pairing pass: a begin joins its key's queue, and an end
+   closes the oldest pending begin of its key unless that begin is after
+   it. A key's begins all come from one core, whose events a stream in
+   {!Hub.events} order holds in ts order, so when the oldest is after
+   the end every other pending begin is too. Only an IPI's end reads
+   another core's clock than its begin. *)
+let pairs evs =
+  let pending = Hashtbl.create 16 in
+  let closed = ref [] in
+  Array.iteri
+    (fun i (e : Event.t) ->
+      match role e with
+      | Opens k ->
+          if not (Hashtbl.mem pending k) then Hashtbl.add pending k (Queue.create ());
+          Queue.push i (Hashtbl.find pending k)
+      | Closes ks ->
           List.iter
-            (fun src ->
-              match
-                Pending.pop pending (key_ipi src e.cpu kind)
-                  (fun (b : Event.t) -> Int64.compare b.ts e.ts <= 0)
-              with
-              | Some b -> emit Ipi b ~cpu:b.cpu ~end_ts:e.ts ~label:kind
-              | None -> ())
-            srcs
-      | _ -> ())
-    events;
-  List.rev !spans
+            (fun k ->
+              match Hashtbl.find_opt pending k with
+              | Some q
+                when (not (Queue.is_empty q))
+                     && Int64.compare evs.(Queue.peek q).Event.ts e.ts <= 0 ->
+                  let b = Queue.pop q in
+                  closed := (span evs.(b) e (kind_of_key k), b, i) :: !closed
+              | _ -> ())
+            ks
+      | Neither -> ())
+    evs;
+  List.rev !closed
+
+let of_events events =
+  List.map (fun (sp, _, _) -> sp) (pairs (Array.of_list events))
 
 (* Per-kind histograms in the fixed [all_kinds] order — every kind is
    present (possibly empty) so fleet merges line up bucket-for-bucket

@@ -9,9 +9,11 @@
     bit-identical to unobserved runs: asking for latency is a fold,
     not a probe.
 
-    Pairing is first-in-first-out per (core, key) within one core's
-    clock domain. IPIs cross clock domains, so a send only pairs with
-    a receive not before it — durations are always non-negative. *)
+    {!pairs} is the only code that pairs events: the histograms and
+    every {!Chrome} duration event read it. Pairing is
+    first-in-first-out per key. IPIs cross clock domains, so a send
+    only pairs with a receive not before it — durations are always
+    non-negative. *)
 
 type kind = Syscall | Context_switch | Ipi | Key_domain
 
@@ -26,8 +28,17 @@ type t = {
   sp_label : string;
 }
 
-(** Derive all spans from an event list (normally {!Hub.events}), in
-    end-event order. Unmatched begin markers produce no span. *)
+(** The one pairing pass, over events in {!Hub.events} order: a begin
+    waits under its key — (core, nr, pid) for a syscall, (core, from,
+    to) for a context switch, the core for the kernel-key window,
+    (source, destination, kind) for an IPI — and an end closes the
+    oldest pending begin of its key unless that begin is after it.
+    Each closed pair comes out as its span and the indices of its begin
+    and end in [evs], in end-event order. *)
+val pairs : Event.t array -> (t * int * int) list
+
+(** The spans of {!pairs} over an event list (normally {!Hub.events}),
+    in end-event order. Unmatched begin markers produce no span. *)
 val of_events : Event.t list -> t list
 
 (** Per-kind latency histograms over {!of_events}; every {!kind} is

@@ -459,66 +459,6 @@ let test_quarantine_demo () =
   Alcotest.(check bool) "quarantine saves work" true
     (d.FI.Campaign.quarantine_completed > d.FI.Campaign.baseline_completed)
 
-(* Each instruction class strikes its first member, on every tier: the
-   program runs a PAC, a load, a store, an authenticated BRAA and then
-   a plain B. A branch class that left out the authenticated branches
-   would strike the B. *)
-let test_insn_class_triggers () =
-  let chunk i =
-    Int64.to_int (Int64.logand (Int64.shift_right_logical Bare.data_base (16 * i)) 0xffffL)
-  in
-  let prog = Asm.create () in
-  Asm.add_function prog ~name:"cls"
-    (Asm.ins (Insn.Movz (Insn.R 10, chunk 0, 0))
-     :: List.map (fun i -> Asm.ins (Insn.Movk (Insn.R 10, chunk i, 16 * i))) [ 1; 2; 3 ]
-    @ [
-        Asm.ins (Insn.Movz (Insn.R 11, 5, 0));
-        Asm.adr_of (Insn.R 13) "next";
-        Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 13, Insn.R 11));
-        Asm.ins (Insn.Ldr (Insn.R 2, Insn.Off (Insn.R 10, 0)));
-        Asm.ins (Insn.Str (Insn.R 2, Insn.Off (Insn.R 10, 8)));
-        Asm.ins (Insn.Bra (Sysreg.IA, Insn.R 13, Insn.R 11));
-        Asm.label "next";
-        Asm.b_to "done";
-        Asm.label "done";
-        Asm.ins Insn.Ret;
-      ]);
-  let strike tier cls =
-    let cpu = Bare.machine ~seed:3L ~tier () in
-    let layout = Bare.load cpu prog in
-    let inj =
-      FI.Injector.create
-        {
-          FI.Injector.trigger = FI.Injector.On_insn_class cls;
-          model = FI.Injector.Gpr_flip { reg = 20; bits = [ 0 ] };
-          persistence = FI.Injector.Transient;
-        }
-    in
-    FI.Injector.arm inj cpu;
-    (match Bare.call cpu layout "cls" with
-    | Cpu.Sentinel_return -> ()
-    | s -> Alcotest.failf "cls stopped: %s" (Cpu.stop_to_string s));
-    Option.map
-      (fun (_, pc) -> Int64.sub pc (Asm.symbol layout "cls"))
-      (FI.Injector.first_strike inj)
-  in
-  List.iter
-    (fun (cls, name, offset) ->
-      List.iter
-        (fun tier ->
-          Alcotest.(check (option int64))
-            (Printf.sprintf "%s on %s" name (Cpu.tier_name tier))
-            (Some offset) (strike tier cls))
-        Cpu.all_tiers)
-    FI.Injector.
-      [
-        (Any_insn, "any", 0L);
-        (Pauth_insn, "pauth", 24L);
-        (Load_insn, "load", 28L);
-        (Store_insn, "store", 32L);
-        (Branch_insn, "branch", 36L);
-      ]
-
 let suite =
   [
     Alcotest.test_case "injector: transient GPR flip at a PC" `Quick
@@ -553,6 +493,4 @@ let suite =
       test_quarantine_demo;
     Alcotest.test_case "campaign: 2-core reports equal on every tier" `Quick
       test_campaign_two_cores_every_tier;
-    Alcotest.test_case "injector: each instruction class strikes its first member" `Quick
-      test_insn_class_triggers;
   ]

@@ -422,6 +422,11 @@ let test_kelf_roundtrip () =
   let dir = Filename.temp_file "kelf" ".d" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
   let obj = List.assoc "clean" (Kelf.Samples.all C.Config.full) in
   let path = Filename.concat dir "clean.kelf" in
   Kelf.Object_file.write_file path obj;

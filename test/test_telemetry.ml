@@ -498,7 +498,7 @@ let test_span_pairing () =
   let events =
     [
       ev 100L 0 (T.Event.Syscall_enter { nr = 1; name = "sys_a"; pid = 7 });
-      (* same (cpu, nr, pid) nested again: FIFO pairing *)
+      (* the same syscall from another pid on another core: its own key *)
       ev 110L 1 (T.Event.Syscall_enter { nr = 1; name = "sys_a"; pid = 8 });
       ev 150L 0 (T.Event.Syscall_exit { nr = 1; name = "sys_a"; pid = 7; result = 0L });
       ev 180L 1 (T.Event.Syscall_exit { nr = 1; name = "sys_a"; pid = 8; result = 0L });
@@ -637,6 +637,150 @@ let test_chrome_validate_positions () =
         in
         has "line 1" && has "column")
 
+(* --- one pairing pass ---------------------------------------------- *)
+
+(* Two begins of one key, both pending before either end: each end
+   closes the oldest pending begin. *)
+let test_span_fifo_one_key () =
+  let enter ts = ev ts 0 (T.Event.Syscall_enter { nr = 1; name = "sys_a"; pid = 7 }) in
+  let exit_ ts =
+    ev ts 0 (T.Event.Syscall_exit { nr = 1; name = "sys_a"; pid = 7; result = 0L })
+  in
+  let spans = T.Span.of_events [ enter 100L; enter 110L; exit_ 150L; exit_ 180L ] in
+  Alcotest.(check (list (pair int64 int64))) "first in, first out (start, dur)"
+    [ (100L, 50L); (110L, 70L) ]
+    (List.map (fun s -> (s.T.Span.sp_start, s.T.Span.sp_dur)) spans)
+
+(* Every non-metadata event of a serialized trace as
+   (ph, cat, pid, tid, ts, dur), dur 0 for instants. *)
+let chrome_events doc =
+  match J.parse doc with
+  | Ok v -> (
+      match J.member "traceEvents" v with
+      | Some (J.List evs) ->
+          List.filter_map
+            (fun e ->
+              let str k = Option.bind (J.member k e) J.to_string in
+              let int k = Option.bind (J.member k e) J.to_int64 in
+              match str "ph" with
+              | Some "M" -> None
+              | Some ph ->
+                  Some
+                    ( ph,
+                      Option.value ~default:"" (str "cat"),
+                      Int64.to_int (Option.get (int "pid")),
+                      Int64.to_int (Option.get (int "tid")),
+                      Option.get (int "ts"),
+                      Option.value ~default:0L (int "dur") )
+              | None -> Alcotest.fail "event without ph")
+            evs
+      | _ -> Alcotest.fail "no traceEvents array")
+  | Error e -> Alcotest.failf "unparsable trace: %s" e
+
+(* The kernel-key window is a core's: on one core, pid 3's "kernel"
+   key switch and pid 4's "user" one make one X event on the core
+   track, but a task track pairs only its own task's switches, so each
+   task track keeps its switch as an instant. *)
+let test_chrome_key_window_per_task () =
+  let h = T.Hub.create ~cpus:1 () in
+  let s = T.Hub.sink h 0 in
+  T.Sink.emit s ~ts:10L (T.Event.Key_switch { domain = "kernel"; pid = 3 });
+  T.Sink.emit s ~ts:30L (T.Event.Key_switch { domain = "user"; pid = 4 });
+  let doc = T.Chrome.serialize h in
+  (match T.Chrome.validate doc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "trace rejected: %s" e);
+  let on pid tid =
+    List.filter_map
+      (fun (ph, cat, p, t, ts, dur) ->
+        if p = pid && t = tid then Some (ph, cat, ts, dur) else None)
+      (chrome_events doc)
+  in
+  let row = Alcotest.(list (pair (pair string string) (pair int64 int64))) in
+  let rows = List.map (fun (ph, cat, ts, dur) -> ((ph, cat), (ts, dur))) in
+  Alcotest.check row "core track: one key-domain span"
+    [ (("X", "key-domain"), (10L, 20L)) ]
+    (rows (on 0 0));
+  Alcotest.check row "pid 3's track: an instant"
+    [ (("i", "key-switch"), (10L, 0L)) ]
+    (rows (on 1 3));
+  Alcotest.check row "pid 4's track: an instant"
+    [ (("i", "key-switch"), (30L, 0L)) ]
+    (rows (on 1 4))
+
+(* test_smp's load-balancing run under telemetry, at the default
+   balance interval: the doorbell IPI is an X event on the sender's
+   core track, one per IPI span. *)
+let balance_run () =
+  let sys = K.System.boot ~seed:13L ~cpus:2 ~telemetry:true () in
+  let prog = Asm.create () in
+  let loop name label count =
+    Asm.add_function prog ~name
+      [
+        Asm.ins (Insn.Movz (Insn.R 20, count, 0));
+        Asm.label label;
+        Asm.ins (Insn.Sub_imm (Insn.R 20, Insn.R 20, 1));
+        Asm.cbnz_to (Insn.R 20) label;
+        Asm.ins (Insn.Movz (Insn.R 0, 0, 0));
+        Asm.ins (Insn.Svc K.Kbuild.sys_exit);
+      ]
+  in
+  loop "long" "lwork" 6000;
+  loop "short" "swork" 20;
+  let layout = K.System.map_user_program sys prog in
+  let long = Asm.symbol layout "long" and short = Asm.symbol layout "short" in
+  let tasks =
+    List.init 6 (fun idx ->
+        K.System.spawn_user_task sys ~entry:(if idx mod 2 = 0 then long else short))
+  in
+  ignore (K.System.run_smp ~quantum:400 sys ~tasks);
+  hub sys
+
+let test_chrome_ipi_span_on_sender () =
+  let h = balance_run () in
+  let ipis =
+    List.filter
+      (fun s -> s.T.Span.sp_kind = T.Span.Ipi)
+      (T.Span.of_events (T.Hub.events h))
+  in
+  Alcotest.(check bool) "the balancer sent an IPI that was received" true
+    (ipis <> []);
+  let doc = T.Chrome.serialize h in
+  (match T.Chrome.validate doc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "trace rejected: %s" e);
+  let drawn =
+    List.filter_map
+      (fun (ph, cat, pid, tid, ts, dur) ->
+        if ph = "X" && cat = "ipi" && pid = 0 then Some (tid, (ts, dur)) else None)
+      (chrome_events doc)
+  in
+  Alcotest.(check (list (pair int (pair int64 int64))))
+    "one X event per IPI span, on the sender's core track"
+    (List.map (fun s -> (s.T.Span.sp_cpu, (s.T.Span.sp_start, s.T.Span.sp_dur))) ipis)
+    drawn;
+  Alcotest.(check string) "document bytes" "a9ffb4b6725ca7256452da5809572760"
+    (Digest.to_hex (Digest.string doc))
+
+(* The bytes of the suite's 4-core seed-7 trace and of a 16-trial
+   campaign's fleet lanes and merged histograms. These digests and the
+   one in test_chrome_ipi_span_on_sender were computed before Chrome
+   lost its own begin/end matcher; a deliberate change to the trace or
+   histogram format re-pins all three. *)
+let test_chrome_and_hist_bytes_pinned () =
+  let sys, _ = smp_run ~seed:7L ~cpus:4 in
+  Alcotest.(check string) "4-core seed-7 trace" "6e3a73e9d8ddaf0321d6e6f027864275"
+    (Digest.to_hex (Digest.string (T.Chrome.serialize (hub sys))));
+  let result =
+    Option.get (Fleet.Campaign.run ~telemetry:true ~lanes:4 ~seed:7L ~trials:16 ())
+  in
+  let t = Option.get result.Fleet.Campaign.telemetry in
+  Alcotest.(check string) "16-trial lanes and histograms" "6fd024abb2ef9645832e1a33f1495493"
+    (Digest.to_hex
+       (Digest.string
+          (T.Chrome.serialize_lanes t.Fleet.Campaign.lanes
+          ^ T.Span.histograms_to_json t.Fleet.Campaign.hists)))
+
 let suite =
   [
     Alcotest.test_case "per-class counts sum to retired" `Quick
@@ -689,4 +833,12 @@ let suite =
       test_chrome_has_duration_events;
     Alcotest.test_case "validator errors carry positions" `Quick
       test_chrome_validate_positions;
+    Alcotest.test_case "Span: two begins of one key close FIFO" `Quick
+      test_span_fifo_one_key;
+    Alcotest.test_case "Chrome: a task track pairs its own key switches" `Quick
+      test_chrome_key_window_per_task;
+    Alcotest.test_case "Chrome: an IPI span lands on the sender's track" `Quick
+      test_chrome_ipi_span_on_sender;
+    Alcotest.test_case "Chrome and histogram bytes are pinned" `Quick
+      test_chrome_and_hist_bytes_pinned;
   ]
