@@ -48,10 +48,16 @@ let count_conv ~what ~lo ~hi =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let cpus_arg =
-  let doc = "Number of simulated cores to boot (1-16)." in
-  let cpus = count_conv ~what:"cpu count" ~lo:1 ~hi:16 in
-  Arg.(value & opt cpus 1 & info [ "cpus" ] ~docv:"N" ~doc)
+(* A core count from [lo] to 16, [lo] by default. *)
+let cpus_arg_from ~lo ~doc =
+  let cpus = count_conv ~what:"cpu count" ~lo ~hi:16 in
+  Arg.(value & opt cpus lo & info [ "cpus" ] ~docv:"N" ~doc)
+
+let cpus_arg = cpus_arg_from ~lo:1 ~doc:"Number of simulated cores to boot (1-16)."
+
+(* The SMP workloads of [trace], [stats] and [faults] run at least two
+   cores, so 1 is refused like 17. *)
+let smp_cpus_arg = cpus_arg_from ~lo:2 ~doc:"Number of simulated cores to boot (2-16)."
 
 let workers_arg =
   let lo, hi = Fleet.Pool.workers_range in
@@ -264,6 +270,13 @@ let trace_cmd =
     let doc = "Print the telemetry event timeline as text instead of JSON." in
     Arg.(value & flag & info [ "text" ] ~doc)
   in
+  (* the PAC-failure trace boots one core whatever this says *)
+  let trace_cpus_arg =
+    cpus_arg_from ~lo:2
+      ~doc:
+        "Number of simulated cores the $(b,--chrome) and $(b,--text) workloads \
+         boot (2-16)."
+  in
   let run config seed cpus tier chrome validate text =
     match (chrome, validate, text) with
     | _, Some path, _ ->
@@ -278,8 +291,7 @@ let trace_cmd =
             exit 1)
     | Some path, _, _ ->
         let _, hub, stats =
-          telemetry_run ~config ~seed ~cpus:(max cpus 2) ?tier ~tasks:8
-            ~rounds:20 ()
+          telemetry_run ~config ~seed ~cpus ?tier ~tasks:8 ~rounds:20 ()
         in
         let doc = Telemetry.Chrome.serialize hub in
         (match Telemetry.Chrome.validate doc with
@@ -295,8 +307,7 @@ let trace_cmd =
           (Telemetry.Hub.cpus hub) path stats.K.System.makespan
     | None, None, true ->
         let _, hub, _ =
-          telemetry_run ~config ~seed ~cpus:(max cpus 2) ?tier ~tasks:8
-            ~rounds:20 ()
+          telemetry_run ~config ~seed ~cpus ?tier ~tasks:8 ~rounds:20 ()
         in
         print_string (Telemetry.Chrome.text ~limit:200 hub)
     | None, None, false ->
@@ -318,7 +329,7 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg
+      const run $ config_arg $ seed_arg $ trace_cpus_arg $ exec_tier_arg
       $ chrome_arg $ validate_arg $ text_arg)
 
 let print_hist_table hists =
@@ -350,7 +361,6 @@ let stats_cmd =
     Arg.(value & flag & info [ "hist" ] ~doc)
   in
   let run config seed cpus tier json hist =
-    let cpus = max cpus 2 in
     let _, hub, stats =
       telemetry_run ~config ~seed ~cpus ?tier ~tasks:8 ~rounds:20 ()
     in
@@ -385,7 +395,7 @@ let stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg
+      const run $ config_arg $ seed_arg $ smp_cpus_arg $ exec_tier_arg
       $ json_arg $ hist_arg)
 
 let lint_cmd =
@@ -611,7 +621,6 @@ let faults_cmd =
   in
   let run config seed cpus tier trials json quarantine workers retries
       record_dir chrome lanes hist_json demo =
-    let cpus = max cpus 2 in
     if demo then print_string (Faultinj.Campaign.demo_to_string (Faultinj.Campaign.quarantine_demo ~seed ()))
     else begin
       (* the ranges serve and replay accept, so every recorded log replays *)
@@ -681,7 +690,7 @@ let faults_cmd =
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg
+      const run $ config_arg $ seed_arg $ smp_cpus_arg $ exec_tier_arg
       $ trials_arg $ json_arg $ quarantine_arg $ workers_arg $ retries_arg
       $ record_arg $ chrome_arg $ lanes_arg $ hist_json_arg $ demo_arg)
 

@@ -72,11 +72,9 @@ type t = {
      core's blocks. *)
   traces : (unit -> unit) Traces.t option;
   cipher : Qarma.Block.t;
-  (* this core's PAC memo, and the MAC source its ops sign and
-     authenticate with: the memo on the cached tiers, the plain cipher
-     on [Interp] (see [memo_mac]) *)
-  memo : memo;
-  mac : Pac.mac;
+  (* the MAC source this core's PAC-family ops run: a caching memo on
+     the cached tiers, an uncached one on [Interp] (see [create]) *)
+  memo : Pac.memo;
   cost : Cost.profile;
   (* native ints, not Int64: these are bumped once per retired
      instruction on the interpreter hot path and a boxed Int64
@@ -112,8 +110,6 @@ type t = {
 (* An instruction compiled for one EL and one address, applied to
    whichever core executes it; see [op_of]. *)
 and op = t -> unit
-
-and memo = { entries : words; mutable n_lookups : int; mutable n_hits : int }
 
 type pac_memo_stats = { lookups : int; hits : int }
 
@@ -356,118 +352,20 @@ let origin_of_insn insn =
       if List.exists reserved defs || List.exists reserved uses then Cfi_modifier
       else Baseline
 
-(* --- The PAC memo. ---
+let pac_memo_stats t = { lookups = Pac.lookups t.memo; hits = Pac.hits t.memo }
 
-   A cached-tier core looks every MAC its ops need up in a 2-way
-   set-associative table of the MACs it last computed before it runs
-   the cipher. An entry is keyed on the cipher's whole 256-bit input:
-   key hi, key lo, tweak (the modifier) and plaintext (the canonical
-   pointer, or PACGA's value). It holds a MAC, not a verdict: AUT still
-   compares the pointer it is given with the MAC of that pointer's
-   canonical form, so a flipped PAC bit, a forged pointer or a flipped
-   key fails exactly as it would without the memo. Every entry starts
-   as a true fact, the all-zero input and its MAC, so no entry needs a
-   valid bit and none can answer for an input it was not computed
-   from. Keys are compared by value, so key installs, key flips and
-   restores need no flush. The memo belongs to one core: a core runs
-   on one domain at a time, and a memo two domains shared could be
-   torn mid-entry. An [Interp] core calls the cipher directly, so the
-   tier comparisons check the memo against the uncached path.
+(* The slots of key [k]'s two halves. *)
+let key_slots k =
+  let hi, lo = Sysreg.key_halves k in
+  (sysreg_slot hi, sysreg_slot lo)
 
-   A set holds its most recently used entry first. A hit on the second
-   swaps the two, and a miss moves the first entry to the second place
-   (evicting the least recently used one) and fills the first, so two
-   hot inputs whose hash picks one set both stay. *)
-
-let memo_set_bits = 8
-
-(* words per entry: key hi, key lo, tweak, plaintext, MAC *)
-let memo_width = 5
-
-(* words per set: two entries *)
-let memo_set_width = 2 * memo_width
-let memo_mult = 0x9E3779B97F4A7C15L
-
-(* A multiplicative hash of all four words, top [memo_set_bits] bits
-   (an xor-fold of the words lets modifier and pointer bits cancel):
-   the first word of the set. *)
-let[@inline] memo_set hi lo tweak data =
-  let step h w = Int64.mul (Int64.logxor h w) memo_mult in
-  let h = step (step (step (Int64.mul hi memo_mult) lo) tweak) data in
-  memo_set_width * Int64.to_int (Int64.shift_right_logical h (64 - memo_set_bits))
-
-let memo_create cipher =
-  let zero = Pac.{ hi = 0L; lo = 0L } in
-  let zero_mac = Pac.cipher_mac cipher zero ~modifier:0L 0L in
-  let entries = zeroed (memo_set_width lsl memo_set_bits) in
-  for i = 0 to (2 lsl memo_set_bits) - 1 do
-    A.unsafe_set entries ((memo_width * i) + 4) zero_mac
-  done;
-  { entries; n_lookups = 0; n_hits = 0 }
-
-(* Move the entry at word [src] to word [dst] of the memo. *)
-let[@inline] memo_move e ~src ~dst =
-  for j = 0 to memo_width - 1 do
-    A.unsafe_set e (dst + j) (A.unsafe_get e (src + j))
-  done
-
-let memo_mac cipher m : Pac.mac =
- fun key ~modifier data ->
-  let hi = key.Pac.hi and lo = key.Pac.lo and e = m.entries in
-  let i = memo_set hi lo modifier data in
-  let i' = i + memo_width in
-  m.n_lookups <- m.n_lookups + 1;
-  let[@inline] holds i =
-    let differ j w = Int64.logxor (A.unsafe_get e (i + j)) w in
-    is_zero64
-      (Int64.logor
-         (Int64.logor (differ 0 hi) (differ 1 lo))
-         (Int64.logor (differ 2 modifier) (differ 3 data)))
-  in
-  if holds i then begin
-    m.n_hits <- m.n_hits + 1;
-    A.unsafe_get e (i + 4)
-  end
-  else begin
-    let mac =
-      if holds i' then begin
-        m.n_hits <- m.n_hits + 1;
-        A.unsafe_get e (i' + 4)
-      end
-      else Pac.cipher_mac cipher key ~modifier data
-    in
-    (* the first entry becomes the second, evicting it on a miss *)
-    memo_move e ~src:i ~dst:i';
-    A.unsafe_set e i hi;
-    A.unsafe_set e (i + 1) lo;
-    A.unsafe_set e (i + 2) modifier;
-    A.unsafe_set e (i + 3) data;
-    A.unsafe_set e (i + 4) mac;
-    mac
-  end
-
-let pac_memo_stats t = { lookups = t.memo.n_lookups; hits = t.memo.n_hits }
-
-(* PAC helpers used by the instruction semantics. *)
-
-let do_pac t key ptr modifier =
-  if pauth_enabled t key then
-    let cfg = pointer_cfg t ptr in
-    Pac.compute_with ~mac:t.mac ~key:(pac_key t key) ~cfg ~modifier ptr
-  else ptr
-
-let do_aut t key ptr modifier =
-  if pauth_enabled t key then begin
-    let cfg = pointer_cfg t ptr in
-    match Pac.auth_with ~mac:t.mac ~key:(pac_key t key) ~cfg ~modifier ptr with
-    | Ok stripped -> stripped
-    | Error poisoned ->
-        (match t.sink with
-        | Some s -> Telemetry.Counters.count_auth_failure (Telemetry.Sink.counters s)
-        | None -> ());
-        poisoned
-  end
-  else ptr
+(* AUT from slot [ptr] into slot [dst], and a failure counted in the
+   sink. *)
+let aut t ~hi ~lo ~ptr ~modifier ~dst =
+  if not (Pac.aut t.memo t.st ~hi ~lo ~ptr ~modifier ~dst) then
+    match t.sink with
+    | Some s -> Telemetry.Counters.count_auth_failure (Telemetry.Sink.counters s)
+    | None -> ()
 
 let set_flags_sub t a b =
   let result = Int64.sub a b in
@@ -512,8 +410,9 @@ let[@inline] count_walk t =
    line was decoded under: icache entries and blocks are keyed by EL,
    and no op runs at another one. Keys, SCTLR, the sysreg lock and the
    telemetry sink are read at run time, so one op serves every core
-   sharing the icache. An op sets the PC last: a faulting access still
-   sees the instruction's own address, and [Icache.Translate_fault]
+   sharing the icache. An op sets the PC after everything that can fault
+   (BLRA writes LR after it): a faulting access still sees the
+   instruction's own address, and [Icache.Translate_fault]
    propagates to the run loop, which turns it into a [Stop]. *)
 
 (* Every addressing mode is one formula over four compile-time
@@ -670,19 +569,30 @@ let rec op_of insn ~el ~next : op =
         let r = t.st in
         A.unsafe_set r d (Int64.shift_right_logical (A.unsafe_get r n) sh);
         set_pc t next
-  | Insn.Bfi (rd, rn, lo, width) ->
+  | Insn.Bfi (rd, rn, lo, width) -> (
+      (* the field's bits, from [Val64]; a field out of range raises the
+         error [Val64.insert] raised when it runs *)
       let d = dst rd and s = src rd and n = src rn in
-      fun t ->
-        let r = t.st in
-        A.unsafe_set r d
-          (Val64.insert ~lo ~width ~field:(A.unsafe_get r n) (A.unsafe_get r s));
-        set_pc t next
-  | Insn.Ubfx (rd, rn, lo, width) ->
+      match Val64.insert ~lo ~width ~field:(-1L) 0L with
+      | m ->
+          let keep = Int64.lognot m in
+          fun t ->
+            let r = t.st in
+            A.unsafe_set r d
+              (Int64.logor
+                 (Int64.logand (A.unsafe_get r s) keep)
+                 (Int64.logand (Int64.shift_left (A.unsafe_get r n) lo) m));
+            set_pc t next
+      | exception (Invalid_argument _ as e) -> fun _ -> raise e)
+  | Insn.Ubfx (rd, rn, lo, width) -> (
       let d = dst rd and n = src rn in
-      fun t ->
-        let r = t.st in
-        A.unsafe_set r d (Val64.extract ~lo ~width (A.unsafe_get r n));
-        set_pc t next
+      match Val64.extract ~lo ~width (-1L) with
+      | m ->
+          fun t ->
+            let r = t.st in
+            A.unsafe_set r d (Int64.logand (Int64.shift_right_logical (A.unsafe_get r n) lo) m);
+            set_pc t next
+      | exception (Invalid_argument _ as e) -> fun _ -> raise e)
   | Insn.Adr (rd, target) ->
       let d = dst rd in
       fun t ->
@@ -802,51 +712,54 @@ let rec op_of insn ~el ~next : op =
       let n = src rn in
       fun t -> set_pc t (if is_zero64 (A.unsafe_get t.st n) then next else target)
   | Insn.Bcond (c, target) -> fun t -> set_pc t (if cond_holds t c then target else next)
+  (* The PAC family runs [Pac]'s slot-addressed entry points on the
+     core's state array, with the key's slots bound here; a disabled key
+     leaves the pointer as it is. *)
   | Insn.Pac (k, rd, rm) ->
-      let d = dst rd and s = src rd and m = src rm in
+      let d = dst rd and s = src rd and m = src rm and hi, lo = key_slots k in
       fun t ->
         let r = t.st in
-        A.unsafe_set r d (do_pac t k (A.unsafe_get r s) (A.unsafe_get r m));
+        if pauth_enabled t k then Pac.pac t.memo r ~hi ~lo ~ptr:s ~modifier:m ~dst:d
+        else A.unsafe_set r d (A.unsafe_get r s);
         set_pc t next
   | Insn.Aut (k, rd, rm) ->
-      let d = dst rd and s = src rd and m = src rm in
+      let d = dst rd and s = src rd and m = src rm and hi, lo = key_slots k in
       fun t ->
         let r = t.st in
-        A.unsafe_set r d (do_aut t k (A.unsafe_get r s) (A.unsafe_get r m));
+        if pauth_enabled t k then aut t ~hi ~lo ~ptr:s ~modifier:m ~dst:d
+        else A.unsafe_set r d (A.unsafe_get r s);
         set_pc t next
   | Insn.Pac1716 k -> op_of (Insn.Pac (k, Insn.ip1, Insn.ip0)) ~el ~next
   | Insn.Aut1716 k -> op_of (Insn.Aut (k, Insn.ip1, Insn.ip0)) ~el ~next
   | Insn.Xpac rd ->
       let d = dst rd and s = src rd in
       fun t ->
-        let v = A.unsafe_get t.st s in
-        A.unsafe_set t.st d (Vaddr.strip_pac (pointer_cfg t v) v);
+        Pac.xpac t.memo t.st ~src:s ~dst:d;
         set_pc t next
   | Insn.Pacga (rd, rn, rm) ->
-      let d = dst rd and n = src rn and m = src rm in
+      let d = dst rd and n = src rn and m = src rm and hi, lo = key_slots Sysreg.GA in
       fun t ->
-        let r = t.st in
-        A.unsafe_set r d
-          (Pac.generic_with ~mac:t.mac ~key:(pac_key t Sysreg.GA)
-             ~value:(A.unsafe_get r n) ~modifier:(A.unsafe_get r m));
+        Pac.pacga t.memo t.st ~hi ~lo ~value:n ~modifier:m ~dst:d;
         set_pc t next
+  (* The authenticated branches AUT straight into the PC: both operands
+     are read first, so BLRA x30 branches to the old LR, and nothing
+     after the PC write can fault. *)
   | Insn.Blra (k, rn, rm) ->
-      let n = src rn and m = src rm in
+      let n = src rn and m = src rm and hi, lo = key_slots k in
       fun t ->
-        let r = t.st in
-        let target = do_aut t k (A.unsafe_get r n) (A.unsafe_get r m) in
-        A.unsafe_set r 30 next;
-        set_pc t target
+        if pauth_enabled t k then aut t ~hi ~lo ~ptr:n ~modifier:m ~dst:pc_slot
+        else set_pc t (A.unsafe_get t.st n);
+        A.unsafe_set t.st 30 next
   | Insn.Bra (k, rn, rm) ->
-      let n = src rn and m = src rm in
+      let n = src rn and m = src rm and hi, lo = key_slots k in
       fun t ->
-        let r = t.st in
-        set_pc t (do_aut t k (A.unsafe_get r n) (A.unsafe_get r m))
+        if pauth_enabled t k then aut t ~hi ~lo ~ptr:n ~modifier:m ~dst:pc_slot
+        else set_pc t (A.unsafe_get t.st n)
   | Insn.Reta k ->
-      let sp = sp_slot el in
+      let sp = sp_slot el and hi, lo = key_slots k in
       fun t ->
-        let r = t.st in
-        set_pc t (do_aut t k (A.unsafe_get r 30) (A.unsafe_get r sp))
+        if pauth_enabled t k then aut t ~hi ~lo ~ptr:30 ~modifier:sp ~dst:pc_slot
+        else set_pc t (A.unsafe_get t.st 30)
   | Insn.Mrs (_, sr) when el = El.El0 && not (Sysreg.el0_readable sr) -> el_denied sr
   | Insn.Mrs (rd, sr) when is_counter sr ->
       let d = dst rd in
@@ -920,7 +833,6 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
         Some tr
     | _ -> None
   in
-  let memo = memo_create cipher in
   {
     st = zeroed (sysreg_base + List.length Sysreg.all);
     written = 0;
@@ -932,11 +844,9 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     tier;
     traces;
     cipher;
-    memo;
-    mac =
-      (match tier with
-      | Interp -> Pac.cipher_mac cipher
-      | Icache | Traces -> memo_mac cipher memo);
+    memo =
+      Pac.memo ~cached:(tier <> Interp) ~user:Vaddr.linux_user ~kernel:Vaddr.linux_kernel
+        cipher;
     cost;
     cycles = 0;
     insns_retired = 0;
@@ -1129,7 +1039,8 @@ let max_block_len = 256
    icache registered every frame the block was built from (callee
    pages included), and a store to any of them flushes the block. An
    entry whose first instruction is already a cut point is blacklisted
-   so its hotness counter never fires again. *)
+   so its hotness counter never fires again; compiling it raises
+   [Not_found]. *)
 let compile_block t tr =
   let el = t.el in
   let entry = pc t in
@@ -1176,24 +1087,26 @@ let compile_block t tr =
   match walk entry [] [] 0 with
   | [], _ ->
       Traces.blacklist tr ~el entry;
-      None
+      raise Not_found
   | mks, len ->
       let code = List.fold_left (fun k mk -> mk k) block_end mks in
       let b = Traces.install tr ~el ~entry ~len code in
       self := Some b;
-      Some b
+      b
 
-(* Lookup-or-compile at a control-flow boundary. Sync the icache first:
-   any map/unmap/stage-2 flip, or a snapshot restore that refilled the
-   tables, moved the MMU generation, and the icache's flush must kill
-   the blocks before a stale one can be found. Every block in the
-   trace table is live, so a hit needs no liveness check. *)
+(* Lookup-or-compile at a control-flow boundary: the block entered at
+   the PC, or [Not_found]. Sync the icache first: any map/unmap/stage-2
+   flip, or a snapshot restore that refilled the tables, moved the MMU
+   generation, and the icache's flush must kill the blocks before a
+   stale one can be found. Every block in the trace table is live, so a
+   hit needs no liveness check. *)
 let find_block t tr =
   Icache.sync t.icache;
   let pc = pc t in
-  match Traces.lookup tr ~el:t.el pc with
-  | Some _ as found -> found
-  | None -> if Traces.bump tr ~el:t.el pc then compile_block t tr else None
+  match Traces.find tr ~el:t.el pc with
+  | b -> b
+  | exception Not_found ->
+      if Traces.bump tr ~el:t.el pc then compile_block t tr else raise Not_found
 
 (* Without a trace cache: one test of [observed] per step picks an
    inlined copy of [step_insn]. *)
@@ -1218,39 +1131,37 @@ let rec step_loop t ~observed budget =
    caller that ran it under a shorter budget can go on from there. *)
 let block_loop t tr ~limit ~boundary max_insns =
   let tc = Traces.counters tr in
-  (* Three mutually tail-recursive states instead of one [prev] option:
-     no [Some] allocation per dispatch, and the chain-follow guard and
-     stat accounting are direct field accesses. *)
+  (* Mutually tail-recursive states instead of one [prev] option, and
+     blocks dispatched as they are found: no [Some] allocation per
+     dispatch, and the chain-follow guard and stat accounting are
+     direct field accesses. *)
   let rec go_boundary budget boundary =
     if budget <= 0 then limit boundary
     else if is_sentinel (pc t) then Sentinel_return
+    else if not boundary then step_once budget
     else
-      match if boundary then find_block t tr else None with
-      | Some b when b.Traces.bk_len <= budget -> dispatch budget b
-      | _ -> step_once budget
+      match find_block t tr with
+      | b -> enter budget b
+      | exception Not_found -> step_once budget
   (* after a fully completed block: try its chained successor first *)
   and go_chained budget pb =
     if budget <= 0 then limit true
     else if is_sentinel (pc t) then Sentinel_return
     else
-      let blk =
-        match pb.Traces.bk_next with
-        | Some nb
-          when nb.Traces.bk_live
-               && nb.Traces.bk_el = t.el
-               && Int64.equal nb.Traces.bk_entry (pc t) ->
-            tc.Traces.chain_follows <- tc.Traces.chain_follows + 1;
-            Some nb
-        | _ -> (
-            match find_block t tr with
-            | Some nb ->
-                Traces.link tr pb nb;
-                Some nb
-            | None -> None)
-      in
-      match blk with
-      | Some b when b.Traces.bk_len <= budget -> dispatch budget b
-      | _ -> step_once budget
+      match pb.Traces.bk_next with
+      | Some nb
+        when nb.Traces.bk_live
+             && nb.Traces.bk_el = t.el
+             && Int64.equal nb.Traces.bk_entry (pc t) ->
+          tc.Traces.chain_follows <- tc.Traces.chain_follows + 1;
+          enter budget nb
+      | _ -> (
+          match find_block t tr with
+          | nb ->
+              Traces.link tr pb nb;
+              enter budget nb
+          | exception Not_found -> step_once budget)
+  and enter budget b = if b.Traces.bk_len <= budget then dispatch budget b else step_once budget
   and dispatch budget b =
     (* one indirect call runs the whole continuation-threaded chain;
        an op that aborts (mispredicted inlined return, store that

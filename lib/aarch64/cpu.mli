@@ -80,16 +80,14 @@ val all_tiers : tier list
     core. The cache is a host-speed optimization only: execution with
     it on or off is bit-identical, including cycles and telemetry.
 
-    Each core keeps a PAC memo: a 2-way set-associative table of 512
-    MACs in 256 sets, keyed on the cipher's whole input (key hi, key lo,
-    modifier and canonical pointer or PACGA value), each set holding its
-    most recently used entry first. On the [Icache] and [Traces]
-    tiers every PAC, AUT and PACGA op, the 1716 forms and the
-    authenticated branches included, looks its MAC up there before it
-    runs [cipher]; an [Interp] core runs [cipher] directly. Entries
-    start as the all-zero input and its MAC, and are keyed on values,
-    so key writes and {!restore} leave the memo warm. It caches MACs,
-    not verdicts: a wrong PAC fails AUT on every tier alike.
+    Each core keeps a {!Pac.memo} over [cipher] with {!Vaddr.linux_user}
+    and {!Vaddr.linux_kernel} as its layouts: a caching one on the
+    [Icache] and [Traces] tiers, where every PAC, AUT and PACGA op, the
+    1716 forms and the authenticated branches included, looks its MAC
+    up before it runs [cipher], and an uncached one on [Interp], which
+    runs [cipher] for every MAC. Entries are keyed on values, so key
+    writes and {!restore} leave the memo warm. It caches MACs, not
+    verdicts: a wrong PAC fails AUT on every tier alike.
 
     [tier] selects the execution tier (default [Icache]). A [Traces]
     core creates a private superblock trace cache — traces are per-core
@@ -128,10 +126,14 @@ val icache : t -> op Icache.t
     the telemetry sink are read from the core at run time, so one op
     serves every core sharing an icache. Memory ops carry a one-page
     cache of the last frame they touched, valid while the MMU generation
-    stands still. Apply an op only to a core at [el] whose PC is the
-    instruction's address; it sets the PC last, and a stop (SVC, ERET,
-    BRK, HLT, a denied sysreg access) or a translation fault escapes it
-    as an exception that {!run} turns into a {!stop}. *)
+    stands still; BFI and UBFX bind their masks, and one whose field is
+    out of range raises [Val64]'s [Invalid_argument] when it runs. The
+    PAC family runs {!Pac}'s slot-addressed entry points on the core's
+    state with the key's slots bound, so a memo hit allocates nothing.
+    Apply an op only to a core at [el] whose PC is the instruction's
+    address; it sets the PC after everything that can fault, and a stop
+    (SVC, ERET, BRK, HLT, a denied sysreg access) or a translation fault
+    escapes it as an exception that {!run} turns into a {!stop}. *)
 val op_of : Insn.t -> el:El.t -> next:int64 -> op
 
 (** The execution tier this core was created with. *)
@@ -272,7 +274,8 @@ val last_run_tier : t -> tier
     runs; a well-behaved function ends with [Sentinel_return]. *)
 val call : ?max_insns:int -> t -> int64 -> stop
 
-(** [pac_key t k] reads key [k] from the system registers. *)
+(** [pac_key t k] reads key [k] from the system registers, for host-side
+    callers; the ops read the key's slots themselves. *)
 val pac_key : t -> Sysreg.pauth_key -> Pac.key
 
 (** [pauth_enabled t k] — SCTLR_EL1 enable bit for [k] ([GA] is always

@@ -93,10 +93,10 @@ let flush t =
     t.states;
   t.c.flushes <- t.c.flushes + 1
 
-let lookup t ~el pc =
+let find t ~el pc =
   match Tbl.find t.states (key ~el pc) with
-  | Block b -> Some b
-  | Heat _ | Black | (exception Not_found) -> None
+  | Block b -> b
+  | Heat _ | Black -> raise Not_found
 
 let bump t ~el pc =
   let k = key ~el pc in

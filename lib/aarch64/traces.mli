@@ -57,11 +57,12 @@ val create : unit -> 'code t
     self-patching loop, flushed on every pass, still compiles. *)
 val flush : 'code t -> unit
 
-(** [lookup t ~el pc] — the live block entered at exactly [(el, pc)],
-    if one is compiled. Callers must {!Icache.sync} the icache the
-    blocks were built from first at any point where the tables may have
-    changed. *)
-val lookup : 'code t -> el:El.t -> int64 -> 'code block option
+(** [find t ~el pc] — the live block entered at exactly [(el, pc)];
+    [Not_found] if none is compiled. It returns the block itself, so a
+    dispatch loop finds one without allocating. Callers must
+    {!Icache.sync} the icache the blocks were built from first at any
+    point where the tables may have changed. *)
+val find : 'code t -> el:El.t -> int64 -> 'code block
 
 (** [bump t ~el pc] — count one boundary execution of [(el, pc)];
     [true] when its heat reaches the hot threshold: the caller compiles

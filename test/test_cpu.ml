@@ -506,7 +506,7 @@ let test_pac_memo_exact () =
     (memo_cores ());
   if !wrong > 0 then Alcotest.failf "%d wrong results; the first: %s" !wrong !first;
   (* after a memo hit on a valid pointer, one flipped PAC bit fails AUT,
-     and a sink counts that failure once *)
+     and a sink attached for both AUTs counts that failure once *)
   let key, modifier, ptr = List.hd bases in
   let cfg = Vaddr.linux_user in
   let signed = Pac.compute ~cipher ~key ~cfg ~modifier ptr in
@@ -517,11 +517,11 @@ let test_pac_memo_exact () =
       let tier = Cpu.tier_name (Cpu.tier cpu) in
       Alcotest.(check int64) (tier ^ ": signed") signed
         (memo_op core "pacia" Sysreg.IA key ptr modifier);
+      let sink = Telemetry.Sink.create ~cpu:0 () in
+      Cpu.attach_telemetry cpu sink;
       Alcotest.(check int64) (tier ^ ": the valid pointer authenticates") ptr
         (memo_op core "autia" Sysreg.IA key signed modifier);
       let before = Cpu.pac_memo_stats cpu in
-      let sink = Telemetry.Sink.create ~cpu:0 () in
-      Cpu.attach_telemetry cpu sink;
       Alcotest.(check int64) (tier ^ ": one flipped PAC bit fails AUT")
         (Vaddr.poison cfg flipped)
         (memo_op core "autia" Sysreg.IA key flipped modifier);
@@ -562,6 +562,104 @@ let test_pac_memo_stats () =
           Alcotest.(check int) (name ^ ": every warm lookup hits") lookups hits)
     Cpu.all_tiers
 
+(* ----- a PAC-family op allocates no more than an ALU op ----- *)
+
+(* Minor words per retired instruction of a warm 20,000-iteration loop
+   on the icache and traces tiers, for two bodies of the same length:
+   every PAC-family form with its modifier arithmetic (PACIB/AUTIB, the
+   1716 pair, PACGA, XPACI, BFI, UBFX, and a BRAA to the next
+   instruction, whose pointer the loop signs afresh), or ALU ops. Every
+   MAC after the first iteration is a memo hit, so the PAC body may
+   allocate no more than the ALU body; a key read into a record, a
+   MAC from a closure or a call across modules taking an int64 costs a
+   box per op. Then a warm unit of the E2 call probe under Camouflage's
+   backward-edge scheme on the traces tier: under 0.1 minor words per
+   call, where a boxed MAC or a [Some] per chained block costs words on
+   every one. *)
+let test_pac_op_allocation () =
+  let words_per_insn tier body =
+    let cpu = Env.fresh_cpu ~tier () in
+    let prog = Asm.create () in
+    Asm.add_function prog ~name:"spin"
+      ([
+         Asm.ins (Insn.Movz (Insn.R 1, 20_000, 0));
+         Asm.ins (Insn.Movz (Insn.R 2, 0x1234, 0));
+         Asm.ins (Insn.Movz (Insn.R 3, 0x77, 0));
+         Asm.ins (Insn.Movz (Insn.R 16, 0x55, 0));
+         Asm.ins (Insn.Movz (Insn.R 17, 0x4321, 0));
+         Asm.label "loop";
+       ]
+      @ body
+      @ [
+          Asm.ins (Insn.Sub_imm (Insn.R 1, Insn.R 1, 1));
+          Asm.cbnz_to (Insn.R 1) "loop";
+          Asm.ins Insn.Ret;
+        ]);
+    let layout = load_program cpu prog in
+    Env.expect_return cpu layout "spin";
+    let insns0 = Cpu.insns_retired cpu in
+    let words0 = Gc.minor_words () in
+    Env.expect_return cpu layout "spin";
+    let words = Gc.minor_words () -. words0 in
+    words /. Int64.to_float (Int64.sub (Cpu.insns_retired cpu) insns0)
+  in
+  let pac =
+    Insn.
+      [
+        Asm.ins (Pac (Sysreg.IB, R 2, R 3));
+        Asm.ins (Aut (Sysreg.IB, R 2, R 3));
+        Asm.ins (Pac1716 Sysreg.IA);
+        Asm.ins (Aut1716 Sysreg.IA);
+        Asm.ins (Pacga (R 4, R 2, R 3));
+        Asm.ins (Xpac (R 5));
+        Asm.ins (Bfi (R 6, R 3, 32, 32));
+        Asm.ins (Ubfx (R 7, R 6, 12, 16));
+        Asm.adr_of (R 8) "next";
+        Asm.ins (Pac (Sysreg.IA, R 8, R 3));
+        Asm.ins (Bra (Sysreg.IA, R 8, R 3));
+        Asm.label "next";
+      ]
+  and alu =
+    Insn.
+      [
+        Asm.ins (Add_reg (R 2, R 2, R 1));
+        Asm.ins (Eor_reg (R 3, R 3, R 1));
+        Asm.ins (Sub_reg (R 4, R 4, R 1));
+        Asm.ins (Orr_reg (R 5, R 5, R 1));
+        Asm.ins (Add_imm (R 6, R 6, 3));
+        Asm.ins (And_reg (R 7, R 7, R 1));
+        Asm.ins (Lsl_imm (R 9, R 1, 3));
+        Asm.ins (Lsr_imm (R 10, R 1, 2));
+        Asm.ins (Sub_imm (R 11, R 11, 5));
+        Asm.ins (Add_reg (R 12, R 12, R 1));
+        Asm.ins (Eor_reg (R 13, R 13, R 1));
+      ]
+  in
+  List.iter
+    (fun tier ->
+      let pac = words_per_insn tier pac and alu = words_per_insn tier alu in
+      if pac > alu +. 0.01 then
+        Alcotest.failf "%s: PAC-family loop %.2f minor words per instruction, ALU loop %.2f"
+          (Cpu.tier_name tier) pac alu)
+    [ Cpu.Icache; Cpu.Traces ];
+  let calls = 2000 in
+  let cpu = Bare.machine ~tier:Cpu.Traces () in
+  let obj = Workloads.Calls.calls_object Camouflage.Config.backward_only ~calls in
+  let prog = Asm.create () in
+  List.iter (fun (name, items) -> Asm.add_function prog ~name items) obj.Kelf.Object_file.functions;
+  let layout = Bare.load cpu prog in
+  let unit () =
+    match Bare.call ~max_insns:100_000_000 cpu layout "caller" with
+    | Cpu.Sentinel_return -> ()
+    | other -> Alcotest.failf "E2 unit: %s" (Cpu.stop_to_string other)
+  in
+  unit ();
+  let words0 = Gc.minor_words () in
+  unit ();
+  let per_call = (Gc.minor_words () -. words0) /. float_of_int calls in
+  if per_call >= 0.1 then
+    Alcotest.failf "a warm Camouflage E2 call: %.2f minor words, at most 0.1 allowed" per_call
+
 let suite =
   [
     Alcotest.test_case "arithmetic loop" `Quick test_arith_loop;
@@ -584,4 +682,6 @@ let suite =
     Alcotest.test_case "the PAC memo is exact on every tier" `Quick test_pac_memo_exact;
     Alcotest.test_case "PAC memo counters: warm getpids hit, interp looks nothing up"
       `Quick test_pac_memo_stats;
+    Alcotest.test_case "a PAC-family op allocates no more than an ALU op" `Quick
+      test_pac_op_allocation;
   ]

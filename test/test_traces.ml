@@ -960,7 +960,7 @@ let test_bound_kills_blocks () =
   ignore (Traces.bump tr ~el:El.El0 0L : bool);
   Alcotest.(check bool) "the next entry kills the block" false b.Traces.bk_live;
   Alcotest.(check bool) "and takes it out of the table" true
-    (Traces.lookup tr ~el:El.El1 pc = None);
+    (match Traces.find tr ~el:El.El1 pc with _ -> false | exception Not_found -> true);
   Alcotest.(check int) "one invalidation" 1 (Traces.stats tr).Traces.invalidations
 
 let suite =

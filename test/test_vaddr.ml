@@ -136,6 +136,56 @@ let prop_masks_match_fold =
       && Vaddr.extract_pac cfg va = Fold.extract_pac cfg va
       && Vaddr.poison cfg va = Fold.poison cfg va)
 
+(* [Pac] restates [canonical], [insert_pac] and [poison] over masks it
+   computes once per layout, so that no pointer crosses into this
+   module on the op path. Its results must equal the ones written with
+   [Vaddr] for every layout: through the host-side entry points, and
+   through the slot-addressed ones the ops run, on a cached and an
+   uncached memo whose user and kernel layouts differ. *)
+let prop_pac_masks_match_vaddr =
+  let cipher = Qarma.Block.create () in
+  let gen_cfg = QCheck2.Gen.(map2 (fun va_bits tbi -> { Vaddr.va_bits; tbi }) (int_range 32 52) bool) in
+  QCheck2.Test.make ~name:"Pac's masks = Vaddr's, va_bits 32-52 x tbi" ~count:1000
+    QCheck2.Gen.(pair (pair gen_cfg gen_cfg) (quad gen_word64 gen_word64 gen_word64 gen_word64))
+    (fun ((cfg, kcfg), (hi, lo, modifier, ptr)) ->
+      let key = Pac.{ hi; lo } in
+      let mac v =
+        Qarma.Block.encrypt cipher ~key:(Qarma.Block.key_of_pair (hi, lo)) ~tweak:modifier v
+      in
+      let sign cfg ptr =
+        let c = Vaddr.canonical cfg ptr in
+        Vaddr.insert_pac cfg ~pac:(mac c) c
+      in
+      let auth cfg ptr =
+        if ptr = sign cfg ptr then Ok (Vaddr.strip_pac cfg ptr) else Error (Vaddr.poison cfg ptr)
+      in
+      let signed = sign cfg ptr in
+      let host =
+        Pac.compute ~cipher ~key ~cfg ~modifier ptr = signed
+        && Pac.auth ~cipher ~key ~cfg ~modifier signed = auth cfg signed
+        && Pac.auth ~cipher ~key ~cfg ~modifier ptr = auth cfg ptr
+      in
+      (* slots: 0 hi, 1 lo, 2 modifier, 3 pointer, 4 result *)
+      let st = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout 5 in
+      let slots cached =
+        let m = Pac.memo ~cached ~user:cfg ~kernel:kcfg cipher in
+        let cfg_of p = if Vaddr.select p = Vaddr.Kernel then kcfg else cfg in
+        List.for_all
+          (fun p ->
+            let cfg = cfg_of p in
+            List.iter (fun (i, v) -> st.{i} <- v) [ (0, hi); (1, lo); (2, modifier); (3, p) ];
+            Pac.pac m st ~hi:0 ~lo:1 ~ptr:3 ~modifier:2 ~dst:4;
+            let signed = st.{4} in
+            let passed = Pac.aut m st ~hi:0 ~lo:1 ~ptr:3 ~modifier:2 ~dst:4 in
+            let authed = st.{4} in
+            Pac.xpac m st ~src:3 ~dst:4;
+            signed = sign cfg p
+            && (if passed then Ok authed else Error authed) = auth cfg p
+            && st.{4} = Vaddr.strip_pac cfg p)
+          [ ptr; Int64.logxor ptr 0x0080_0000_0000_0000L; sign (cfg_of ptr) ptr ]
+      in
+      host && slots true && slots false)
+
 let suite =
   [
     Alcotest.test_case "table 1: range select" `Quick test_select;
@@ -147,4 +197,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_canonical_idempotent;
     QCheck_alcotest.to_alcotest prop_pac_roundtrip;
     QCheck_alcotest.to_alcotest prop_masks_match_fold;
+    QCheck_alcotest.to_alcotest prop_pac_masks_match_vaddr;
   ]
