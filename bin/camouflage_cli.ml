@@ -623,11 +623,11 @@ let faults_cmd =
       record_dir chrome lanes hist_json demo =
     if demo then print_string (Faultinj.Campaign.demo_to_string (Faultinj.Campaign.quarantine_demo ~seed ()))
     else begin
+      let shape =
+        { Faultinj.Campaign.default_shape with cpus; quarantine_after = quarantine }
+      in
       (* the ranges serve and replay accept, so every recorded log replays *)
-      (match
-         Faultinj.Campaign.check_params ~cpus ?quarantine_after:quarantine
-           ~trials ()
-       with
+      (match Faultinj.Campaign.check ~trials shape with
       | Ok () -> ()
       | Error e ->
           Printf.eprintf "faults: %s\n" e;
@@ -637,8 +637,7 @@ let faults_cmd =
       let result =
         Option.get
           (Fleet.Campaign.run ~config ~config_name:(C.Config.name config)
-             ~cpus ?quarantine_after:quarantine
-             ~workers ?retries ?record_dir ~telemetry ?tier
+             ~shape ~workers ?retries ?record_dir ~telemetry ?tier
              ~lanes:(if chrome = None then 0 else max 0 lanes)
              ~seed ~trials ())
       in
@@ -704,7 +703,7 @@ let replay_cmd =
     Arg.(value & opt (some int) None & info [ "trial" ] ~docv:"N" ~doc)
   in
   let run log_path trial tier =
-    match Snapshot.Log.read ~path:log_path with
+    match Faultinj.Replay.read ~path:log_path with
     | Error e ->
         Printf.eprintf "%s: %s\n" log_path e;
         exit 2

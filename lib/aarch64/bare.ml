@@ -35,8 +35,7 @@ let setup ?(seed = 0xBA2EL) cpu =
     Sysreg.[ IA; IB; DA; DB; GA ];
   cpu
 
-let machine ?seed ?cost ?trace_depth ?tier () =
-  setup ?seed (Cpu.create ?cost ?trace_depth ?tier ())
+let machine ?seed ?cost ?tier () = setup ?seed (Cpu.create ?cost ?tier ())
 
 (* Machine-based variant, for harnesses that need whole-machine
    snapshots or Snapshot.Fingerprint.of_machine — notably the

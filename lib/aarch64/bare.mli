@@ -11,11 +11,9 @@ val data_base : int64
 
 (** [machine ?seed ()] — a CPU at EL1 with code (rx), stack (rw) and
     data (rw) regions mapped, SP at {!stack_top}, all four enable bits
-    set and random keys installed. [trace_depth] and [tier] are
-    forwarded to {!Cpu.create}. *)
-val machine :
-  ?seed:int64 -> ?cost:Cost.profile -> ?trace_depth:int -> ?tier:Cpu.tier ->
-  unit -> Cpu.t
+    set and random keys installed. [tier] is forwarded to
+    {!Cpu.create}. *)
+val machine : ?seed:int64 -> ?cost:Cost.profile -> ?tier:Cpu.tier -> unit -> Cpu.t
 
 (** [smp ?tier ()] — the same bring-up on a one-core {!Machine}, for
     harnesses that need whole-machine snapshots or

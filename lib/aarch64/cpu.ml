@@ -811,10 +811,12 @@ let copy_words a =
   A.blit a b;
   b
 
+(* Retired instructions the trace ring keeps for oops dumps. *)
+let trace_depth = 32
+
 let create ?(cost = Cost.cortex_a53) ?(has_pauth = true)
     ?(cipher = Qarma.Block.create ()) ?mem ?mmu ?icache ?(tier = Icache)
-    ?(trace_depth = 32) ?(id = 0) () =
-  if trace_depth <= 0 then invalid_arg "Cpu.create: trace_depth";
+    ?(id = 0) () =
   let mem = match mem with Some m -> m | None -> Mem.create () in
   let mmu = match mmu with Some m -> m | None -> Mmu.create () in
   let icache =

@@ -97,9 +97,7 @@ val all_tiers : tier list
     icache kills this core's blocks. Its icache must be enabled
     ([Invalid_argument] otherwise), or no store would reach them.
 
-    [trace_depth] sizes the retired-instruction ring buffer behind
-    {!recent_trace} (default 32); deep call chains in oops dumps may
-    want more. [id] is the core number reported by {!id} (default 0). *)
+    [id] is the core number reported by {!id} (default 0). *)
 val create :
   ?cost:Cost.profile ->
   ?has_pauth:bool ->
@@ -108,7 +106,6 @@ val create :
   ?mmu:Mmu.t ->
   ?icache:op Icache.t ->
   ?tier:tier ->
-  ?trace_depth:int ->
   ?id:int ->
   unit ->
   t
@@ -283,7 +280,7 @@ val pac_key : t -> Sysreg.pauth_key -> Pac.key
 val pauth_enabled : t -> Sysreg.pauth_key -> bool
 
 (** [recent_trace ?limit t] — the most recently retired (pc, insn)
-    pairs, oldest first (up to [trace_depth] are retained). Powers the
+    pairs, oldest first (the ring retains the last 32). Powers the
     kernel's oops dumps. *)
 val recent_trace : ?limit:int -> t -> (int64 * Insn.t) list
 

@@ -28,7 +28,7 @@ type t = {
   hub : Telemetry.Hub.t option;
 }
 
-let create ?cost ?has_pauth ?cipher ?trace_depth ?(telemetry = false)
+let create ?cost ?has_pauth ?cipher ?(telemetry = false)
     ?(tier = Cpu.Icache) ~cpus () =
   if cpus < 1 then invalid_arg "Machine.create: cpus";
   let cipher = match cipher with Some c -> c | None -> Qarma.Block.create () in
@@ -44,8 +44,7 @@ let create ?cost ?has_pauth ?cipher ?trace_depth ?(telemetry = false)
   let ic = Icache.create ~enabled:(tier <> Cpu.Interp) ~compile:Cpu.op_of ~mem ~mmu () in
   let cores =
     Array.init cpus (fun id ->
-        Cpu.create ?cost ?has_pauth ~cipher ~mem ~mmu ~icache:ic ~tier
-          ?trace_depth ~id ())
+        Cpu.create ?cost ?has_pauth ~cipher ~mem ~mmu ~icache:ic ~tier ~id ())
   in
   let hub =
     if telemetry then begin

@@ -36,7 +36,6 @@ val create :
   ?cost:Cost.profile ->
   ?has_pauth:bool ->
   ?cipher:Qarma.Block.t ->
-  ?trace_depth:int ->
   ?telemetry:bool ->
   ?tier:Cpu.tier ->
   cpus:int ->

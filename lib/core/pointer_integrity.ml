@@ -36,31 +36,30 @@ let lookup r ~type_name ~member_name =
   | Some m -> (c, m)
   | None -> assert false
 
-(* The AUT/PAC staging depends on the build mode: v8.3 signs in place,
+(* The PAC/AUT staging depends on the build mode: v8.3 signs in place,
    the compat build must route the pointer through X17 and the modifier
    through X16 for the 1716 hint forms. *)
 
-let auth_insn (config : Config.t) role ~ptr ~modifier =
-  match config.mode with
-  | Keys.Armv83 -> [ Asm.ins (Insn.Aut (Keys.key_for config.mode role, ptr, modifier)) ]
-  | Keys.Compat ->
-      [
-        Asm.ins (Insn.Mov (Insn.ip1, ptr));
-        Asm.ins (Insn.Mov (Insn.ip0, modifier));
-        Asm.ins (Insn.Aut1716 Sysreg.IB);
-        Asm.ins (Insn.Mov (ptr, Insn.ip1));
-      ]
+type op = Sign | Auth
 
-let pac_insn (config : Config.t) role ~ptr ~modifier =
+let via_1716 op ~ptr stage_modifier =
+  (Asm.ins (Insn.Mov (Insn.ip1, ptr)) :: stage_modifier)
+  @ [
+      Asm.ins (match op with Sign -> Insn.Pac1716 Sysreg.IB | Auth -> Insn.Aut1716 Sysreg.IB);
+      Asm.ins (Insn.Mov (ptr, Insn.ip1));
+    ]
+
+let pac_op op (config : Config.t) role ~ptr ~modifier =
   match config.mode with
-  | Keys.Armv83 -> [ Asm.ins (Insn.Pac (Keys.key_for config.mode role, ptr, modifier)) ]
-  | Keys.Compat ->
+  | Keys.Armv83 ->
+      let key = Keys.key_for config.mode role in
       [
-        Asm.ins (Insn.Mov (Insn.ip1, ptr));
-        Asm.ins (Insn.Mov (Insn.ip0, modifier));
-        Asm.ins (Insn.Pac1716 Sysreg.IB);
-        Asm.ins (Insn.Mov (ptr, Insn.ip1));
+        Asm.ins
+          (match op with
+          | Sign -> Insn.Pac (key, ptr, modifier)
+          | Auth -> Insn.Aut (key, ptr, modifier));
       ]
+  | Keys.Compat -> via_1716 op ~ptr [ Asm.ins (Insn.Mov (Insn.ip0, modifier)) ]
 
 let emit_getter config r ~type_name ~member_name ~obj ~dst ~scratch =
   if dst = obj || scratch = obj || dst = scratch then
@@ -72,7 +71,7 @@ let emit_getter config r ~type_name ~member_name ~obj ~dst ~scratch =
     (* Listing 4: ldr; movz; bfi; autdb *)
     Asm.ins (Insn.Ldr (dst, Insn.Off (obj, m.offset)))
     :: Modifier.materialize_pointer ~obj ~constant:c ~dst:scratch
-    @ auth_insn config m.role ~ptr:dst ~modifier:scratch
+    @ pac_op Auth config m.role ~ptr:dst ~modifier:scratch
 
 let emit_setter config r ~type_name ~member_name ~obj ~value ~scratch =
   let c, m = lookup r ~type_name ~member_name in
@@ -80,7 +79,7 @@ let emit_setter config r ~type_name ~member_name ~obj ~value ~scratch =
     [ Asm.ins (Insn.Str (value, Insn.Off (obj, m.offset))) ]
   else
     Modifier.materialize_pointer ~obj ~constant:c ~dst:scratch
-    @ pac_insn config m.role ~ptr:value ~modifier:scratch
+    @ pac_op Sign config m.role ~ptr:value ~modifier:scratch
     @ [ Asm.ins (Insn.Str (value, Insn.Off (obj, m.offset))) ]
 
 let host_key cpu (config : Config.t) role = Cpu.pac_key cpu (Keys.key_for config.mode role)

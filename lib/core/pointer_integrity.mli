@@ -38,6 +38,22 @@ val constant_of : registry -> type_name:string -> member_name:string -> int
 
 val member_of_constant : registry -> int -> member option
 
+(** A PAC-family operation: sign (PAC) or authenticate (AUT). *)
+type op = Sign | Auth
+
+(** [pac_op op config role ~ptr ~modifier] — sign or authenticate the
+    pointer in [ptr], in place, under [role]'s key with the modifier in
+    [modifier]: one PAC or AUT on ARMv8.3, {!via_1716} in the compat
+    build. *)
+val pac_op :
+  op -> Config.t -> Keys.role -> ptr:Insn.reg -> modifier:Insn.reg -> Asm.item list
+
+(** [via_1716 op ~ptr stage_modifier] — the compat build's staging,
+    since only the 1716 hint forms are NOPs on ARMv8.0: copy [ptr] to
+    X17, run [stage_modifier] (which must leave the modifier in X16),
+    PACIB1716 or AUTIB1716, and copy X17 back to [ptr]. *)
+val via_1716 : op -> ptr:Insn.reg -> Asm.item list -> Asm.item list
+
 (** [emit_getter config r ~type_name ~member_name ~obj ~dst ~scratch] —
     load the signed member from the object in [obj], authenticate it
     into [dst]. [scratch] is clobbered with the modifier. *)

@@ -31,15 +31,22 @@ type trial = {
   offlined : int list;
 }
 
-type report = {
-  seed : int64;
-  trials : int;
-  config_name : string;
+type shape = {
   cpus : int;
   tasks : int;
   rounds : int;
   quantum : int;
   quarantine_after : int option;
+}
+
+let default_shape =
+  { cpus = 2; tasks = 4; rounds = 8; quantum = 400; quarantine_after = None }
+
+type report = {
+  seed : int64;
+  trials : int;
+  config_name : string;
+  shape : shape;
   golden_makespan : int64;
   fired_count : int;
   n_detected_by_pac : int;
@@ -85,21 +92,22 @@ let workload_program ~rounds =
     ];
   prog
 
-let setup ?(telemetry = false) ?tier ~config ~seed ~cpus ~tasks ~rounds () =
-  let sys = K.System.boot ~config ~seed ~cpus ~telemetry ?tier () in
-  let layout = K.System.map_user_program sys (workload_program ~rounds) in
+let setup ?(telemetry = false) ?tier ~config ~seed shape =
+  let sys = K.System.boot ~config ~seed ~cpus:shape.cpus ~telemetry ?tier () in
+  let layout = K.System.map_user_program sys (workload_program ~rounds:shape.rounds) in
   let entry = Asm.symbol layout "main" in
-  let spawned = List.init tasks (fun _ -> K.System.spawn_user_task sys ~entry) in
+  let spawned = List.init shape.tasks (fun _ -> K.System.spawn_user_task sys ~entry) in
   (sys, layout, spawned)
 
-(* A bounded run: a fault that turns a task into an endless loop must
-   not hang the trial, so cap the slice count well above what the
-   golden run needs. *)
-let max_slices ~tasks = 64 * (tasks + 1)
+(* One run of the workload under [shape]. A fault that turns a task
+   into an endless loop must not hang the trial, so the slice count is
+   capped well above what the golden run needs. *)
+let run_workload shape sys spawned =
+  K.System.run_smp ~quantum:shape.quantum ~max_slices:(64 * (shape.tasks + 1))
+    ?quarantine_after:shape.quarantine_after sys ~tasks:spawned
 
-(* An omitted parameter takes the session default, which is in range,
-   so only the given ones are checked. *)
-let check_params ?cpus ?tasks ?rounds ?quantum ?quarantine_after ~trials () =
+(* No quarantine is in range: only a set threshold is checked. *)
+let check ~trials shape =
   let out_of_range (_, v, lo, hi) =
     match v with Some v -> v < lo || v > hi | None -> false
   in
@@ -107,11 +115,11 @@ let check_params ?cpus ?tasks ?rounds ?quantum ?quarantine_after ~trials () =
     List.find_opt out_of_range
       [
         ("trials", Some trials, 1, 1_000_000);
-        ("cpus", cpus, 1, 16);
-        ("tasks", tasks, 1, 64);
-        ("rounds", rounds, 1, 10_000);
-        ("quantum", quantum, 50, 100_000);
-        ("quarantine", quarantine_after, 1, 1_000_000);
+        ("cpus", Some shape.cpus, 1, 16);
+        ("tasks", Some shape.tasks, 1, 64);
+        ("rounds", Some shape.rounds, 1, 10_000);
+        ("quantum", Some shape.quantum, 50, 100_000);
+        ("quarantine", shape.quarantine_after, 1, 1_000_000);
       ]
   with
   | Some (name, Some v, lo, hi) ->
@@ -341,25 +349,19 @@ type session = {
   ses_golden : golden;
   ses_golden_fingerprint : string;
   ses_seed : int64;
-  ses_cpus : int;
-  ses_tasks : int;
-  ses_rounds : int;
-  ses_quantum : int;
+  ses_shape : shape;
 }
 
 let session_golden s = s.ses_golden
 let session_golden_fingerprint s = s.ses_golden_fingerprint
 let session_system s = s.ses_sys
 
-let create_session ?(config = C.Config.full) ?(cpus = 2) ?(tasks = 4)
-    ?(rounds = 8) ?(quantum = 400) ?(telemetry = false) ?tier ~seed () =
-  let sys, layout, spawned =
-    setup ~telemetry ?tier ~config ~seed ~cpus ~tasks ~rounds ()
-  in
+let create_session ?(config = C.Config.full) ?(shape = default_shape)
+    ?(telemetry = false) ?tier ~seed () =
+  let sys, layout, spawned = setup ~telemetry ?tier ~config ~seed shape in
   let base = K.System.snapshot sys in
-  let stats =
-    K.System.run_smp ~quantum ~max_slices:(max_slices ~tasks) sys ~tasks:spawned
-  in
+  (* the golden run is uninjected: no core to quarantine *)
+  let stats = run_workload { shape with quarantine_after = None } sys spawned in
   let golden =
     {
       g_exits = sorted_exits stats;
@@ -377,10 +379,7 @@ let create_session ?(config = C.Config.full) ?(cpus = 2) ?(tasks = 4)
     ses_golden = golden;
     ses_golden_fingerprint = fp;
     ses_seed = seed;
-    ses_cpus = cpus;
-    ses_tasks = tasks;
-    ses_rounds = rounds;
-    ses_quantum = quantum;
+    ses_shape = shape;
   }
 
 type trial_result = {
@@ -390,19 +389,16 @@ type trial_result = {
 }
 
 (* The one trial body: restore the base snapshot, arm the fault
-   [spec_fn] draws, run, and hand back what [trial_of] classifies. *)
-let run_one_in ses ?quarantine_after spec_fn =
+   [spec_fn] draws, run under the session's quarantine, and hand back
+   what [trial_of] classifies. *)
+let run_one_in ses spec_fn =
   let sys = ses.ses_sys in
   K.System.restore sys ses.ses_base;
   let spec = spec_fn sys ses.ses_layout ses.ses_spawned in
   let inj = Injector.create spec in
   Injector.arm_all inj (K.System.machine sys);
   let result =
-    try
-      Result.Ok
-        (K.System.run_smp ~quantum:ses.ses_quantum
-           ~max_slices:(max_slices ~tasks:ses.ses_tasks) ?quarantine_after sys
-           ~tasks:ses.ses_spawned)
+    try Result.Ok (run_workload ses.ses_shape sys ses.ses_spawned)
     with Failure m -> Result.Error m
   in
   (sys, inj, spec, result)
@@ -410,15 +406,13 @@ let run_one_in ses ?quarantine_after spec_fn =
 (* Trial [index] of the campaign keyed by the session's seed. The RNG
    stream depends only on (seed, index), so any partition of the index
    space over any number of workers draws the same faults. *)
-let run_random_trial_in ses ?quarantine_after ?keep_events ?(fingerprint = false)
-    ~index () =
+let run_random_trial_in ses ?keep_events ?(fingerprint = false) ~index () =
   let rng =
     Rng.create
       (Int64.add ses.ses_seed (Int64.mul golden_mix (Int64.of_int (index + 1))))
   in
   let ((sys, _, _, _) as outcome) =
-    run_one_in ses ?quarantine_after
-      (random_spec rng ~golden_makespan:ses.ses_golden.g_makespan)
+    run_one_in ses (random_spec rng ~golden_makespan:ses.ses_golden.g_makespan)
   in
   {
     tr_trial = trial_of ~golden:ses.ses_golden ~index outcome;
@@ -430,7 +424,7 @@ let run_random_trial_in ses ?quarantine_after ?keep_events ?(fingerprint = false
 let run_trial_in ses ~spec () =
   trial_of ~golden:ses.ses_golden ~index:0 (run_one_in ses spec)
 
-let report_of_trials ses ~config_name ?quarantine_after trial_list =
+let report_of_trials ses ~config_name trial_list =
   let trials = List.length trial_list in
   let count o = List.length (List.filter (fun t -> t.outcome = o) trial_list) in
   let n_detected_by_pac = count Detected_by_pac in
@@ -454,11 +448,7 @@ let report_of_trials ses ~config_name ?quarantine_after trial_list =
     seed = ses.ses_seed;
     trials;
     config_name;
-    cpus = ses.ses_cpus;
-    tasks = ses.ses_tasks;
-    rounds = ses.ses_rounds;
-    quantum = ses.ses_quantum;
-    quarantine_after;
+    shape = ses.ses_shape;
     golden_makespan = ses.ses_golden.g_makespan;
     fired_count = List.length (List.filter (fun t -> t.fired) trial_list);
     n_detected_by_pac;
@@ -482,12 +472,12 @@ let report_to_json r =
   add "  \"seed\": %Ld,\n" r.seed;
   add "  \"trials\": %d,\n" r.trials;
   add "  \"config\": \"%s\",\n" (Json.escape r.config_name);
-  add "  \"cpus\": %d,\n" r.cpus;
-  add "  \"tasks\": %d,\n" r.tasks;
-  add "  \"rounds\": %d,\n" r.rounds;
-  add "  \"quantum\": %d,\n" r.quantum;
+  add "  \"cpus\": %d,\n" r.shape.cpus;
+  add "  \"tasks\": %d,\n" r.shape.tasks;
+  add "  \"rounds\": %d,\n" r.shape.rounds;
+  add "  \"quantum\": %d,\n" r.shape.quantum;
   add "  \"quarantine_after\": %s,\n"
-    (match r.quarantine_after with None -> "null" | Some n -> string_of_int n);
+    (match r.shape.quarantine_after with None -> "null" | Some n -> string_of_int n);
   add "  \"golden_makespan\": %Ld,\n" r.golden_makespan;
   add "  \"fired\": %d,\n" r.fired_count;
   add "  \"outcomes\": {\n";
@@ -519,10 +509,10 @@ let report_to_string r =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "fault-injection campaign: seed=%Ld trials=%d config=%s cpus=%d tasks=%d rounds=%d\n"
-    r.seed r.trials r.config_name r.cpus r.tasks r.rounds;
+    r.seed r.trials r.config_name r.shape.cpus r.shape.tasks r.shape.rounds;
   add "golden makespan: %Ld cycles; faults fired in %d/%d trials\n" r.golden_makespan
     r.fired_count r.trials;
-  (match r.quarantine_after with
+  (match r.shape.quarantine_after with
   | None -> ()
   | Some n -> add "per-CPU quarantine after %d PAC failures\n" n);
   let row name n =
@@ -565,15 +555,12 @@ let quarantine_demo ?(seed = 42L) () =
       persistence = Injector.Stuck;
     }
   in
+  let shape = { default_shape with tasks = 8; rounds = 40; quantum = 150 } in
   let run_variant quarantine_after =
-    let sys, _layout, spawned = setup ~config ~seed ~cpus:2 ~tasks:8 ~rounds:40 () in
+    let sys, _layout, spawned = setup ~config ~seed shape in
     let inj = Injector.create spec in
     Injector.arm inj (Machine.core (K.System.machine sys) 1);
-    let stats =
-      K.System.run_smp ~quantum:150 ~max_slices:(max_slices ~tasks:8)
-        ?quarantine_after sys ~tasks:spawned
-    in
-    (sys, stats)
+    (sys, run_workload { shape with quarantine_after } sys spawned)
   in
   let bsys, bstats = run_variant None in
   let qsys, qstats = run_variant (Some 2) in

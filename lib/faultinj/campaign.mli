@@ -46,15 +46,30 @@ type trial = {
   offlined : int list;
 }
 
-type report = {
-  seed : int64;
-  trials : int;
-  config_name : string;
+(** A campaign's shape: [tasks] tasks of [rounds] workload rounds each
+    on [cpus] cores, preempted every [quantum] user instructions, and
+    per-CPU quarantine after [quarantine_after] PAC failures on one
+    core ([None]: no quarantine). The front ends build one from
+    {!default_shape}; a {!session} runs every trial under its shape,
+    the {!report} records it, and [Replay] writes it into a replay-log
+    header and reads it back. *)
+type shape = {
   cpus : int;
   tasks : int;
   rounds : int;
   quantum : int;
   quarantine_after : int option;
+}
+
+(** 2 cpus, 4 tasks, 8 rounds, a quantum of 400 and no quarantine: the
+    shape of a campaign that sets none of its fields. *)
+val default_shape : shape
+
+type report = {
+  seed : int64;
+  trials : int;
+  config_name : string;
+  shape : shape;  (** the shape the session ran *)
   golden_makespan : int64;
   fired_count : int;
   n_detected_by_pac : int;
@@ -76,22 +91,13 @@ type report = {
     observable. *)
 val workload_program : rounds:int -> Aarch64.Asm.program
 
-(** [check_params ~trials ()] — the parameter ranges every front end
-    of a campaign accepts (the CLI, [serve] requests and replay-log
-    headers): trials 1–1,000,000, cpus 1–16, tasks 1–64, rounds
-    1–10,000, quantum 50–100,000 and quarantine 1–1,000,000. An omitted
-    parameter is the {!create_session} default, which is in range.
-    [Error] names the first field out of range. Sessions themselves do
-    not check. *)
-val check_params :
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
-  ?quarantine_after:int ->
-  trials:int ->
-  unit ->
-  (unit, string) result
+(** [check ~trials shape] — the ranges every front end of a campaign
+    accepts (the CLI, [serve] requests and replay-log headers): trials
+    1–1,000,000, cpus 1–16, tasks 1–64, rounds 1–10,000, quantum
+    50–100,000 and, when set, quarantine 1–1,000,000. {!default_shape}
+    is in range. [Error] names the first field out of range, in that
+    order. Sessions themselves do not check. *)
+val check : trials:int -> shape -> (unit, string) result
 
 (** The uninjected reference run a session's trials are classified
     against. *)
@@ -118,7 +124,8 @@ type job_telemetry = {
 
 (** A snapshot-forked campaign session: one boot + workload setup,
     captured with {!Kernel.System.snapshot}, plus the golden run. Each
-    trial restores the post-setup snapshot instead of re-booting.
+    trial restores the post-setup snapshot instead of re-booting and
+    runs under the session's shape, quarantine included.
     Restore returns the exact captured state and clears trial-armed
     injector hooks, so a trial's outcome does not depend on the trials
     the session ran before it. [telemetry] (default [false]) boots with
@@ -128,17 +135,13 @@ type job_telemetry = {
     fleet workers each create their own. *)
 type session
 
-(** [create_session ~seed ()] — boot, set up the workload, snapshot and
-    run the golden run. The defaults are the campaign's: config
-    [Camouflage.Config.full], 2 cpus, 4 tasks, 8 rounds and a quantum
-    of 400 user instructions; every front end that omits a parameter
-    gets these. *)
+(** [create_session ~seed ()] — boot, set up the workload of [shape]
+    (default {!default_shape}), snapshot and run the golden run, which
+    no quarantine touches. [config] defaults to
+    [Camouflage.Config.full]. *)
 val create_session :
   ?config:Camouflage.Config.t ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
+  ?shape:shape ->
   ?telemetry:bool ->
   ?tier:Aarch64.Cpu.tier ->
   seed:int64 ->
@@ -177,7 +180,6 @@ type trial_result = {
     leaves it off. Taking it never changes the trial. *)
 val run_random_trial_in :
   session ->
-  ?quarantine_after:int ->
   ?keep_events:bool ->
   ?fingerprint:bool ->
   index:int ->
@@ -198,13 +200,11 @@ val run_trial_in :
 
 (** [report_of_trials ses ~config_name trials] — aggregate trials
     classified against [ses]'s golden run into a campaign report, which
-    records [ses]'s seed and shape. [config_name] and [quarantine_after]
-    are only recorded. All aggregates (counts, rates, mean makespan) are
-    computed from the list in the order given, so pass trials sorted by
-    index for a report that does not depend on how they were
-    scheduled. *)
-val report_of_trials :
-  session -> config_name:string -> ?quarantine_after:int -> trial list -> report
+    records [ses]'s seed and shape. [config_name] is only recorded. All
+    aggregates (counts, rates, mean makespan) are computed from the list
+    in the order given, so pass trials sorted by index for a report that
+    does not depend on how they were scheduled. *)
+val report_of_trials : session -> config_name:string -> trial list -> report
 
 (** Deterministic JSON rendering: fixed field order, fixed float
     formatting — the same report always serializes to the same bytes. *)

@@ -1,5 +1,4 @@
 module FC = Faultinj.Campaign
-module L = Snapshot.Log
 
 type telemetry_summary = {
   counters : Telemetry.Counters.snapshot;
@@ -41,17 +40,13 @@ let merge_telemetry a b =
 (* Boot-once, fork-per-trial: every worker domain keeps one campaign
    session (boot + workload setup + golden run, snapshotted) in
    domain-local storage and serves its trials by restoring the snapshot.
-   The cache is keyed by the full parameter tuple, so interleaved
-   campaigns with different shapes each get their own session; a repeat
-   campaign on the same domain (the serve control plane, test suites)
-   reuses the session outright. An omitted shape parameter stays [None]
-   here and takes the session's default. *)
+   The cache is keyed by everything the session is created from, the
+   shape whole, so interleaved campaigns with different shapes each get
+   their own session; a repeat campaign on the same domain (the serve
+   control plane, test suites) reuses the session outright. *)
 type session_params = {
   sp_config : Camouflage.Config.t option;
-  sp_cpus : int option;
-  sp_tasks : int option;
-  sp_rounds : int option;
-  sp_quantum : int option;
+  sp_shape : FC.shape;
   sp_telemetry : bool;
   sp_tier : Aarch64.Cpu.tier option;
   sp_seed : int64;
@@ -65,23 +60,19 @@ let session_for p =
   | Some (q, ses) when q = p -> ses
   | _ ->
       let ses =
-        FC.create_session ?config:p.sp_config ?cpus:p.sp_cpus ?tasks:p.sp_tasks
-          ?rounds:p.sp_rounds ?quantum:p.sp_quantum ~telemetry:p.sp_telemetry
-          ?tier:p.sp_tier ~seed:p.sp_seed ()
+        FC.create_session ?config:p.sp_config ~shape:p.sp_shape
+          ~telemetry:p.sp_telemetry ?tier:p.sp_tier ~seed:p.sp_seed ()
       in
       Domain.DLS.set session_key (Some (p, ses));
       ses
 
-let run ?config ?(config_name = "full") ?cpus ?tasks ?rounds ?quantum
-    ?quarantine_after ?workers ?retries ?(telemetry = false) ?tier ?(lanes = 0)
-    ?record_dir ?job_hook ?progress ?should_stop ~seed ~trials () =
+let run ?config ?(config_name = "full") ?(shape = FC.default_shape) ?workers
+    ?retries ?(telemetry = false) ?tier ?(lanes = 0) ?record_dir ?job_hook
+    ?progress ?should_stop ~seed ~trials () =
   let params =
     {
       sp_config = config;
-      sp_cpus = cpus;
-      sp_tasks = tasks;
-      sp_rounds = rounds;
-      sp_quantum = quantum;
+      sp_shape = shape;
       sp_telemetry = telemetry;
       sp_tier = tier;
       sp_seed = seed;
@@ -95,8 +86,8 @@ let run ?config ?(config_name = "full") ?cpus ?tasks ?rounds ?quantum
     Pool.run ?workers ?retries ?progress ?should_stop ~jobs:trials
       (fun index ->
         (match job_hook with Some h -> h index | None -> ());
-        FC.run_random_trial_in (session_for params) ?quarantine_after
-          ~keep_events:(index < lanes) ~fingerprint:(record_dir <> None) ~index ())
+        FC.run_random_trial_in (session_for params) ~keep_events:(index < lanes)
+          ~fingerprint:(record_dir <> None) ~index ())
   in
   if outcome.Pool.stats.Pool.stopped then None
   else
@@ -131,39 +122,16 @@ let run ?config ?(config_name = "full") ?cpus ?tasks ?rounds ?quantum
                      })
              empty_telemetry jobs)
     in
-    let report = FC.report_of_trials ses0 ~config_name ?quarantine_after trial_list in
+    let report = FC.report_of_trials ses0 ~config_name trial_list in
     let record_path =
-      match record_dir with
-      | None -> None
-      | Some dir ->
-          let header =
-            {
-              L.h_kind = "faults";
-              h_seed = seed;
-              h_trials = trials;
-              h_config = config_name;
-              h_cpus = report.FC.cpus;
-              h_tasks = report.FC.tasks;
-              h_rounds = report.FC.rounds;
-              h_quantum = report.FC.quantum;
-              h_quarantine_after = quarantine_after;
-              h_golden_makespan = report.FC.golden_makespan;
-              h_golden_fingerprint = FC.session_golden_fingerprint ses0;
-            }
-          in
-          let entries =
-            List.map
-              (fun tr ->
-                Faultinj.Replay.entry_of_trial
-                  ~fingerprint:(Option.get tr.FC.tr_fingerprint) tr.FC.tr_trial)
-              jobs
-          in
+      Option.map
+        (fun dir ->
           let path =
-            Filename.concat dir
-              (Printf.sprintf "faults-%Ld-%d.replay" seed trials)
+            Filename.concat dir (Printf.sprintf "faults-%Ld-%d.replay" seed trials)
           in
-          L.write ~path { L.header; entries };
-          Some path
+          Faultinj.Replay.record ~path ~trials ses0 report jobs;
+          path)
+        record_dir
     in
     Some
       {

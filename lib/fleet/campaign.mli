@@ -65,17 +65,13 @@ type result = {
     start of every job attempt; raising from it simulates a worker
     failure. [lanes] (default 0) keeps the raw event streams of the
     first [lanes] trials by index for fleet Chrome traces. An omitted
-    [config], [cpus], [tasks], [rounds] or [quantum] takes the
-    {!Faultinj.Campaign.create_session} default, and the report records
-    the value used; [config_name] defaults to ["full"]. *)
+    [config] or [shape] takes the {!Faultinj.Campaign.create_session}
+    default; every trial runs under [shape], and the report and the
+    replay log record it. [config_name] defaults to ["full"]. *)
 val run :
   ?config:Camouflage.Config.t ->
   ?config_name:string ->
-  ?cpus:int ->
-  ?tasks:int ->
-  ?rounds:int ->
-  ?quantum:int ->
-  ?quarantine_after:int ->
+  ?shape:Faultinj.Campaign.shape ->
   ?workers:int ->
   ?retries:int ->
   ?telemetry:bool ->

@@ -178,16 +178,18 @@ let submit_faults t obj =
   let seed = dflt 42L (int64_field obj "seed") in
   let trials = dflt 16 (int_field obj "trials") in
   let workers = workers_field obj in
-  (* absent shape fields stay omitted: the campaign session's defaults *)
-  let cpus = int_field obj "cpus" in
-  let tasks = int_field obj "tasks" in
-  let rounds = int_field obj "rounds" in
-  let quantum = int_field obj "quantum" in
-  let quarantine_after = int_field obj "quarantine" in
-  (match
-     Faultinj.Campaign.check_params ?cpus ?tasks ?rounds ?quantum
-       ?quarantine_after ~trials ()
-   with
+  (* an absent shape field keeps the default shape's value *)
+  let d = Faultinj.Campaign.default_shape in
+  let shape =
+    {
+      Faultinj.Campaign.cpus = dflt d.cpus (int_field obj "cpus");
+      tasks = dflt d.tasks (int_field obj "tasks");
+      rounds = dflt d.rounds (int_field obj "rounds");
+      quantum = dflt d.quantum (int_field obj "quantum");
+      quarantine_after = int_field obj "quarantine";
+    }
+  in
+  (match Faultinj.Campaign.check ~trials shape with
   | Ok () -> ()
   | Error m -> bad "%s" m);
   let retries = retries_field obj in
@@ -206,8 +208,8 @@ let submit_faults t obj =
             deadline_stop ~stop:cells.c_stop timeout_ms
           in
           match
-            Campaign.run ~config ~config_name ?cpus ?tasks ?rounds ?quantum
-              ?quarantine_after ~workers ?retries ~telemetry:true ?tier
+            Campaign.run ~config ~config_name ~shape ~workers ?retries
+              ~telemetry:true ?tier
               ~progress:(fun () -> Atomic.incr cells.c_completed)
               ~should_stop ~seed ~trials ()
           with

@@ -22,31 +22,23 @@ let sys_read_secure = 16
 let sys_socketpair = 17
 let sys_poll = 18
 let sys_timer_set = 19
-let syscall_count = 20
+
+(* The handler symbol of every syscall number: the table [build] lays
+   out. Exit has a name but no table entry; the dispatcher handles it. *)
+let syscall_handlers =
+  [|
+    "sys_exit"; "sys_getpid"; "sys_read"; "sys_write"; "sys_open"; "sys_close";
+    "sys_stat"; "sys_fstat"; "sys_notifier_register"; "sys_notifier_call";
+    "sys_pipe_write"; "sys_pipe_read"; "sys_fork"; "sys_vuln_read";
+    "sys_vuln_write"; "sys_getuid"; "sys_read_secure"; "sys_socketpair";
+    "sys_poll"; "sys_timer_set";
+  |]
+
+let syscall_count = Array.length syscall_handlers
 
 let syscall_name nr =
-  match nr with
-  | 0 -> "sys_exit"
-  | 1 -> "sys_getpid"
-  | 2 -> "sys_read"
-  | 3 -> "sys_write"
-  | 4 -> "sys_open"
-  | 5 -> "sys_close"
-  | 6 -> "sys_stat"
-  | 7 -> "sys_fstat"
-  | 8 -> "sys_notifier_register"
-  | 9 -> "sys_notifier_call"
-  | 10 -> "sys_pipe_write"
-  | 11 -> "sys_pipe_read"
-  | 12 -> "sys_fork"
-  | 13 -> "sys_vuln_read"
-  | 14 -> "sys_vuln_write"
-  | 15 -> "sys_getuid"
-  | 16 -> "sys_read_secure"
-  | 17 -> "sys_socketpair"
-  | 18 -> "sys_poll"
-  | 19 -> "sys_timer_set"
-  | _ -> Printf.sprintf "sys_%d" nr
+  if nr >= 0 && nr < syscall_count then syscall_handlers.(nr)
+  else Printf.sprintf "sys_%d" nr
 
 let i x = Asm.ins x
 let r n = Insn.R n
@@ -678,32 +670,13 @@ let build config registry =
         (name, f.C.Instrument.items)
   in
   let functions = List.map instrument (kernel_bodies config registry) in
-  let table_entry = function
-    | 0 -> O.Lit 0L (* exit: handled by the dispatcher *)
-    | 1 -> O.Sym "sys_getpid"
-    | 2 -> O.Sym "sys_read"
-    | 3 -> O.Sym "sys_write"
-    | 4 -> O.Sym "sys_open"
-    | 5 -> O.Sym "sys_close"
-    | 6 -> O.Sym "sys_stat"
-    | 7 -> O.Sym "sys_fstat"
-    | 8 -> O.Sym "sys_notifier_register"
-    | 9 -> O.Sym "sys_notifier_call"
-    | 10 -> O.Sym "sys_pipe_write"
-    | 11 -> O.Sym "sys_pipe_read"
-    | 12 -> O.Sym "sys_fork"
-    | 13 -> O.Sym "sys_vuln_read"
-    | 14 -> O.Sym "sys_vuln_write"
-    | 15 -> O.Sym "sys_getuid"
-    | 16 -> O.Sym "sys_read_secure"
-    | 17 -> O.Sym "sys_socketpair"
-    | 18 -> O.Sym "sys_poll"
-    | 19 -> O.Sym "sys_timer_set"
-    | _ -> O.Lit 0L
-  in
+  let table_entry nr name = if nr = sys_exit then O.Lit 0L else O.Sym name in
   let rodata =
     [
-      { O.blob_name = "sys_call_table"; words = List.init syscall_count table_entry };
+      {
+        O.blob_name = "sys_call_table";
+        words = Array.to_list (Array.mapi table_entry syscall_handlers);
+      };
       {
         O.blob_name = "ramfs_fops";
         words = [ O.Sym "fops_noop"; O.Sym "fops_noop"; O.Sym "ramfs_read"; O.Sym "ramfs_write" ];

@@ -131,16 +131,17 @@ let oopses t = List.rev t.oopses
 let sink t = Cpu.telemetry t.cpu
 let telemetry t = Machine.telemetry t.machine
 
-let emit_event t payload =
-  match sink t with
-  | Some s -> Telemetry.Sink.emit s ~ts:(Cpu.cycles t.cpu) payload
-  | None -> ()
+(* Every caller matches [sink t] first and builds its payload in the
+   [Some] arm, so a machine without sinks allocates no event. *)
+let emit_event t s payload = Telemetry.Sink.emit s ~ts:(Cpu.cycles t.cpu) payload
 
 let logf t fmt =
   Printf.ksprintf
-    (fun s ->
-      t.log <- (Cpu.cycles t.cpu, s) :: t.log;
-      emit_event t (Telemetry.Event.Log { line = s }))
+    (fun line ->
+      t.log <- (Cpu.cycles t.cpu, line) :: t.log;
+      match sink t with
+      | Some s -> emit_event t s (Telemetry.Event.Log { line })
+      | None -> ())
     fmt
 
 (* [with_core t cid f] — run [f] with core [cid] as the active core:
@@ -181,22 +182,21 @@ let kernel_uses_pauth t =
   Cpu.has_pauth t.cpu
   && (t.config.C.Config.scheme <> C.Modifier.No_cfi || t.config.C.Config.protect_pointers)
 
+let key_routine_returned ~err = function
+  | Cpu.Sentinel_return -> ()
+  | other -> failwith (err ^ Cpu.stop_to_string other)
+
 (* Call one of the audited XOM key routines: its generated MOVZ/MOVK
    stream is charged like any other code, but telemetry attributes the
    cycles to the key-switch origin and logs a key-switch event. *)
 let xom_key_call t ~domain ~err addr =
-  emit_event t
-    (Telemetry.Event.Key_switch { domain; pid = t.current.pid });
-  let call () =
-    match Cpu.call t.cpu addr with
-    | Cpu.Sentinel_return -> ()
-    | other -> failwith (err ^ Cpu.stop_to_string other)
-  in
   match sink t with
   | Some s ->
+      emit_event t s (Telemetry.Event.Key_switch { domain; pid = t.current.pid });
       Telemetry.Counters.count_key_install (Telemetry.Sink.counters s);
-      Telemetry.Sink.with_origin s Telemetry.Profile.Cfi_key_switch call
-  | None -> call ()
+      Telemetry.Sink.with_origin s Telemetry.Profile.Cfi_key_switch (fun () ->
+          key_routine_returned ~err (Cpu.call t.cpu addr))
+  | None -> key_routine_returned ~err (Cpu.call t.cpu addr)
 
 let install_kernel_keys t =
   xom_key_call t ~domain:"kernel" ~err:"key setter did not return: "
@@ -347,7 +347,9 @@ let mark_dead t task =
    only: the state fingerprint hashes it and the log it is copied
    into, so telemetry must not reach it. *)
 let record_oops t ~cause ~pc =
-  emit_event t (Telemetry.Event.Oops { pid = t.current.pid; cause });
+  (match sink t with
+  | Some s -> emit_event t s (Telemetry.Event.Oops { pid = t.current.pid; cause })
+  | None -> ());
   let dump = Cpu.dump_state t.cpu in
   t.oopses <-
     {
@@ -375,8 +377,11 @@ let handle_kernel_stop t stop =
         || Vaddr.is_poisoned (Cpu.user_cfg t.cpu) f.Mmu.va
       in
       if poisoned then begin
-        emit_event t
-          (Telemetry.Event.Auth_failure { pid = t.current.pid; va = f.Mmu.va });
+        (match sink t with
+        | Some s ->
+            emit_event t s
+              (Telemetry.Event.Auth_failure { pid = t.current.pid; va = f.Mmu.va })
+        | None -> ());
         logcpu t "PAC authentication failure: pid %d at pc=0x%Lx va=0x%Lx" t.current.pid
           pc f.Mmu.va;
         ignore
@@ -456,9 +461,12 @@ let call_handler t addr =
 let syscall_gen ?trap_charged t ~nr ~args =
   if t.panicked then Panicked "system halted"
   else begin
-    let name = Kbuild.syscall_name nr in
-    emit_event t
-      (Telemetry.Event.Syscall_enter { nr; name; pid = t.current.pid });
+    (match sink t with
+    | Some s ->
+        emit_event t s
+          (Telemetry.Event.Syscall_enter
+             { nr; name = Kbuild.syscall_name nr; pid = t.current.pid })
+    | None -> ());
     kernel_entry ?trap_charged t;
     List.iteri (fun idx v -> Cpu.set_reg t.cpu (Insn.R idx) v) args;
     Cpu.set_reg t.cpu (Insn.R 28) t.current.va;
@@ -476,8 +484,12 @@ let syscall_gen ?trap_charged t ~nr ~args =
     let result =
       match outcome with Ok v -> v | Killed _ | Panicked _ -> -1L
     in
-    emit_event t
-      (Telemetry.Event.Syscall_exit { nr; name; pid = t.current.pid; result });
+    (match sink t with
+    | Some s ->
+        emit_event t s
+          (Telemetry.Event.Syscall_exit
+             { nr; name = Kbuild.syscall_name nr; pid = t.current.pid; result })
+    | None -> ());
     outcome
   end
 
@@ -505,8 +517,11 @@ let switch_to t next =
   if t.panicked then Panicked "system halted"
   else begin
     let prev = t.current in
-    emit_event t
-      (Telemetry.Event.Context_switch { from_pid = prev.pid; to_pid = next.pid });
+    (match sink t with
+    | Some s ->
+        emit_event t s
+          (Telemetry.Event.Context_switch { from_pid = prev.pid; to_pid = next.pid })
+    | None -> ());
     Cpu.set_el t.cpu El.El1;
     enter_kernel_context t;
     (* the scheduler runs on the outgoing task's kernel stack; establish
@@ -526,9 +541,11 @@ let switch_to t next =
         t.current <- next;
         (* closes the Context_switch marker above so the span layer can
            derive the switch cost; pure observation, no cycles charged *)
-        emit_event t
-          (Telemetry.Event.Switch_done
-             { from_pid = prev.pid; to_pid = next.pid })
+        (match sink t with
+        | Some s ->
+            emit_event t s
+              (Telemetry.Event.Switch_done { from_pid = prev.pid; to_pid = next.pid })
+        | None -> ())
     | Killed _ | Panicked _ -> ());
     outcome
   end

@@ -9,16 +9,12 @@
 
 module Json = Camo_util.Json
 
-type header = {
+type 'shape header = {
   h_kind : string;
   h_seed : int64;
   h_trials : int;
   h_config : string;
-  h_cpus : int;
-  h_tasks : int;
-  h_rounds : int;
-  h_quantum : int;
-  h_quarantine_after : int option;
+  h_shape : 'shape;
   h_golden_makespan : int64;
   h_golden_fingerprint : string;
 }
@@ -34,20 +30,22 @@ type entry = {
   e_fingerprint : string;
 }
 
-type t = { header : header; entries : entry list }
+type 'shape t = { header : 'shape header; entries : entry list }
+
+type 'shape codec = {
+  shape_to_json : 'shape -> string;
+  shape_of_json : Json.t -> ('shape, string) result;
+}
 
 let version = 1
 
-let header_to_json h =
+let header_to_json codec h =
   Printf.sprintf
     "{\"camouflage_replay_log\": %d, \"kind\": \"%s\", \"seed\": %Ld, \
-     \"trials\": %d, \"config\": \"%s\", \"cpus\": %d, \"tasks\": %d, \
-     \"rounds\": %d, \"quantum\": %d, \"quarantine_after\": %s, \
-     \"golden_makespan\": %Ld, \"golden_fingerprint\": \"%s\"}"
+     \"trials\": %d, \"config\": \"%s\", %s, \"golden_makespan\": %Ld, \
+     \"golden_fingerprint\": \"%s\"}"
     version (Json.escape h.h_kind) h.h_seed h.h_trials (Json.escape h.h_config)
-    h.h_cpus h.h_tasks h.h_rounds h.h_quantum
-    (match h.h_quarantine_after with None -> "null" | Some n -> string_of_int n)
-    h.h_golden_makespan h.h_golden_fingerprint
+    (codec.shape_to_json h.h_shape) h.h_golden_makespan h.h_golden_fingerprint
 
 let entry_to_json e =
   Printf.sprintf
@@ -59,9 +57,9 @@ let entry_to_json e =
     (String.concat ", " (List.map string_of_int e.e_offlined))
     e.e_fingerprint
 
-let to_string t =
+let to_string codec t =
   String.concat "\n"
-    (header_to_json t.header :: List.map entry_to_json t.entries)
+    (header_to_json codec t.header :: List.map entry_to_json t.entries)
   ^ "\n"
 
 (* Parsing. *)
@@ -73,7 +71,7 @@ let field name conv json =
   | Some v -> Result.Ok v
   | None -> Result.Error (Printf.sprintf "missing or ill-typed field %S" name)
 
-let parse_header line =
+let parse_header codec line =
   let* json = Json.parse line in
   let* v = field "camouflage_replay_log" Json.to_int json in
   if v <> version then
@@ -83,19 +81,7 @@ let parse_header line =
     let* h_seed = field "seed" Json.to_int64 json in
     let* h_trials = field "trials" Json.to_int json in
     let* h_config = field "config" Json.to_string json in
-    let* h_cpus = field "cpus" Json.to_int json in
-    let* h_tasks = field "tasks" Json.to_int json in
-    let* h_rounds = field "rounds" Json.to_int json in
-    let* h_quantum = field "quantum" Json.to_int json in
-    let* h_quarantine_after =
-      match Json.member "quarantine_after" json with
-      | Some Json.Null -> Result.Ok None
-      | Some v -> (
-          match Json.to_int v with
-          | Some n -> Result.Ok (Some n)
-          | None -> Result.Error "ill-typed field \"quarantine_after\"")
-      | None -> Result.Error "missing field \"quarantine_after\""
-    in
+    let* h_shape = codec.shape_of_json json in
     let* h_golden_makespan = field "golden_makespan" Json.to_int64 json in
     let* h_golden_fingerprint = field "golden_fingerprint" Json.to_string json in
     Result.Ok
@@ -104,11 +90,7 @@ let parse_header line =
         h_seed;
         h_trials;
         h_config;
-        h_cpus;
-        h_tasks;
-        h_rounds;
-        h_quantum;
-        h_quarantine_after;
+        h_shape;
         h_golden_makespan;
         h_golden_fingerprint;
       }
@@ -146,7 +128,7 @@ let parse_entry line =
       e_fingerprint;
     }
 
-let parse s =
+let parse codec s =
   let lines =
     String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
   in
@@ -154,7 +136,7 @@ let parse s =
   | [] -> Result.Error "empty replay log"
   | header_line :: entry_lines ->
       let* header =
-        Result.map_error (fun e -> "header: " ^ e) (parse_header header_line)
+        Result.map_error (fun e -> "header: " ^ e) (parse_header codec header_line)
       in
       let* entries =
         List.fold_right
@@ -171,13 +153,13 @@ let parse s =
       in
       Result.Ok { header; entries }
 
-let write ~path t =
+let write codec ~path t =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
+    (fun () -> output_string oc (to_string codec t))
 
-let read ~path =
+let read codec ~path =
   match open_in_bin path with
   | exception Sys_error e -> Result.Error e
   | ic ->
@@ -186,6 +168,6 @@ let read ~path =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
-      parse s
+      parse codec s
 
 let find_entry t index = List.find_opt (fun e -> e.e_index = index) t.entries

@@ -398,7 +398,8 @@ let test_campaign_two_cores_every_tier () =
   List.iter
     (fun seed ->
       let json tier =
-        let r = Option.get (Fleet.Campaign.run ~workers:1 ~cpus:2 ~tier ~seed ~trials:48 ()) in
+        let shape = { FI.Campaign.default_shape with cpus = 2 } in
+        let r = Option.get (Fleet.Campaign.run ~workers:1 ~shape ~tier ~seed ~trials:48 ()) in
         FI.Campaign.report_to_json r.Fleet.Campaign.report
       in
       let interp = String.split_on_char '\n' (json Cpu.Interp) in

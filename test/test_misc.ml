@@ -70,35 +70,19 @@ let test_trace_ring () =
   in
   Alcotest.(check bool) "consecutive straight-line pcs" true (consecutive pcs)
 
-(* The retention depth is a [Cpu.create] parameter: a deep ring keeps
-   more history than the default 32, a shallow one forgets sooner, and
-   a non-positive depth is rejected. *)
-let test_trace_depth_configurable () =
-  let run depth =
-    let cpu = Bare.machine ~trace_depth:depth () in
-    let prog = Asm.create () in
-    Asm.add_function prog ~name:"f"
-      (List.init 60 (fun _ -> Asm.ins Insn.Nop) @ [ Asm.ins Insn.Ret ]);
-    let layout = Bare.load cpu prog in
-    (match Bare.call cpu layout "f" with
-    | Cpu.Sentinel_return -> ()
-    | other -> Alcotest.failf "trace run: %s" (Cpu.stop_to_string other));
-    List.length (Cpu.recent_trace ~limit:1000 cpu)
-  in
-  Alcotest.(check int) "deep ring keeps full history" 61 (run 128);
-  Alcotest.(check int) "shallow ring forgets" 4 (run 4);
-  Alcotest.(check int) "default depth is 32" 32
-    (List.length
-       (let cpu = Bare.machine () in
-        let prog = Asm.create () in
-        Asm.add_function prog ~name:"f"
-          (List.init 60 (fun _ -> Asm.ins Insn.Nop) @ [ Asm.ins Insn.Ret ]);
-        let layout = Bare.load cpu prog in
-        ignore (Bare.call cpu layout "f");
-        Cpu.recent_trace ~limit:1000 cpu));
-  Alcotest.check_raises "depth must be positive"
-    (Invalid_argument "Cpu.create: trace_depth") (fun () ->
-      ignore (Cpu.create ~trace_depth:0 ()))
+(* The ring keeps the last 32 retired instructions: a 61-instruction
+   run leaves 32 however large the limit asked for. *)
+let test_trace_depth () =
+  let cpu = Bare.machine () in
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"f"
+    (List.init 60 (fun _ -> Asm.ins Insn.Nop) @ [ Asm.ins Insn.Ret ]);
+  let layout = Bare.load cpu prog in
+  (match Bare.call cpu layout "f" with
+  | Cpu.Sentinel_return -> ()
+  | other -> Alcotest.failf "trace run: %s" (Cpu.stop_to_string other));
+  Alcotest.(check int) "depth is 32" 32
+    (List.length (Cpu.recent_trace ~limit:1000 cpu))
 
 let test_hypervisor_lock_predicate () =
   let cpu = Cpu.create () in
@@ -142,8 +126,7 @@ let suite =
     Alcotest.test_case "instruction rendering" `Quick test_insn_rendering;
     Alcotest.test_case "sysreg id roundtrip" `Quick test_sysreg_ids;
     Alcotest.test_case "cpu trace ring" `Quick test_trace_ring;
-    Alcotest.test_case "trace ring depth is configurable" `Quick
-      test_trace_depth_configurable;
+    Alcotest.test_case "trace ring depth is 32" `Quick test_trace_depth;
     Alcotest.test_case "hypervisor lock predicate" `Quick test_hypervisor_lock_predicate;
     Alcotest.test_case "key allocation (Section 4.5)" `Quick test_keys_allocation;
     Alcotest.test_case "CNTVCT virtual counter" `Quick test_cntvct_reads_cycles;

@@ -315,16 +315,16 @@ let test_replay_log_byte_identical_across_workers () =
   Alcotest.(check string) "log bytes: 1 worker = 2 workers" b1 (read_file p2);
   Alcotest.(check string) "log bytes: 1 worker = 8 workers" b1 (read_file p8);
   (* read → write round-trips to the identical bytes *)
-  match L.read ~path:p1 with
+  match Faultinj.Replay.read ~path:p1 with
   | Error e -> Alcotest.fail ("log failed to parse: " ^ e)
   | Ok log ->
       let p1' = p1 ^ ".rewritten" in
-      L.write ~path:p1' log;
+      Faultinj.Replay.write ~path:p1' log;
       Alcotest.(check string) "parse/render round-trip" b1 (read_file p1');
       Alcotest.(check int) "one entry per trial" 6 (List.length log.L.entries)
 
 let test_replay_matches_recording () =
-  let log = Result.get_ok (L.read ~path:(record ~workers:2 ~sub:"replay" ())) in
+  let log = Result.get_ok (Faultinj.Replay.read ~path:(record ~workers:2 ~sub:"replay" ())) in
   match Faultinj.Replay.replay log with
   | Error e -> Alcotest.fail ("replay refused: " ^ e)
   | Ok verdicts ->
@@ -338,7 +338,7 @@ let test_replay_matches_recording () =
         verdicts
 
 let test_replay_detects_divergence () =
-  let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"diverge" ())) in
+  let log = Result.get_ok (Faultinj.Replay.read ~path:(record ~workers:1 ~sub:"diverge" ())) in
   (* corrupt one recorded fingerprint: replay must flag exactly that
      trial and leave the others clean *)
   let mangle e =
@@ -373,7 +373,7 @@ let test_replay_detects_divergence () =
    with an error naming the field before anything boots, never an
    exception from System.boot or a clean replay. *)
 let test_replay_rejects_malformed () =
-  let log = Result.get_ok (L.read ~path:(record ~workers:1 ~sub:"hostile" ())) in
+  let log = Result.get_ok (Faultinj.Replay.read ~path:(record ~workers:1 ~sub:"hostile" ())) in
   let h = log.L.header in
   let first = [ List.hd log.L.entries ] in
   let refused label field bad =
@@ -387,16 +387,18 @@ let test_replay_rejects_malformed () =
         Alcotest.fail (label ^ ": raised " ^ Printexc.to_string ex)
   in
   let with_header header = { log with L.header } in
-  refused "cpus 500" "cpus" (with_header { h with L.h_cpus = 500 });
-  refused "cpus 0" "cpus" (with_header { h with L.h_cpus = 0 });
+  let with_shape shape = with_header { h with L.h_shape = shape } in
+  let s = h.L.h_shape in
+  refused "cpus 500" "cpus" (with_shape { s with FC.cpus = 500 });
+  refused "cpus 0" "cpus" (with_shape { s with FC.cpus = 0 });
   refused "trials -5, one entry" "trials"
     { L.header = { h with L.h_trials = -5 }; entries = first };
   refused "trials 0" "trials" (with_header { h with L.h_trials = 0 });
-  refused "tasks 0" "tasks" (with_header { h with L.h_tasks = 0 });
-  refused "rounds 0" "rounds" (with_header { h with L.h_rounds = 0 });
-  refused "quantum 0" "quantum" (with_header { h with L.h_quantum = 0 });
+  refused "tasks 0" "tasks" (with_shape { s with FC.tasks = 0 });
+  refused "rounds 0" "rounds" (with_shape { s with FC.rounds = 0 });
+  refused "quantum 0" "quantum" (with_shape { s with FC.quantum = 0 });
   refused "quarantine 0" "quarantine"
-    (with_header { h with L.h_quarantine_after = Some 0 });
+    (with_shape { s with FC.quarantine_after = Some 0 });
   let with_index i = { (List.hd first) with L.e_index = i } in
   refused "repeated index" "index"
     { log with L.entries = log.L.entries @ first };
@@ -422,7 +424,7 @@ let prop_damaged_log_reads_total =
     (fun dmg ->
       Out_channel.with_open_bin path (fun oc ->
           output_string oc (Test_json.damage (Lazy.force log) dmg));
-      match L.read ~path with Ok _ | Error _ -> true)
+      match Faultinj.Replay.read ~path with Ok _ | Error _ -> true)
 
 (* A campaign recorded under telemetry logs the bytes of a plain
    recording and replays clean. Seed 7's first 16 trials include
@@ -445,7 +447,7 @@ let test_replay_telemetry_recording () =
   Alcotest.(check string) "log bytes: telemetry on = off"
     (read_file (record ~telemetry:false ~sub:"plain"))
     (read_file observed);
-  match Faultinj.Replay.replay (Result.get_ok (L.read ~path:observed)) with
+  match Faultinj.Replay.replay (Result.get_ok (Faultinj.Replay.read ~path:observed)) with
   | Error e -> Alcotest.fail ("replay refused: " ^ e)
   | Ok verdicts ->
       Alcotest.(check int) "every trial replayed" 16 (List.length verdicts);
@@ -453,6 +455,43 @@ let test_replay_telemetry_recording () =
         (fun v ->
           Alcotest.(check bool)
             (Printf.sprintf "trial %d byte-identical" v.Faultinj.Replay.v_index)
+            true
+            (Faultinj.Replay.verdict_ok v))
+        verdicts
+
+(* A campaign off the default shape, quarantine included, records the
+   same log at 1 and 2 workers and replays from the header alone: the
+   session built from the header's shape runs every trial under its
+   quarantine. Seed 1's trial 3 offlines a core, so a replay that
+   dropped the quarantine would diverge there. *)
+let test_replay_non_default_shape () =
+  let shape =
+    { FC.cpus = 3; tasks = 5; rounds = 6; quantum = 300; quarantine_after = Some 2 }
+  in
+  let record workers =
+    let dir = Filename.concat tmpdir (Printf.sprintf "shape-w%d" workers) in
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Option.get (Fleet.Campaign.run ~shape ~workers ~record_dir:dir ~seed:1L ~trials:8 ())
+  in
+  let path r = Option.get r.Fleet.Campaign.record_path in
+  let r1 = record 1 and r2 = record 2 in
+  Alcotest.(check string) "log bytes: 1 worker = 2 workers" (read_file (path r1))
+    (read_file (path r2));
+  let report = r1.Fleet.Campaign.report in
+  Alcotest.(check bool) "the report ran the shape asked for" true (report.FC.shape = shape);
+  Alcotest.(check bool) "a trial offlined a core" true
+    (List.exists (fun t -> t.FC.offlined <> []) report.FC.trial_list);
+  let log = Result.get_ok (Faultinj.Replay.read ~path:(path r2)) in
+  Alcotest.(check bool) "report shape = header shape" true
+    (report.FC.shape = log.L.header.L.h_shape);
+  match Faultinj.Replay.replay log with
+  | Error e -> Alcotest.fail ("replay refused: " ^ e)
+  | Ok verdicts ->
+      Alcotest.(check int) "every trial replayed" 8 (List.length verdicts);
+      List.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "trial %d MATCH" v.Faultinj.Replay.v_index)
             true
             (Faultinj.Replay.verdict_ok v))
         verdicts
@@ -587,4 +626,6 @@ let suite =
     Alcotest.test_case "a panicked trial does not leak into the next" `Quick
       test_panicked_trial_does_not_leak;
     QCheck_alcotest.to_alcotest prop_damaged_log_reads_total;
+    Alcotest.test_case "a non-default shape records and replays" `Quick
+      test_replay_non_default_shape;
   ]

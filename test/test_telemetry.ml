@@ -250,7 +250,7 @@ let test_dump_state_sink_independent () =
     observed
 
 let test_dump_state_full_trace_default () =
-  let cpu = Bare.machine ~seed:42L ~trace_depth:64 () in
+  let cpu = Bare.machine ~seed:42L () in
   let prog = Asm.create () in
   Asm.add_function prog ~name:"f"
     (List.init 60 (fun _ -> Asm.ins Insn.Nop) @ [ Asm.ins Insn.Ret ]);
@@ -268,7 +268,7 @@ let test_dump_state_full_trace_default () =
   in
   let dump = Cpu.dump_state cpu in
   let limited = Cpu.dump_state ~trace_limit:8 cpu in
-  Alcotest.(check int) "default dump shows the whole ring" 61
+  Alcotest.(check int) "default dump shows the whole 32-entry ring" 32
     (count_lines "\n    " dump);
   Alcotest.(check int) "explicit limit still honoured" 8
     (count_lines "\n    " limited)
@@ -334,11 +334,26 @@ let test_log_events_cycle_stamped () =
   Alcotest.(check (list string)) "log lines unchanged by stamping"
     (List.map snd events) (K.System.log sys)
 
+(* Every number a caller names has its own handler's name: the table
+   of names and the [sys_*] numbers agree. *)
 let test_syscall_names () =
-  Alcotest.(check string) "exit" "sys_exit" (K.Kbuild.syscall_name K.Kbuild.sys_exit);
-  Alcotest.(check string) "getpid" "sys_getpid"
-    (K.Kbuild.syscall_name K.Kbuild.sys_getpid);
-  Alcotest.(check string) "out of range" "sys_99" (K.Kbuild.syscall_name 99)
+  let open K.Kbuild in
+  List.iter
+    (fun (nr, name) -> Alcotest.(check string) name name (syscall_name nr))
+    [
+      (sys_exit, "sys_exit"); (sys_getpid, "sys_getpid"); (sys_read, "sys_read");
+      (sys_write, "sys_write"); (sys_open, "sys_open"); (sys_close, "sys_close");
+      (sys_stat, "sys_stat"); (sys_fstat, "sys_fstat");
+      (sys_notifier_register, "sys_notifier_register");
+      (sys_notifier_call, "sys_notifier_call");
+      (sys_pipe_write, "sys_pipe_write"); (sys_pipe_read, "sys_pipe_read");
+      (sys_fork, "sys_fork"); (sys_vuln_read, "sys_vuln_read");
+      (sys_vuln_write, "sys_vuln_write"); (sys_getuid, "sys_getuid");
+      (sys_read_secure, "sys_read_secure"); (sys_socketpair, "sys_socketpair");
+      (sys_poll, "sys_poll"); (sys_timer_set, "sys_timer_set");
+    ];
+  Alcotest.(check int) "one name per number" 20 syscall_count;
+  Alcotest.(check string) "out of range" "sys_99" (syscall_name 99)
 
 (* --- attribution -------------------------------------------------- *)
 
